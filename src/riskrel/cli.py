@@ -24,6 +24,13 @@ from .errors import RiskRelError
 DEFAULT_TRAIN_COUNT = 140
 DEFAULT_VAL_COUNT = 25
 
+# TrainConfig fields settable by flag or config file, with their types.
+TRAIN_FLAGS = (("batch_size", int), ("learning_rate", float),
+               ("warmup_steps", int), ("max_epochs", int),
+               ("patience", int), ("temperature", float),
+               ("l2_coeff", float), ("max_len", int),
+               ("embed_dim", int), ("vocab_min_freq", int))
+
 _VIEW_ALIASES = {"chrono": pairgen.CHRONOLOGICAL,
                  "chronological": pairgen.CHRONOLOGICAL,
                  "lexical": pairgen.LEXICAL}
@@ -75,6 +82,12 @@ def _resolve(args: argparse.Namespace, config: dict[str, str], key: str,
     return default
 
 
+def _sections(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, ...]:
+    """Section labels from --sections or the config file, comma-separated."""
+    sections = _resolve(args, config, "sections", ",".join(corpus.DEFAULT_SECTIONS))
+    return tuple(s.strip() for s in sections.split(",") if s.strip())
+
+
 def _require_file(path: str | Path, what: str) -> Path:
     path = Path(path)
     if not path.is_file():
@@ -87,9 +100,7 @@ def _require_file(path: str | Path, what: str) -> Path:
 def cmd_ingest(args: argparse.Namespace, tracker: OutputTracker) -> None:
     config = read_config(args.config)
     min_tokens = _resolve(args, config, "min_tokens", corpus.DEFAULT_MIN_TOKENS, int)
-    sections = _resolve(args, config, "sections", ",".join(corpus.DEFAULT_SECTIONS))
-    section_labels = tuple(s.strip() for s in sections.split(",") if s.strip())
-    paragraphs = corpus.ingest_directory(args.root, sections=section_labels,
+    paragraphs = corpus.ingest_directory(args.root, sections=_sections(args, config),
                                          min_tokens=min_tokens)
     out = tracker.add(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -141,11 +152,7 @@ def cmd_pairs(args: argparse.Namespace, tracker: OutputTracker) -> None:
 def cmd_train(args: argparse.Namespace, tracker: OutputTracker) -> None:
     config = read_config(args.config)
     kwargs = {}
-    for key, cast in (("batch_size", int), ("learning_rate", float),
-                      ("warmup_steps", int), ("max_epochs", int),
-                      ("patience", int), ("temperature", float),
-                      ("l2_coeff", float), ("max_len", int),
-                      ("embed_dim", int), ("vocab_min_freq", int)):
+    for key, cast in TRAIN_FLAGS:
         value = _resolve(args, config, key, None, cast)
         if value is not None:
             kwargs[key] = value
@@ -193,9 +200,7 @@ def _load_index(model_path: str, paragraphs_path: str,
 
 def cmd_embed(args: argparse.Namespace, tracker: OutputTracker) -> None:
     config = read_config(args.config)
-    sections = _resolve(args, config, "sections", ",".join(corpus.DEFAULT_SECTIONS))
-    section_labels = tuple(s.strip() for s in sections.split(",") if s.strip())
-    index, _ = _load_index(args.model, args.infile, section_labels)
+    index, _ = _load_index(args.model, args.infile, _sections(args, config))
     out = tracker.add(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     scoring.save_embeddings(index, out)
@@ -207,30 +212,29 @@ def cmd_score(args: argparse.Namespace, tracker: OutputTracker) -> None:
     config = read_config(args.config)
     threshold = scoring.ScoreConfig(
         _resolve(args, config, "threshold", scoring.DEFAULT_THRESHOLD, float)).threshold
-    sections = _resolve(args, config, "sections", ",".join(corpus.DEFAULT_SECTIONS))
-    section_labels = tuple(s.strip() for s in sections.split(",") if s.strip())
-    index, texts = _load_index(args.model, args.paragraphs, section_labels)
+    index, texts = _load_index(args.model, args.paragraphs, _sections(args, config))
 
     firms = index.firm_ids()
-    firm_list, matrix = scoring.rrs_matrix(index, firms, threshold)
+    _, matrix = scoring.rrs_matrix(index, firms, threshold)
     matrix_path = tracker.add(args.out_matrix)
     matrix_path.parent.mkdir(parents=True, exist_ok=True)
-    scoring.write_rrs_csv(firm_list, matrix, matrix_path)
+    scoring.write_rrs_csv(firms, matrix, matrix_path)
 
     if args.out_evidence:
         evidence_dir = Path(args.out_evidence)
         if evidence_dir.exists():
             # Pre-existing directory: track only the files written into it.
-            for i, a in enumerate(firm_list):
-                for b in firm_list[i + 1:]:
+            for i, a in enumerate(firms):
+                for b in firms[i + 1:]:
                     tracker.add(evidence_dir / f"{a}__{b}.json")
         else:
             tracker.add(evidence_dir)
-        results = [scoring.find_mrps(index, a, b, threshold)
-                   for i, a in enumerate(firm_list) for b in firm_list[i + 1:]]
-        scoring.write_evidence_files(results, evidence_dir, texts)
-        print(f"score: wrote {len(results)} evidence files to {evidence_dir}")
-    print(f"score: threshold {threshold:.2f}, matrix for {len(firm_list)} firms "
+        # A generator, so each pair's file is written before the next search.
+        results = (scoring.find_mrps(index, a, b, threshold)
+                   for i, a in enumerate(firms) for b in firms[i + 1:])
+        written = scoring.write_evidence_files(results, evidence_dir, texts)
+        print(f"score: wrote {len(written)} evidence files to {evidence_dir}")
+    print(f"score: threshold {threshold:.2f}, matrix for {len(firms)} firms "
           f"-> {matrix_path}")
 
 
@@ -314,9 +318,7 @@ def cmd_evaluate(args: argparse.Namespace, tracker: OutputTracker) -> None:
 
 def cmd_sweep(args: argparse.Namespace, tracker: OutputTracker) -> None:
     config = read_config(args.config)
-    sections = _resolve(args, config, "sections", ",".join(corpus.DEFAULT_SECTIONS))
-    section_labels = tuple(s.strip() for s in sections.split(",") if s.strip())
-    index, _ = _load_index(args.model, args.paragraphs, section_labels)
+    index, _ = _load_index(args.model, args.paragraphs, _sections(args, config))
     grid_arg = _resolve(args, config, "grid", "0.6:0.9:0.05")
     parts = [float(x) for x in grid_arg.split(":")]
     if len(parts) != 3:
@@ -339,6 +341,8 @@ def cmd_sweep(args: argparse.Namespace, tracker: OutputTracker) -> None:
 
 def _read_csv_rows(path: Path) -> list[dict[str, str]]:
     lines = path.read_text(encoding="utf-8").strip().splitlines()
+    if not lines:
+        raise ValueError(f"empty CSV file: {path}")
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
@@ -451,11 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--report", help="output training report (JSONL)")
     p.add_argument("--config")
-    for key, cast in (("batch_size", int), ("learning_rate", float),
-                      ("warmup_steps", int), ("max_epochs", int),
-                      ("patience", int), ("temperature", float),
-                      ("l2_coeff", float), ("max_len", int),
-                      ("embed_dim", int), ("vocab_min_freq", int)):
+    for key, cast in TRAIN_FLAGS:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=cast)
     p.set_defaults(func=cmd_train)
 

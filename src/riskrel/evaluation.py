@@ -32,7 +32,7 @@ from .errors import (
     UnknownFirm,
     ZeroVariance,
 )
-from .scoring import EmbeddingIndex, find_mrps
+from .scoring import EmbeddingIndex, max_similarity_table
 
 MIN_OVERLAP = 30
 DEFAULT_GRID_START = 0.60
@@ -249,9 +249,11 @@ def threshold_sweep(index: EmbeddingIndex, firms: Sequence[str],
                     min_overlap: int = MIN_OVERLAP) -> list[SweepRow]:
     """Score every firm pair at each threshold in the ascending grid.
 
-    Reports the mean off-diagonal RRS and total MRP count per threshold;
-    when return series are supplied, rho is reported too (None when the
-    scores degenerate, e.g. all zero at a high threshold).
+    Each pair's similarities are computed once (see
+    :func:`~riskrel.scoring.max_similarity_table`) and counted at every
+    threshold. Reports the mean off-diagonal RRS and total MRP count per
+    threshold; when return series are supplied, rho is reported too (None
+    when the scores degenerate, e.g. all zero at a high threshold).
     """
     if list(grid) != sorted(grid):
         raise ValueError("grid must be ascending")
@@ -265,15 +267,16 @@ def threshold_sweep(index: EmbeddingIndex, firms: Sequence[str],
                                                  min_overlap=min_overlap)
                 except (InsufficientOverlap, ZeroVariance):
                     continue
-    rows = []
-    for threshold in grid:
-        results = [find_mrps(index, a, b, threshold) for a, b in pairs]
-        mean_rrs = float(np.mean([r.rrs for r in results]))
-        total = sum(len(r.mrps_a) + len(r.mrps_b) for r in results)
+    rows: list[SweepRow] = []
+    table = max_similarity_table(index, pairs)
+    for threshold, counts in zip(grid, table.mrp_counts(grid)):
+        scores = table.scores(counts)
+        mean_rrs = float(np.mean(scores))
+        total = int(counts.sum())
         rho = None
         if returns is not None:
-            records = [PairRecord(a, b, result.rrs, pair_cavdsr[(a, b)])
-                       for (a, b), result in zip(pairs, results)
+            records = [PairRecord(a, b, score, pair_cavdsr[(a, b)])
+                       for (a, b), score in zip(pairs, scores)
                        if (a, b) in pair_cavdsr]
             try:
                 rho = alignment_rho(records)

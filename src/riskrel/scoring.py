@@ -9,9 +9,16 @@ fraction of both firms' paragraphs that are MRPs:
     rrs(A, B) = (|MRPs_A| + |MRPs_B|) / (N_A + N_B)
 
 The score is symmetric, lives in [0, 1], and every contributing paragraph
-pair is retained as inspectable evidence. Search is exact all-pairs; desk
-corpora make O(N_A * N_B) trivial and the MRP definition is
-threshold-exact.
+pair is retained as inspectable evidence.
+
+Search is exact all-pairs, one similarity block per firm pair. Whether a
+paragraph is an MRP at threshold t depends only on its maximum cosine to
+the other firm, so the matrix and the threshold sweep compute each block
+once and keep just those maxima (:class:`MaxSimTable`); the MRP count at
+any threshold is then a ``searchsorted`` over them. Exactness is the
+contract: every block is the same ``unit(A) @ unit(B).T`` product, firms in
+sorted order, that :func:`find_mrps` uses, so the table's counts and RRS
+values equal find_mrps's bit for bit, ties at the threshold included.
 """
 
 from __future__ import annotations
@@ -127,14 +134,14 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors / np.maximum(norms, NORM_EPS)
 
 
-def find_mrps(index: EmbeddingIndex, firm_a: str, firm_b: str,
-              threshold: float = DEFAULT_THRESHOLD) -> MrpResult:
-    """Exact all-pairs MRP search for one firm pair.
+def _similarities(index: EmbeddingIndex, firm_a: str, firm_b: str,
+                  units: dict[str, np.ndarray]
+                  ) -> tuple[list[str], list[str], np.ndarray]:
+    """Both firms' ids and their cosine block, rows for ``firm_a``.
 
-    The similarity matrix is always computed with the firms in sorted
-    order internally, so rrs(A, B) == rrs(B, A) bit-exactly regardless of
-    argument order. Evidence lists every qualifying cross pair, sorted by
-    similarity descending with (id_a, id_b) breaking ties.
+    The product is always taken with the firms in sorted order, so the
+    block of (B, A) is the exact transpose of the block of (A, B). Each
+    firm's vectors are normalized once per ``units`` cache.
     """
     ids_a, vec_a = index.get(firm_a)
     ids_b, vec_b = index.get(firm_b)
@@ -145,12 +152,30 @@ def find_mrps(index: EmbeddingIndex, firm_a: str, firm_b: str,
     if vec_a.shape[1] != vec_b.shape[1]:
         raise DimensionMismatch(
             f"embedding widths differ: {vec_a.shape[1]} vs {vec_b.shape[1]}")
-
-    if firm_a <= firm_b:
-        sims = _unit_rows(vec_a) @ _unit_rows(vec_b).T
+    for firm, vectors in ((firm_a, vec_a), (firm_b, vec_b)):
+        if firm not in units:
+            units[firm] = _unit_rows(vectors)
+    if firm_a == firm_b:
+        # A copy keeps numpy off its X @ X.T shortcut (syrk), whose
+        # rounding can differ from the general product's.
+        sims = units[firm_a] @ units[firm_a].copy().T
+    elif firm_a < firm_b:
+        sims = units[firm_a] @ units[firm_b].T
     else:
-        sims = (_unit_rows(vec_b) @ _unit_rows(vec_a).T).T
+        sims = (units[firm_b] @ units[firm_a].T).T
+    return ids_a, ids_b, sims
 
+
+def find_mrps(index: EmbeddingIndex, firm_a: str, firm_b: str,
+              threshold: float = DEFAULT_THRESHOLD) -> MrpResult:
+    """Exact all-pairs MRP search for one firm pair.
+
+    The similarity matrix is always computed with the firms in sorted
+    order internally, so rrs(A, B) == rrs(B, A) bit-exactly regardless of
+    argument order. Evidence lists every qualifying cross pair, sorted by
+    similarity descending with (id_a, id_b) breaking ties.
+    """
+    ids_a, ids_b, sims = _similarities(index, firm_a, firm_b, {})
     hits = sims >= threshold
     mrps_a = tuple(sorted(ids_a[i] for i in np.flatnonzero(hits.any(axis=1))))
     mrps_b = tuple(sorted(ids_b[j] for j in np.flatnonzero(hits.any(axis=0))))
@@ -160,6 +185,53 @@ def find_mrps(index: EmbeddingIndex, firm_a: str, firm_b: str,
     return MrpResult(firm_a=firm_a, firm_b=firm_b, threshold=threshold,
                      n_a=len(ids_a), n_b=len(ids_b),
                      mrps_a=mrps_a, mrps_b=mrps_b, evidence=evidence)
+
+
+@dataclass
+class MaxSimTable:
+    """Each paragraph's maximum cosine to the other firm, per firm pair.
+
+    ``maxima[k]`` holds both firms' maxima for the k-th pair scored, in one
+    ascending array, and ``sizes[k]`` the two firms' paragraph counts. A
+    paragraph is an MRP at threshold t exactly when its maximum is >= t, so
+    a pair's MRP count is its array's length minus a ``searchsorted``. NaN
+    maxima (a paragraph whose every similarity is NaN) are dropped: such a
+    paragraph never clears a threshold.
+    """
+
+    sizes: list[tuple[int, int]]
+    maxima: list[np.ndarray]
+
+    def mrp_counts(self, thresholds: Sequence[float]) -> np.ndarray:
+        """MRP counts, one row per threshold and one column per pair."""
+        grid = np.asarray(thresholds, dtype=np.float64)
+        counts = np.empty((len(grid), len(self.maxima)), dtype=np.int64)
+        for k, maxima in enumerate(self.maxima):
+            counts[:, k] = len(maxima) - np.searchsorted(maxima, grid, side="left")
+        return counts
+
+    def scores(self, counts: Sequence[int]) -> list[float]:
+        """Per-pair RRS from one threshold's row of MRP counts."""
+        return [rrs(int(count), n_a, n_b)
+                for count, (n_a, n_b) in zip(counts, self.sizes)]
+
+
+def max_similarity_table(index: EmbeddingIndex,
+                         pairs: Sequence[tuple[str, str]]) -> MaxSimTable:
+    """One similarity block per firm pair, reduced to sorted maxima.
+
+    Raises like :func:`find_mrps` on the first pair, in order, that has an
+    empty or missing firm or mixed embedding widths.
+    """
+    units: dict[str, np.ndarray] = {}
+    sizes, maxima = [], []
+    for a, b in pairs:
+        ids_a, ids_b, sims = _similarities(index, a, b, units)
+        both = np.concatenate((np.fmax.reduce(sims, axis=1),
+                               np.fmax.reduce(sims, axis=0)))
+        sizes.append((len(ids_a), len(ids_b)))
+        maxima.append(np.sort(both[~np.isnan(both)]))
+    return MaxSimTable(sizes=sizes, maxima=maxima)
 
 
 def rrs_matrix(index: EmbeddingIndex, firms: Sequence[str] | None = None,
@@ -173,12 +245,14 @@ def rrs_matrix(index: EmbeddingIndex, firms: Sequence[str] | None = None,
     if len(firm_list) < 2:
         raise ValueError("rrs_matrix needs at least two firms")
     n = len(firm_list)
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    table = max_similarity_table(
+        index, [(firm_list[i], firm_list[j]) for i, j in cells])
+    values = table.scores(table.mrp_counts([threshold])[0])
     matrix = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = find_mrps(index, firm_list[i], firm_list[j], threshold).rrs
-            matrix[i, j] = value
-            matrix[j, i] = value
+    for (i, j), value in zip(cells, values):
+        matrix[i, j] = value
+        matrix[j, i] = value
     return firm_list, matrix
 
 
@@ -270,19 +344,37 @@ def write_rrs_csv(firms: Sequence[str], matrix: np.ndarray,
 
 
 def read_rrs_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read a matrix written by :func:`write_rrs_csv`."""
+    """Read a matrix written by :func:`write_rrs_csv`.
+
+    The row labels must repeat the header's firms in order, every row needs
+    one number per firm, and the matrix must be symmetric; anything else is
+    a ``ValueError`` naming the file.
+    """
+    def malformed(detail: str) -> ValueError:
+        return ValueError(f"malformed RRS matrix in {path}: {detail}")
+
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        firms = header[1:]
-        rows = []
-        for line in fh:
+        firms = fh.readline().strip().split(",")[1:]
+        labels, rows = [], []
+        for number, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            cells = line.strip().split(",")
-            rows.append([float(c) for c in cells[1:]])
+            label, *cells = line.strip().split(",")
+            if len(cells) != len(firms):
+                raise malformed(f"line {number} has {len(cells)} values "
+                                f"for {len(firms)} firms")
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise malformed(f"line {number}: {exc}") from exc
+            labels.append(label)
+    if not firms:
+        raise malformed("no firms in the header")
+    if labels != firms:
+        raise malformed("row labels do not match the header")
     matrix = np.array(rows)
-    if matrix.shape != (len(firms), len(firms)):
-        raise ValueError(f"malformed RRS matrix in {path}")
+    if not np.array_equal(matrix, matrix.T):
+        raise malformed("matrix is not symmetric")
     return firms, matrix
 
 

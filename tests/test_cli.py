@@ -205,3 +205,34 @@ def test_insufficient_pairs_is_clean_error(pipeline_dir, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: InsufficientPairs:")
     assert not list((tmp_path / "pairs").glob("*.jsonl"))
+
+
+def test_score_matrix_matches_evidence_files(pipeline_dir):
+    lines = (pipeline_dir / "rrs.csv").read_text().splitlines()
+    firms = lines[0].split(",")[1:]
+    cells = [line.split(",")[1:] for line in lines[1:]]
+    for i, a in enumerate(firms):
+        for j in range(i + 1, len(firms)):
+            doc = json.loads((pipeline_dir / "evidence" / f"{a}__{firms[j]}.json").read_text())
+            assert cells[i][j] == cells[j][i] == f"{doc['rrs']:.6f}"
+
+
+@pytest.mark.parametrize("relpath", ["eval/metrics.csv", "sweep.csv"])
+def test_report_on_empty_csv_is_clean_error(tmp_path, capsys, relpath):
+    empty = tmp_path / relpath
+    empty.parent.mkdir(parents=True, exist_ok=True)
+    empty.write_text("")
+    code, _, err = run(["report", "--workdir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == f"error: ValueError: empty CSV file: {empty}\n"
+    assert not (tmp_path / "report.md").exists()
+
+
+def test_evaluate_rejects_asymmetric_matrix(tmp_path, capsys):
+    rrs = tmp_path / "rrs.csv"
+    rrs.write_text("firm,A,B\nA,1.000000,0.500000\nB,0.250000,1.000000\n")
+    code, _, err = run(["evaluate", "--rrs", str(rrs), "--prices", str(tmp_path),
+                        "--out", str(tmp_path / "eval")], capsys)
+    assert code == 1
+    assert err == f"error: ValueError: malformed RRS matrix in {rrs}: matrix is not symmetric\n"
+    assert not (tmp_path / "eval").exists()

@@ -339,3 +339,31 @@ def test_embeddings_roundtrip(tmp_path):
     for firm in index.firms:
         assert loaded.firms[firm][0] == index.firms[firm][0]
         assert np.array_equal(loaded.firms[firm][1], index.firms[firm][1])
+
+
+def test_rrs_csv_roundtrip_at_six_decimals(tmp_path):
+    rng = np.random.default_rng(15)
+    firms = ["AAA", "BBB", "CCC", "DDD"]
+    upper = np.triu(rng.random((4, 4)), 1)
+    matrix = upper + upper.T + np.eye(4)
+    path = tmp_path / "rrs.csv"
+    write_rrs_csv(firms, matrix, path)
+    firms2, matrix2 = read_rrs_csv(path)
+    assert firms2 == firms
+    assert np.array_equal(matrix2, np.array([[float(f"{v:.6f}") for v in row]
+                                             for row in matrix]))
+    write_rrs_csv(firms2, matrix2, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("firm,A,B\nA,1.0,0.5\nB,0.25,1.0\n", "matrix is not symmetric"),
+    ("firm,A,B\nB,1.0,0.5\nA,0.5,1.0\n", "row labels do not match the header"),
+    ("firm,A,B\nA,1.0,0.5\nB,0.5\n", "line 3 has 1 values for 2 firms"),
+], ids=["asymmetric", "swapped_rows", "ragged"])
+def test_rrs_csv_rejects_malformed(tmp_path, text, detail):
+    path = tmp_path / "rrs.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_rrs_csv(path)
+    assert str(exc.value) == f"malformed RRS matrix in {path}: {detail}"
