@@ -253,31 +253,23 @@ def cmd_evaluate(args: argparse.Namespace, tracker: OutputTracker) -> None:
         tracker.add(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    cells = {(firms[i], firms[j]): float(matrix[i, j])
+             for i in range(len(firms)) for j in range(i + 1, len(firms))}
+    co_movement = evaluation.pairwise_cavdsr(returns, cells)
+    excluded = len(cells) - len(co_movement)
     records: list[evaluation.PairRecord] = []
     rows = []
-    excluded = 0
-    for i, firm_a in enumerate(firms):
-        for j in range(i + 1, len(firms)):
-            firm_b = firms[j]
-            if firm_a not in returns or firm_b not in returns:
-                excluded += 1
-                continue
-            try:
-                co_movement = evaluation.cavdsr(returns[firm_a], returns[firm_b])
-            except (evaluation.InsufficientOverlap, evaluation.ZeroVariance):
-                excluded += 1
-                continue
-            record = evaluation.PairRecord(firm_a, firm_b, float(matrix[i, j]),
-                                           co_movement)
-            records.append(record)
-            row = {"firm_a": firm_a, "firm_b": firm_b,
-                   "rrs": f"{record.rrs:.6f}", "cavdsr": f"{record.cavdsr:.6f}"}
-            if gics is not None:
-                row["gics_sector"] = str(evaluation.gics_binary_rrs(
-                    gics, firm_a, firm_b, "sector"))
-                row["gics_industry"] = str(evaluation.gics_binary_rrs(
-                    gics, firm_a, firm_b, "industry"))
-            rows.append(row)
+    for (firm_a, firm_b), value in co_movement.items():
+        record = evaluation.PairRecord(firm_a, firm_b, cells[(firm_a, firm_b)], value)
+        records.append(record)
+        row = {"firm_a": firm_a, "firm_b": firm_b,
+               "rrs": f"{record.rrs:.6f}", "cavdsr": f"{record.cavdsr:.6f}"}
+        if gics is not None:
+            row["gics_sector"] = str(evaluation.gics_binary_rrs(
+                gics, firm_a, firm_b, "sector"))
+            row["gics_industry"] = str(evaluation.gics_binary_rrs(
+                gics, firm_a, firm_b, "industry"))
+        rows.append(row)
 
     columns = list(rows[0]) if rows else ["firm_a", "firm_b", "rrs", "cavdsr"]
     with open(out_dir / "pairs.csv", "w", encoding="utf-8") as fh:

@@ -2,8 +2,9 @@
 
 A paragraph is encoded as tanh(W @ mean(token embeddings) + b): an
 embedding lookup, a masked mean pool over non-padding positions, and a
-single affine layer squashed through tanh. Relevance between paragraphs
-is the cosine of their vectors. The architecture is deliberately small
+single affine layer squashed through tanh, all in one batched
+:func:`forward` that training and embedding share. Relevance between
+paragraphs is the cosine of their vectors. The architecture is small
 enough that every gradient is hand-verifiable, while keeping the contract
 the rest of the pipeline depends on (paragraph -> d-vector, cosine
 similarity, 256-token truncation).
@@ -114,33 +115,40 @@ def init_params(vocab_size: int, d: int = DEFAULT_EMBED_DIM,
     return EncoderParams(embed=embed, proj_w=proj_w, proj_b=proj_b)
 
 
+def forward(params: EncoderParams,
+            id_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled embeddings h and encoded vectors u of a (B, L) PAD-padded matrix.
+
+    A row with no non-PAD position raises :class:`EmptyParagraph` with its
+    index as ``row``.
+    """
+    mask = id_matrix != PAD_INDEX
+    counts = mask.sum(axis=1)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise EmptyParagraph(f"row {empty[0]} has no non-padding tokens",
+                             row=int(empty[0]))
+    pooled = np.einsum("bl,bld->bd", mask.astype(np.float64),
+                       params.embed[id_matrix])
+    h = pooled / counts[:, None]
+    return h, np.tanh(h @ params.proj_w.T + params.proj_b)
+
+
 def encode(params: EncoderParams, token_ids: Sequence[int] | np.ndarray,
            max_len: int = DEFAULT_MAX_LEN) -> np.ndarray:
     """Encode one paragraph of vocabulary indices into a d-vector.
 
-    Truncates to ``max_len``, mean-pools the embedding rows of non-PAD
-    positions and applies the affine+tanh head. Padding positions never
-    influence the output.
+    A one-row :func:`forward` of the first ``max_len`` indices. Padding
+    positions never influence the output.
     """
     ids = np.asarray(token_ids, dtype=np.int64)[:max_len]
-    mask = ids != PAD_INDEX
-    n = int(mask.sum())
-    if n == 0:
-        raise EmptyParagraph("no non-padding tokens to encode")
-    h = params.embed[ids[mask]].sum(axis=0) / n
-    return np.tanh(params.proj_w @ h + params.proj_b)
+    return forward(params, ids[None, :])[1][0]
 
 
-def encode_batch(params: EncoderParams, id_matrix: np.ndarray) -> np.ndarray:
-    """Encode a (B, L) PAD-padded index matrix into (B, d) vectors."""
-    mask = id_matrix != PAD_INDEX
-    counts = mask.sum(axis=1)
-    if np.any(counts == 0):
-        raise EmptyParagraph("a batch row has no non-padding tokens")
-    pooled = np.einsum("bl,bld->bd", mask.astype(np.float64),
-                       params.embed[id_matrix])
-    h = pooled / counts[:, None]
-    return np.tanh(h @ params.proj_w.T + params.proj_b)
+def unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Rows over their norms floored at NORM_EPS: cosines are unit @ unit.T."""
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    return vectors / np.maximum(norms, NORM_EPS)
 
 
 def similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -161,7 +169,7 @@ def similarity(u: np.ndarray, v: np.ndarray) -> float:
 
 def pad_batch(id_lists: Sequence[np.ndarray]) -> np.ndarray:
     """Stack variable-length index arrays into a PAD-padded matrix."""
-    width = max(len(ids) for ids in id_lists)
+    width = max((len(ids) for ids in id_lists), default=0)
     out = np.full((len(id_lists), width), PAD_INDEX, dtype=np.int64)
     for i, ids in enumerate(id_lists):
         out[i, :len(ids)] = ids

@@ -16,7 +16,12 @@ class EmptyCorpus(RiskRelError):
 
 
 class EmptyParagraph(RiskRelError):
-    """A paragraph has no usable tokens after mapping/truncation."""
+    """A paragraph has no usable tokens after mapping/truncation
+    (``row``: its index in a batch, when known)."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class ZeroVector(RiskRelError):

@@ -18,8 +18,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,6 +56,11 @@ class ReturnSeries:
             raise ValueError("dates must be strictly increasing")
         if not np.all(np.isfinite(self.returns)):
             raise ValueError("returns must be finite")
+
+    @cached_property
+    def date_index(self) -> np.ndarray:
+        """The dates as an array, built on first use and kept for joins."""
+        return np.array(self.dates, dtype=str)
 
 
 @dataclass(frozen=True)
@@ -159,15 +165,30 @@ def cavdsr(a: ReturnSeries, b: ReturnSeries,
     ``min_overlap`` shared observations is an error, as is a constant
     absolute-return series.
     """
-    common = sorted(set(a.dates) & set(b.dates))
+    common, pos_a, pos_b = np.intersect1d(a.date_index, b.date_index,
+                                          assume_unique=True, return_indices=True)
     if len(common) < min_overlap:
         raise InsufficientOverlap(
             f"{a.firm_id}/{b.firm_id}: {len(common)} common dates < {min_overlap}")
-    pos_a = {d: i for i, d in enumerate(a.dates)}
-    pos_b = {d: i for i, d in enumerate(b.dates)}
-    ra = np.abs(a.returns[[pos_a[d] for d in common]])
-    rb = np.abs(b.returns[[pos_b[d] for d in common]])
-    return pearson(ra, rb)
+    return pearson(np.abs(a.returns[pos_a]), np.abs(b.returns[pos_b]))
+
+
+def pairwise_cavdsr(returns: Mapping[str, ReturnSeries],
+                    pairs: Iterable[tuple[str, str]],
+                    min_overlap: int = MIN_OVERLAP) -> dict[tuple[str, str], float]:
+    """CAVDSR of every pair whose firms both have return series.
+
+    A pair is left out when a firm has no series, the two share fewer than
+    ``min_overlap`` dates, or an absolute-return series is constant.
+    """
+    out: dict[tuple[str, str], float] = {}
+    for a, b in pairs:
+        if a in returns and b in returns:
+            try:
+                out[(a, b)] = cavdsr(returns[a], returns[b], min_overlap)
+            except (InsufficientOverlap, ZeroVariance):
+                continue
+    return out
 
 
 def alignment_rho(records: Sequence[PairRecord], method: str = "pearson") -> float:
@@ -258,15 +279,8 @@ def threshold_sweep(index: EmbeddingIndex, firms: Sequence[str],
     if list(grid) != sorted(grid):
         raise ValueError("grid must be ascending")
     pairs = [(a, b) for i, a in enumerate(firms) for b in firms[i + 1:]]
-    pair_cavdsr: dict[tuple[str, str], float] = {}
-    if returns is not None:
-        for a, b in pairs:
-            if a in returns and b in returns:
-                try:
-                    pair_cavdsr[(a, b)] = cavdsr(returns[a], returns[b],
-                                                 min_overlap=min_overlap)
-                except (InsufficientOverlap, ZeroVariance):
-                    continue
+    pair_cavdsr = (pairwise_cavdsr(returns, pairs, min_overlap)
+                   if returns is not None else {})
     rows: list[SweepRow] = []
     table = max_similarity_table(index, pairs)
     for threshold, counts in zip(grid, table.mrp_counts(grid)):
@@ -297,21 +311,21 @@ def read_prices_dir(prices_dir: str | Path) -> dict[str, ReturnSeries]:
         raise FileNotFoundError(f"prices directory not found: {prices_dir}")
     series = {}
     for path in sorted(prices_dir.glob("*.csv")):
-        firm = path.stem
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)  # header
-            rows = [(date, float(close)) for date, close in reader]
-        series[firm] = daily_returns(rows, firm_id=firm)
+        rows = [(date, float(close)) for date, close in _csv_body(path)]
+        series[path.stem] = daily_returns(rows, firm_id=path.stem)
     return series
 
 
 def read_gics_file(path: str | Path) -> dict[str, tuple[str, str]]:
     """Load a (ticker, sector, industry) mapping; header line required."""
-    mapping = {}
+    return {ticker: (sector, industry)
+            for ticker, sector, industry in _csv_body(path)}
+
+
+def _csv_body(path: str | Path) -> list[list[str]]:
+    """The rows of a CSV file after its header line; no header is an error."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for ticker, sector, industry in reader:
-            mapping[ticker] = (sector, industry)
-    return mapping
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"empty CSV file: {path}")
+    return rows[1:]

@@ -34,11 +34,12 @@ import numpy as np
 from .corpus import FirmCorpus, Paragraph
 from .encoder import (
     DEFAULT_MAX_LEN,
-    NORM_EPS,
     EncoderParams,
     Vocabulary,
-    encode,
+    forward,
+    pad_batch,
     read_exact,
+    unit_rows,
 )
 from .errors import DimensionMismatch, EmptyFirm, EmptyParagraph, UnknownParagraphId
 
@@ -112,26 +113,19 @@ def embed_corpus(vocab: Vocabulary, params: EncoderParams,
                  firm_corpora: Iterable[FirmCorpus],
                  max_len: int = DEFAULT_MAX_LEN,
                  model_fingerprint: str = "") -> EmbeddingIndex:
-    """Encode every paragraph of every firm, order preserved."""
+    """Encode every paragraph of every firm, order preserved, a firm per batch."""
     firms: dict[str, tuple[list[str], np.ndarray]] = {}
-    d = params.d
     for corpus in firm_corpora:
-        ids: list[str] = []
-        rows = np.empty((corpus.count, d))
-        for k, paragraph in enumerate(corpus.paragraphs):
-            try:
-                rows[k] = encode(params, vocab.indices(paragraph.tokens), max_len)
-            except EmptyParagraph as exc:
-                raise EmptyParagraph(f"paragraph {paragraph.id}: {exc}") from exc
-            ids.append(paragraph.id)
+        ids = [paragraph.id for paragraph in corpus.paragraphs]
+        batch = pad_batch([vocab.indices(paragraph.tokens, max_len)
+                           for paragraph in corpus.paragraphs])
+        try:
+            _, rows = forward(params, batch)
+        except EmptyParagraph as exc:
+            raise EmptyParagraph(f"paragraph {ids[exc.row]}: {exc}") from exc
         firms[corpus.firm_id] = (ids, rows)
     return EmbeddingIndex(firms=firms, model_fingerprint=model_fingerprint,
                           max_len=max_len)
-
-
-def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    return vectors / np.maximum(norms, NORM_EPS)
 
 
 def _similarities(index: EmbeddingIndex, firm_a: str, firm_b: str,
@@ -154,7 +148,7 @@ def _similarities(index: EmbeddingIndex, firm_a: str, firm_b: str,
             f"embedding widths differ: {vec_a.shape[1]} vs {vec_b.shape[1]}")
     for firm, vectors in ((firm_a, vec_a), (firm_b, vec_b)):
         if firm not in units:
-            units[firm] = _unit_rows(vectors)
+            units[firm] = unit_rows(vectors)
     if firm_a == firm_b:
         # A copy keeps numpy off its X @ X.T shortcut (syrk), whose
         # rounding can differ from the general product's.

@@ -25,8 +25,10 @@ from .encoder import (
     EncoderParams,
     Vocabulary,
     build_vocab,
+    forward,
     init_params,
     pad_batch,
+    unit_rows,
 )
 from .errors import InsufficientPairs, NonFiniteGradient, NonFiniteSimilarity
 from .pairs import PositivePair
@@ -169,16 +171,6 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(params: EncoderParams, id_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled hidden states and encoded vectors for a padded index matrix."""
-    mask = id_matrix != PAD_INDEX
-    counts = mask.sum(axis=1)
-    pooled = np.einsum("bl,bld->bd", mask.astype(np.float64), params.embed[id_matrix])
-    h = pooled / counts[:, None]
-    u = np.tanh(h @ params.proj_w.T + params.proj_b)
-    return h, u
-
-
 def _touched_rows(batch: TrainingBatch) -> np.ndarray:
     ids = np.unique(np.concatenate([batch.anchors.ravel(), batch.positives.ravel()]))
     return ids[ids != PAD_INDEX]
@@ -192,22 +184,15 @@ def batch_objective(params: EncoderParams, batch: TrainingBatch,
     up by this batch, so untouched vocabulary rows keep exactly zero
     gradient. This is the objective the analytic gradients differentiate.
     """
-    _, u = _forward(params, batch.anchors)
-    _, v = _forward(params, batch.positives)
-    sims = _cosine_matrix(u, v)
-    loss = info_nce_loss(sims, config.temperature)
+    _, u = forward(params, batch.anchors)
+    _, v = forward(params, batch.positives)
+    loss = info_nce_loss(unit_rows(u) @ unit_rows(v).T, config.temperature)
     if config.l2_coeff:
         rows = _touched_rows(batch)
         reg = (np.sum(params.proj_w ** 2) + np.sum(params.proj_b ** 2)
                + np.sum(params.embed[rows] ** 2))
         loss += config.l2_coeff * reg
     return float(loss)
-
-
-def _cosine_matrix(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    nu = np.linalg.norm(u, axis=1, keepdims=True)
-    nv = np.linalg.norm(v, axis=1, keepdims=True)
-    return (u / nu) @ (v / nv).T
 
 
 def compute_gradients(params: EncoderParams, batch: TrainingBatch,
@@ -223,8 +208,8 @@ def _loss_and_gradients(params: EncoderParams, batch: TrainingBatch,
     b = batch.size
     tau = config.temperature
 
-    h_a, u = _forward(params, batch.anchors)
-    h_p, v = _forward(params, batch.positives)
+    h_a, u = forward(params, batch.anchors)
+    h_p, v = forward(params, batch.positives)
     nu = np.linalg.norm(u, axis=1, keepdims=True)
     nv = np.linalg.norm(v, axis=1, keepdims=True)
     u_hat = u / nu
@@ -332,9 +317,9 @@ def _evaluate(params: EncoderParams, anchors: list[np.ndarray],
             break
         batch = TrainingBatch(pad_batch(anchors[start:stop]),
                               pad_batch(positives[start:stop]))
-        _, u = _forward(params, batch.anchors)
-        _, v = _forward(params, batch.positives)
-        sims = _cosine_matrix(u, v)
+        _, u = forward(params, batch.anchors)
+        _, v = forward(params, batch.positives)
+        sims = unit_rows(u) @ unit_rows(v).T
         total_loss += float(_per_anchor_loss(sims, config.temperature).sum())
         total_pos += float(np.trace(sims))
         total_neg += float(sims.sum() - np.trace(sims))

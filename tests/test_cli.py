@@ -236,3 +236,49 @@ def test_evaluate_rejects_asymmetric_matrix(tmp_path, capsys):
     assert code == 1
     assert err == f"error: ValueError: malformed RRS matrix in {rrs}: matrix is not symmetric\n"
     assert not (tmp_path / "eval").exists()
+
+
+def _prices_with_empty_file(tmp_path, fixture_manifest):
+    prices = tmp_path / "prices"
+    prices.mkdir()
+    for path in fixture_manifest.prices_dir.glob("*.csv"):
+        (prices / path.name).write_bytes(path.read_bytes())
+    empty = prices / "ZZZZ.csv"
+    empty.write_text("")
+    return prices, empty
+
+
+def test_evaluate_on_empty_price_file_is_clean_error(pipeline_dir, fixture_manifest,
+                                                     tmp_path, capsys):
+    prices, empty = _prices_with_empty_file(tmp_path, fixture_manifest)
+    code, _, err = run(["evaluate", "--rrs", str(pipeline_dir / "rrs.csv"),
+                        "--prices", str(prices), "--out", str(tmp_path / "eval")],
+                       capsys)
+    assert code == 1
+    assert err == f"error: ValueError: empty CSV file: {empty}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_on_empty_gics_file_is_clean_error(pipeline_dir, fixture_manifest,
+                                                    tmp_path, capsys):
+    gics = tmp_path / "gics.csv"
+    gics.write_text("")
+    code, _, err = run(["evaluate", "--rrs", str(pipeline_dir / "rrs.csv"),
+                        "--prices", str(fixture_manifest.prices_dir),
+                        "--gics", str(gics), "--out", str(tmp_path / "eval")],
+                       capsys)
+    assert code == 1
+    assert err == f"error: ValueError: empty CSV file: {gics}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_sweep_on_empty_price_file_is_clean_error(pipeline_dir, fixture_manifest,
+                                                  tmp_path, capsys):
+    prices, empty = _prices_with_empty_file(tmp_path, fixture_manifest)
+    code, _, err = run(["sweep", "--model", str(pipeline_dir / "model.bin"),
+                        "--paragraphs", str(pipeline_dir / "paragraphs.jsonl"),
+                        "--prices", str(prices), "--out", str(tmp_path / "sweep.csv")],
+                       capsys)
+    assert code == 1
+    assert err == f"error: ValueError: empty CSV file: {empty}\n"
+    assert not (tmp_path / "sweep.csv").exists()

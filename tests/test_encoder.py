@@ -12,7 +12,7 @@ from riskrel.encoder import (
     EncoderParams,
     build_vocab,
     encode,
-    encode_batch,
+    forward,
     init_params,
     load_model,
     model_fingerprint,
@@ -107,9 +107,10 @@ def test_encode_output_within_tanh_range():
 def test_encode_batch_matches_single():
     params = init_params(vocab_size=30, d=8, rng=4)
     rows = [np.array([2, 3, 4]), np.array([5, 6]), np.array([7, 8, 9, 10])]
-    batch_out = encode_batch(params, pad_batch(rows))
+    h, batch_out = forward(params, pad_batch(rows))
     for k, ids in enumerate(rows):
         assert batch_out[k] == pytest.approx(encode(params, ids), abs=1e-15)
+        assert h[k] == pytest.approx(params.embed[ids].mean(axis=0), abs=1e-15)
 
 
 # --- similarity ---

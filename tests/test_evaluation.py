@@ -23,6 +23,7 @@ from riskrel.evaluation import (
     daily_returns,
     gics_binary_rrs,
     make_grid,
+    pairwise_cavdsr,
     pearson,
     read_gics_file,
     read_prices_dir,
@@ -155,6 +156,33 @@ def test_cavdsr_inner_join_on_dates():
     # b sees only the even dates, with identical values there
     b = ReturnSeries("B", tuple(f"d{k:03d}" for k in range(0, 80, 2)), r[::2])
     assert cavdsr(a, b) == 1.0
+
+
+def test_cavdsr_matches_set_join_on_shifted_calendars():
+    rng = np.random.default_rng(8)
+    days = [f"2023-{m:02d}-{d:02d}" for m in range(1, 13) for d in range(1, 29)]
+    a_days = sorted(rng.choice(days, size=200, replace=False))
+    b_days = sorted(rng.choice(days, size=150, replace=False))
+    a = ReturnSeries("A", tuple(a_days), rng.normal(0, 0.02, size=200))
+    b = ReturnSeries("B", tuple(b_days), rng.normal(0, 0.02, size=150))
+    common = sorted(set(a_days) & set(b_days))
+    expected = pearson(np.abs(a.returns[[a_days.index(d) for d in common]]),
+                       np.abs(b.returns[[b_days.index(d) for d in common]]))
+    assert cavdsr(a, b) == expected
+
+
+def test_pairwise_cavdsr_leaves_out_unusable_pairs():
+    rng = np.random.default_rng(9)
+    returns = {"A": _long(list(rng.normal(0, 0.02, size=40))),
+               "B": _long(list(rng.normal(0, 0.02, size=40))),
+               "C": series(list(rng.normal(0, 0.02, size=10)), "C", start=30),
+               "D": _long([0.01, 0.01])}
+    pairs = [("A", "B"), ("A", "C"), ("A", "D"), ("A", "E"), ("B", "D")]
+    assert pairwise_cavdsr(returns, pairs) == {
+        ("A", "B"): cavdsr(returns["A"], returns["B"])}
+    assert pairwise_cavdsr(returns, pairs, min_overlap=5) == {
+        ("A", "B"): cavdsr(returns["A"], returns["B"]),
+        ("A", "C"): cavdsr(returns["A"], returns["C"], min_overlap=5)}
 
 
 # --- alignment rho ---

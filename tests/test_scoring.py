@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from riskrel import scoring
-from riskrel.corpus import FirmCorpus, Paragraph, tokenize
+from riskrel.corpus import FirmCorpus, Paragraph, group_by_firm, tokenize
 from riskrel.encoder import build_vocab, init_params
 from riskrel.errors import (
     DimensionMismatch,
     EmptyFirm,
+    EmptyParagraph,
     UnknownParagraphId,
 )
 from riskrel.scoring import (
@@ -232,12 +233,41 @@ def test_embed_corpus_shapes_and_determinism():
 
 
 def test_embed_corpus_attaches_paragraph_id_on_failure():
-    from riskrel.errors import EmptyParagraph
     vocab = build_vocab([["a", "a"]], min_freq=1)
     params = init_params(len(vocab), d=4, rng=0)
     corpora = [_corpus_of("A", ["a a a a a"])]
     with pytest.raises(EmptyParagraph, match="A:2023:1A:0000"):
         embed_corpus(vocab, params, corpora, max_len=0)
+
+
+def test_embed_corpus_names_empty_paragraph_mid_firm():
+    vocab = build_vocab([["a", "a"]], min_freq=1)
+    params = init_params(len(vocab), d=4, rng=0)
+    corpora = [_corpus_of("A", ["a a", "a a a"]),
+               _corpus_of("B", ["a", "a a", "", "a"])]
+    with pytest.raises(EmptyParagraph, match=r"paragraph B:2023:1A:0002: row 2 "):
+        embed_corpus(vocab, params, corpora)
+
+
+def test_embed_corpus_matches_per_paragraph_reference(fixture_paragraphs):
+    """The batched forward against the per-paragraph loop it replaced.
+
+    The reference is the old path: a mean pool of each paragraph's own
+    embedding rows, then the GEMV ``proj_w @ h``. The batched GEMM rounds
+    differently; float64 keeps the two within 1e-15 (7e-17 observed).
+    """
+    vocab = build_vocab((p.tokens for p in fixture_paragraphs), min_freq=2)
+    params = init_params(len(vocab), d=64, rng=5)
+    corpora = group_by_firm(fixture_paragraphs).values()
+    index = embed_corpus(vocab, params, corpora, max_len=256)
+    for corpus in corpora:
+        ids, vectors = index.firms[corpus.firm_id]
+        assert ids == [p.id for p in corpus.paragraphs]
+        for paragraph, vector in zip(corpus.paragraphs, vectors):
+            token_ids = vocab.indices(paragraph.tokens, 256)
+            h = params.embed[token_ids].sum(axis=0) / len(token_ids)
+            reference = np.tanh(params.proj_w @ h + params.proj_b)
+            assert np.max(np.abs(vector - reference)) <= 1e-15
 
 
 def test_embeddings_rejects_truncated_file(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from riskrel import training
 from riskrel.encoder import PAD_INDEX, EncoderParams, init_params, pad_batch
-from riskrel.errors import InsufficientPairs, NonFiniteSimilarity
+from riskrel.errors import EmptyParagraph, InsufficientPairs, NonFiniteSimilarity
 from riskrel.pairs import CHRONOLOGICAL, LEXICAL, PositivePair
 from riskrel.training import (
     AdamState,
@@ -100,6 +100,17 @@ def _random_batch(rng, vocab_size, b=4, max_tokens=9):
         anchors.append(rng.integers(1, vocab_size, size=la))
         positives.append(rng.integers(1, vocab_size, size=lp))
     return TrainingBatch(pad_batch(anchors), pad_batch(positives))
+
+
+def test_all_pad_row_raises_empty_paragraph():
+    """An all-PAD row is an empty paragraph, not a NaN cosine."""
+    rng = np.random.default_rng(11)
+    params = init_params(vocab_size=20, d=6, rng=11)
+    batch = _random_batch(rng, 20)
+    batch.positives[2] = PAD_INDEX
+    for objective in (training.batch_objective, training.compute_gradients):
+        with pytest.raises(EmptyParagraph, match="row 2"):
+            objective(params, batch, _config())
 
 
 def _central_difference(params, batch, config, h=1e-5):
