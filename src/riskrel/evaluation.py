@@ -311,7 +311,7 @@ def read_prices_dir(prices_dir: str | Path) -> dict[str, ReturnSeries]:
         raise FileNotFoundError(f"prices directory not found: {prices_dir}")
     series = {}
     for path in sorted(prices_dir.glob("*.csv")):
-        rows = [(date, float(close)) for date, close in _csv_body(path)]
+        rows = [(date, float(close)) for date, close in _csv_body(path, 2)]
         series[path.stem] = daily_returns(rows, firm_id=path.stem)
     return series
 
@@ -319,13 +319,25 @@ def read_prices_dir(prices_dir: str | Path) -> dict[str, ReturnSeries]:
 def read_gics_file(path: str | Path) -> dict[str, tuple[str, str]]:
     """Load a (ticker, sector, industry) mapping; header line required."""
     return {ticker: (sector, industry)
-            for ticker, sector, industry in _csv_body(path)}
+            for ticker, sector, industry in _csv_body(path, 3)}
 
 
-def _csv_body(path: str | Path) -> list[list[str]]:
-    """The rows of a CSV file after its header line; no header is an error."""
+def _csv_body(path: str | Path, fields: int) -> list[list[str]]:
+    """The rows of a CSV file after its header line, ``fields`` fields each.
+
+    Blank rows are skipped. A file with no other row, or a row of another
+    width, is a ``ValueError`` naming the file.
+    """
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if rows and len(row) != fields:
+                raise ValueError(f"malformed CSV row in {path} line {reader.line_num}: "
+                                 f"expected {fields} fields, got {len(row)}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"empty CSV file: {path}")
     return rows[1:]

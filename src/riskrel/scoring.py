@@ -19,15 +19,26 @@ any threshold is then a ``searchsorted`` over them. Exactness is the
 contract: every block is the same ``unit(A) @ unit(B).T`` product, firms in
 sorted order, that :func:`find_mrps` uses, so the table's counts and RRS
 values equal find_mrps's bit for bit, ties at the threshold included.
+
+Evidence files are JSON in ``json.dumps(..., indent=2, ensure_ascii=False)``
+layout, but not written by ``json``: CPython serves ``indent`` only from its
+pure-Python encoder, which was most of ``score``'s time. A streaming writer
+(:func:`write_evidence_files`) gives the same bytes from one template per
+evidence entry, with ``json``'s own string escaping and float ``repr``;
+:func:`mrp_result_to_dict` stays the dict view and the writer's test oracle.
+Each file is renamed into place only once complete.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -250,6 +261,12 @@ def rrs_matrix(index: EmbeddingIndex, firms: Sequence[str] | None = None,
     return firm_list, matrix
 
 
+def _paragraph(paragraphs: Mapping[str, Paragraph], pid: str) -> Paragraph:
+    if pid not in paragraphs:
+        raise UnknownParagraphId(f"evidence references unknown paragraph {pid}")
+    return paragraphs[pid]
+
+
 def evidence_report(result: MrpResult,
                     paragraphs: Mapping[str, Paragraph] | Iterable[Paragraph]) -> str:
     """Render an MRP result as a human-readable document.
@@ -271,10 +288,7 @@ def evidence_report(result: MrpResult,
         lines.append("No mutual risk paragraphs at this threshold.")
         return "\n".join(lines) + "\n"
     for rank, (id_a, id_b, sim) in enumerate(result.evidence, start=1):
-        for pid in (id_a, id_b):
-            if pid not in lookup:
-                raise UnknownParagraphId(f"evidence references unknown paragraph {pid}")
-        pa, pb = lookup[id_a], lookup[id_b]
+        pa, pb = _paragraph(lookup, id_a), _paragraph(lookup, id_b)
         lines.append(f"[{rank}] similarity {sim:.6f}")
         lines.append(f"  {pa.firm_id} {pa.year} Item {pa.section} ({pa.id}):")
         lines.append(f"    {pa.text}")
@@ -304,28 +318,95 @@ def mrp_result_to_dict(result: MrpResult,
     if paragraphs is not None:
         for entry in doc["evidence"]:
             for side in ("a", "b"):
-                pid = entry[f"id_{side}"]
-                if pid not in paragraphs:
-                    raise UnknownParagraphId(
-                        f"evidence references unknown paragraph {pid}")
-                entry[f"text_{side}"] = paragraphs[pid].text
+                entry[f"text_{side}"] = _paragraph(paragraphs, entry[f"id_{side}"]).text
     return doc
 
 
 def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
                          paragraphs: Mapping[str, Paragraph] | None = None) -> list[Path]:
-    """One ``<A>__<B>.json`` per firm pair, A before B lexicographically."""
+    """One ``<A>__<B>.json`` per firm pair, A before B lexicographically.
+
+    Each file holds exactly the bytes of ``json.dumps(mrp_result_to_dict(
+    result, paragraphs), indent=2, ensure_ascii=False) + "\\n"``, streamed
+    one evidence entry at a time rather than built as a dict; each
+    paragraph's id and text are escaped once per call, however many entries
+    and files repeat them. A file is written to a hidden ``.<name>.tmp``
+    sibling and renamed into place once closed, so an error or a kill never
+    leaves a partial ``.json``. On an error the temporary file is removed
+    and the error re-raised; the files of earlier pairs stay.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    ids = _EscapeCache(str)
+    texts = None
+    if paragraphs is not None:
+        texts = _EscapeCache(lambda pid: _paragraph(paragraphs, pid).text)
     written = []
     for result in results:
         a, b = sorted((result.firm_a, result.firm_b))
         path = out_dir / f"{a}__{b}.json"
-        doc = mrp_result_to_dict(result, paragraphs)
-        path.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
-                        encoding="utf-8")
+        partial = path.with_name(f".{path.name}.tmp")
+        try:
+            with open(partial, "w", encoding="utf-8") as fh:
+                _write_evidence_document(fh, result, ids, texts)
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
         written.append(path)
     return written
+
+
+class _EscapeCache(dict):
+    """Paragraph id -> JSON string literal of ``source(id)``, escaped on first use."""
+
+    def __init__(self, source: Callable[[str], str]) -> None:
+        super().__init__()
+        self._source = source
+
+    def __missing__(self, pid: str) -> str:
+        escaped = self[pid] = encode_basestring(self._source(pid))
+        return escaped
+
+
+def _json_number(value) -> str:
+    """A number as json.dumps writes it: ``float.__repr__`` for finite floats."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _json_id_list(pids: Sequence[str], ids: _EscapeCache) -> str:
+    if not pids:
+        return "[]"
+    return "[\n    " + ",\n    ".join([ids[pid] for pid in pids]) + "\n  ]"
+
+
+def _write_evidence_document(fh, result: MrpResult, ids: _EscapeCache,
+                             texts: _EscapeCache | None) -> None:
+    """Stream :func:`mrp_result_to_dict`'s document in json.dumps's indent=2 layout."""
+    fh.write(f'{{\n  "firm_a": {encode_basestring(result.firm_a)},\n'
+             f'  "firm_b": {encode_basestring(result.firm_b)},\n'
+             f'  "threshold": {_json_number(result.threshold)},\n'
+             f'  "n_a": {_json_number(result.n_a)},\n'
+             f'  "n_b": {_json_number(result.n_b)},\n'
+             f'  "rrs": {_json_number(result.rrs)},\n'
+             f'  "mrps_a": {_json_id_list(result.mrps_a, ids)},\n'
+             f'  "mrps_b": {_json_id_list(result.mrps_b, ids)},\n'
+             f'  "evidence": ')
+    if not result.evidence:
+        fh.write("[]\n}\n")
+        return
+    separator = "[\n"
+    for id_a, id_b, sim in result.evidence:
+        entry = (f'{separator}    {{\n      "id_a": {ids[id_a]},\n'
+                 f'      "id_b": {ids[id_b]},\n'
+                 f'      "similarity": {_json_number(sim)}')
+        if texts is not None:
+            entry += f',\n      "text_a": {texts[id_a]},\n      "text_b": {texts[id_b]}'
+        fh.write(entry + "\n    }")
+        separator = ",\n"
+    fh.write("\n  ]\n}\n")
 
 
 def write_rrs_csv(firms: Sequence[str], matrix: np.ndarray,

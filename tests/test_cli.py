@@ -1,6 +1,10 @@
 """Command-line contracts: error reporting, cleanup, config precedence, pipeline."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,19 +242,19 @@ def test_evaluate_rejects_asymmetric_matrix(tmp_path, capsys):
     assert not (tmp_path / "eval").exists()
 
 
-def _prices_with_empty_file(tmp_path, fixture_manifest):
+def _prices_with_file(tmp_path, fixture_manifest, content=""):
     prices = tmp_path / "prices"
     prices.mkdir()
     for path in fixture_manifest.prices_dir.glob("*.csv"):
         (prices / path.name).write_bytes(path.read_bytes())
     empty = prices / "ZZZZ.csv"
-    empty.write_text("")
+    empty.write_text(content)
     return prices, empty
 
 
 def test_evaluate_on_empty_price_file_is_clean_error(pipeline_dir, fixture_manifest,
                                                      tmp_path, capsys):
-    prices, empty = _prices_with_empty_file(tmp_path, fixture_manifest)
+    prices, empty = _prices_with_file(tmp_path, fixture_manifest)
     code, _, err = run(["evaluate", "--rrs", str(pipeline_dir / "rrs.csv"),
                         "--prices", str(prices), "--out", str(tmp_path / "eval")],
                        capsys)
@@ -274,7 +278,7 @@ def test_evaluate_on_empty_gics_file_is_clean_error(pipeline_dir, fixture_manife
 
 def test_sweep_on_empty_price_file_is_clean_error(pipeline_dir, fixture_manifest,
                                                   tmp_path, capsys):
-    prices, empty = _prices_with_empty_file(tmp_path, fixture_manifest)
+    prices, empty = _prices_with_file(tmp_path, fixture_manifest)
     code, _, err = run(["sweep", "--model", str(pipeline_dir / "model.bin"),
                         "--paragraphs", str(pipeline_dir / "paragraphs.jsonl"),
                         "--prices", str(prices), "--out", str(tmp_path / "sweep.csv")],
@@ -282,3 +286,58 @@ def test_sweep_on_empty_price_file_is_clean_error(pipeline_dir, fixture_manifest
     assert code == 1
     assert err == f"error: ValueError: empty CSV file: {empty}\n"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+SHORT_PRICE_ROW = "date,close\n2020-01-02,10.0\n\n2020-01-02\n"
+
+
+def test_evaluate_on_short_price_row_is_clean_error(pipeline_dir, fixture_manifest,
+                                                    tmp_path, capsys):
+    prices, bad = _prices_with_file(tmp_path, fixture_manifest, SHORT_PRICE_ROW)
+    code, _, err = run(["evaluate", "--rrs", str(pipeline_dir / "rrs.csv"),
+                        "--prices", str(prices), "--out", str(tmp_path / "eval")],
+                       capsys)
+    assert code == 1
+    assert err == (f"error: ValueError: malformed CSV row in {bad} line 4: "
+                   "expected 2 fields, got 1\n")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_sweep_on_short_price_row_is_clean_error(pipeline_dir, fixture_manifest,
+                                                 tmp_path, capsys):
+    prices, bad = _prices_with_file(tmp_path, fixture_manifest, SHORT_PRICE_ROW)
+    code, _, err = run(["sweep", "--model", str(pipeline_dir / "model.bin"),
+                        "--paragraphs", str(pipeline_dir / "paragraphs.jsonl"),
+                        "--prices", str(prices), "--out", str(tmp_path / "sweep.csv")],
+                       capsys)
+    assert code == 1
+    assert err == (f"error: ValueError: malformed CSV row in {bad} line 4: "
+                   "expected 2 fields, got 1\n")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("content, detail", [
+    ("\n\n", "empty CSV file: {path}"),
+    ("ticker,sector,industry\nAAA,Tech\n",
+     "malformed CSV row in {path} line 2: expected 3 fields, got 2"),
+])
+def test_evaluate_on_malformed_gics_file_is_clean_error(pipeline_dir, fixture_manifest,
+                                                        tmp_path, capsys, content, detail):
+    gics = tmp_path / "gics.csv"
+    gics.write_text(content)
+    code, _, err = run(["evaluate", "--rrs", str(pipeline_dir / "rrs.csv"),
+                        "--prices", str(fixture_manifest.prices_dir),
+                        "--gics", str(gics), "--out", str(tmp_path / "eval")],
+                       capsys)
+    assert code == 1
+    assert err == f"error: ValueError: {detail.format(path=gics)}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "riskrel", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: riskrel ")

@@ -431,3 +431,13 @@ def test_read_gics_file(tmp_path):
     mapping = read_gics_file(path)
     assert mapping["AAA"] == ("Tech", "Software")
     assert gics_binary_rrs(mapping, "AAA", "BBB", "sector") == 0
+
+
+def test_csv_readers_skip_blank_rows(tmp_path):
+    path = tmp_path / "gics.csv"
+    path.write_text("\nticker,sector,industry\n\nAAA,Tech,Software\n  \r\nBBB,Energy,Oil\n\n")
+    assert read_gics_file(path) == {"AAA": ("Tech", "Software"), "BBB": ("Energy", "Oil")}
+    d = tmp_path / "prices"
+    d.mkdir()
+    (d / "AAA.csv").write_text("date,close\n\n2023-01-02,100\n\n2023-01-03,110\n")
+    assert read_prices_dir(d)["AAA"].returns == pytest.approx([0.10], abs=1e-15)

@@ -1,0 +1,130 @@
+"""Evidence files: the streamed writer against json.dumps, and atomic files."""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riskrel.corpus import Paragraph
+from riskrel.errors import UnknownParagraphId
+from riskrel.scoring import MrpResult, mrp_result_to_dict, write_evidence_files
+
+# Characters json escapes, or that a careless writer might: quotes,
+# backslashes, control characters, the JS line separators, non-BMP.
+SPECIAL = ['"', "\\", "\x00", "\x08", "\t", "\n", "\r", "\x1f", "\x7f",
+           "\u2028", "\u2029", "\U0001F600", "\U00010000", "\u00e9", "/"]
+texts = st.lists(st.one_of(st.sampled_from(SPECIAL),
+                           st.characters(exclude_categories=("Cs",))),
+                 max_size=12).map("".join)
+# Firm names also name the file, so no path separator or NUL.
+firm_names = texts.map(lambda s: s.replace("/", "|").replace("\x00", "0"))
+similarities = st.one_of(st.floats(-1, 1),
+                         st.sampled_from([-0.0, 0.0, 1.0, -1.0, 5e-324, 2.2e-308,
+                                          float("nan"), float("inf"), -float("inf")]))
+thresholds = st.one_of(st.sampled_from([0, 1]), st.floats(0, 1),
+                       st.floats(0, 1).map(np.float64))
+
+
+def oracle(result, paragraphs):
+    doc = mrp_result_to_dict(result, paragraphs)
+    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def paragraph(pid, firm, text):
+    return Paragraph(pid, firm, 2023, "1A", text, ())
+
+
+@st.composite
+def results(draw):
+    firm_a, firm_b = draw(firm_names), draw(firm_names)
+    ids_a = draw(st.lists(texts, unique=True, max_size=5))
+    ids_b = draw(st.lists(texts, unique=True, max_size=5))
+    evidence = []
+    if ids_a and ids_b:
+        evidence = draw(st.lists(st.tuples(st.sampled_from(ids_a),
+                                           st.sampled_from(ids_b), similarities),
+                                 max_size=8))
+    result = MrpResult(
+        firm_a=firm_a, firm_b=firm_b, threshold=draw(thresholds),
+        n_a=len(ids_a) + draw(st.integers(1, 3)),
+        n_b=len(ids_b) + draw(st.integers(1, 3)),
+        mrps_a=tuple(sorted(draw(st.sets(st.sampled_from(ids_a)))) if ids_a else ()),
+        mrps_b=tuple(sorted(draw(st.sets(st.sampled_from(ids_b)))) if ids_b else ()),
+        evidence=evidence)
+    paragraphs = None
+    if draw(st.booleans()):
+        paragraphs = {pid: paragraph(pid, firm, draw(texts))
+                      for firm, ids in ((firm_a, ids_a), (firm_b, ids_b))
+                      for pid in ids}
+    return result, paragraphs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=results())
+def test_writer_matches_json_dumps_byte_for_byte(case):
+    result, paragraphs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        [path] = write_evidence_files([result], tmp, paragraphs)
+        assert path.read_bytes() == oracle(result, paragraphs)
+        assert [p.name for p in Path(tmp).iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("paragraphs", [None, {}])
+def test_empty_mrps_and_evidence(tmp_path, paragraphs):
+    result = MrpResult("B", "A", 0.75, 3, 4, (), (), [])
+    [path] = write_evidence_files([result], tmp_path, paragraphs)
+    assert path.name == "A__B.json"
+    assert path.read_bytes() == oracle(result, paragraphs)
+    assert b'"evidence": []\n}\n' in path.read_bytes()
+
+
+def _shared_paragraph_results():
+    shared = paragraph("A:0", "A", 'shared "risk" \\ text\u2028\U0001F600')
+    paragraphs = {shared.id: shared}
+    results = []
+    for firm in ("B", "C", "D"):
+        other = paragraph(f"{firm}:0", firm, f"{firm} text")
+        paragraphs[other.id] = other
+        results.append(MrpResult("A", firm, 0.5, 1, 1, (shared.id,), (other.id,),
+                                 [(shared.id, other.id, 0.75), (shared.id, other.id, 0.5)]))
+    return results, paragraphs
+
+
+def test_paragraph_shared_across_files_is_escaped_alike(tmp_path):
+    results, paragraphs = _shared_paragraph_results()
+    paths = write_evidence_files(results, tmp_path, paragraphs)
+    escaped = json.dumps(paragraphs["A:0"].text, ensure_ascii=False)
+    for result, path in zip(results, paths):
+        body = path.read_bytes()
+        assert body == oracle(result, paragraphs)
+        assert body.count(f'"text_a": {escaped}'.encode("utf-8")) == 2
+
+
+@pytest.mark.parametrize("bad_text", [None, "lone \ud800 surrogate"])
+def test_failed_pair_leaves_earlier_files_and_no_partial_file(tmp_path, bad_text):
+    results, paragraphs = _shared_paragraph_results()
+    if bad_text is None:
+        # The unknown id comes after a good entry, so the file was begun.
+        results[2].evidence.append(("A:0", "D:missing", 0.25))
+        error = UnknownParagraphId
+    else:
+        paragraphs["D:0"] = paragraph("D:0", "D", bad_text)
+        error = UnicodeEncodeError
+    with pytest.raises(error):
+        write_evidence_files(results, tmp_path, paragraphs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A__B.json", "A__C.json"]
+    for result in results[:2]:
+        path = tmp_path / f"A__{result.firm_b}.json"
+        assert path.read_bytes() == oracle(result, paragraphs)
+
+
+def test_rewrite_replaces_existing_file(tmp_path):
+    results, paragraphs = _shared_paragraph_results()
+    (tmp_path / "A__B.json").write_text("stale " * 1000)
+    write_evidence_files(results[:1], tmp_path, paragraphs)
+    assert (tmp_path / "A__B.json").read_bytes() == oracle(results[0], paragraphs)
+    assert [p.name for p in tmp_path.iterdir()] == ["A__B.json"]
