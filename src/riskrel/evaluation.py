@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -104,16 +104,13 @@ def daily_returns(prices: Sequence[tuple[str, float]], firm_id: str = "") -> Ret
     """Simple returns p_t/p_{t-1} - 1 over consecutive trading days."""
     if len(prices) < 2:
         raise TooShort(f"need >= 2 price points for {firm_id or 'series'}")
-    dates = []
-    closes = []
-    for date, close in prices:
-        if close <= 0:
-            raise NonPositivePrice(f"{firm_id or 'series'} close {close} on {date}")
-        dates.append(date)
-        closes.append(float(close))
-    closes_arr = np.array(closes)
-    returns = closes_arr[1:] / closes_arr[:-1] - 1.0
-    return ReturnSeries(firm_id=firm_id, dates=tuple(dates[1:]), returns=returns)
+    closes = np.array([close for _, close in prices], dtype=float)
+    nonpositive = np.flatnonzero(closes <= 0)
+    if nonpositive.size:
+        date, close = prices[nonpositive[0]]
+        raise NonPositivePrice(f"{firm_id or 'series'} close {close} on {date}")
+    return ReturnSeries(firm_id, tuple(date for date, _ in prices[1:]),
+                        closes[1:] / closes[:-1] - 1.0)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -311,33 +308,45 @@ def read_prices_dir(prices_dir: str | Path) -> dict[str, ReturnSeries]:
         raise FileNotFoundError(f"prices directory not found: {prices_dir}")
     series = {}
     for path in sorted(prices_dir.glob("*.csv")):
-        rows = [(date, float(close)) for date, close in _csv_body(path, 2)]
-        series[path.stem] = daily_returns(rows, firm_id=path.stem)
+        series[path.stem] = daily_returns(read_csv_body(path, 2, _price_row),
+                                          firm_id=path.stem)
     return series
+
+
+def _price_row(row: list[str]) -> tuple[str, float]:
+    value = float(row[1])
+    if not math.isfinite(value):
+        raise ValueError(f"close price is not finite: {row[1]!r}")
+    return row[0], value
 
 
 def read_gics_file(path: str | Path) -> dict[str, tuple[str, str]]:
     """Load a (ticker, sector, industry) mapping; header line required."""
     return {ticker: (sector, industry)
-            for ticker, sector, industry in _csv_body(path, 3)}
+            for ticker, sector, industry in read_csv_body(path, 3)}
 
 
-def _csv_body(path: str | Path, fields: int) -> list[list[str]]:
-    """The rows of a CSV file after its header line, ``fields`` fields each.
+def read_csv_body(path: str | Path, fields: int,
+                  parse: Callable[[list[str]], object] | None = None) -> list:
+    """The rows after a CSV file's header, ``fields`` (>= 2) each, mapped by ``parse``.
 
-    Blank rows are skipped. A file with no other row, or a row of another
-    width, is a ``ValueError`` naming the file.
+    Blank rows are skipped. An empty file, a row of another width, or a row
+    ``parse`` rejects with a ``ValueError`` is a ``ValueError`` naming the file.
     """
-    rows = []
+    rows = None  # until the header is read
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if rows and len(row) != fields:
-                raise ValueError(f"malformed CSV row in {path} line {reader.line_num}: "
-                                 f"expected {fields} fields, got {len(row)}")
-            rows.append(row)
-    if not rows:
+        try:
+            for row in reader:
+                if len(row) == fields and rows is not None:
+                    rows.append(row if parse is None else parse(row))
+                elif len(row) > 1 or (row and row[0].strip()):  # not a blank row
+                    if rows is not None:
+                        raise ValueError(f"expected {fields} fields, got {len(row)}")
+                    rows = []
+        except ValueError as exc:
+            raise ValueError(f"malformed CSV row in {path} line {reader.line_num}: "
+                             f"{exc}") from None
+    if rows is None:
         raise ValueError(f"empty CSV file: {path}")
-    return rows[1:]
+    return rows

@@ -1,0 +1,66 @@
+"""Staged outputs: a command publishes all of its files or none of them.
+
+Inside ``with Outputs() as outputs:``, ``outputs(path)`` makes missing
+parent directories and returns a hidden sibling ``.<name>.tmp`` to write
+instead, file or directory. On a normal exit each sibling is ``os.replace``d
+onto its name; a staged directory whose target exists has its entries moved
+in one by one, so other files there stay. On an exception the siblings and
+the directories made are removed, so earlier outputs stay as they were. A
+killed run leaves only siblings, which the next ``outputs(path)`` clears.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import AbstractContextManager, suppress
+from pathlib import Path
+
+
+class Outputs(AbstractContextManager):
+    """Hands out staging paths and publishes them if the ``with`` block succeeds."""
+
+    def __init__(self) -> None:
+        self._staged: dict[Path, Path] = {}   # final path -> staged sibling
+        self._made: list[Path] = []
+
+    def __call__(self, path: str | Path) -> Path:
+        path = Path(os.path.abspath(path))
+        for parent in reversed(path.parents):
+            if not parent.exists():
+                parent.mkdir()
+                self._made.append(parent)
+        staged = self._staged[path] = path.with_name(f".{path.name}.tmp")
+        _remove(staged)
+        return staged
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                for path, staged in self._staged.items():
+                    _publish(staged, path)
+                self._made.clear()  # published, so the directories stay
+        finally:
+            for staged in self._staged.values():
+                with suppress(OSError):
+                    _remove(staged)
+            for parent in reversed(self._made):
+                with suppress(OSError):
+                    parent.rmdir()
+
+
+def _publish(staged: Path, path: Path) -> None:
+    if staged.is_dir() and path.is_dir():
+        for entry in sorted(staged.iterdir()):
+            os.replace(entry, path / entry.name)
+        staged.rmdir()
+    else:
+        os.replace(staged, path)
+
+
+def _remove(staged: Path) -> None:
+    if staged.is_dir() and not staged.is_symlink():
+        for entry in staged.iterdir():
+            entry.unlink()
+        staged.rmdir()
+    else:
+        staged.unlink(missing_ok=True)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
@@ -53,6 +52,7 @@ from .encoder import (
     unit_rows,
 )
 from .errors import DimensionMismatch, EmptyFirm, EmptyParagraph, UnknownParagraphId
+from .outputs import Outputs
 
 DEFAULT_THRESHOLD = 0.75
 
@@ -330,10 +330,9 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
     result, paragraphs), indent=2, ensure_ascii=False) + "\\n"``, streamed
     one evidence entry at a time rather than built as a dict; each
     paragraph's id and text are escaped once per call, however many entries
-    and files repeat them. A file is written to a hidden ``.<name>.tmp``
-    sibling and renamed into place once closed, so an error or a kill never
-    leaves a partial ``.json``. On an error the temporary file is removed
-    and the error re-raised; the files of earlier pairs stay.
+    and files repeat them. Each file is staged (:mod:`riskrel.outputs`) and
+    renamed into place once closed, so an error or a kill never leaves a
+    partial ``.json``; on an error the files of earlier pairs stay.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -345,14 +344,8 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
     for result in results:
         a, b = sorted((result.firm_a, result.firm_b))
         path = out_dir / f"{a}__{b}.json"
-        partial = path.with_name(f".{path.name}.tmp")
-        try:
-            with open(partial, "w", encoding="utf-8") as fh:
-                _write_evidence_document(fh, result, ids, texts)
-            os.replace(partial, path)
-        except BaseException:
-            partial.unlink(missing_ok=True)
-            raise
+        with Outputs() as stage, open(stage(path), "w", encoding="utf-8") as fh:
+            _write_evidence_document(fh, result, ids, texts)
         written.append(path)
     return written
 

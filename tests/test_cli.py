@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from riskrel import cli
+from riskrel import cli, scoring
 
 
 def run(argv, capsys):
@@ -341,3 +341,127 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: riskrel ")
+
+
+@pytest.mark.parametrize("close, detail", [
+    ("abc", "could not convert string to float: 'abc'"),
+    ("nan", "close price is not finite: 'nan'"),
+], ids=["abc", "nan"])
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_bad_close_price_names_file_and_line(pipeline_dir, fixture_manifest, tmp_path,
+                                             capsys, command, close, detail):
+    prices, bad = _prices_with_file(
+        tmp_path, fixture_manifest, f"date,close\n2020-01-02,10.0\n\n2020-01-03,{close}\n")
+    argv = (["evaluate", "--rrs", str(pipeline_dir / "rrs.csv"), "--out", str(tmp_path / "eval")]
+            if command == "evaluate" else
+            ["sweep", "--model", str(pipeline_dir / "model.bin"), "--out", str(tmp_path / "sweep.csv"),
+             "--paragraphs", str(pipeline_dir / "paragraphs.jsonl")])
+    code, _, err = run(argv + ["--prices", str(prices)], capsys)
+    assert code == 1
+    assert err == f"error: ValueError: malformed CSV row in {bad} line 4: {detail}\n"
+
+
+def test_report_on_metrics_row_without_value_names_file(tmp_path, capsys):
+    metrics = tmp_path / "eval" / "metrics.csv"
+    metrics.parent.mkdir()
+    metrics.write_text("metric,value\nn_pairs,28\nrho_pearson\n")
+    code, _, err = run(["report", "--workdir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == (f"error: ValueError: malformed CSV row in {metrics} line 3: "
+                   "expected 2 fields, got 1\n")
+
+
+def test_bad_config_value_names_key_and_file(pipeline_dir, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("max_epochs = abc\n")
+    out = tmp_path / "model.bin"
+    code, _, err = run(["train", "--pairs", str(pipeline_dir / "pairs"), "--seed", "1",
+                        "--config", str(config), "--out", str(out)], capsys)
+    assert code == 1
+    assert err == (f"error: ValueError: bad value for max_epochs in config file {config}: "
+                   "'abc' is not int\n")
+    assert not list(tmp_path.glob("*model*"))
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _score_argv(pipeline_dir, out, *extra):
+    return ["score", "--model", str(pipeline_dir / "model.bin"),
+            "--paragraphs", str(pipeline_dir / "paragraphs.jsonl"),
+            "--out-matrix", str(out / "rrs.csv"), "--out-evidence", str(out / "evidence"),
+            *extra]
+
+
+def test_config_threshold_and_sections_reach_score(pipeline_dir, tmp_path, capsys):
+    config = tmp_path / "score.conf"
+    config.write_text("threshold = 0.8\nsections = 1A\n")
+    by_config, by_flags, default = (tmp_path / name for name in ("c", "f", "d"))
+    assert run(_score_argv(pipeline_dir, by_config, "--config", str(config)), capsys)[0] == 0
+    assert run(_score_argv(pipeline_dir, by_flags, "--threshold", "0.8",
+                           "--sections", "1A"), capsys)[0] == 0
+    assert run(_score_argv(pipeline_dir, default), capsys)[0] == 0
+    assert _tree(by_config) == _tree(by_flags) != _tree(default)
+    doc = json.loads((by_config / "evidence" / "ACME__BOLT.json").read_text())
+    assert doc["threshold"] == 0.8
+    assert all(":1A:" in pid for pid in doc["mrps_a"] + doc["mrps_b"])
+
+
+def test_config_grid_and_sections_reach_sweep(pipeline_dir, tmp_path, capsys):
+    config = tmp_path / "sweep.conf"
+    config.write_text("grid = 0.7:0.8:0.05\nsections = 1A\n")
+    argv = ["sweep", "--model", str(pipeline_dir / "model.bin"),
+            "--paragraphs", str(pipeline_dir / "paragraphs.jsonl")]
+    assert run(argv + ["--config", str(config), "--out", str(tmp_path / "c.csv")],
+               capsys)[0] == 0
+    assert run(argv + ["--grid", "0.7:0.8:0.05", "--sections", "1A",
+                       "--out", str(tmp_path / "f.csv")], capsys)[0] == 0
+    assert run(argv + ["--grid", "0.7:0.8:0.05", "--out", str(tmp_path / "d.csv")],
+               capsys)[0] == 0
+    lines = (tmp_path / "c.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.70", "0.75", "0.80"]
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+    assert (tmp_path / "c.csv").read_bytes() != (tmp_path / "d.csv").read_bytes()
+
+
+def test_failed_score_rerun_keeps_previous_outputs(pipeline_dir, tmp_path, capsys,
+                                                   monkeypatch):
+    assert run(_score_argv(pipeline_dir, tmp_path), capsys)[0] == 0
+    before = _tree(tmp_path)
+    assert len(before) == 29  # rrs.csv and C(8, 2) evidence files
+
+    write_document = scoring._write_evidence_document
+    calls = []
+
+    def fail_on_third(fh, *args):
+        calls.append(1)
+        write_document(fh, *args)
+        if len(calls) == 3:
+            raise OSError("disk full")
+
+    monkeypatch.setattr(scoring, "_write_evidence_document", fail_on_third)
+    code, _, err = run(_score_argv(pipeline_dir, tmp_path), capsys)
+    assert code == 1
+    assert err == "error: OSError: disk full\n"
+    assert _tree(tmp_path) == before
+    assert not list(tmp_path.rglob(".*"))
+
+
+def test_failed_evaluate_rerun_keeps_previous_outputs(pipeline_dir, fixture_manifest,
+                                                      tmp_path, capsys):
+    argv = ["evaluate", "--rrs", str(pipeline_dir / "rrs.csv"),
+            "--prices", str(fixture_manifest.prices_dir), "--out", str(tmp_path / "eval")]
+    assert run(argv + ["--gics", str(fixture_manifest.gics_path)], capsys)[0] == 0
+    before = _tree(tmp_path)
+    assert sorted(before) == ["eval/metrics.csv", "eval/pairs.csv", "eval/summary.md"]
+
+    gics = tmp_path / "gics.csv"
+    gics.write_text("".join(fixture_manifest.gics_path.read_text().splitlines(True)[:-1]))
+    code, _, err = run(argv + ["--gics", str(gics)], capsys)
+    assert code == 1
+    assert err.startswith("error: UnknownFirm:")
+    gics.unlink()
+    assert _tree(tmp_path) == before
+    assert not list(tmp_path.rglob(".*"))
