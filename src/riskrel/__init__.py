@@ -8,7 +8,6 @@ the fraction of mutual risk paragraphs above a similarity threshold
 """
 
 from .corpus import (
-    Filing,
     FirmCorpus,
     Paragraph,
     extract_sections,

@@ -9,7 +9,11 @@ hidden ``.tmp`` siblings.
 
 The tunable values are the keys of :data:`SETTINGS`, each with its type and
 default. A command takes its keys as flags or from a flat ``key = value``
-file given by ``--config``; an explicit flag wins over the file.
+file given by ``--config``; an explicit flag wins over the file, and a key
+the command does not take is an error.
+
+``ingest --sections`` alone chooses the risk sections: every later stage
+reads the paragraphs file whole.
 """
 
 from __future__ import annotations
@@ -80,6 +84,10 @@ def _settings(parser: argparse.ArgumentParser, *keys: str) -> None:
 def _resolve_settings(args: argparse.Namespace) -> None:
     """Fill each setting no flag gave from the config file, else its default."""
     config = read_config(args.config) if getattr(args, "config", None) else {}
+    for key in config:
+        if not hasattr(args, key) or key not in SETTINGS:
+            raise ValueError(f"unknown setting {key} for {args.command} "
+                             f"in config file {args.config}")
     for key, (cast, default) in SETTINGS.items():
         if getattr(args, key, default) is not None:
             continue
@@ -166,21 +174,19 @@ def cmd_train(args: argparse.Namespace, outputs: Outputs) -> None:
           f"model -> {args.out}")
 
 
-def _load_index(model_path: str, paragraphs_path: str,
-                sections: tuple[str, ...]) -> tuple[scoring.EmbeddingIndex,
-                                                    dict[str, corpus.Paragraph]]:
+def _load_index(model_path: str, paragraphs_path: str
+                ) -> tuple[scoring.EmbeddingIndex, dict[str, corpus.Paragraph]]:
     vocab, params, max_len = load_model(_require_file(model_path, "model file"))
     paragraphs = corpus.read_paragraphs(_require_file(paragraphs_path,
                                                       "paragraph file"))
-    scored = [p for p in paragraphs if p.section in sections]
-    corpora = corpus.group_by_firm(scored).values()
+    corpora = corpus.group_by_firm(paragraphs).values()
     index = scoring.embed_corpus(vocab, params, corpora, max_len=max_len,
                                  model_fingerprint=model_fingerprint(model_path))
-    return index, {p.id: p for p in scored}
+    return index, {p.id: p for p in paragraphs}
 
 
 def cmd_embed(args: argparse.Namespace, outputs: Outputs) -> None:
-    index, _ = _load_index(args.model, args.infile, args.sections)
+    index, _ = _load_index(args.model, args.infile)
     scoring.save_embeddings(index, outputs(args.out))
     total = sum(len(ids) for ids, _ in index.firms.values())
     print(f"embed: wrote {total} vectors for {len(index.firms)} firms to {args.out}")
@@ -188,7 +194,7 @@ def cmd_embed(args: argparse.Namespace, outputs: Outputs) -> None:
 
 def cmd_score(args: argparse.Namespace, outputs: Outputs) -> None:
     threshold = scoring.ScoreConfig(args.threshold).threshold
-    index, texts = _load_index(args.model, args.paragraphs, args.sections)
+    index, texts = _load_index(args.model, args.paragraphs)
 
     firms = index.firm_ids()
     _, matrix = scoring.rrs_matrix(index, firms, threshold)
@@ -267,7 +273,7 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Outputs) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace, outputs: Outputs) -> None:
-    index, _ = _load_index(args.model, args.paragraphs, args.sections)
+    index, _ = _load_index(args.model, args.paragraphs)
     parts = [float(x) for x in args.grid.split(":")]
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {args.grid!r}")
@@ -390,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    _settings(p, "sections")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("score", help="compute the RRS matrix and evidence files")
@@ -398,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paragraphs", required=True)
     p.add_argument("--out-matrix", dest="out_matrix", required=True)
     p.add_argument("--out-evidence", dest="out_evidence")
-    _settings(p, "threshold", "sections")
+    _settings(p, "threshold")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("evaluate", help="align RRS with return co-movement")
@@ -413,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paragraphs", required=True)
     p.add_argument("--prices", help="optional prices directory for rho per threshold")
     p.add_argument("--out", required=True)
-    _settings(p, "grid", "sections")
+    _settings(p, "grid")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="collate artifacts into one markdown report")

@@ -11,11 +11,13 @@ from __future__ import annotations
 import html
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .errors import EmptyCorpus
+
+T = TypeVar("T")
 
 DEFAULT_MIN_TOKENS = 20
 DEFAULT_SECTIONS = ("1A", "7A")
@@ -55,22 +57,6 @@ class Paragraph:
     @staticmethod
     def make_id(firm_id: str, year: int, section: str, ordinal: int) -> str:
         return f"{firm_id}:{year}:{section}:{ordinal:04d}"
-
-
-@dataclass
-class Filing:
-    """A cleaned filing for one firm-year with its extracted sections."""
-
-    firm_id: str
-    fiscal_year: int
-    raw_text: str
-    sections: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.firm_id:
-            raise ValueError("firm_id must be non-empty")
-        if not 1990 <= self.fiscal_year <= 2100:
-            raise ValueError(f"fiscal_year {self.fiscal_year} out of range [1990, 2100]")
 
 
 @dataclass
@@ -124,20 +110,23 @@ def strip_markup(raw: str) -> str:
     return "\n\n".join(p for p in paragraphs if p)
 
 
-def extract_sections(cleaned: str) -> dict[str, str]:
-    """Extract "Item <code>" sections from markup-free filing text.
+def extract_sections(cleaned: str,
+                     sections: Iterable[str] = DEFAULT_SECTIONS) -> dict[str, str]:
+    """Extract the requested "Item <code>" sections from markup-free filing text.
 
-    Each section runs from its heading to the next Item heading. Only
-    sections 1A and 7A are returned; absent headings are simply omitted.
-    When a heading occurs more than once (tables of contents repeat them),
-    the occurrence with the longest body wins.
+    Each section runs from its heading to the next Item heading. Only the
+    codes in ``sections`` (by default 1A and 7A) are returned; absent
+    headings are simply omitted. When a heading occurs more than once
+    (tables of contents repeat them), the occurrence with the longest body
+    wins.
     """
+    wanted = set(sections)
     matches = list(_ITEM_HEADING_RE.finditer(cleaned))
     found: dict[str, str] = {}
     best_len: dict[str, int] = {}
     for idx, m in enumerate(matches):
         code = m.group(1) + (m.group(2) or "").upper()
-        if code not in DEFAULT_SECTIONS:
+        if code not in wanted:
             continue
         end = matches[idx + 1].start() if idx + 1 < len(matches) else len(cleaned)
         body = cleaned[m.end():end].strip()
@@ -178,19 +167,17 @@ def segment_paragraphs(section: str, firm_id: str, year: int, label: str,
 
 def ingest_filing(firm_id: str, year: int, raw_text: str,
                   sections: Iterable[str] = DEFAULT_SECTIONS,
-                  min_tokens: int = DEFAULT_MIN_TOKENS) -> tuple[Filing, list[Paragraph]]:
-    """Clean one raw filing and segment its requested sections."""
-    cleaned = strip_markup(raw_text)
-    extracted = extract_sections(cleaned)
-    wanted = {label: extracted[label] for label in sections if label in extracted}
-    filing = Filing(firm_id=firm_id, fiscal_year=year, raw_text=cleaned,
-                    sections=wanted)
-    paragraphs: list[Paragraph] = []
-    for label in sections:
-        if label in wanted:
-            paragraphs.extend(segment_paragraphs(wanted[label], firm_id, year,
-                                                 label, min_tokens=min_tokens))
-    return filing, paragraphs
+                  min_tokens: int = DEFAULT_MIN_TOKENS) -> list[Paragraph]:
+    """Clean one raw filing and segment its requested sections, in that order."""
+    if not firm_id:
+        raise ValueError("firm_id must be non-empty")
+    if not 1990 <= year <= 2100:
+        raise ValueError(f"fiscal_year {year} out of range [1990, 2100]")
+    sections = tuple(dict.fromkeys(sections))
+    extracted = extract_sections(strip_markup(raw_text), sections)
+    return [p for label in sections if label in extracted
+            for p in segment_paragraphs(extracted[label], firm_id, year, label,
+                                        min_tokens=min_tokens)]
 
 
 def ingest_directory(root: str | Path, sections: Iterable[str] = DEFAULT_SECTIONS,
@@ -210,9 +197,8 @@ def ingest_directory(root: str | Path, sections: Iterable[str] = DEFAULT_SECTION
                     f"filing name must be <year>.txt, got: {filing_path}")
             year = int(filing_path.stem)
             raw = filing_path.read_text(encoding="utf-8")
-            _, paras = ingest_filing(firm_dir.name, year, raw,
-                                     sections=sections, min_tokens=min_tokens)
-            paragraphs.extend(paras)
+            paragraphs.extend(ingest_filing(firm_dir.name, year, raw,
+                                            sections=sections, min_tokens=min_tokens))
     return paragraphs
 
 
@@ -240,17 +226,44 @@ def write_paragraphs(paragraphs: Iterable[Paragraph], path: str | Path) -> int:
 
 def read_paragraphs(path: str | Path) -> list[Paragraph]:
     """Read paragraphs written by :func:`write_paragraphs`."""
-    paragraphs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            paragraphs.append(Paragraph(
-                id=rec["id"], firm_id=rec["firm"], year=int(rec["year"]),
-                section=rec["section"], text=rec["text"],
-                tokens=tuple(rec["tokens"]),
-            ))
+    paragraphs = read_jsonl(path, lambda rec: Paragraph(
+        id=typed_field(rec, "id", str),
+        firm_id=typed_field(rec, "firm", str),
+        year=typed_field(rec, "year", int),
+        section=typed_field(rec, "section", str),
+        text=typed_field(rec, "text", str),
+        tokens=tuple(typed_field(rec, "tokens", list))))
     if not paragraphs:
         raise EmptyCorpus(f"no paragraph records in {path}")
     return paragraphs
+
+
+def typed_field(record: dict, key: str, kind: type) -> object:
+    """``record[key]``, which must be a ``kind``; a list must hold only strings."""
+    value = record[key]
+    if not isinstance(value, kind) or (
+            kind is list and not all(map(str.__instancecheck__, value))):
+        raise TypeError(f"{key} must be "
+                        f"{'a list of strings' if kind is list else kind.__name__}")
+    return value
+
+
+def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """The records of a JSON-lines file, one per non-blank line, mapped by ``parse``.
+
+    A line that is not JSON, or whose record ``parse`` rejects with a
+    ``KeyError``, ``TypeError`` or ``ValueError``, is a ``ValueError`` naming
+    the file and the line.
+    """
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(parse(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"malformed record in {path} line {number}: "
+                                 f"{detail}") from None
+    return records

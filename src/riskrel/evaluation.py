@@ -330,8 +330,9 @@ def read_csv_body(path: str | Path, fields: int,
                   parse: Callable[[list[str]], object] | None = None) -> list:
     """The rows after a CSV file's header, ``fields`` (>= 2) each, mapped by ``parse``.
 
-    Blank rows are skipped. An empty file, a row of another width, or a row
-    ``parse`` rejects with a ``ValueError`` is a ``ValueError`` naming the file.
+    Blank rows are skipped. An empty file, a row the CSV reader cannot split,
+    a row of another width, or a row ``parse`` rejects with a ``ValueError``
+    is a ``ValueError`` naming the file.
     """
     rows = None  # until the header is read
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -344,7 +345,7 @@ def read_csv_body(path: str | Path, fields: int,
                     if rows is not None:
                         raise ValueError(f"expected {fields} fields, got {len(row)}")
                     rows = []
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:
             raise ValueError(f"malformed CSV row in {path} line {reader.line_num}: "
                              f"{exc}") from None
     if rows is None:

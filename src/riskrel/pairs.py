@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import DEFAULT_MIN_TOKENS, FirmCorpus, Paragraph
+from .corpus import DEFAULT_MIN_TOKENS, FirmCorpus, Paragraph, read_jsonl, typed_field
 from .errors import InsufficientPairs
 
 CHRONOLOGICAL = "chronological"
@@ -308,18 +308,9 @@ def write_pairs(pairs: Iterable[PositivePair], path: str | Path) -> int:
 
 def read_pairs(path: str | Path) -> list[PositivePair]:
     """Read pairs written by :func:`write_pairs`."""
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            seed_info = rec.get("seed_info")
-            pairs.append(PositivePair(
-                view=rec["view"],
-                left_tokens=tuple(rec["left_tokens"]),
-                right_tokens=tuple(rec["right_tokens"]),
-                provenance=tuple(rec["provenance"]),
-                seed_info=tuple(seed_info) if seed_info is not None else None,
-            ))
-    return pairs
+    return read_jsonl(path, lambda rec: PositivePair(
+        view=typed_field(rec, "view", str),
+        left_tokens=tuple(typed_field(rec, "left_tokens", list)),
+        right_tokens=tuple(typed_field(rec, "right_tokens", list)),
+        provenance=tuple(typed_field(rec, "provenance", list)),
+        seed_info=None if rec.get("seed_info") is None else tuple(rec["seed_info"])))

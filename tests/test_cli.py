@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -395,35 +396,151 @@ def _score_argv(pipeline_dir, out, *extra):
             *extra]
 
 
-def test_config_threshold_and_sections_reach_score(pipeline_dir, tmp_path, capsys):
+def test_config_threshold_reaches_score(pipeline_dir, tmp_path, capsys):
     config = tmp_path / "score.conf"
-    config.write_text("threshold = 0.8\nsections = 1A\n")
+    config.write_text("threshold = 0.8\n")
     by_config, by_flags, default = (tmp_path / name for name in ("c", "f", "d"))
     assert run(_score_argv(pipeline_dir, by_config, "--config", str(config)), capsys)[0] == 0
-    assert run(_score_argv(pipeline_dir, by_flags, "--threshold", "0.8",
-                           "--sections", "1A"), capsys)[0] == 0
+    assert run(_score_argv(pipeline_dir, by_flags, "--threshold", "0.8"), capsys)[0] == 0
     assert run(_score_argv(pipeline_dir, default), capsys)[0] == 0
     assert _tree(by_config) == _tree(by_flags) != _tree(default)
     doc = json.loads((by_config / "evidence" / "ACME__BOLT.json").read_text())
     assert doc["threshold"] == 0.8
-    assert all(":1A:" in pid for pid in doc["mrps_a"] + doc["mrps_b"])
 
 
-def test_config_grid_and_sections_reach_sweep(pipeline_dir, tmp_path, capsys):
+def test_config_grid_reaches_sweep(pipeline_dir, tmp_path, capsys):
     config = tmp_path / "sweep.conf"
-    config.write_text("grid = 0.7:0.8:0.05\nsections = 1A\n")
+    config.write_text("grid = 0.7:0.8:0.05\n")
     argv = ["sweep", "--model", str(pipeline_dir / "model.bin"),
             "--paragraphs", str(pipeline_dir / "paragraphs.jsonl")]
     assert run(argv + ["--config", str(config), "--out", str(tmp_path / "c.csv")],
                capsys)[0] == 0
-    assert run(argv + ["--grid", "0.7:0.8:0.05", "--sections", "1A",
-                       "--out", str(tmp_path / "f.csv")], capsys)[0] == 0
-    assert run(argv + ["--grid", "0.7:0.8:0.05", "--out", str(tmp_path / "d.csv")],
+    assert run(argv + ["--grid", "0.7:0.8:0.05", "--out", str(tmp_path / "f.csv")],
                capsys)[0] == 0
+    assert run(argv + ["--out", str(tmp_path / "d.csv")], capsys)[0] == 0
     lines = (tmp_path / "c.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["0.70", "0.75", "0.80"]
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
     assert (tmp_path / "c.csv").read_bytes() != (tmp_path / "d.csv").read_bytes()
+
+
+def _stage_argv(pipeline_dir, tmp_path, command):
+    model = ["--model", str(pipeline_dir / "model.bin")]
+    paragraphs = str(pipeline_dir / "paragraphs.jsonl")
+    return {"embed": ["embed", *model, "--in", paragraphs,
+                      "--out", str(tmp_path / "embeddings.bin")],
+            "score": ["score", *model, "--paragraphs", paragraphs,
+                      "--out-matrix", str(tmp_path / "rrs.csv")],
+            "sweep": ["sweep", *model, "--paragraphs", paragraphs,
+                      "--out", str(tmp_path / "sweep.csv")]}[command]
+
+
+def test_ingest_sections_choose_the_corpus(tmp_path, capsys):
+    filing = tmp_path / "filings" / "ACME" / "2020.txt"
+    filing.parent.mkdir(parents=True)
+    filing.write_text("<p>Item 1A. Risk Factors</p><p>" + "risk " * 25 + "</p>"
+                      "<p>Item 1B. Unresolved Staff Comments</p><p>" + "staff " * 25 + "</p>"
+                      "<p>Item 2. Properties</p>")
+    out = tmp_path / "p.jsonl"
+    assert run(["ingest", "--root", str(filing.parents[1]), "--out", str(out),
+                "--sections", "1B"], capsys)[0] == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["id"], r["section"]) for r in records] == [("ACME:2020:1B:0000", "1B")]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("embed", "--sections"), ("score", "--sections"), ("sweep", "--sections"),
+    ("embed", "--config")])
+def test_later_stages_reject_removed_flags(pipeline_dir, tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_stage_argv(pipeline_dir, tmp_path, command) + [flag, "1A"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("line", ["treshold = 0.9", "sections = 1A"])
+def test_config_key_the_command_does_not_take_is_an_error(pipeline_dir, tmp_path,
+                                                         capsys, line):
+    config = tmp_path / "score.conf"
+    config.write_text(f"threshold = 0.8\n{line}\n")
+    code, out, err = run(_score_argv(pipeline_dir, tmp_path / "out", "--config", str(config)),
+                         capsys)
+    key = line.split()[0]
+    assert (code, out) == (1, "")
+    assert err == (f"error: ValueError: unknown setting {key} for score "
+                   f"in config file {config}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_gics_field_over_the_csv_limit_names_file_and_line(pipeline_dir, fixture_manifest,
+                                                          tmp_path, capsys):
+    gics = tmp_path / "gics.csv"
+    gics.write_text("ticker,sector,industry\nACME," + "x" * 131_073 + ",Software\n")
+    code, _, err = run(["evaluate", "--rrs", str(pipeline_dir / "rrs.csv"),
+                        "--prices", str(fixture_manifest.prices_dir),
+                        "--gics", str(gics), "--out", str(tmp_path / "eval")], capsys)
+    assert code == 1
+    assert err == (f"error: ValueError: malformed CSV row in {gics} line 2: "
+                   "field larger than field limit (131072)\n")
+    assert not (tmp_path / "eval").exists()
+
+
+_PARAGRAPH = {"id": "ACME:2020:1A:0000", "firm": "ACME", "year": 2020, "section": "1A",
+              "text": "risk", "tokens": ["risk"]}
+
+
+@pytest.mark.parametrize("line, detail", [
+    ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[1]", "list indices must be integers or slices, not str"),
+    (json.dumps({**_PARAGRAPH, "tokens": 5}), "tokens must be a list of strings"),
+    (json.dumps({**_PARAGRAPH, "tokens": [1]}), "tokens must be a list of strings"),
+    (json.dumps({**_PARAGRAPH, "firm": 7}), "firm must be str"),
+    (json.dumps({key: value for key, value in _PARAGRAPH.items() if key != "firm"}),
+     "missing key 'firm'"),
+], ids=["not-json", "list", "tokens-int", "token-int", "firm-int", "no-firm"])
+def test_malformed_paragraph_record_names_file_and_line(tmp_path, capsys, line, detail):
+    paragraphs = tmp_path / "paragraphs.jsonl"
+    paragraphs.write_text(json.dumps(_PARAGRAPH) + "\n\n" + line + "\n")
+    code, _, err = run(["pairs", "--in", str(paragraphs), "--seed", "7",
+                        "--out", str(tmp_path / "pairs")], capsys)
+    assert code == 1
+    assert err == f"error: ValueError: malformed record in {paragraphs} line 3: {detail}\n"
+    assert not (tmp_path / "pairs").exists()
+
+
+_PAIR = {"view": "lexical", "left_tokens": ["a"], "right_tokens": ["b"], "provenance": ["p"]}
+
+
+@pytest.mark.parametrize("line, detail", [
+    (json.dumps({**_PAIR, "left_tokens": None}), "left_tokens must be a list of strings"),
+    (json.dumps({key: value for key, value in _PAIR.items() if key != "right_tokens"}),
+     "missing key 'right_tokens'"),
+    ('"pair"', "string indices must be integers, not 'str'"),
+], ids=["left-null", "no-right", "string"])
+def test_malformed_pair_record_names_file_and_line(tmp_path, capsys, line, detail):
+    pairs_dir = tmp_path / "pairs"
+    pairs_dir.mkdir()
+    bad = pairs_dir / "lexical.train.jsonl"
+    bad.write_text(line + "\n")
+    code, _, err = run(["train", "--pairs", str(pairs_dir), "--seed", "0",
+                        "--out", str(tmp_path / "model.bin")], capsys)
+    assert code == 1
+    assert err == f"error: ValueError: malformed record in {bad} line 1: {detail}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs"]
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    in_block, commands = False, []
+    for line in readme.replace("\\\n", " ").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("riskrel "):
+            commands.append(shlex.split(line)[1:])
+    assert [argv[0] for argv in commands] == [
+        "ingest", "pairs", "train", "embed", "score", "evaluate", "sweep", "report"]
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
 
 
 def test_failed_score_rerun_keeps_previous_outputs(pipeline_dir, tmp_path, capsys,

@@ -134,6 +134,13 @@ def test_extract_sections_prefers_longest_duplicate():
     assert out["1A"] == "Risk Factors full body of the section"
 
 
+def test_extract_sections_returns_only_requested_codes():
+    text = ("Item 1A. Risk Factors alpha Item 1B. Unresolved staff comments beta "
+            "Item 7A. Market gamma Item 8. done")
+    assert extract_sections(text, ["1B"]) == {"1B": "Unresolved staff comments beta"}
+    assert extract_sections(text, ()) == {}
+
+
 def test_extract_sections_values_contain_no_item_headings():
     text = ("Item 1A. Risk Factors alpha beta Item 1B. unresolved Item 7A. "
             "Market gamma delta Item 8. done")
@@ -199,11 +206,27 @@ def test_ingest_directory_deterministic(fixture_manifest, fixture_paragraphs):
     assert again == fixture_paragraphs
 
 
-def test_filing_validation_rejects_bad_years():
-    with pytest.raises(ValueError):
-        corpus.Filing(firm_id="X", fiscal_year=1800, raw_text="t")
-    with pytest.raises(ValueError):
-        corpus.Filing(firm_id="", fiscal_year=2020, raw_text="t")
+def test_ingest_filing_rejects_bad_year_and_empty_firm():
+    with pytest.raises(ValueError, match="fiscal_year 1800"):
+        corpus.ingest_filing("X", 1800, "t")
+    with pytest.raises(ValueError, match="firm_id"):
+        corpus.ingest_filing("", 2020, "t")
+
+
+_FILING = ("<p>Item 1A. Risk Factors</p><p>" + " ".join(f"risk{i}" for i in range(25))
+           + "</p><p>Item 1B. Unresolved Staff Comments</p><p>"
+           + " ".join(f"staff{i}" for i in range(25)) + "</p><p>Item 2. Properties</p>")
+
+
+def test_ingest_filing_segments_requested_sections_in_order():
+    assert [p.section for p in corpus.ingest_filing("X", 2020, _FILING)] == ["1A"]
+    assert [p.id for p in corpus.ingest_filing("X", 2020, _FILING, ["1B", "1A"])] == [
+        "X:2020:1B:0000", "X:2020:1A:0000"]
+
+
+def test_ingest_filing_repeated_section_yields_each_paragraph_once():
+    paragraphs = corpus.ingest_filing("X", 2020, _FILING, ["1A", "1A"])
+    assert [p.id for p in paragraphs] == ["X:2020:1A:0000"]
 
 
 def test_paragraph_roundtrip_jsonl(tmp_path, fixture_paragraphs):
