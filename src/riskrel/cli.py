@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import corpus, evaluation, pairs as pairgen, scoring, training
 from .encoder import load_model, model_fingerprint, save_model
-from .errors import RiskRelError
+from .errors import EmptyCorpus, InsufficientPairs, RiskRelError
 from .outputs import Outputs
 
 _VIEW_ALIASES = {"chrono": pairgen.CHRONOLOGICAL,
@@ -111,6 +111,9 @@ def _require_file(path: str | Path, what: str) -> Path:
 def cmd_ingest(args: argparse.Namespace, outputs: Outputs) -> None:
     paragraphs = corpus.ingest_directory(args.root, sections=args.sections,
                                          min_tokens=args.min_tokens)
+    if not paragraphs:
+        raise EmptyCorpus(f"no paragraphs in sections {','.join(args.sections)} "
+                          f"under {args.root}")
     n = corpus.write_paragraphs(paragraphs, outputs(args.out))
     print(f"ingest: wrote {n} paragraphs from "
           f"{len({p.firm_id for p in paragraphs})} firms to {args.out}")
@@ -154,14 +157,15 @@ def cmd_train(args: argparse.Namespace, outputs: Outputs) -> None:
     pairs_dir = Path(args.pairs)
     if not pairs_dir.is_dir():
         raise FileNotFoundError(f"pairs directory not found: {pairs_dir}")
-    train_pairs: list[pairgen.PositivePair] = []
-    val_pairs: list[pairgen.PositivePair] = []
-    for path in sorted(pairs_dir.glob("*.train.jsonl")):
-        train_pairs.extend(pairgen.read_pairs(path))
-    for path in sorted(pairs_dir.glob("*.val.jsonl")):
-        val_pairs.extend(pairgen.read_pairs(path))
-    if not train_pairs:
+    train_files = sorted(pairs_dir.glob("*.train.jsonl"))
+    if not train_files:
         raise FileNotFoundError(f"no *.train.jsonl files under {pairs_dir}")
+    train_pairs = [pair for path in train_files for pair in pairgen.read_pairs(path)]
+    val_pairs = [pair for path in sorted(pairs_dir.glob("*.val.jsonl"))
+                 for pair in pairgen.read_pairs(path)]
+    if not train_pairs:
+        raise InsufficientPairs(
+            f"no training pairs in the *.train.jsonl files under {pairs_dir}")
 
     outcome = training.train(train_pairs, val_pairs, train_config)
     save_model(outputs(args.out), outcome.vocab, outcome.params,

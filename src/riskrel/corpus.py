@@ -251,16 +251,18 @@ def typed_field(record: dict, key: str, kind: type) -> object:
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     """The records of a JSON-lines file, one per non-blank line, mapped by ``parse``.
 
-    A line that is not JSON, or whose record ``parse`` rejects with a
-    ``KeyError``, ``TypeError`` or ``ValueError``, is a ``ValueError`` naming
-    the file and the line.
+    A line that is not UTF-8 or not JSON, or whose record ``parse`` rejects
+    with a ``KeyError``, ``TypeError`` or ``ValueError``, is a ``ValueError``
+    naming the file and the line. Lines are split at newline bytes and
+    decoded one at a time, so an undecodable byte is reported on its own line.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 records.append(parse(json.loads(line)))
             except (KeyError, TypeError, ValueError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc

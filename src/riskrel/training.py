@@ -6,6 +6,16 @@ the other B-1 positives as negatives. Optimization is Adam with a linear
 warmup on the learning rate, L2 regularization on the touched parameters,
 and early stopping on validation loss. Gradients are exact and analytic;
 tests verify them against central differences.
+
+The backward pass into the embedding table is one product rather than a
+position-by-position scatter: each paragraph row spreads one vector over
+its tokens, so a (touched rows x 2B) token-count matrix times the 2B
+per-row vectors gives every touched row's gradient (:func:`_pool_backward`).
+A token repeated k times in a row is rounded once as k * x instead of as
+k sequential additions, and the rows are summed in the product's order, so
+the gradient may differ from a sequential scatter in the last bits. The
+Adam update runs in place with reusable buffers and is bit-identical to
+its textbook expression.
 """
 
 from __future__ import annotations
@@ -86,7 +96,11 @@ class Gradients:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, zero-initialized."""
+    """First/second moment accumulators, zero-initialized.
+
+    ``scratch`` holds two reusable buffers per parameter block, so that an
+    update allocates no temporaries the size of the embedding table.
+    """
 
     m_embed: np.ndarray
     v_embed: np.ndarray
@@ -94,6 +108,12 @@ class AdamState:
     v_proj_w: np.ndarray
     m_proj_b: np.ndarray
     v_proj_b: np.ndarray
+    scratch: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = tuple((np.empty_like(m), np.empty_like(m))
+                             for m in (self.m_embed, self.m_proj_w, self.m_proj_b))
 
     @classmethod
     def zeros_like(cls, params: EncoderParams) -> "AdamState":
@@ -176,6 +196,34 @@ def _touched_rows(batch: TrainingBatch) -> np.ndarray:
     return ids[ids != PAD_INDEX]
 
 
+def _pool_backward(batch: TrainingBatch, d_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Back through the masked mean pool into the embedding rows it read.
+
+    ``d_h`` stacks the gradients of the B anchor and then the B positive
+    pooled vectors, (2B, d). Returns the sorted non-PAD vocabulary rows the
+    batch looks up and their (len(rows), d) gradients.
+
+    Every pooled position of paragraph row i receives the same vector
+    d_h[i] / counts[i], so the scatter is one product: the integer
+    (touched rows x 2B) matrix of how often each token occurs in each row,
+    times those 2B vectors. A token that occurs k times in a row thus
+    contributes k * x once, where a position-by-position scatter adds x
+    k times in sequence, and the product sums the rows in its own order,
+    so the two can differ in the last bits.
+    """
+    b = batch.size
+    tokens, owners = [], []
+    for offset, ids in ((0, batch.anchors), (b, batch.positives)):
+        row, col = np.nonzero(ids != PAD_INDEX)
+        tokens.append(ids[row, col])
+        owners.append(row + offset)
+    rows, inverse = np.unique(np.concatenate(tokens), return_inverse=True)
+    tally = np.bincount(inverse * (2 * b) + np.concatenate(owners),
+                        minlength=len(rows) * 2 * b).reshape(len(rows), 2 * b)
+    counts = tally.sum(axis=0)
+    return rows, tally.astype(np.float64) @ (d_h / counts[:, None])
+
+
 def batch_objective(params: EncoderParams, batch: TrainingBatch,
                     config: TrainConfig) -> float:
     """InfoNCE plus L2 on the parameters the batch touches.
@@ -234,26 +282,22 @@ def _loss_and_gradients(params: EncoderParams, batch: TrainingBatch,
     d_h_a = g_u @ params.proj_w
     d_h_p = g_v @ params.proj_w
 
-    # back through the masked mean into the touched embedding rows
-    d_embed = np.zeros_like(params.embed)
-    for ids, d_h in ((batch.anchors, d_h_a), (batch.positives, d_h_p)):
-        mask = ids != PAD_INDEX
-        counts = mask.sum(axis=1)
-        per_pos = np.broadcast_to((d_h / counts[:, None])[:, None, :],
-                                  (*ids.shape, params.d))
-        np.add.at(d_embed, ids[mask], per_pos[mask])
-    d_embed[PAD_INDEX] = 0.0
+    # back through the masked mean into the touched embedding rows: one
+    # token-count product, whose rounding differs from a sequential scatter
+    # (see _pool_backward); the L2 term reuses the same touched rows
+    rows, d_rows = _pool_backward(batch, np.concatenate([d_h_a, d_h_p]))
 
     if config.l2_coeff:
         lam2 = 2.0 * config.l2_coeff
         d_proj_w += lam2 * params.proj_w
         d_proj_b += lam2 * params.proj_b
-        rows = _touched_rows(batch)
-        d_embed[rows] += lam2 * params.embed[rows]
+        d_rows += lam2 * params.embed[rows]
 
-    for block in (d_embed, d_proj_w, d_proj_b):
+    for block in (d_rows, d_proj_w, d_proj_b):
         if not np.all(np.isfinite(block)):
             raise NonFiniteGradient("gradient contains NaN or inf")
+    d_embed = np.zeros_like(params.embed)
+    d_embed[rows] = d_rows
     return Gradients(d_embed, d_proj_w, d_proj_b), loss, sims
 
 
@@ -270,22 +314,33 @@ def adam_step(params: EncoderParams, grads: Gradients, state: AdamState,
 
     ``step`` counts from 0; the effective learning rate is
     learning_rate * min(1, step/warmup_steps), so the very first warmup
-    step moves nothing while still accumulating moments. Updates are
-    in-place.
+    step moves nothing while still accumulating moments. Parameters and
+    moments are updated in place.
     """
     lr = config.learning_rate * warmup_factor(step, config.warmup_steps)
     t = step + 1
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for value, grad, m, v in (
-            (params.embed, grads.embed, state.m_embed, state.v_embed),
-            (params.proj_w, grads.proj_w, state.m_proj_w, state.v_proj_w),
-            (params.proj_b, grads.proj_b, state.m_proj_b, state.v_proj_b)):
+    # In place, in the operation order of
+    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+    #   value -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+    # so the result is bit-identical to that expression.
+    blocks = ((params.embed, grads.embed, state.m_embed, state.v_embed),
+              (params.proj_w, grads.proj_w, state.m_proj_w, state.v_proj_w),
+              (params.proj_b, grads.proj_b, state.m_proj_b, state.v_proj_b))
+    for (value, grad, m, v), (a, b) in zip(blocks, state.scratch):
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
+        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad ** 2
-        value -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        np.square(grad, out=a)
+        v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+        np.divide(m, bc1, out=a)
+        a *= lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        value -= a
     params.embed[PAD_INDEX] = 0.0
     return params, state
 

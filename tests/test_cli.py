@@ -212,6 +212,40 @@ def test_insufficient_pairs_is_clean_error(pipeline_dir, tmp_path, capsys):
     assert not list((tmp_path / "pairs").glob("*.jsonl"))
 
 
+def test_train_without_train_files_is_file_not_found(tmp_path, capsys):
+    pairs_dir = tmp_path / "pairs"
+    pairs_dir.mkdir()
+    (pairs_dir / "lexical.val.jsonl").write_text("")
+    code, _, err = run(["train", "--pairs", str(pairs_dir), "--seed", "0",
+                        "--out", str(tmp_path / "model.bin")], capsys)
+    assert code == 1
+    assert err == f"error: FileNotFoundError: no *.train.jsonl files under {pairs_dir}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs"]
+
+
+def test_train_files_without_pairs_are_insufficient_pairs(tmp_path, capsys):
+    pairs_dir = tmp_path / "pairs"
+    pairs_dir.mkdir()
+    (pairs_dir / "lexical.train.jsonl").write_text("\n")
+    code, _, err = run(["train", "--pairs", str(pairs_dir), "--seed", "0",
+                        "--out", str(tmp_path / "model.bin")], capsys)
+    assert code == 1
+    assert err == ("error: InsufficientPairs: no training pairs in the *.train.jsonl "
+                   f"files under {pairs_dir}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs"]
+
+
+def test_ingest_without_requested_sections_is_empty_corpus(fixture_manifest, tmp_path,
+                                                            capsys):
+    root = fixture_manifest.filings_dir
+    out = tmp_path / "out" / "paragraphs.jsonl"
+    code, stdout, err = run(["ingest", "--root", str(root), "--out", str(out),
+                             "--sections", "9Z"], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: EmptyCorpus: no paragraphs in sections 9Z under {root}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_score_matrix_matches_evidence_files(pipeline_dir):
     lines = (pipeline_dir / "rrs.csv").read_text().splitlines()
     firms = lines[0].split(",")[1:]

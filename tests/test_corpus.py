@@ -243,6 +243,16 @@ def test_read_paragraphs_empty_file(tmp_path):
         corpus.read_paragraphs(path)
 
 
+def test_read_paragraphs_undecodable_line_names_file_and_line(tmp_path, fixture_paragraphs):
+    path = tmp_path / "paragraphs.jsonl"
+    corpus.write_paragraphs(fixture_paragraphs[:2], path)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe{}\n")
+    with pytest.raises(ValueError, match=re.escape(f"malformed record in {path} line 3: "
+                                                   "'utf-8' codec can't decode byte 0xff")):
+        corpus.read_paragraphs(path)
+
+
 def test_ingest_rejects_non_year_filenames(tmp_path):
     (tmp_path / "ACME").mkdir()
     (tmp_path / "ACME" / "notes.txt").write_text("not a filing")

@@ -262,3 +262,11 @@ def test_pairs_jsonl_roundtrip(tmp_path, long_paragraphs):
     path = tmp_path / "pairs.jsonl"
     pairgen.write_pairs(generated, path)
     assert pairgen.read_pairs(path) == generated
+
+
+def test_read_pairs_undecodable_line_names_file_and_line(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(ValueError, match=f"malformed record in {path} line 1: "
+                                         "'utf-8' codec can't decode byte 0xff"):
+        pairgen.read_pairs(path)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskrel import training
 from riskrel.encoder import PAD_INDEX, EncoderParams, init_params, pad_batch
@@ -173,6 +175,44 @@ def test_pad_row_gradient_forced_zero():
     assert np.array_equal(grads.embed[PAD_INDEX], np.zeros(4))
 
 
+def _add_at_scatter(batch, d_h, vocab_size):
+    """Position-by-position oracle for the pooled scatter, and its scale:
+    the same scatter of absolute values, which bounds the rounding error."""
+    b, d = batch.size, d_h.shape[1]
+    out = np.zeros((vocab_size, d))
+    scale = np.zeros((vocab_size, d))
+    for ids, rows in ((batch.anchors, d_h[:b]), (batch.positives, d_h[b:])):
+        mask = ids != PAD_INDEX
+        per_pos = np.broadcast_to((rows / mask.sum(axis=1)[:, None])[:, None, :],
+                                  (*ids.shape, d))
+        np.add.at(out, ids[mask], per_pos[mask])
+        np.add.at(scale, ids[mask], np.abs(per_pos[mask]))
+    return out, scale
+
+
+# Token rows over a small vocabulary, so ids repeat within and across rows;
+# PAD (0) may sit anywhere but every row keeps at least one real token.
+_TOKEN_ROW = st.lists(st.integers(0, 6), min_size=1, max_size=9).filter(
+    lambda row: any(row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), b=st.integers(2, 6), d=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pool_backward_matches_add_at_oracle(data, b, d, seed):
+    anchors = data.draw(st.lists(_TOKEN_ROW, min_size=b, max_size=b), label="anchors")
+    positives = data.draw(st.lists(_TOKEN_ROW, min_size=b, max_size=b), label="positives")
+    batch = TrainingBatch(pad_batch([np.array(r) for r in anchors]),
+                          pad_batch([np.array(r) for r in positives]))
+    rng = np.random.default_rng(seed)
+    d_h = rng.standard_normal((2 * b, d)) * 10.0 ** rng.integers(-3, 4, size=(2 * b, 1))
+    rows, d_rows = training._pool_backward(batch, d_h)
+    oracle, scale = _add_at_scatter(batch, d_h, vocab_size=7)
+    touched = sorted({t for row in anchors + positives for t in row} - {PAD_INDEX})
+    assert rows.tolist() == touched
+    assert np.all(np.abs(d_rows - oracle[rows]) <= 1e-14 * scale[rows])
+
+
 def test_gradient_near_zero_at_orthogonal_optimum():
     # One distinct token per pair, each embedded on its own axis, identity
     # head: anchors equal their positives (s_ii = 1) and cross pairs are
@@ -229,6 +269,34 @@ def test_adam_first_full_rate_step_is_unit_update():
     adam_step(params, grads, state, step=0,
               config=_config(warmup_steps=0, learning_rate=lr))
     assert params.proj_b - before == pytest.approx(expected_delta, abs=1e-18)
+
+
+def test_adam_in_place_matches_reference_expression_bitwise():
+    rng = np.random.default_rng(9)
+    params = init_params(15, d=6, rng=rng)
+    state = AdamState.zeros_like(params)
+    config = _config(warmup_steps=3, learning_rate=0.02)
+    ref = params.copy()
+    moments = {name: (np.zeros_like(getattr(ref, name)), np.zeros_like(getattr(ref, name)))
+               for name in ("embed", "proj_w", "proj_b")}
+    for step in range(6):
+        grads = training.Gradients(*(rng.standard_normal(a.shape) * 10.0 ** (step - 3)
+                                     for a in (params.embed, params.proj_w, params.proj_b)))
+        adam_step(params, grads, state, step, config)
+        lr = config.learning_rate * warmup_factor(step, config.warmup_steps)
+        bc1 = 1.0 - training.ADAM_BETA1 ** (step + 1)
+        bc2 = 1.0 - training.ADAM_BETA2 ** (step + 1)
+        for name, (m, v) in moments.items():
+            grad = getattr(grads, name)
+            m[...] = training.ADAM_BETA1 * m + (1.0 - training.ADAM_BETA1) * grad
+            v[...] = training.ADAM_BETA2 * v + (1.0 - training.ADAM_BETA2) * grad ** 2
+            getattr(ref, name)[...] -= (lr * (m / bc1)
+                                        / (np.sqrt(v / bc2) + training.ADAM_EPS))
+        ref.embed[PAD_INDEX] = 0.0
+        for name, (m, v) in moments.items():
+            assert np.array_equal(getattr(params, name), getattr(ref, name)), (step, name)
+            assert np.array_equal(getattr(state, f"m_{name}"), m), (step, name)
+            assert np.array_equal(getattr(state, f"v_{name}"), v), (step, name)
 
 
 def test_adam_never_mutates_pad_row():
