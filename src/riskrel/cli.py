@@ -227,6 +227,7 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Outputs) -> None:
     co_movement = evaluation.pairwise_cavdsr(returns, cells)
     excluded = len(cells) - len(co_movement)
     records: list[evaluation.PairRecord] = []
+    gics_flags: dict[str, list[int]] = {"sector": [], "industry": []}  # one per record
     rows = []
     for (firm_a, firm_b), value in co_movement.items():
         record = evaluation.PairRecord(firm_a, firm_b, cells[(firm_a, firm_b)], value)
@@ -234,9 +235,9 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Outputs) -> None:
         row = {"firm_a": firm_a, "firm_b": firm_b,
                "rrs": f"{record.rrs:.6f}", "cavdsr": f"{record.cavdsr:.6f}"}
         if gics is not None:
-            for level in ("sector", "industry"):
-                row[f"gics_{level}"] = str(evaluation.gics_binary_rrs(
-                    gics, firm_a, firm_b, level))
+            for level, level_flags in gics_flags.items():
+                level_flags.append(evaluation.gics_binary_rrs(gics, firm_a, firm_b, level))
+                row[f"gics_{level}"] = str(level_flags[-1])
         rows.append(row)
 
     columns = list(rows[0]) if rows else ["firm_a", "firm_b", "rrs", "cavdsr"]
@@ -252,11 +253,9 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Outputs) -> None:
     metrics.append(("rho_spearman",
                     f"{evaluation.alignment_rho(records, 'spearman'):.6f}"))
     if gics is not None:
-        for level in ("sector", "industry"):
-            baseline = [evaluation.PairRecord(
-                r.firm_a, r.firm_b,
-                float(evaluation.gics_binary_rrs(gics, r.firm_a, r.firm_b, level)),
-                r.cavdsr) for r in records]
+        for level, level_flags in gics_flags.items():
+            baseline = [evaluation.PairRecord(r.firm_a, r.firm_b, float(flag), r.cavdsr)
+                        for r, flag in zip(records, level_flags)]
             try:
                 value = f"{evaluation.alignment_rho(baseline):.6f}"
             except evaluation.DegenerateInput:

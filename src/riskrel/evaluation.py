@@ -7,8 +7,11 @@ two exposed firms in opposite directions). The headline metric is
 
     rho = corr(RRS, CAVDSR)
 
-across firm pairs. A sector/industry taxonomy provides the human-defined
-binary baseline. Standalone retrieval quality is measured with NDCG,
+across firm pairs. Two firms on the same trading calendar need no date
+join: across many pairs each firm's absolute returns are centred once and
+a pair costs one dot product, with exactly the arithmetic of the join
+(see :func:`pairwise_cavdsr`). A sector/industry taxonomy provides the
+human-defined binary baseline. Standalone retrieval quality is measured with NDCG,
 precision and recall at top-k cutoffs, and a threshold sweep reports how
 MRP counts and scores respond to the similarity cutoff.
 """
@@ -109,8 +112,9 @@ def daily_returns(prices: Sequence[tuple[str, float]], firm_id: str = "") -> Ret
     if nonpositive.size:
         date, close = prices[nonpositive[0]]
         raise NonPositivePrice(f"{firm_id or 'series'} close {close} on {date}")
-    return ReturnSeries(firm_id, tuple(date for date, _ in prices[1:]),
-                        closes[1:] / closes[:-1] - 1.0)
+    with np.errstate(over="ignore"):  # an overflow is ReturnSeries' non-finite error
+        returns = closes[1:] / closes[:-1] - 1.0
+    return ReturnSeries(firm_id, tuple(date for date, _ in prices[1:]), returns)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -124,10 +128,21 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise ValueError("pearson needs two equal-length vectors of >= 2 values")
+    return _correlate(_centred(x), _centred(y))
+
+
+def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """``x`` minus its mean, and that vector's sum of squares: the half of
+    :func:`pearson` that one input needs, so a vector met in many
+    correlations is centred once."""
+    x = np.asarray(x, dtype=np.float64)
     dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(np.dot(dx, dx))
-    sy = float(np.dot(dy, dy))
+    return dx, float(np.dot(dx, dx))
+
+
+def _correlate(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
+    """The Pearson correlation of two :func:`_centred` vectors, clamped to [-1, 1]."""
+    (dx, sx), (dy, sy) = x, y
     if sx == 0.0 or sy == 0.0:
         raise ZeroVariance("correlation input is constant")
     r = float(np.dot(dx, dy)) / math.sqrt(sx * sy)
@@ -177,12 +192,35 @@ def pairwise_cavdsr(returns: Mapping[str, ReturnSeries],
 
     A pair is left out when a firm has no series, the two share fewer than
     ``min_overlap`` dates, or an absolute-return series is constant.
+
+    Firms are grouped by identical ``dates`` first. When both firms of a
+    pair share one calendar of at least ``max(min_overlap, 2)`` dates, the
+    date join would keep every date in order, so each firm's absolute
+    returns are centred once, on first use, and the pair costs one dot
+    product: the arithmetic :func:`cavdsr` does after that join, so the
+    value is bit-identical to it (corr(x, x) stays exactly 1.0). Every
+    other pair goes through :func:`cavdsr`, which also raises what it
+    raises for it.
     """
+    calendars: dict[tuple[str, ...], int] = {}
+    calendar = {firm: calendars.setdefault(series.dates, len(calendars))
+                for firm, series in returns.items()}
+    shortest = max(min_overlap, 2)
+    centred: dict[str, tuple[np.ndarray, float]] = {}
+
+    def abs_centred(firm: str) -> tuple[np.ndarray, float]:
+        if firm not in centred:
+            centred[firm] = _centred(np.abs(returns[firm].returns))
+        return centred[firm]
+
     out: dict[tuple[str, str], float] = {}
     for a, b in pairs:
         if a in returns and b in returns:
             try:
-                out[(a, b)] = cavdsr(returns[a], returns[b], min_overlap)
+                if calendar[a] == calendar[b] and len(returns[a].dates) >= shortest:
+                    out[(a, b)] = _correlate(abs_centred(a), abs_centred(b))
+                else:
+                    out[(a, b)] = cavdsr(returns[a], returns[b], min_overlap)
             except (InsufficientOverlap, ZeroVariance):
                 continue
     return out
@@ -271,30 +309,33 @@ def threshold_sweep(index: EmbeddingIndex, firms: Sequence[str],
     :func:`~riskrel.scoring.max_similarity_table`) and counted at every
     threshold. Reports the mean off-diagonal RRS and total MRP count per
     threshold; when return series are supplied, rho is reported too (None
-    when the scores degenerate, e.g. all zero at a high threshold).
+    when fewer than two pairs have a CAVDSR or the scores degenerate, e.g.
+    all zero at a high threshold). The CAVDSR vector is built and centred
+    once, so each threshold's rho is one centring and one dot product, the
+    value :func:`alignment_rho` gives over those pairs' records.
     """
     if list(grid) != sorted(grid):
         raise ValueError("grid must be ascending")
     pairs = [(a, b) for i, a in enumerate(firms) for b in firms[i + 1:]]
-    pair_cavdsr = (pairwise_cavdsr(returns, pairs, min_overlap)
-                   if returns is not None else {})
+    centred_cavdsr = None  # stays None unless >= 2 pairs have a CAVDSR
+    if returns is not None:
+        pair_cavdsr = pairwise_cavdsr(returns, pairs, min_overlap)
+        kept = np.array([pair in pair_cavdsr for pair in pairs], dtype=bool)
+        cavdsr_vec = np.array([pair_cavdsr[pair] for pair in pairs if pair in pair_cavdsr])
+        if len(cavdsr_vec) >= 2:
+            centred_cavdsr = _centred(cavdsr_vec)
     rows: list[SweepRow] = []
     table = max_similarity_table(index, pairs)
     for threshold, counts in zip(grid, table.mrp_counts(grid)):
         scores = table.scores(counts)
-        mean_rrs = float(np.mean(scores))
-        total = int(counts.sum())
         rho = None
-        if returns is not None:
-            records = [PairRecord(a, b, score, pair_cavdsr[(a, b)])
-                       for (a, b), score in zip(pairs, scores)
-                       if (a, b) in pair_cavdsr]
+        if centred_cavdsr is not None:
             try:
-                rho = alignment_rho(records)
-            except DegenerateInput:
+                rho = _correlate(_centred(scores[kept]), centred_cavdsr)
+            except ZeroVariance:
                 rho = None
-        rows.append(SweepRow(threshold=threshold, mean_rrs=mean_rrs,
-                             total_mrps=total, rho=rho))
+        rows.append(SweepRow(threshold=threshold, mean_rrs=float(np.mean(scores)),
+                             total_mrps=int(counts.sum()), rho=rho))
     return rows
 
 
@@ -346,8 +387,27 @@ def read_csv_body(path: str | Path, fields: int,
                         raise ValueError(f"expected {fields} fields, got {len(row)}")
                     rows = []
         except (ValueError, csv.Error) as exc:
-            raise ValueError(f"malformed CSV row in {path} line {reader.line_num}: "
-                             f"{exc}") from None
+            line = reader.line_num
+            if isinstance(exc, UnicodeDecodeError):
+                line, exc = _undecodable_line(path) or (line, exc)
+            raise ValueError(f"malformed CSV row in {path} line {line}: {exc}") from None
     if rows is None:
         raise ValueError(f"empty CSV file: {path}")
     return rows
+
+
+def _undecodable_line(path: str | Path) -> tuple[int, UnicodeDecodeError] | None:
+    """The number of the first line of ``path`` that is not UTF-8, and its error.
+
+    The text reader decodes a whole chunk before the CSV reader counts a
+    line, so its error cannot say where the bad byte is; this re-reads the
+    bytes, split at the line ends the CSV reader sees (LF, CR and CR LF),
+    which never fall inside a UTF-8 sequence.
+    """
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return number, exc
+    return None

@@ -215,10 +215,14 @@ class MaxSimTable:
             counts[:, k] = len(maxima) - np.searchsorted(maxima, grid, side="left")
         return counts
 
-    def scores(self, counts: Sequence[int]) -> list[float]:
-        """Per-pair RRS from one threshold's row of MRP counts."""
-        return [rrs(int(count), n_a, n_b)
-                for count, (n_a, n_b) in zip(counts, self.sizes)]
+    def scores(self, counts: Sequence[int]) -> np.ndarray:
+        """Per-pair RRS from one threshold's row of MRP counts.
+
+        One integer true division, count / (N_A + N_B): the values
+        :func:`rrs` gives (both operands are exact as float64).
+        """
+        totals = np.array([n_a + n_b for n_a, n_b in self.sizes], dtype=np.int64)
+        return np.asarray(counts, dtype=np.int64) / totals
 
 
 def max_similarity_table(index: EmbeddingIndex,

@@ -1,0 +1,147 @@
+"""CAVDSR once per firm: ``pairwise_cavdsr`` and the sweep's rho must agree
+bit for bit with per-pair ``cavdsr`` and with rho over ``PairRecord``s."""
+
+import re
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riskrel.errors import DegenerateInput, InsufficientOverlap, ZeroVariance
+from riskrel.evaluation import (
+    PairRecord,
+    ReturnSeries,
+    alignment_rho,
+    cavdsr,
+    pairwise_cavdsr,
+    threshold_sweep,
+)
+from riskrel.scoring import EmbeddingIndex, max_similarity_table, rrs
+
+DATES = tuple(f"2023-01-{d:02d}" for d in range(1, 15))
+FIRMS = [f"F{k}" for k in range(5)]
+# A few repeated magnitudes give constant absolute-return series and ties.
+RETURN = st.one_of(st.sampled_from([0.0, 0.01, -0.01, 0.02]),
+                   st.floats(-0.1, 0.1, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def calendars(draw, length):
+    """The shared calendar of ``length`` dates, a shifted copy of it, or any
+    subset of the dates."""
+    kind = draw(st.sampled_from(["shared", "shifted", "subset"]))
+    if kind == "subset":
+        return tuple(d for d in DATES if draw(st.booleans()))
+    start = draw(st.integers(1, len(DATES) - length)) \
+        if kind == "shifted" and length < len(DATES) else 0
+    # A fresh tuple each time: firms share a calendar by value, not by identity.
+    return tuple(d for d in DATES[start:start + length])
+
+
+@st.composite
+def return_maps(draw, firms=FIRMS):
+    """Series for some of the firms; the others are missing from the map."""
+    length = draw(st.integers(0, len(DATES)))
+    out = {}
+    for firm in firms:
+        if draw(st.booleans()) or draw(st.booleans()):
+            dates = draw(calendars(length))
+            values = draw(st.lists(RETURN, min_size=len(dates), max_size=len(dates)))
+            out[firm] = ReturnSeries(firm, dates, np.array(values, dtype=np.float64))
+    return out
+
+
+def per_pair(returns, pairs, min_overlap):
+    """The reference: ``cavdsr`` on every pair, unusable pairs left out."""
+    out = {}
+    for a, b in pairs:
+        if a in returns and b in returns:
+            try:
+                out[(a, b)] = cavdsr(returns[a], returns[b], min_overlap)
+            except (InsufficientOverlap, ZeroVariance):
+                continue
+    return out
+
+
+def exact(values):
+    """Keys in order with each float's exact bits (so -0.0 != 0.0)."""
+    return [(key, value.hex()) for key, value in values.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pairwise_cavdsr_equals_per_pair_cavdsr(data):
+    returns = data.draw(return_maps())
+    names = st.sampled_from(FIRMS)
+    pairs = data.draw(st.lists(st.tuples(names, names), max_size=12))
+    min_overlap = data.draw(st.integers(0, len(DATES) + 1))
+    try:
+        expected = per_pair(returns, pairs, min_overlap)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            pairwise_cavdsr(returns, pairs, min_overlap)
+        return
+    assert exact(pairwise_cavdsr(returns, pairs, min_overlap)) == exact(expected)
+
+
+def test_shared_calendar_keeps_self_correlation_and_skips_the_date_join(monkeypatch):
+    rng = np.random.default_rng(4)
+    returns = {firm: ReturnSeries(firm, tuple(d for d in DATES),
+                                  rng.normal(0, 0.02, size=len(DATES)))
+               for firm in ("A", "B")}
+    returns["C"] = ReturnSeries("C", DATES, np.full(len(DATES), -0.25))
+    pairs = [("A", "A"), ("A", "B"), ("A", "C"), ("B", "C")]
+    expected = per_pair(returns, pairs, 5)
+    monkeypatch.setattr(np, "intersect1d", None)  # any date join would now fail
+    got = pairwise_cavdsr(returns, pairs, 5)
+    assert exact(got) == exact(expected)
+    assert got[("A", "A")] == 1.0
+    assert ("A", "C") not in got          # a constant series has no correlation
+
+
+@st.composite
+def indices(draw):
+    """Small indices; integer components give zero vectors and tied cosines."""
+    d = draw(st.integers(1, 3))
+    component = st.one_of(st.integers(-2, 2).map(float), st.floats(-2.0, 2.0))
+    firms = {}
+    for firm in FIRMS[:draw(st.integers(2, len(FIRMS)))]:
+        n = draw(st.integers(1, 3))
+        values = draw(st.lists(component, min_size=n * d, max_size=n * d))
+        firms[firm] = ([f"{firm}:{i}" for i in range(n)], np.array(values).reshape(n, d))
+    return EmbeddingIndex(firms=firms)
+
+
+def record_sweep(index, firms, grid, returns, min_overlap):
+    """Per threshold: (mean RRS, rho) the way rho was computed pair by pair,
+    from ``rrs`` and ``alignment_rho`` over ``PairRecord``s."""
+    pairs = list(combinations(firms, 2))
+    pair_cavdsr = per_pair(returns, pairs, min_overlap)
+    table = max_similarity_table(index, pairs)
+    out = []
+    for counts in table.mrp_counts(grid):
+        scores = [rrs(int(count), n_a, n_b) for count, (n_a, n_b) in zip(counts, table.sizes)]
+        records = [PairRecord(a, b, score, pair_cavdsr[(a, b)])
+                   for (a, b), score in zip(pairs, scores) if (a, b) in pair_cavdsr]
+        try:
+            rho = alignment_rho(records)
+        except DegenerateInput:
+            rho = None
+        out.append((float(np.mean(scores)), rho))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sweep_rho_equals_rho_over_pair_records(data):
+    index = data.draw(indices())
+    firms = index.firm_ids()
+    returns = data.draw(return_maps(firms))
+    min_overlap = data.draw(st.integers(2, 6))
+    grid = sorted(data.draw(st.lists(st.floats(-1.1, 1.1), max_size=3))) + [2.0]
+    expected = record_sweep(index, firms, grid, returns, min_overlap)
+    rows = threshold_sweep(index, firms, grid, returns=returns, min_overlap=min_overlap)
+    assert [(row.mean_rrs, row.rho) for row in rows] == expected
+    assert rows[-1].rho is None           # nothing clears 2.0: all-zero RRS

@@ -1,6 +1,7 @@
 """Evaluation: returns, CAVDSR, alignment rho, GICS baseline, NDCG, sweep."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ def test_daily_returns_flat():
 def test_daily_returns_rejects_nonpositive():
     with pytest.raises(NonPositivePrice):
         daily_returns([("d1", 100.0), ("d2", 0.0)])
+
+
+def test_daily_returns_overflow_is_an_error_not_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="returns must be finite"):
+            daily_returns([("2023-01-02", 1e-308), ("2023-01-03", 1e308)])
 
 
 def test_daily_returns_too_short():
@@ -441,3 +449,14 @@ def test_csv_readers_skip_blank_rows(tmp_path):
     d.mkdir()
     (d / "AAA.csv").write_text("date,close\n\n2023-01-02,100\n\n2023-01-03,110\n")
     assert read_prices_dir(d)["AAA"].returns == pytest.approx([0.10], abs=1e-15)
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_undecodable_byte_names_its_line(tmp_path, end):
+    d = tmp_path / "prices"
+    d.mkdir()
+    (d / "AAA.csv").write_bytes(end.join([b"date,close", b"2023-01-02,100",
+                                          b"\xff\xfe2023-01-03,110", b""]))
+    with pytest.raises(ValueError, match=r"AAA\.csv line 3: 'utf-8' codec can't decode "
+                                         r"byte 0xff in position 0"):
+        read_prices_dir(d)

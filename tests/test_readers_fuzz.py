@@ -6,6 +6,7 @@ import io
 import json
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,44 @@ def _records(**typical):
 _GICS_ROW = st.tuples(st.sampled_from(["AAA", "BBB", "CCC", "x"]), st.text(max_size=8),
                       st.text(max_size=8)).map(",".join)
 
+_CLOSE = st.sampled_from(["10", "11", "12.5", "9"])
+_ODD_CLOSE = st.sampled_from(["0", "-1", "nan", "1e308", "1e-308", ""]) | st.text(max_size=6)
+
+
+@st.composite
+def _price_files(draw):
+    """Closes on the other firms' trading days, so the firm shares their
+    calendar; now and then odd closes, or one day replaced by the first, the
+    last or a later one, so that dates repeat, go back or leave a gap."""
+    closes = _CLOSE | _ODD_CLOSE if draw(st.booleans()) else _CLOSE
+    days = list(range(draw(st.integers(0, 40))))
+    if days and draw(st.booleans()):
+        k = draw(st.integers(0, len(days) - 1))
+        days[k] = draw(st.sampled_from([days[0], days[-1], days[k] + 40]))
+    return "\n".join(["date,close", *(f"2023-{1 + d // 28:02d}-{1 + d % 28:02d},"
+                                       f"{draw(closes)}" for d in days)])
+
+
+_RRS_CELL = st.sampled_from(["1", "0.5", "0.25", "0"])
+_ODD_RRS_CELL = st.sampled_from(["nan", "inf", ""]) | st.text(max_size=4)
+
+
+@st.composite
+def _rrs_matrices(draw):
+    """A header of firms (one without prices) and symmetric rows of numbers;
+    now and then odd cells, or one row cut short."""
+    firms = draw(st.lists(st.sampled_from(["AAA", "BBB", "CCC", "DDD", "ZZZ"]),
+                          min_size=2, max_size=4, unique=True))
+    cell = _RRS_CELL | _ODD_RRS_CELL if draw(st.booleans()) else _RRS_CELL
+    cells = {(i, j): draw(cell) for i in range(len(firms)) for j in range(i, len(firms))}
+    rows = [",".join([firm, *(cells[min(i, j), max(i, j)] for j in range(len(firms)))])
+            for i, firm in enumerate(firms)]
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = rows[k][:draw(st.integers(0, len(rows[k])))]
+    return "\n".join([",".join(["firm", *firms]), *rows])
+
+
 _TEXT = {
     "config": st.text(max_size=60) | st.lists(
         st.sampled_from(["min_tokens", "sections", "threshold", "seed", ""])
@@ -49,21 +88,23 @@ _TEXT = {
     "pairs": st.text(max_size=60) | _records(
         view=st.sampled_from(["chronological", "lexical"]), left_tokens=_TOKENS,
         right_tokens=_TOKENS, provenance=st.lists(st.text(max_size=4), max_size=2)),
+    "prices": st.text(max_size=60) | _price_files(),
+    "rrs": st.text(max_size=60) | _rrs_matrices(),
 }
 
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A one-filing corpus, a three-firm RRS matrix and price files."""
+    """A one-filing corpus, a four-firm RRS matrix and price files."""
     root = tmp_path_factory.mktemp("fuzz-inputs")
     filing = root / "filings" / "AAA" / "2020.txt"
     filing.parent.mkdir(parents=True)
     filing.write_text("Item 1A. Risk Factors " + "supply risk " * 15 + "Item 2. Properties")
-    (root / "rrs.csv").write_text("firm,AAA,BBB,CCC\nAAA,1.000000,0.500000,0.250000\n"
-                                  "BBB,0.500000,1.000000,0.100000\n"
-                                  "CCC,0.250000,0.100000,1.000000\n")
+    (root / "rrs.csv").write_text("firm,AAA,BBB,CCC,DDD\nAAA,1,0.5,0.25,0.1\n"
+                                  "BBB,0.5,1,0.1,0.2\nCCC,0.25,0.1,1,0.3\n"
+                                  "DDD,0.1,0.2,0.3,1\n")
     (root / "prices").mkdir()
-    for step, firm in enumerate(("AAA", "BBB", "CCC"), start=3):
+    for step, firm in enumerate(("AAA", "BBB", "CCC", "DDD"), start=3):
         (root / "prices" / f"{firm}.csv").write_text("date,close\n" + "".join(
             f"2023-{1 + d // 28:02d}-{1 + d % 28:02d},{10 + d * step % 7}\n" for d in range(40)))
     return root
@@ -76,6 +117,15 @@ def _argv(kind: str, inputs: Path, fuzzed: Path, work: Path) -> list[str]:
     if kind == "gics":
         return ["evaluate", "--rrs", str(inputs / "rrs.csv"), "--prices", str(inputs / "prices"),
                 "--gics", str(fuzzed), "--out", str(work / "eval")]
+    if kind == "prices":
+        prices = work / "prices"
+        shutil.copytree(inputs / "prices", prices)
+        shutil.copy(fuzzed, prices / "BBB.csv")
+        return ["evaluate", "--rrs", str(inputs / "rrs.csv"), "--prices", str(prices),
+                "--out", str(work / "eval")]
+    if kind == "rrs":
+        return ["evaluate", "--rrs", str(fuzzed), "--prices", str(inputs / "prices"),
+                "--out", str(work / "eval")]
     if kind == "paragraphs":
         return ["pairs", "--in", str(fuzzed), "--seed", "7", "--train", "1", "--val", "1",
                 "--out", str(work / "pairs")]
@@ -98,7 +148,9 @@ def test_reader_succeeds_or_reports_one_error_line(inputs, kind, data):
         fuzzed.write_text(text, encoding="utf-8")
         argv = _argv(kind, inputs, fuzzed, work)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
             code = cli.main(argv)
     if code == 0:
         assert err.getvalue() == ""
