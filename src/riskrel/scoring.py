@@ -113,9 +113,14 @@ class MrpResult:
         return rrs(len(self.mrps_a) + len(self.mrps_b), self.n_a, self.n_b)
 
 
-def rrs(mrp_count: int, n_a: int, n_b: int) -> float:
-    """Proportion of mutual risk paragraphs over both firms' paragraphs."""
-    if n_a < 1 or n_b < 1:
+def rrs(mrp_count: int | np.ndarray, n_a: int | np.ndarray,
+        n_b: int | np.ndarray) -> float | np.ndarray:
+    """Proportion of mutual risk paragraphs over both firms' paragraphs.
+
+    Ints give a float; integer arrays of one shape, one entry per pair, give
+    the array of those floats, bit for bit (every operand is exact as float64).
+    """
+    if np.any(np.less(n_a, 1)) or np.any(np.less(n_b, 1)):
         raise EmptyFirm(f"both firms need paragraphs (N_A={n_a}, N_B={n_b})")
     return mrp_count / (n_a + n_b)
 
@@ -216,13 +221,9 @@ class MaxSimTable:
         return counts
 
     def scores(self, counts: Sequence[int]) -> np.ndarray:
-        """Per-pair RRS from one threshold's row of MRP counts.
-
-        One integer true division, count / (N_A + N_B): the values
-        :func:`rrs` gives (both operands are exact as float64).
-        """
-        totals = np.array([n_a + n_b for n_a, n_b in self.sizes], dtype=np.int64)
-        return np.asarray(counts, dtype=np.int64) / totals
+        """Per-pair RRS from one threshold's row of MRP counts (see :func:`rrs`)."""
+        n_a, n_b = np.array(self.sizes, dtype=np.int64).reshape(-1, 2).T
+        return rrs(np.asarray(counts, dtype=np.int64), n_a, n_b)
 
 
 def max_similarity_table(index: EmbeddingIndex,

@@ -33,8 +33,21 @@ def _records(**typical):
             ).map("\n".join)
 
 
-_GICS_ROW = st.tuples(st.sampled_from(["AAA", "BBB", "CCC", "x"]), st.text(max_size=8),
-                      st.text(max_size=8)).map(",".join)
+_FIRMS = ["AAA", "BBB", "CCC", "DDD"]  # the firms of the fixture's RRS matrix
+_GICS_NAME = st.sampled_from(["10", "20"]) | st.text(max_size=8)
+_GICS_ROW = st.tuples(st.sampled_from([*_FIRMS, "x"]), _GICS_NAME, _GICS_NAME).map(",".join)
+
+
+@st.composite
+def _gics_files(draw):
+    """A header and rows of tickers, sectors and industries; now and then with
+    a row for every firm of the RRS matrix, so that evaluate can succeed."""
+    rows = draw(st.lists(_GICS_ROW, max_size=6))
+    if draw(st.booleans()):
+        rows = draw(st.permutations(
+            rows + [f"{firm},{draw(_GICS_NAME)},{draw(_GICS_NAME)}" for firm in _FIRMS]))
+    return "\n".join(["ticker,sector,industry", *rows])
+
 
 _CLOSE = st.sampled_from(["10", "11", "12.5", "9"])
 _ODD_CLOSE = st.sampled_from(["0", "-1", "nan", "1e308", "1e-308", ""]) | st.text(max_size=6)
@@ -62,7 +75,7 @@ _ODD_RRS_CELL = st.sampled_from(["nan", "inf", ""]) | st.text(max_size=4)
 def _rrs_matrices(draw):
     """A header of firms (one without prices) and symmetric rows of numbers;
     now and then odd cells, or one row cut short."""
-    firms = draw(st.lists(st.sampled_from(["AAA", "BBB", "CCC", "DDD", "ZZZ"]),
+    firms = draw(st.lists(st.sampled_from([*_FIRMS, "ZZZ"]),
                           min_size=2, max_size=4, unique=True))
     cell = _RRS_CELL | _ODD_RRS_CELL if draw(st.booleans()) else _RRS_CELL
     cells = {(i, j): draw(cell) for i in range(len(firms)) for j in range(i, len(firms))}
@@ -79,8 +92,7 @@ _TEXT = {
         st.sampled_from(["min_tokens", "sections", "threshold", "seed", ""])
         .flatmap(lambda key: st.text(max_size=8).map(f"{key} = ".__add__)),
         max_size=3).map("\n".join),
-    "gics": st.text(max_size=60) | st.lists(_GICS_ROW, max_size=6).map(
-        lambda rows: "\n".join(["ticker,sector,industry", *rows])),
+    "gics": st.text(max_size=60) | _gics_files(),
     "paragraphs": st.text(max_size=60) | _records(
         id=st.text(max_size=6), firm=st.sampled_from(["AAA", "BBB"]),
         year=st.integers(1990, 2030), section=st.sampled_from(["1A", "7A"]),
@@ -104,7 +116,7 @@ def inputs(tmp_path_factory):
                                   "BBB,0.5,1,0.1,0.2\nCCC,0.25,0.1,1,0.3\n"
                                   "DDD,0.1,0.2,0.3,1\n")
     (root / "prices").mkdir()
-    for step, firm in enumerate(("AAA", "BBB", "CCC", "DDD"), start=3):
+    for step, firm in enumerate(_FIRMS, start=3):
         (root / "prices" / f"{firm}.csv").write_text("date,close\n" + "".join(
             f"2023-{1 + d // 28:02d}-{1 + d % 28:02d},{10 + d * step % 7}\n" for d in range(40)))
     return root
