@@ -14,9 +14,9 @@ from pathlib import Path
 
 from riskrel import corpus, pairs, synthetic
 
-root = Path(tempfile.mkdtemp(prefix="riskrel_demo_"))
-manifest = synthetic.write_fixture(root)
-paragraphs = corpus.ingest_directory(manifest.filings_dir)
+with tempfile.TemporaryDirectory(prefix="riskrel_demo_") as tmp:
+    manifest = synthetic.write_fixture(Path(tmp))
+    paragraphs = corpus.ingest_directory(manifest.filings_dir)
 
 print("=== date detection ===")
 sample = next(p for p in paragraphs if pairs.detect_date_tokens(p))

@@ -12,9 +12,9 @@ from pathlib import Path
 
 from riskrel import corpus, pairs, synthetic, training
 
-root = Path(tempfile.mkdtemp(prefix="riskrel_demo_"))
-manifest = synthetic.write_fixture(root)
-paragraphs = corpus.ingest_directory(manifest.filings_dir)
+with tempfile.TemporaryDirectory(prefix="riskrel_demo_") as tmp:
+    manifest = synthetic.write_fixture(Path(tmp))
+    paragraphs = corpus.ingest_directory(manifest.filings_dir)
 
 all_pairs = []
 for fc in corpus.group_by_firm(paragraphs).values():

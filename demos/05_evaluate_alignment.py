@@ -14,11 +14,11 @@ from pathlib import Path
 
 from riskrel import corpus, evaluation, pairs, scoring, synthetic, training
 
-root = Path(tempfile.mkdtemp(prefix="riskrel_demo_"))
-manifest = synthetic.write_fixture(root)
-paragraphs = corpus.ingest_directory(manifest.filings_dir)
-returns = evaluation.read_prices_dir(manifest.prices_dir)
-gics = evaluation.read_gics_file(manifest.gics_path)
+with tempfile.TemporaryDirectory(prefix="riskrel_demo_") as tmp:
+    manifest = synthetic.write_fixture(Path(tmp))
+    paragraphs = corpus.ingest_directory(manifest.filings_dir)
+    returns = evaluation.read_prices_dir(manifest.prices_dir)
+    gics = evaluation.read_gics_file(manifest.gics_path)
 
 print("=== CAVDSR on the fixture price series ===")
 print(f"planted pair ACME/BOLT: {evaluation.cavdsr(returns['ACME'], returns['BOLT']):.4f}")
@@ -34,24 +34,20 @@ index = scoring.embed_corpus(outcome.vocab, outcome.params,
                              corpus.group_by_firm(paragraphs).values())
 firms, matrix = scoring.rrs_matrix(index, threshold=0.75)
 
-records = []
-for i, a in enumerate(firms):
-    for j in range(i + 1, len(firms)):
-        records.append(evaluation.PairRecord(
-            a, firms[j], float(matrix[i, j]),
-            evaluation.cavdsr(returns[a], returns[firms[j]])))
+upper = [(i, j) for i in range(len(firms)) for j in range(i + 1, len(firms))]
+pair_firms = [(firms[i], firms[j]) for i, j in upper]
+rrs_values = [float(matrix[i, j]) for i, j in upper]
+cavdsr_values = [evaluation.cavdsr(returns[a], returns[b]) for a, b in pair_firms]
 
 print("=== alignment of RRS with return co-movement ===")
-print(f"rho (pearson)  = {evaluation.alignment_rho(records):.4f}")
-print(f"rho (spearman) = {evaluation.alignment_rho(records, 'spearman'):.4f}")
+print(f"rho (pearson)  = {evaluation.alignment_rho(rrs_values, cavdsr_values):.4f}")
+print(f"rho (spearman) = "
+      f"{evaluation.alignment_rho(rrs_values, cavdsr_values, 'spearman'):.4f}")
 
 for level in ("sector", "industry"):
-    baseline = [evaluation.PairRecord(
-        r.firm_a, r.firm_b,
-        float(evaluation.gics_binary_rrs(gics, r.firm_a, r.firm_b, level)),
-        r.cavdsr) for r in records]
+    flags = [evaluation.gics_binary_rrs(gics, a, b, level) for a, b in pair_firms]
     try:
-        rho = f"{evaluation.alignment_rho(baseline):.4f}"
+        rho = f"{evaluation.alignment_rho(flags, cavdsr_values):.4f}"
     except evaluation.DegenerateInput:
         rho = "degenerate"
     print(f"rho (GICS {level} binary baseline) = {rho}")

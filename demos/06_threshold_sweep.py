@@ -11,9 +11,10 @@ from pathlib import Path
 
 from riskrel import corpus, evaluation, pairs, scoring, synthetic, training
 
-root = Path(tempfile.mkdtemp(prefix="riskrel_demo_"))
-manifest = synthetic.write_fixture(root)
-paragraphs = corpus.ingest_directory(manifest.filings_dir)
+with tempfile.TemporaryDirectory(prefix="riskrel_demo_") as tmp:
+    manifest = synthetic.write_fixture(Path(tmp))
+    paragraphs = corpus.ingest_directory(manifest.filings_dir)
+    returns = evaluation.read_prices_dir(manifest.prices_dir)
 
 all_pairs = []
 for fc in corpus.group_by_firm(paragraphs).values():
@@ -23,7 +24,6 @@ train_pairs, val_pairs = pairs.split_train_val(all_pairs, 140, 25, rng_seed=7)
 outcome = training.train(train_pairs, val_pairs, training.TrainConfig(seed=0))
 index = scoring.embed_corpus(outcome.vocab, outcome.params,
                              corpus.group_by_firm(paragraphs).values())
-returns = evaluation.read_prices_dir(manifest.prices_dir)
 
 grid = evaluation.make_grid(0.6, 0.9, 0.05)
 rows = evaluation.threshold_sweep(index, index.firm_ids(), grid, returns=returns)

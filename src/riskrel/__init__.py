@@ -32,7 +32,6 @@ from .encoder import (
     similarity,
 )
 from .evaluation import (
-    PairRecord,
     RankedList,
     ReturnSeries,
     SweepRow,

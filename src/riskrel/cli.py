@@ -226,53 +226,42 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Outputs) -> None:
              for i in range(len(firms)) for j in range(i + 1, len(firms))}
     co_movement = evaluation.pairwise_cavdsr(returns, cells)
     excluded = len(cells) - len(co_movement)
-    records: list[evaluation.PairRecord] = []
-    gics_flags: dict[str, list[int]] = {"sector": [], "industry": []}  # one per record
-    rows = []
-    for (firm_a, firm_b), value in co_movement.items():
-        record = evaluation.PairRecord(firm_a, firm_b, cells[(firm_a, firm_b)], value)
-        records.append(record)
-        row = {"firm_a": firm_a, "firm_b": firm_b,
-               "rrs": f"{record.rrs:.6f}", "cavdsr": f"{record.cavdsr:.6f}"}
-        if gics is not None:
-            for level, level_flags in gics_flags.items():
-                level_flags.append(evaluation.gics_binary_rrs(gics, firm_a, firm_b, level))
-                row[f"gics_{level}"] = str(level_flags[-1])
-        rows.append(row)
+    kept = list(co_movement)  # the evaluated pairs, in matrix order
+    rrs_values = [cells[pair] for pair in kept]
+    cavdsr_values = list(co_movement.values())
+    gics_flags = {level: [evaluation.gics_binary_rrs(gics, a, b, level) for a, b in kept]
+                  for level in ("sector", "industry")} if gics is not None else {}
 
-    columns = list(rows[0]) if rows else ["firm_a", "firm_b", "rrs", "cavdsr"]
     with open(out_dir / "pairs.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row[c] for c in columns) + "\n")
+        fh.write(",".join(["firm_a", "firm_b", "rrs", "cavdsr",
+                           *(f"gics_{level}" for level in gics_flags)]) + "\n")
+        for (firm_a, firm_b), value, co, *flags in zip(kept, rrs_values, cavdsr_values,
+                                                      *gics_flags.values()):
+            fh.write(",".join([firm_a, firm_b, f"{value:.6f}", f"{co:.6f}",
+                               *map(str, flags)]) + "\n")
 
-    metrics: list[tuple[str, str]] = [("n_pairs", str(len(records))),
-                                      ("n_excluded", str(excluded))]
-    rho = evaluation.alignment_rho(records)
-    metrics.append(("rho_pearson", f"{rho:.6f}"))
-    metrics.append(("rho_spearman",
-                    f"{evaluation.alignment_rho(records, 'spearman'):.6f}"))
-    if gics is not None:
-        for level, level_flags in gics_flags.items():
-            baseline = [evaluation.PairRecord(r.firm_a, r.firm_b, float(flag), r.cavdsr)
-                        for r, flag in zip(records, level_flags)]
-            try:
-                value = f"{evaluation.alignment_rho(baseline):.6f}"
-            except evaluation.DegenerateInput:
-                value = ""
-            metrics.append((f"rho_gics_{level}", value))
+    rho = evaluation.alignment_rho(rrs_values, cavdsr_values)
+    spearman = evaluation.alignment_rho(rrs_values, cavdsr_values, "spearman")
+    metrics = [("n_pairs", str(len(kept))), ("n_excluded", str(excluded)),
+               ("rho_pearson", f"{rho:.6f}"), ("rho_spearman", f"{spearman:.6f}")]
+    for level, flags in gics_flags.items():
+        try:
+            value = f"{evaluation.alignment_rho(flags, cavdsr_values):.6f}"
+        except evaluation.DegenerateInput:
+            value = ""
+        metrics.append((f"rho_gics_{level}", value))
     with open(out_dir / "metrics.csv", "w", encoding="utf-8") as fh:
         fh.write("metric,value\n")
         for key, value in metrics:
             fh.write(f"{key},{value}\n")
 
     lines = ["# Evaluation summary", "",
-             f"Firm pairs evaluated: {len(records)} "
+             f"Firm pairs evaluated: {len(kept)} "
              f"(excluded for missing/short return data: {excluded})", "",
              "| metric | value |", "| --- | --- |"]
     lines.extend(f"| {key} | {value} |" for key, value in metrics[2:])
     (out_dir / "summary.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"evaluate: rho = {rho:.6f} over {len(records)} pairs -> {args.out}")
+    print(f"evaluate: rho = {rho:.6f} over {len(kept)} pairs -> {args.out}")
 
 
 def cmd_sweep(args: argparse.Namespace, outputs: Outputs) -> None:

@@ -77,7 +77,7 @@ class ZeroVariance(RiskRelError):
 
 
 class DegenerateInput(RiskRelError):
-    """Correlation across firm pairs is undefined (too few records or no variance)."""
+    """Correlation across firm pairs is undefined (too few pairs or no variance)."""
 
 
 class UnknownFirm(RiskRelError):

@@ -7,7 +7,8 @@ two exposed firms in opposite directions). The headline metric is
 
     rho = corr(RRS, CAVDSR)
 
-across firm pairs. Two firms on the same trading calendar need no date
+across firm pairs, taken by :func:`alignment_rho` from two arrays of one
+value per pair. Two firms on the same trading calendar need no date
 join: across many pairs each firm's absolute returns are centred once and
 a pair costs one dot product, with exactly the arithmetic of the join
 (see :func:`pairwise_cavdsr`). A sector/industry taxonomy provides the
@@ -55,29 +56,18 @@ class ReturnSeries:
     def __post_init__(self) -> None:
         if len(self.dates) != len(self.returns):
             raise ValueError("dates and returns must align")
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
-            raise ValueError("dates must be strictly increasing")
-        if not np.all(np.isfinite(self.returns)):
-            raise ValueError("returns must be finite")
+        for earlier, date in zip(self.dates, self.dates[1:]):
+            if earlier >= date:
+                raise ValueError(f"dates must be strictly increasing: {date} after {earlier}")
+        infinite = np.flatnonzero(~np.isfinite(self.returns))
+        if infinite.size:
+            raise ValueError(f"returns must be finite: {self.returns[infinite[0]]} "
+                             f"on {self.dates[infinite[0]]}")
 
     @cached_property
     def date_index(self) -> np.ndarray:
         """The dates as an array, built on first use and kept for joins."""
         return np.array(self.dates, dtype=str)
-
-
-@dataclass(frozen=True)
-class PairRecord:
-    """One observation behind rho: a firm pair's RRS and CAVDSR."""
-
-    firm_a: str
-    firm_b: str
-    rrs: float
-    cavdsr: float
-
-    def __post_init__(self) -> None:
-        if self.firm_a >= self.firm_b:
-            raise ValueError("pair records require firm_a < firm_b")
 
 
 @dataclass(frozen=True)
@@ -134,9 +124,12 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
 def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
     """``x`` minus its mean, and that vector's sum of squares: the half of
     :func:`pearson` that one input needs, so a vector met in many
-    correlations is centred once."""
+    correlations is centred once. The sum of squares of a constant ``x`` is
+    exactly 0.0, though a rounded mean can leave noise in its ``dx``."""
     x = np.asarray(x, dtype=np.float64)
     dx = x - x.mean()
+    if x.min() == x.max():
+        return dx, 0.0
     return dx, float(np.dot(dx, dx))
 
 
@@ -226,12 +219,18 @@ def pairwise_cavdsr(returns: Mapping[str, ReturnSeries],
     return out
 
 
-def alignment_rho(records: Sequence[PairRecord], method: str = "pearson") -> float:
-    """Correlation between RRS and CAVDSR across firm pairs."""
-    if len(records) < 2:
-        raise DegenerateInput(f"need >= 2 pair records, got {len(records)}")
-    x = np.array([r.rrs for r in records])
-    y = np.array([r.cavdsr for r in records])
+def alignment_rho(rrs: Sequence[float], cavdsr: Sequence[float],
+                  method: str = "pearson") -> float:
+    """Correlation between RRS and CAVDSR across firm pairs: ``rrs[k]`` and
+    ``cavdsr[k]`` belong to pair k. Fewer than two pairs or a constant side
+    is :class:`DegenerateInput`; sequences of unequal length, a ``ValueError``."""
+    x = np.asarray(rrs, dtype=np.float64)
+    y = np.asarray(cavdsr, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"rho needs two equal-length 1-D sequences, "
+                         f"got {x.shape} and {y.shape}")
+    if len(x) < 2:
+        raise DegenerateInput(f"need >= 2 firm pairs, got {len(x)}")
     corr = {"pearson": pearson, "spearman": spearman}[method]
     try:
         return corr(x, y)
@@ -308,32 +307,26 @@ def threshold_sweep(index: EmbeddingIndex, firms: Sequence[str],
     Each pair's similarities are computed once (see
     :func:`~riskrel.scoring.max_similarity_table`) and counted at every
     threshold. Reports the mean off-diagonal RRS and total MRP count per
-    threshold; when return series are supplied, rho is reported too (None
-    when fewer than two pairs have a CAVDSR or the scores degenerate, e.g.
-    all zero at a high threshold). The CAVDSR vector is built and centred
-    once, so each threshold's rho is one centring and one dot product, the
-    value :func:`alignment_rho` gives over those pairs' records.
+    threshold; when return series are supplied, rho is reported too:
+    :func:`alignment_rho` over the pairs that have a CAVDSR, or None when it
+    degenerates (fewer than two such pairs, or all scores equal, e.g. all
+    zero at a high threshold). The CAVDSR array is built once.
     """
     if list(grid) != sorted(grid):
         raise ValueError("grid must be ascending")
     pairs = [(a, b) for i, a in enumerate(firms) for b in firms[i + 1:]]
-    centred_cavdsr = None  # stays None unless >= 2 pairs have a CAVDSR
     if returns is not None:
         pair_cavdsr = pairwise_cavdsr(returns, pairs, min_overlap)
         kept = np.array([pair in pair_cavdsr for pair in pairs], dtype=bool)
         cavdsr_vec = np.array([pair_cavdsr[pair] for pair in pairs if pair in pair_cavdsr])
-        if len(cavdsr_vec) >= 2:
-            centred_cavdsr = _centred(cavdsr_vec)
     rows: list[SweepRow] = []
     table = max_similarity_table(index, pairs)
     for threshold, counts in zip(grid, table.mrp_counts(grid)):
         scores = table.scores(counts)
-        rho = None
-        if centred_cavdsr is not None:
-            try:
-                rho = _correlate(_centred(scores[kept]), centred_cavdsr)
-            except ZeroVariance:
-                rho = None
+        try:
+            rho = None if returns is None else alignment_rho(scores[kept], cavdsr_vec)
+        except DegenerateInput:
+            rho = None
         rows.append(SweepRow(threshold=threshold, mean_rrs=float(np.mean(scores)),
                              total_mrps=int(counts.sum()), rho=rho))
     return rows
@@ -349,8 +342,11 @@ def read_prices_dir(prices_dir: str | Path) -> dict[str, ReturnSeries]:
         raise FileNotFoundError(f"prices directory not found: {prices_dir}")
     series = {}
     for path in sorted(prices_dir.glob("*.csv")):
-        series[path.stem] = daily_returns(read_csv_body(path, 2, _price_row),
-                                          firm_id=path.stem)
+        prices = read_csv_body(path, 2, _price_row)
+        try:
+            series[path.stem] = daily_returns(prices, firm_id=path.stem)
+        except ValueError as exc:  # ReturnSeries' checks, which know no file
+            raise ValueError(f"bad price series in {path}: {exc}") from None
     return series
 
 

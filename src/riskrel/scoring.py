@@ -417,30 +417,42 @@ def write_rrs_csv(firms: Sequence[str], matrix: np.ndarray,
 
 
 def read_rrs_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read a matrix written by :func:`write_rrs_csv`.
+    """Read a matrix written by :func:`write_rrs_csv`, its firms sorted.
 
-    The row labels must repeat the header's firms in order, every row needs
-    one number per firm, and the matrix must be symmetric; anything else is
-    a ``ValueError`` naming the file.
+    The header's firms must be distinct and the row labels must repeat them,
+    every row needs one finite number per firm, and the matrix must be
+    symmetric; anything else is a ``ValueError`` naming the file. A header in
+    any order is read into sorted order, the matrix permuted to match.
     """
     def malformed(detail: str) -> ValueError:
         return ValueError(f"malformed RRS matrix in {path}: {detail}")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        firms = fh.readline().strip().split(",")[1:]
-        labels, rows = [], []
-        for number, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            label, *cells = line.strip().split(",")
-            if len(cells) != len(firms):
-                raise malformed(f"line {number} has {len(cells)} values "
-                                f"for {len(firms)} firms")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise malformed(f"line {number}: {exc}") from exc
-            labels.append(label)
+    firms, labels, rows = None, [], []  # firms: None until the header is read
+    # Lines end at LF, CR or CR LF, as in text mode; each is decoded on its own.
+    for number, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise malformed(f"line {number}: {exc}") from None
+        if firms is None:
+            firms = line.split(",")[1:]
+            repeated = [firm for k, firm in enumerate(firms) if firm in firms[:k]]
+            if repeated:
+                raise malformed(f"line 1: firm {repeated[0]!r} appears twice in the header")
+            continue
+        if not line:
+            continue
+        label, *cells = line.split(",")
+        if len(cells) != len(firms):
+            raise malformed(f"line {number} has {len(cells)} values "
+                            f"for {len(firms)} firms")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise malformed(f"line {number}: {exc}") from None
+        if not np.isfinite(rows[-1]).all():
+            raise malformed(f"line {number}: values must be finite numbers")
+        labels.append(label)
     if not firms:
         raise malformed("no firms in the header")
     if labels != firms:
@@ -448,7 +460,8 @@ def read_rrs_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     matrix = np.array(rows)
     if not np.array_equal(matrix, matrix.T):
         raise malformed("matrix is not symmetric")
-    return firms, matrix
+    order = sorted(range(len(firms)), key=firms.__getitem__)
+    return [firms[k] for k in order], matrix[np.ix_(order, order)]
 
 
 def save_embeddings(index: EmbeddingIndex, path: str | Path) -> None:

@@ -18,7 +18,6 @@ import pytest
 from riskrel import cli, corpus, evaluation, pairs as pairgen, scoring, synthetic, training
 from riskrel.encoder import encode, init_params, pad_batch, similarity
 from riskrel.evaluation import (
-    PairRecord,
     RankedList,
     ReturnSeries,
     alignment_rho,
@@ -302,9 +301,7 @@ def test_criterion_8_metric_correctness():
     assert abs(table["ndcg"][3] - expected_ndcg) <= 1e-6
     assert abs(table["ndcg"][3] - 0.6934264036172708) <= 1e-6
 
-    records = [PairRecord("A", "B", 0.1, 0.2), PairRecord("A", "C", 0.2, 0.4),
-               PairRecord("B", "C", 0.3, 0.6)]
-    assert abs(alignment_rho(records) - 1.0) <= 1e-12
+    assert abs(alignment_rho([0.1, 0.2, 0.3], [0.2, 0.4, 0.6]) - 1.0) <= 1e-12
 
     sectors = ["Tech", "Tech", "Tech", "Energy", "Energy", "Health", "Health",
                "Utilities", "Financials", "Financials"]

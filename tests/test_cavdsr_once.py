@@ -1,5 +1,5 @@
 """CAVDSR once per firm: ``pairwise_cavdsr`` and the sweep's rho must agree
-bit for bit with per-pair ``cavdsr`` and with rho over ``PairRecord``s."""
+bit for bit with per-pair ``cavdsr`` and with ``pearson`` over the kept pairs."""
 
 import re
 from itertools import combinations
@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrel.errors import DegenerateInput, InsufficientOverlap, ZeroVariance
+from riskrel.errors import InsufficientOverlap, ZeroVariance
 from riskrel.evaluation import (
-    PairRecord,
     ReturnSeries,
-    alignment_rho,
     cavdsr,
     pairwise_cavdsr,
+    pearson,
     threshold_sweep,
 )
 from riskrel.scoring import EmbeddingIndex, max_similarity_table, rrs
@@ -101,6 +100,20 @@ def test_shared_calendar_keeps_self_correlation_and_skips_the_date_join(monkeypa
     assert ("A", "C") not in got          # a constant series has no correlation
 
 
+def test_constant_series_with_an_inexact_value_is_left_out():
+    # 0.01 is not exact in binary: the mean rounds, and the centred vector
+    # would hold ~1e-18 noise that an exact zero-variance test lets through.
+    rng = np.random.default_rng(5)
+    returns = {firm: ReturnSeries(firm, DATES, rng.normal(0, 0.02, size=len(DATES)))
+               for firm in ("A", "B")}
+    returns["C"] = ReturnSeries("C", DATES, np.full(len(DATES), 0.01))
+    for other in ("A", "B"):
+        with pytest.raises(ZeroVariance):
+            cavdsr(returns[other], returns["C"], 5)
+    got = pairwise_cavdsr(returns, [("A", "B"), ("A", "C"), ("B", "C")], 5)
+    assert list(got) == [("A", "B")]
+
+
 @st.composite
 def indices(draw):
     """Small indices; integer components give zero vectors and tied cosines."""
@@ -114,20 +127,20 @@ def indices(draw):
     return EmbeddingIndex(firms=firms)
 
 
-def record_sweep(index, firms, grid, returns, min_overlap):
-    """Per threshold: (mean RRS, rho) the way rho was computed pair by pair,
-    from ``rrs`` and ``alignment_rho`` over ``PairRecord``s."""
+def reference_sweep(index, firms, grid, returns, min_overlap):
+    """Per threshold: (mean RRS, rho) pair by pair, from ``rrs`` and ``pearson``
+    over the pairs that have a CAVDSR (None when that is undefined)."""
     pairs = list(combinations(firms, 2))
     pair_cavdsr = per_pair(returns, pairs, min_overlap)
     table = max_similarity_table(index, pairs)
     out = []
     for counts in table.mrp_counts(grid):
         scores = [rrs(int(count), n_a, n_b) for count, (n_a, n_b) in zip(counts, table.sizes)]
-        records = [PairRecord(a, b, score, pair_cavdsr[(a, b)])
-                   for (a, b), score in zip(pairs, scores) if (a, b) in pair_cavdsr]
+        kept = [(score, pair_cavdsr[pair]) for pair, score in zip(pairs, scores)
+                if pair in pair_cavdsr]
         try:
-            rho = alignment_rho(records)
-        except DegenerateInput:
+            rho = pearson(*zip(*kept)) if len(kept) >= 2 else None
+        except ZeroVariance:
             rho = None
         out.append((float(np.mean(scores)), rho))
     return out
@@ -135,13 +148,13 @@ def record_sweep(index, firms, grid, returns, min_overlap):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_sweep_rho_equals_rho_over_pair_records(data):
+def test_sweep_rho_equals_pearson_over_kept_pairs(data):
     index = data.draw(indices())
     firms = index.firm_ids()
     returns = data.draw(return_maps(firms))
     min_overlap = data.draw(st.integers(2, 6))
     grid = sorted(data.draw(st.lists(st.floats(-1.1, 1.1), max_size=3))) + [2.0]
-    expected = record_sweep(index, firms, grid, returns, min_overlap)
+    expected = reference_sweep(index, firms, grid, returns, min_overlap)
     rows = threshold_sweep(index, firms, grid, returns=returns, min_overlap=min_overlap)
     assert [(row.mean_rrs, row.rho) for row in rows] == expected
     assert rows[-1].rho is None           # nothing clears 2.0: all-zero RRS

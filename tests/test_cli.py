@@ -141,7 +141,7 @@ def test_failure_removes_partial_outputs(pipeline_dir, tmp_path, capsys):
 
 
 def test_failure_in_preexisting_dir_keeps_unrelated_files(tmp_path, capsys):
-    # Two firms give a single pair record: rho degenerates after pairs.csv
+    # Two firms give a single pair: rho degenerates after pairs.csv
     # was written, and cleanup must not take the user's directory with it.
     (tmp_path / "rrs.csv").write_text(
         "firm,AAA,BBB\nAAA,1.000000,0.500000\nBBB,0.500000,1.000000\n")
@@ -277,6 +277,44 @@ def test_evaluate_rejects_asymmetric_matrix(tmp_path, capsys):
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("text, detail", [
+    (b"firm,A,A\nA,1.0,0.5\nA,0.5,1.0\n", "line 1: firm 'A' appears twice in the header"),
+    (b"firm,A,B\nA,1.0,nan\nB,nan,1.0\n", "line 2: values must be finite numbers"),
+    (b"firm,A,B\nA,1.0,0.5\nB,0.5,1.0\xff\n",
+     "line 3: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+], ids=["repeated_firm", "nan", "undecodable"])
+def test_evaluate_on_malformed_rrs_matrix_names_file_and_line(tmp_path, capsys, text,
+                                                              detail):
+    rrs = tmp_path / "rrs.csv"
+    rrs.write_bytes(text)
+    code, _, err = run(["evaluate", "--rrs", str(rrs), "--prices", str(tmp_path),
+                        "--out", str(tmp_path / "eval")], capsys)
+    assert code == 1
+    assert err == f"error: ValueError: malformed RRS matrix in {rrs}: {detail}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_reads_a_permuted_matrix_as_the_sorted_one(pipeline_dir, fixture_manifest,
+                                                            tmp_path, capsys):
+    header, *rows = (pipeline_dir / "rrs.csv").read_text().splitlines()
+    firms = header.split(",")[1:]
+    cells = [row.split(",")[1:] for row in rows]
+    order = [3, 0, 7, 5, 1, 6, 2, 4]
+    assert sorted(order) == list(range(len(firms)))
+    permuted = tmp_path / "permuted.csv"
+    permuted.write_text("firm," + ",".join(firms[k] for k in order) + "\n" + "".join(
+        firms[i] + "," + ",".join(cells[i][j] for j in order) + "\n" for i in order))
+    for name, rrs in (("sorted", pipeline_dir / "rrs.csv"), ("permuted", permuted)):
+        code, _, err = run(["evaluate", "--rrs", str(rrs),
+                            "--prices", str(fixture_manifest.prices_dir),
+                            "--gics", str(fixture_manifest.gics_path),
+                            "--out", str(tmp_path / name)], capsys)
+        assert (code, err) == (0, "")
+    for name in ("metrics.csv", "pairs.csv", "summary.md"):
+        assert ((tmp_path / "permuted" / name).read_bytes()
+                == (tmp_path / "sorted" / name).read_bytes()), name
+
+
 def _prices_with_file(tmp_path, fixture_manifest, content=""):
     prices = tmp_path / "prices"
     prices.mkdir()
@@ -295,6 +333,22 @@ def test_evaluate_on_empty_price_file_is_clean_error(pipeline_dir, fixture_manif
                        capsys)
     assert code == 1
     assert err == f"error: ValueError: empty CSV file: {empty}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("content, detail", [
+    ("date,close\nd001,10\nd003,11\nd002,12\nd004,13\n",
+     "dates must be strictly increasing: d002 after d003"),
+    ("date,close\nd001,1e-308\nd002,1e308\n", "returns must be finite: inf on d002"),
+], ids=["out_of_order", "overflow"])
+def test_evaluate_on_bad_price_series_names_file_and_date(pipeline_dir, fixture_manifest,
+                                                          tmp_path, capsys, content, detail):
+    prices, bad = _prices_with_file(tmp_path, fixture_manifest, content)
+    code, _, err = run(["evaluate", "--rrs", str(pipeline_dir / "rrs.csv"),
+                        "--prices", str(prices), "--out", str(tmp_path / "eval")],
+                       capsys)
+    assert code == 1
+    assert err == f"error: ValueError: bad price series in {bad}: {detail}\n"
     assert not (tmp_path / "eval").exists()
 
 

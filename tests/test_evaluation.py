@@ -16,7 +16,6 @@ from riskrel.errors import (
     ZeroVariance,
 )
 from riskrel.evaluation import (
-    PairRecord,
     RankedList,
     ReturnSeries,
     alignment_rho,
@@ -64,6 +63,13 @@ def test_daily_returns_overflow_is_an_error_not_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="returns must be finite"):
             daily_returns([("2023-01-02", 1e-308), ("2023-01-03", 1e308)])
+
+
+def test_return_series_errors_name_the_first_bad_date():
+    with pytest.raises(ValueError, match="^dates must be strictly increasing: d2 after d3$"):
+        ReturnSeries("X", ("d1", "d3", "d2", "d4"), np.zeros(4))
+    with pytest.raises(ValueError, match="^returns must be finite: inf on d3$"):
+        ReturnSeries("X", ("d1", "d2", "d3"), np.array([0.0, 0.1, np.inf]))
 
 
 def test_daily_returns_too_short():
@@ -196,49 +202,42 @@ def test_pairwise_cavdsr_leaves_out_unusable_pairs():
 # --- alignment rho ---
 
 def test_rho_identical_vectors():
-    records = [PairRecord("A", "B", 0.1, 0.1), PairRecord("A", "C", 0.5, 0.5),
-               PairRecord("B", "C", 0.9, 0.9)]
-    assert alignment_rho(records) == 1.0
+    assert alignment_rho([0.1, 0.5, 0.9], [0.1, 0.5, 0.9]) == 1.0
 
 
 def test_rho_single_record_degenerate():
     with pytest.raises(DegenerateInput):
-        alignment_rho([PairRecord("A", "B", 0.1, 0.2)])
+        alignment_rho([0.1], [0.2])
 
 
 def test_rho_exact_linear_relation():
-    records = [PairRecord("A", "B", 0.1, 0.2), PairRecord("A", "C", 0.2, 0.4),
-               PairRecord("B", "C", 0.3, 0.6)]
-    assert abs(alignment_rho(records) - 1.0) <= 1e-12
+    assert abs(alignment_rho([0.1, 0.2, 0.3], [0.2, 0.4, 0.6]) - 1.0) <= 1e-12
 
 
 def test_rho_constant_rrs_degenerate():
-    records = [PairRecord("A", "B", 0.5, 0.2), PairRecord("A", "C", 0.5, 0.4)]
     with pytest.raises(DegenerateInput):
-        alignment_rho(records)
+        alignment_rho([0.5, 0.5], [0.2, 0.4])
 
 
 def test_rho_spearman_flag():
-    records = [PairRecord("A", "B", 0.1, 0.01), PairRecord("A", "C", 0.2, 0.4),
-               PairRecord("B", "C", 0.3, 0.41)]
-    assert alignment_rho(records, "spearman") == 1.0
+    assert alignment_rho([0.1, 0.2, 0.3], [0.01, 0.4, 0.41], "spearman") == 1.0
 
 
 def test_rho_scale_invariance():
     rng = np.random.default_rng(7)
     rrs_values = rng.uniform(0, 1, size=12)
     cav = rng.uniform(-0.2, 0.9, size=12)
-    names = [chr(65 + k) for k in range(13)]
-    rec = [PairRecord(names[k], names[k + 1], rrs_values[k], cav[k])
-           for k in range(12)]
-    scaled = [PairRecord(names[k], names[k + 1], 7.0 * rrs_values[k] + 0.3, cav[k])
-              for k in range(12)]
-    assert alignment_rho(rec) == pytest.approx(alignment_rho(scaled), abs=1e-12)
+    assert alignment_rho(rrs_values, cav) == pytest.approx(
+        alignment_rho(7.0 * rrs_values + 0.3, cav), abs=1e-12)
 
 
-def test_pair_record_requires_sorted_firms():
-    with pytest.raises(ValueError):
-        PairRecord("B", "A", 0.1, 0.1)
+@pytest.mark.parametrize("rrs_values, cav", [
+    ([0.1, 0.2, 0.3], [0.2, 0.4]),
+    ([[0.1, 0.2], [0.3, 0.4]], [[0.2, 0.4], [0.6, 0.8]]),
+], ids=["lengths", "two_d"])
+def test_rho_needs_equal_length_pair_arrays(rrs_values, cav):
+    with pytest.raises(ValueError, match="equal-length 1-D"):
+        alignment_rho(rrs_values, cav)
 
 
 # --- GICS baseline ---

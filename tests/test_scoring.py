@@ -386,6 +386,14 @@ def test_rrs_csv_roundtrip_at_six_decimals(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+def test_rrs_csv_reads_any_header_order_as_sorted(tmp_path):
+    path = tmp_path / "rrs.csv"
+    path.write_text("firm,BBB,AAA,CCC\nBBB,1,0.25,0.5\nAAA,0.25,1,0\nCCC,0.5,0,1\n")
+    firms, matrix = read_rrs_csv(path)
+    assert firms == ["AAA", "BBB", "CCC"]
+    assert np.array_equal(matrix, [[1.0, 0.25, 0.0], [0.25, 1.0, 0.5], [0.0, 0.5, 1.0]])
+
+
 @pytest.mark.parametrize("text, detail", [
     ("firm,A,B\nA,1.0,0.5\nB,0.25,1.0\n", "matrix is not symmetric"),
     ("firm,A,B\nB,1.0,0.5\nA,0.5,1.0\n", "row labels do not match the header"),
