@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import corpus, evaluation, pairs as pairgen, scoring, training
 from .encoder import load_model, model_fingerprint, save_model
@@ -59,16 +60,15 @@ _FLAG_NAMES = {"train_count": "train", "val_count": "val"}
 
 def read_config(path: str | Path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file ('#' starts a comment)."""
-    config: dict[str, str] = {}
-    for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line (expected key = value): {raw_line!r}")
-        key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
-    return config
+    def settings(lines: Iterator[str]) -> Iterator[tuple[str, str]]:
+        for line in lines:
+            key, equals, value = line.split("#", 1)[0].partition("=")
+            if equals:
+                yield key.strip(), value.strip()
+            elif key.strip():
+                raise ValueError(f"expected key = value, got {line.strip()!r}")
+
+    return dict(corpus.read_lines(path, "setting", settings))
 
 
 def _settings(parser: argparse.ArgumentParser, *keys: str) -> None:
@@ -283,6 +283,26 @@ def cmd_sweep(args: argparse.Namespace, outputs: Outputs) -> None:
     print(f"sweep: {len(rows)} thresholds -> {args.out}")
 
 
+def _evidence_highlights(path: Path, firm_a: str, firm_b: str) -> list[str]:
+    """The report lines of one evidence document; a document that is not
+    UTF-8 JSON with the fields of one is a ``ValueError`` naming it."""
+    try:
+        doc = json.loads(path.read_bytes().decode("utf-8"))
+        lines = [f"Strongest pair {firm_a} - {firm_b}: "
+                 f"RRS {doc['rrs']:.6f} at threshold {doc['threshold']:.2f}, "
+                 f"{len(doc['evidence'])} evidence pairs.", ""]
+        for entry in doc["evidence"][:3]:
+            lines.append(f"- similarity {entry['similarity']:.4f}: "
+                         f"`{entry['id_a']}` / `{entry['id_b']}`")
+            if "text_a" in entry:
+                lines.append(f"    - {entry['text_a'][:220]}")
+                lines.append(f"    - {entry['text_b'][:220]}")
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed evidence document {path}: {detail}") from None
+    return lines + [""]
+
+
 def cmd_report(args: argparse.Namespace, outputs: Outputs) -> None:
     workdir = Path(args.workdir)
     rrs_path = Path(args.rrs) if args.rrs else workdir / "rrs.csv"
@@ -311,18 +331,7 @@ def cmd_report(args: argparse.Namespace, outputs: Outputs) -> None:
         _, top_a, top_b = pair_scores[0]
         doc_path = evidence_dir / f"{top_a}__{top_b}.json"
         if doc_path.is_file():
-            doc = json.loads(doc_path.read_text(encoding="utf-8"))
-            lines.append(f"Strongest pair {top_a} - {top_b}: "
-                         f"RRS {doc['rrs']:.6f} at threshold {doc['threshold']:.2f}, "
-                         f"{len(doc['evidence'])} evidence pairs.")
-            lines.append("")
-            for entry in doc["evidence"][:3]:
-                lines.append(f"- similarity {entry['similarity']:.4f}: "
-                             f"`{entry['id_a']}` / `{entry['id_b']}`")
-                if "text_a" in entry:
-                    lines.append(f"    - {entry['text_a'][:220]}")
-                    lines.append(f"    - {entry['text_b'][:220]}")
-            lines.append("")
+            lines += _evidence_highlights(doc_path, top_a, top_b)
         else:
             lines += ["_No evidence document for the top pair._", ""]
     else:

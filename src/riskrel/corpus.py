@@ -8,12 +8,15 @@ are pure; the same input always produces the same paragraphs and ids.
 
 from __future__ import annotations
 
+import csv
 import html
 import json
 import re
 from dataclasses import dataclass
+from itertools import filterfalse
+from operator import length_hint
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import EmptyCorpus
 
@@ -251,21 +254,29 @@ def typed_field(record: dict, key: str, kind: type) -> object:
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     """The records of a JSON-lines file, one per non-blank line, mapped by ``parse``.
 
-    A line that is not UTF-8 or not JSON, or whose record ``parse`` rejects
-    with a ``KeyError``, ``TypeError`` or ``ValueError``, is a ``ValueError``
-    naming the file and the line. Lines are split at newline bytes and
-    decoded one at a time, so an undecodable byte is reported on its own line.
+    A line that is not JSON, or whose record ``parse`` rejects, is a
+    ``malformed record`` error of :func:`read_lines`.
     """
-    records = []
-    with open(path, "rb") as fh:
-        for number, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                records.append(parse(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"malformed record in {path} line {number}: "
-                                 f"{detail}") from None
-    return records
+    return read_lines(path, "record", lambda lines: map(parse, map(json.loads, lines)))
+
+
+def read_lines(path: str | Path, kind: str,
+               parse: Callable[[Iterator[str]], Iterable[T]]) -> list[T]:
+    """``list(parse(lines))`` over the non-blank lines of a UTF-8 text file.
+
+    Lines end at LF, CR or CR LF and keep their ends; each is decoded only
+    when ``parse`` pulls it, so an undecodable byte is reported on its own
+    line. An undecodable line, or a ``KeyError``, ``TypeError``, ``ValueError``
+    or ``csv.Error`` raised in ``parse``, is a ``ValueError``: ``malformed
+    <kind> in <path> line <n>: <detail>``, n being the last line pulled.
+    """
+    raw = Path(path).read_bytes().splitlines(keepends=True)
+    # map and filterfalse pull one line at a time: the lines left in pending
+    # give the number of the last one pulled.
+    pending = iter(raw)
+    try:
+        return list(parse(filterfalse(str.isspace, map(bytes.decode, pending))))
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        number = len(raw) - length_hint(pending)
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed {kind} in {path} line {number}: {detail}") from None

@@ -13,6 +13,8 @@ similarity, 256-token truncation).
 from __future__ import annotations
 
 import hashlib
+import io
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -131,7 +133,11 @@ def forward(params: EncoderParams,
     pooled = np.einsum("bl,bld->bd", mask.astype(np.float64),
                        params.embed[id_matrix])
     h = pooled / counts[:, None]
-    return h, np.tanh(h @ params.proj_w.T + params.proj_b)
+    # tanh saturates: a product that overflows still encodes to +-1, and an
+    # undefined one (inf - inf) to NaN, which training rejects as non-finite
+    # and which never clears a scoring threshold.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return h, np.tanh(h @ params.proj_w.T + params.proj_b)
 
 
 def encode(params: EncoderParams, token_ids: Sequence[int] | np.ndarray,
@@ -207,15 +213,29 @@ def save_model(path: str | Path, vocab: Vocabulary, params: EncoderParams,
 
 
 def read_exact(fh, n: int, path: str | Path) -> bytes:
-    """Read exactly n bytes or fail with a clear truncation error."""
-    data = fh.read(n)
+    """Read exactly n bytes or fail with a clear truncation error.
+
+    A read allocates all n bytes first, so a length over the buffer size is
+    checked against the rest of the file before it is read.
+    """
+    past_end = n > io.DEFAULT_BUFFER_SIZE and n > os.fstat(fh.fileno()).st_size - fh.tell()
+    data = b"" if past_end else fh.read(n)
     if len(data) != n:
         raise ValueError(f"truncated riskrel binary file: {path}")
     return data
 
 
 def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
-    """Read a model file; returns (vocabulary, params, max_len)."""
+    """Read a model file; returns (vocabulary, params, max_len).
+
+    Besides a wrong magic, version or length, a file no training writes is a
+    ``ValueError`` naming it: fewer than two tokens, a width d below 2, first
+    tokens other than PAD and UNK, an undecodable token or a non-finite
+    parameter.
+    """
+    def malformed(detail: object) -> ValueError:
+        return ValueError(f"malformed model file {path}: {detail}")
+
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MODEL_MAGIC:
@@ -223,14 +243,24 @@ def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
         version, d, vocab_size = struct.unpack("<III", read_exact(fh, 12, path))
         if version != _MODEL_VERSION:
             raise ValueError(f"unsupported model format version {version}")
+        for name, value in (("vocabulary size", vocab_size), ("width d", d)):
+            if value < 2:
+                raise malformed(f"{name} {value} < 2")
         (max_len,) = struct.unpack("<I", read_exact(fh, 4, path))
         tokens = []
         for _ in range(vocab_size):
             (length,) = struct.unpack("<I", read_exact(fh, 4, path))
-            tokens.append(read_exact(fh, length, path).decode("utf-8"))
+            try:
+                tokens.append(read_exact(fh, length, path).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise malformed(f"token {len(tokens)}: {exc}") from None
+        if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
+            raise malformed(f"first tokens {tokens[:2]} are not {[PAD_TOKEN, UNK_TOKEN]}")
         embed = np.frombuffer(read_exact(fh, 8 * vocab_size * d, path), dtype="<f8")
         proj_w = np.frombuffer(read_exact(fh, 8 * d * d, path), dtype="<f8")
         proj_b = np.frombuffer(read_exact(fh, 8 * d, path), dtype="<f8")
+    if not all(np.isfinite(block).all() for block in (embed, proj_w, proj_b)):
+        raise malformed("parameters must be finite")
     vocab = Vocabulary(index_to_token=tuple(tokens),
                        token_to_index={t: i for i, t in enumerate(tokens)})
     params = EncoderParams(

@@ -24,10 +24,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import read_lines
 from .errors import (
     DegenerateInput,
     EmptyRelevanceSet,
@@ -94,9 +95,16 @@ class SweepRow:
 
 
 def daily_returns(prices: Sequence[tuple[str, float]], firm_id: str = "") -> ReturnSeries:
-    """Simple returns p_t/p_{t-1} - 1 over consecutive trading days."""
+    """Simple returns p_t/p_{t-1} - 1 over consecutive trading days.
+
+    The price dates must be strictly increasing: ReturnSeries checks the
+    dates it keeps, those of ``prices[1:]``, and the first is checked here.
+    """
     if len(prices) < 2:
         raise TooShort(f"need >= 2 price points for {firm_id or 'series'}")
+    (first, _), (second, _) = prices[:2]
+    if first >= second:
+        raise ValueError(f"dates must be strictly increasing: {second} after {first}")
     closes = np.array([close for _, close in prices], dtype=float)
     nonpositive = np.flatnonzero(closes <= 0)
     if nonpositive.size:
@@ -367,43 +375,22 @@ def read_csv_body(path: str | Path, fields: int,
                   parse: Callable[[list[str]], object] | None = None) -> list:
     """The rows after a CSV file's header, ``fields`` (>= 2) each, mapped by ``parse``.
 
-    Blank rows are skipped. An empty file, a row the CSV reader cannot split,
-    a row of another width, or a row ``parse`` rejects with a ``ValueError``
-    is a ``ValueError`` naming the file.
+    Blank rows are skipped. An empty file is a ``ValueError`` naming the file;
+    a row the CSV reader cannot split, a row of another width, or a row
+    ``parse`` rejects is a ``malformed CSV row`` error of :func:`read_lines`.
     """
-    rows = None  # until the header is read
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            for row in reader:
-                if len(row) == fields and rows is not None:
-                    rows.append(row if parse is None else parse(row))
-                elif len(row) > 1 or (row and row[0].strip()):  # not a blank row
-                    if rows is not None:
-                        raise ValueError(f"expected {fields} fields, got {len(row)}")
-                    rows = []
-        except (ValueError, csv.Error) as exc:
-            line = reader.line_num
-            if isinstance(exc, UnicodeDecodeError):
-                line, exc = _undecodable_line(path) or (line, exc)
-            raise ValueError(f"malformed CSV row in {path} line {line}: {exc}") from None
-    if rows is None:
+    def rows(lines: Iterator[str]) -> Iterator:
+        reader = csv.reader(lines)  # one reader for the file: rows may span lines
+        for row in reader:
+            if len(row) == fields and header:
+                yield row if parse is None else parse(row)
+            elif len(row) > 1 or (row and row[0].strip()):  # not a blank row
+                if header:
+                    raise ValueError(f"expected {fields} fields, got {len(row)}")
+                header.append(row)
+
+    header: list[list[str]] = []
+    body = read_lines(path, "CSV row", rows)
+    if not header:
         raise ValueError(f"empty CSV file: {path}")
-    return rows
-
-
-def _undecodable_line(path: str | Path) -> tuple[int, UnicodeDecodeError] | None:
-    """The number of the first line of ``path`` that is not UTF-8, and its error.
-
-    The text reader decodes a whole chunk before the CSV reader counts a
-    line, so its error cannot say where the bad byte is; this re-reads the
-    bytes, split at the line ends the CSV reader sees (LF, CR and CR LF),
-    which never fall inside a UTF-8 sequence.
-    """
-    with open(path, "rb") as fh:
-        for number, line in enumerate(fh.read().splitlines(), start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return number, exc
-    return None
+    return body

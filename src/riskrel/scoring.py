@@ -37,11 +37,11 @@ import struct
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FirmCorpus, Paragraph
+from .corpus import FirmCorpus, Paragraph, read_lines
 from .encoder import (
     DEFAULT_MAX_LEN,
     EncoderParams,
@@ -419,45 +419,39 @@ def write_rrs_csv(firms: Sequence[str], matrix: np.ndarray,
 def read_rrs_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read a matrix written by :func:`write_rrs_csv`, its firms sorted.
 
-    The header's firms must be distinct and the row labels must repeat them,
-    every row needs one finite number per firm, and the matrix must be
-    symmetric; anything else is a ``ValueError`` naming the file. A header in
-    any order is read into sorted order, the matrix permuted to match.
+    The header's firms must be distinct and every row needs one finite
+    number per firm (else a ``malformed RRS matrix`` error of
+    :func:`read_lines`); the header needs a firm, the row labels must repeat
+    it and the matrix must be symmetric (else a ``ValueError`` naming the
+    file). A header in any order is read into sorted order, the matrix
+    permuted to match.
     """
+    def rows(lines: Iterator[str]) -> Iterator[tuple[str, list[float]]]:
+        firms = None  # until the header is read
+        for line in lines:
+            label, *cells = line.strip().split(",")
+            if firms is None:
+                firms = cells
+                repeated = [firm for k, firm in enumerate(firms) if firm in firms[:k]]
+                if repeated:
+                    raise ValueError(f"firm {repeated[0]!r} appears twice in the header")
+            elif len(cells) != len(firms):
+                raise ValueError(f"row has {len(cells)} values for {len(firms)} firms")
+            else:
+                cells = [float(c) for c in cells]
+                if not np.isfinite(cells).all():
+                    raise ValueError("values must be finite numbers")
+            yield label, cells
+
     def malformed(detail: str) -> ValueError:
         return ValueError(f"malformed RRS matrix in {path}: {detail}")
 
-    firms, labels, rows = None, [], []  # firms: None until the header is read
-    # Lines end at LF, CR or CR LF, as in text mode; each is decoded on its own.
-    for number, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError as exc:
-            raise malformed(f"line {number}: {exc}") from None
-        if firms is None:
-            firms = line.split(",")[1:]
-            repeated = [firm for k, firm in enumerate(firms) if firm in firms[:k]]
-            if repeated:
-                raise malformed(f"line 1: firm {repeated[0]!r} appears twice in the header")
-            continue
-        if not line:
-            continue
-        label, *cells = line.split(",")
-        if len(cells) != len(firms):
-            raise malformed(f"line {number} has {len(cells)} values "
-                            f"for {len(firms)} firms")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise malformed(f"line {number}: {exc}") from None
-        if not np.isfinite(rows[-1]).all():
-            raise malformed(f"line {number}: values must be finite numbers")
-        labels.append(label)
+    (_, firms), *labelled = read_lines(path, "RRS matrix", rows) or [("", [])]
     if not firms:
         raise malformed("no firms in the header")
-    if labels != firms:
+    if [label for label, _ in labelled] != firms:
         raise malformed("row labels do not match the header")
-    matrix = np.array(rows)
+    matrix = np.array([cells for _, cells in labelled])
     if not np.array_equal(matrix, matrix.T):
         raise malformed("matrix is not symmetric")
     order = sorted(range(len(firms)), key=firms.__getitem__)
@@ -488,26 +482,33 @@ def save_embeddings(index: EmbeddingIndex, path: str | Path) -> None:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingIndex:
-    """Read an index written by :func:`save_embeddings`."""
+    """Read an index written by :func:`save_embeddings`; a truncated file, or
+    an undecodable fingerprint, firm or paragraph id, is a ``ValueError``
+    naming it."""
     with open(path, "rb") as fh:
         if fh.read(8) != _EMB_MAGIC:
             raise ValueError(f"not a riskrel embeddings file: {path}")
         version, d, max_len, n_firms = struct.unpack("<IIII", read_exact(fh, 16, path))
         if version != _EMB_VERSION:
             raise ValueError(f"unsupported embeddings format version {version}")
-        (fp_len,) = struct.unpack("<I", read_exact(fh, 4, path))
-        fingerprint = read_exact(fh, fp_len, path).decode("ascii")
+
+        def text(encoding: str = "utf-8") -> str:
+            (length,) = struct.unpack("<I", read_exact(fh, 4, path))
+            try:
+                return read_exact(fh, length, path).decode(encoding)
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"malformed embeddings file {path}: {exc}") from None
+
+        fingerprint = text("ascii")
         firms: dict[str, tuple[list[str], np.ndarray]] = {}
         for _ in range(n_firms):
-            (firm_len,) = struct.unpack("<I", read_exact(fh, 4, path))
-            firm = read_exact(fh, firm_len, path).decode("utf-8")
+            firm = text()
             (count,) = struct.unpack("<I", read_exact(fh, 4, path))
-            ids = []
-            vectors = np.empty((count, d))
-            for k in range(count):
-                (id_len,) = struct.unpack("<I", read_exact(fh, 4, path))
-                ids.append(read_exact(fh, id_len, path).decode("utf-8"))
-                vectors[k] = np.frombuffer(read_exact(fh, 8 * d, path), dtype="<f8")
-            firms[firm] = (ids, vectors)
+            ids, rows = [], []
+            for _ in range(count):
+                ids.append(text())
+                rows.append(read_exact(fh, 8 * d, path))
+            vectors = np.frombuffer(b"".join(rows), dtype="<f8").reshape(count, d)
+            firms[firm] = (ids, vectors.astype(np.float64))
     return EmbeddingIndex(firms=firms, model_fingerprint=fingerprint,
                           max_len=max_len)

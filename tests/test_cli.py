@@ -3,6 +3,8 @@
 import json
 import os
 import shlex
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -277,20 +279,20 @@ def test_evaluate_rejects_asymmetric_matrix(tmp_path, capsys):
     assert not (tmp_path / "eval").exists()
 
 
-@pytest.mark.parametrize("text, detail", [
-    (b"firm,A,A\nA,1.0,0.5\nA,0.5,1.0\n", "line 1: firm 'A' appears twice in the header"),
-    (b"firm,A,B\nA,1.0,nan\nB,nan,1.0\n", "line 2: values must be finite numbers"),
-    (b"firm,A,B\nA,1.0,0.5\nB,0.5,1.0\xff\n",
-     "line 3: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+@pytest.mark.parametrize("text, line, detail", [
+    (b"firm,A,A\nA,1.0,0.5\nA,0.5,1.0\n", 1, "firm 'A' appears twice in the header"),
+    (b"firm,A,B\nA,1.0,nan\nB,nan,1.0\n", 2, "values must be finite numbers"),
+    (b"firm,A,B\nA,1.0,0.5\nB,0.5,1.0\xff\n", 3,
+     "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
 ], ids=["repeated_firm", "nan", "undecodable"])
 def test_evaluate_on_malformed_rrs_matrix_names_file_and_line(tmp_path, capsys, text,
-                                                              detail):
+                                                              line, detail):
     rrs = tmp_path / "rrs.csv"
     rrs.write_bytes(text)
     code, _, err = run(["evaluate", "--rrs", str(rrs), "--prices", str(tmp_path),
                         "--out", str(tmp_path / "eval")], capsys)
     assert code == 1
-    assert err == f"error: ValueError: malformed RRS matrix in {rrs}: {detail}\n"
+    assert err == f"error: ValueError: malformed RRS matrix in {rrs} line {line}: {detail}\n"
     assert not (tmp_path / "eval").exists()
 
 
@@ -423,6 +425,72 @@ def test_evaluate_on_malformed_gics_file_is_clean_error(pipeline_dir, fixture_ma
     assert not (tmp_path / "eval").exists()
 
 
+def _undecodable_inputs(kind, pipeline_dir, fixture_manifest, tmp_path):
+    """A command that reads one text input of this kind, the input's path, its
+    record name in errors, and the valid bytes the input is made from."""
+    def evaluate(rrs=pipeline_dir / "rrs.csv", prices=fixture_manifest.prices_dir):
+        return ["evaluate", "--rrs", str(rrs), "--prices", str(prices),
+                "--out", str(tmp_path / "eval")]
+
+    if kind == "config":
+        bad = tmp_path / "run.conf"
+        return (["ingest", "--root", str(fixture_manifest.filings_dir), "--out",
+                 str(tmp_path / "p.jsonl"), "--config", str(bad)],
+                bad, "setting", b"min_tokens = 20\nsections = 1A,7A\n# sections to keep\n")
+    if kind == "paragraphs":
+        bad = tmp_path / "paragraphs.jsonl"
+        return (["pairs", "--in", str(bad), "--seed", "7", "--out", str(tmp_path / "pairs")],
+                bad, "record", (pipeline_dir / "paragraphs.jsonl").read_bytes())
+    if kind == "pairs":
+        pairs = tmp_path / "pairs"
+        shutil.copytree(pipeline_dir / "pairs", pairs)
+        bad = pairs / "lexical.train.jsonl"
+        return (["train", "--pairs", str(pairs), "--seed", "0", "--max-epochs", "1",
+                 "--out", str(tmp_path / "model.bin")], bad, "record", bad.read_bytes())
+    if kind == "prices":
+        shutil.copytree(fixture_manifest.prices_dir, tmp_path / "prices")
+        bad = tmp_path / "prices" / "BOLT.csv"
+        return evaluate(prices=bad.parent), bad, "CSV row", bad.read_bytes()
+    if kind == "gics":
+        bad = tmp_path / "gics.csv"
+        return ([*evaluate(), "--gics", str(bad)], bad, "CSV row",
+                fixture_manifest.gics_path.read_bytes())
+    if kind == "rrs":
+        bad = tmp_path / "rrs.csv"
+        return evaluate(rrs=bad), bad, "RRS matrix", (pipeline_dir / "rrs.csv").read_bytes()
+    bad = tmp_path / "eval" / "metrics.csv"
+    bad.parent.mkdir()
+    return (["report", "--workdir", str(tmp_path)], bad, "CSV row",
+            (pipeline_dir / "eval" / "metrics.csv").read_bytes())
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "crlf"])
+@pytest.mark.parametrize("kind", ["config", "paragraphs", "pairs", "prices", "gics", "rrs",
+                                  "metrics"])
+def test_undecodable_byte_names_the_input_and_its_line(pipeline_dir, fixture_manifest,
+                                                       tmp_path, capsys, kind, end):
+    argv, bad, record, valid = _undecodable_inputs(kind, pipeline_dir, fixture_manifest,
+                                                   tmp_path)
+    lines = valid.splitlines()
+    lines[2] = b"\xff" + lines[2]
+    bad.write_bytes(end.join(lines) + end)
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err == (f"error: ValueError: malformed {record} in {bad} line 3: 'utf-8' codec "
+                   "can't decode byte 0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("d, size", [(64, 0), (0, 3)], ids=["no_vocabulary", "d0"])
+def test_embed_on_untrainable_model_is_one_line_error(pipeline_dir, tmp_path, capsys, d, size):
+    model = tmp_path / "model.bin"
+    model.write_bytes(b"RRENC001" + struct.pack("<IIII", 1, d, size, 256))
+    code, _, err = run(["embed", "--model", str(model), "--in",
+                        str(pipeline_dir / "paragraphs.jsonl"), "--out", str(tmp_path / "e.bin")],
+                       capsys)
+    detail = "vocabulary size 0 < 2" if size == 0 else "width d 0 < 2"
+    assert (code, err) == (1, f"error: ValueError: malformed model file {model}: {detail}\n")
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -448,6 +516,26 @@ def test_bad_close_price_names_file_and_line(pipeline_dir, fixture_manifest, tmp
     code, _, err = run(argv + ["--prices", str(prices)], capsys)
     assert code == 1
     assert err == f"error: ValueError: malformed CSV row in {bad} line 4: {detail}\n"
+
+
+@pytest.mark.parametrize("document, detail", [
+    (b'{"rrs": 0.5,', "Expecting property name enclosed in double quotes: "
+                     "line 1 column 13 (char 12)"),
+    (b'{"threshold": 0.75, "evidence": []}', "missing key 'rrs'"),
+    (b'{"rrs": "high", "threshold": 0.75, "evidence": []}',
+     "Unknown format code 'f' for object of type 'str'"),
+    (b'{"rrs": 0.5, "threshold": 0.75, "evidence": [\xff]}',
+     "'utf-8' codec can't decode byte 0xff in position 45: invalid start byte"),
+], ids=["not_json", "no_rrs", "rrs_not_a_number", "undecodable"])
+def test_report_on_malformed_evidence_document_names_it(tmp_path, capsys, document, detail):
+    (tmp_path / "rrs.csv").write_text("firm,A,B\nA,1,0.5\nB,0.5,1\n")
+    (tmp_path / "evidence").mkdir()
+    doc = tmp_path / "evidence" / "A__B.json"
+    doc.write_bytes(document)
+    code, _, err = run(["report", "--workdir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == f"error: ValueError: malformed evidence document {doc}: {detail}\n"
+    assert not (tmp_path / "report.md").exists()
 
 
 def test_report_on_metrics_row_without_value_names_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Encoder: vocabulary, forward pass, cosine similarity, model file format."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -189,6 +190,52 @@ def test_model_rejects_truncated_file(tmp_path):
     clipped.write_bytes(path.read_bytes()[:40])
     with pytest.raises(ValueError, match="truncated"):
         load_model(clipped)
+
+
+def _model_bytes(d, tokens, value=0.5, vocab_size=None):
+    """A model file of these tokens whose every parameter is ``value``."""
+    size = len(tokens) if vocab_size is None else vocab_size
+    return (b"RRENC001" + struct.pack("<IIII", 1, d, size, 256)
+            + b"".join(struct.pack("<I", len(t)) + t for t in tokens)
+            + np.full(len(tokens) * d + d * d + d, value, dtype="<f8").tobytes())
+
+
+def test_model_bytes_helper_writes_what_save_model_writes(tmp_path):
+    vocab = build_vocab([["a", "a"]], min_freq=1)
+    params = init_params(len(vocab), d=2, rng=0)
+    for block in (params.embed, params.proj_w, params.proj_b):
+        block[...] = 0.5
+    save_model(tmp_path / "model.bin", vocab, params)
+    assert (tmp_path / "model.bin").read_bytes() == _model_bytes(2, [b"<pad>", b"<unk>", b"a"])
+
+
+@pytest.mark.parametrize("raw, detail", [
+    (_model_bytes(4, [], vocab_size=0), "vocabulary size 0 < 2"),
+    (_model_bytes(4, [b"<pad>"]), "vocabulary size 1 < 2"),
+    (_model_bytes(0, [b"<pad>", b"<unk>", b"a"]), "width d 0 < 2"),
+    (_model_bytes(1, [b"<pad>", b"<unk>", b"a"]), "width d 1 < 2"),
+    (_model_bytes(2, [b"<unk>", b"<pad>", b"a"]),
+     "first tokens ['<unk>', '<pad>'] are not ['<pad>', '<unk>']"),
+    (_model_bytes(2, [b"<pad>", b"<unk>", b"\xff"]),
+     "token 2: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (_model_bytes(2, [b"<pad>", b"<unk>"], value=math.inf), "parameters must be finite"),
+    (_model_bytes(2, [b"<pad>", b"<unk>"], value=math.nan), "parameters must be finite"),
+], ids=["no_tokens", "one_token", "d0", "d1", "specials_swapped", "undecodable_token",
+        "inf", "nan"])
+def test_model_rejects_what_no_training_writes(tmp_path, raw, detail):
+    path = tmp_path / "model.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"malformed model file {path}: {detail}"
+
+
+def test_model_length_past_the_end_is_truncated_not_allocated(tmp_path):
+    path = tmp_path / "model.bin"
+    path.write_bytes(b"RRENC001" + struct.pack("<IIII", 1, 2**32 - 1, 2, 256)
+                     + b"\x05\0\0\0<pad>\x05\0\0\0<unk>" + bytes(200))
+    with pytest.raises(ValueError, match="^truncated riskrel binary file"):
+        load_model(path)
 
 
 def test_model_fingerprint_tracks_content(tmp_path):

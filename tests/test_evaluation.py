@@ -77,6 +77,15 @@ def test_daily_returns_too_short():
         daily_returns([("d1", 100.0)])
 
 
+@pytest.mark.parametrize("prices, detail", [
+    ([("d002", 10.0), ("d001", 11.0), ("d003", 12.0)], "d001 after d002"),
+    ([("d001", 10.0), ("d001", 11.0)], "d001 after d001"),
+], ids=["first_two_swapped", "first_date_repeated"])
+def test_daily_returns_checks_the_first_date_too(prices, detail):
+    with pytest.raises(ValueError, match=f"^dates must be strictly increasing: {detail}$"):
+        daily_returns(prices)
+
+
 # --- pearson / spearman ---
 
 def test_pearson_self_exact_one():

@@ -1,10 +1,15 @@
-"""Every input reader, fed arbitrary text through the command line, either
-succeeds or ends in one ``error: <Kind>: <detail>`` line with exit status 1."""
+"""Every input reader, fed arbitrary input through the command line, either
+succeeds or ends in one ``error: <Kind>: <detail>`` line with exit status 1.
+
+Text inputs are written as UTF-8 with LF, CR or CR LF line ends, now and then
+with a byte that is not UTF-8; the model file is arbitrary bytes, or a model
+header of random sizes with tokens and parameters of any value."""
 
 import contextlib
 import io
 import json
 import shutil
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrel import cli
+from riskrel import cli, corpus
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -105,13 +110,53 @@ _TEXT = {
 }
 
 
+_SIZE = st.integers(0, 4) | st.integers(0, 2**32 - 1)
+_PARAMETER = st.floats(-1, 1) | st.floats()
+
+
+@st.composite
+def _model_files(draw):
+    """A model file: its magic and version now and then wrong, its width and
+    vocabulary size small or any u32, its tokens now and then not led by PAD and
+    UNK or not UTF-8, its parameters now and then too few, too many or not finite."""
+    tokens = [b"<pad>", b"<unk>"] if draw(st.integers(0, 3)) else []
+    tokens += draw(st.lists(st.sampled_from([b"supply", b"risk", b"<pad>", b"\xff"])
+                            | st.binary(max_size=4), max_size=4))
+    d, size = draw(_SIZE), draw(st.just(len(tokens)) | _SIZE)
+    header = struct.pack("<IIII", draw(st.sampled_from([1, 1, 1, 2])), d, size,
+                         draw(st.integers(0, 300) | _SIZE))
+    wanted = size * d + d * d + d
+    count = wanted if wanted <= 64 and draw(st.integers(0, 3)) else draw(st.integers(0, 64))
+    return (draw(st.sampled_from([b"RRENC001"] * 5 + [b"RREMB001"])) + header
+            + b"".join(struct.pack("<I", len(t)) + t for t in tokens)
+            + struct.pack(f"<{count}d", *draw(st.lists(_PARAMETER, min_size=count,
+                                                      max_size=count))))
+
+
+@st.composite
+def _encoded(draw, text):
+    """``text`` as UTF-8 with one kind of line end, now and then with a 0xff byte."""
+    raw = draw(text).encode("utf-8").replace(b"\n", draw(st.sampled_from([b"\n", b"\r",
+                                                                           b"\r\n"])))
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(raw)))
+        raw = raw[:k] + b"\xff" + raw[k:]
+    return raw
+
+
+_INPUTS = {**{kind: _encoded(text) for kind, text in _TEXT.items()},
+           "model": st.binary(max_size=80) | st.binary(max_size=80).map(b"RRENC001".__add__)
+           | _model_files()}
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A one-filing corpus, a four-firm RRS matrix and price files."""
+    """A one-filing corpus and its paragraphs, a four-firm RRS matrix and price files."""
     root = tmp_path_factory.mktemp("fuzz-inputs")
     filing = root / "filings" / "AAA" / "2020.txt"
     filing.parent.mkdir(parents=True)
     filing.write_text("Item 1A. Risk Factors " + "supply risk " * 15 + "Item 2. Properties")
+    corpus.write_paragraphs(corpus.ingest_directory(root / "filings"), root / "paragraphs.jsonl")
     (root / "rrs.csv").write_text("firm,AAA,BBB,CCC,DDD\nAAA,1,0.5,0.25,0.1\n"
                                   "BBB,0.5,1,0.1,0.2\nCCC,0.25,0.1,1,0.3\n"
                                   "DDD,0.1,0.2,0.3,1\n")
@@ -138,6 +183,9 @@ def _argv(kind: str, inputs: Path, fuzzed: Path, work: Path) -> list[str]:
     if kind == "rrs":
         return ["evaluate", "--rrs", str(fuzzed), "--prices", str(inputs / "prices"),
                 "--out", str(work / "eval")]
+    if kind == "model":
+        return ["embed", "--model", str(fuzzed), "--in", str(inputs / "paragraphs.jsonl"),
+                "--out", str(work / "embeddings.bin")]
     if kind == "paragraphs":
         return ["pairs", "--in", str(fuzzed), "--seed", "7", "--train", "1", "--val", "1",
                 "--out", str(work / "pairs")]
@@ -149,15 +197,15 @@ def _argv(kind: str, inputs: Path, fuzzed: Path, work: Path) -> list[str]:
             "--batch-size", "2", "--embed-dim", "4", "--out", str(work / "model.bin")]
 
 
-@pytest.mark.parametrize("kind", sorted(_TEXT))
+@pytest.mark.parametrize("kind", sorted(_INPUTS))
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_reader_succeeds_or_reports_one_error_line(inputs, kind, data):
-    text = data.draw(_TEXT[kind], label=kind)
+    raw = data.draw(_INPUTS[kind], label=kind)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         fuzzed = work / "input"
-        fuzzed.write_text(text, encoding="utf-8")
+        fuzzed.write_bytes(raw)
         argv = _argv(kind, inputs, fuzzed, work)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -170,3 +218,5 @@ def test_reader_succeeds_or_reports_one_error_line(inputs, kind, data):
         assert code == 1
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+        if kind == "config" and err.getvalue().startswith("error: ValueError: "):
+            assert str(fuzzed) in err.getvalue()

@@ -281,6 +281,25 @@ def test_embeddings_rejects_truncated_file(tmp_path):
         load_embeddings(clipped)
 
 
+@pytest.mark.parametrize("old, new, detail", [
+    (b"\x02\0\0\0fp", b"\x02\0\0\0f\xff",
+     "'ascii' codec can't decode byte 0xff in position 1: ordinal not in range(128)"),
+    (b"QQ\x01\0\0\0", b"\xffQ\x01\0\0\0",
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"QQ:2023", b"QQ:\xff023",
+     "'utf-8' codec can't decode byte 0xff in position 3: invalid start byte"),
+], ids=["fingerprint", "firm", "paragraph_id"])
+def test_embeddings_undecodable_text_names_the_file(tmp_path, old, new, detail):
+    path = tmp_path / "emb.bin"
+    save_embeddings(make_index({"QQ": np.zeros((1, 2))}, fingerprint="fp"), path)
+    raw = path.read_bytes()
+    assert raw.count(old) == 1
+    path.write_bytes(raw.replace(old, new))
+    with pytest.raises(ValueError) as exc:
+        load_embeddings(path)
+    assert str(exc.value) == f"malformed embeddings file {path}: {detail}"
+
+
 def test_embed_corpus_keeps_empty_firm():
     vocab = build_vocab([["a", "a"]], min_freq=1)
     params = init_params(len(vocab), d=4, rng=0)
@@ -394,14 +413,14 @@ def test_rrs_csv_reads_any_header_order_as_sorted(tmp_path):
     assert np.array_equal(matrix, [[1.0, 0.25, 0.0], [0.25, 1.0, 0.5], [0.0, 0.5, 1.0]])
 
 
-@pytest.mark.parametrize("text, detail", [
-    ("firm,A,B\nA,1.0,0.5\nB,0.25,1.0\n", "matrix is not symmetric"),
-    ("firm,A,B\nB,1.0,0.5\nA,0.5,1.0\n", "row labels do not match the header"),
-    ("firm,A,B\nA,1.0,0.5\nB,0.5\n", "line 3 has 1 values for 2 firms"),
+@pytest.mark.parametrize("text, message", [
+    ("firm,A,B\nA,1.0,0.5\nB,0.25,1.0\n", "{path}: matrix is not symmetric"),
+    ("firm,A,B\nB,1.0,0.5\nA,0.5,1.0\n", "{path}: row labels do not match the header"),
+    ("firm,A,B\nA,1.0,0.5\nB,0.5\n", "{path} line 3: row has 1 values for 2 firms"),
 ], ids=["asymmetric", "swapped_rows", "ragged"])
-def test_rrs_csv_rejects_malformed(tmp_path, text, detail):
+def test_rrs_csv_rejects_malformed(tmp_path, text, message):
     path = tmp_path / "rrs.csv"
     path.write_text(text)
     with pytest.raises(ValueError) as exc:
         read_rrs_csv(path)
-    assert str(exc.value) == f"malformed RRS matrix in {path}: {detail}"
+    assert str(exc.value) == "malformed RRS matrix in " + message.format(path=path)
