@@ -297,7 +297,7 @@ def _evidence_highlights(path: Path, firm_a: str, firm_b: str) -> list[str]:
             if "text_a" in entry:
                 lines.append(f"    - {entry['text_a'][:220]}")
                 lines.append(f"    - {entry['text_b'][:220]}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"malformed evidence document {path}: {detail}") from None
     return lines + [""]

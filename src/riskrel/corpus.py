@@ -13,7 +13,7 @@ import html
 import json
 import re
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import filterfalse, groupby
 from operator import length_hint
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -108,9 +108,11 @@ def strip_markup(raw: str) -> str:
     text = html.unescape(text)
     text = _TAG_RE.sub(" ", text)
 
-    paragraphs = [re.sub(r"\s+", " ", part).strip()
-                  for part in re.split(r"\s*\n\s*\n\s*", text)]
-    return "\n\n".join(p for p in paragraphs if p)
+    # A blank or all-whitespace line ends a paragraph. str.split() and
+    # str.isspace() test whitespace as the regex \s does.
+    blocks = groupby(text.split("\n"), key=lambda line: not line or line.isspace())
+    return "\n\n".join(" ".join(" ".join(lines).split())
+                       for blank, lines in blocks if not blank)
 
 
 def extract_sections(cleaned: str,
@@ -266,9 +268,10 @@ def read_lines(path: str | Path, kind: str,
 
     Lines end at LF, CR or CR LF and keep their ends; each is decoded only
     when ``parse`` pulls it, so an undecodable byte is reported on its own
-    line. An undecodable line, or a ``KeyError``, ``TypeError``, ``ValueError``
-    or ``csv.Error`` raised in ``parse``, is a ``ValueError``: ``malformed
-    <kind> in <path> line <n>: <detail>``, n being the last line pulled.
+    line. An undecodable line, or a ``KeyError``, ``TypeError``, ``ValueError``,
+    ``RecursionError`` (JSON nested too deep) or ``csv.Error`` raised in
+    ``parse``, is a ``ValueError``: ``malformed <kind> in <path> line <n>:
+    <detail>``, n being the last line pulled.
     """
     raw = Path(path).read_bytes().splitlines(keepends=True)
     # map and filterfalse pull one line at a time: the lines left in pending
@@ -276,7 +279,7 @@ def read_lines(path: str | Path, kind: str,
     pending = iter(raw)
     try:
         return list(parse(filterfalse(str.isspace, map(bytes.decode, pending))))
-    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError, csv.Error) as exc:
         number = len(raw) - length_hint(pending)
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"malformed {kind} in {path} line {number}: {detail}") from None

@@ -146,8 +146,16 @@ def _correlate(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> floa
     (dx, sx), (dy, sy) = x, y
     if sx == 0.0 or sy == 0.0:
         raise ZeroVariance("correlation input is constant")
-    r = float(np.dot(dx, dy)) / math.sqrt(sx * sy)
-    return max(-1.0, min(1.0, r))
+    dot = float(np.dot(dx, dy))
+    denom = math.sqrt(sx * sy)
+    if not 0.0 < denom < math.inf:
+        # sx * sy left the float range (tiny or huge returns). Scaling sx
+        # and sy by even powers of two, and dot by the root of their
+        # product, changes no bit of r.
+        kx, ky = math.frexp(sx)[1] // 2, math.frexp(sy)[1] // 2
+        dot = math.ldexp(dot, -kx - ky)
+        denom = math.sqrt(math.ldexp(sx, -2 * kx) * math.ldexp(sy, -2 * ky))
+    return max(-1.0, min(1.0, dot / denom))
 
 
 def _ranks(x: np.ndarray) -> np.ndarray:

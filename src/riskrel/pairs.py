@@ -5,7 +5,9 @@ Two complementary views over risk-section paragraphs:
 * chronological — two same-firm paragraphs that mention an identical
   calendar date (quarter-end accounting dates excluded) form a pair, with
   every date mention deleted from both sides so the encoder cannot match
-  on the dates themselves;
+  on the dates themselves. The date scan tries only the positions where a
+  date can start (a month name, or the token before a "/" or "-"), and
+  each paragraph's mentions are found once and then deleted;
 * lexical — two overlapping spans of a single paragraph form a pair,
   exploiting the boilerplate phrasing of annual reports.
 
@@ -42,6 +44,9 @@ _MONTHS = {
     "june": 6, "july": 7, "august": 8, "september": 9, "october": 10,
     "november": 11, "december": 12,
 }
+_SEPARATORS = frozenset({"/", "-"})
+# The tokens at or just after which a date form can start.
+_DATE_STARTS = frozenset(_MONTHS) | _SEPARATORS
 
 
 @dataclass(frozen=True)
@@ -88,11 +93,23 @@ def detect_date_tokens(paragraph: Paragraph) -> list[DateMention]:
 
 
 def scan_tokens(tokens: Sequence[str], paragraph_id: str = "") -> list[DateMention]:
-    """Token-level date scanner behind :func:`detect_date_tokens`."""
+    """Token-level date scanner behind :func:`detect_date_tokens`.
+
+    A date can start only at a month name or just before a "/" or "-", so
+    only those positions are tried; a paragraph holding none of these
+    tokens is dismissed by one set check.
+    """
+    if _DATE_STARTS.isdisjoint(tokens):
+        return []
     mentions: list[DateMention] = []
     n = len(tokens)
-    i = 0
-    while i < n:
+    # Non-decreasing; a separator at token 0 gives -1, which end skips.
+    starts = [k - (tok in _SEPARATORS)
+              for k, tok in enumerate(tokens) if tok in _DATE_STARTS]
+    end = 0  # the scan resumes here after a hit
+    for i in starts:
+        if i < end:
+            continue
         tok = tokens[i]
         hit: tuple[int, str] | None = None  # (span end, iso)
 
@@ -127,7 +144,6 @@ def scan_tokens(tokens: Sequence[str], paragraph_id: str = "") -> list[DateMenti
                 hit = (i + 5, iso)
 
         if hit is None:
-            i += 1
             continue
         end, iso = hit
         month_day = (int(iso[5:7]), int(iso[8:10]))
@@ -137,25 +153,29 @@ def scan_tokens(tokens: Sequence[str], paragraph_id: str = "") -> list[DateMenti
             normalized=iso,
             is_accounting=month_day in ACCOUNTING_DATES,
         ))
-        i = end
     return mentions
 
 
-def _strip_date_tokens(tokens: Sequence[str]) -> tuple[str, ...]:
-    """Delete every date-mention span, repeating until none remain.
+def _strip_date_tokens(tokens: Sequence[str],
+                       mentions: Sequence[DateMention]) -> tuple[str, ...]:
+    """Delete the spans of ``mentions`` (the scan of ``tokens``), then of every
+    date left, repeating until none remain.
 
     Deletion can juxtapose tokens into a new date pattern ("december"
-    followed by a freed year token), so the scan runs to a fixpoint.
+    followed by a freed year token), so the shortened tokens are scanned
+    again, to a fixpoint.
     """
     current = tuple(tokens)
-    while True:
-        mentions = scan_tokens(current)
-        if not mentions:
-            return current
-        drop = set()
+    while mentions:
+        kept: tuple[str, ...] = ()
+        resume = 0
         for m in mentions:
-            drop.update(range(*m.token_span))
-        current = tuple(t for k, t in enumerate(current) if k not in drop)
+            start, stop = m.token_span
+            kept += current[resume:start]
+            resume = stop
+        current = kept + current[resume:]
+        mentions = scan_tokens(current)
+    return current
 
 
 def build_chronological_pairs(corpus: FirmCorpus,
@@ -188,7 +208,8 @@ def build_chronological_pairs(corpus: FirmCorpus,
                 seen.add(key)
                 for p in (left, right):
                     if p.id not in stripped:
-                        stripped[p.id] = _strip_date_tokens(p.tokens)
+                        stripped[p.id] = _strip_date_tokens(
+                            p.tokens, mentions_by_para[p.id])
                 if (len(stripped[left.id]) < min_tokens
                         or len(stripped[right.id]) < min_tokens):
                     continue

@@ -538,6 +538,30 @@ def test_report_on_malformed_evidence_document_names_it(tmp_path, capsys, docume
     assert not (tmp_path / "report.md").exists()
 
 
+DEEP_JSON = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
+
+def test_pairs_on_too_deeply_nested_record_names_file_and_line(tmp_path, capsys):
+    paragraphs = tmp_path / "p.jsonl"
+    paragraphs.write_text("[" * 100_000 + "\n")
+    code, _, err = run(["pairs", "--in", str(paragraphs), "--seed", "7",
+                        "--out", str(tmp_path / "pairs")], capsys)
+    assert code == 1
+    assert err == f"error: ValueError: malformed record in {paragraphs} line 1: {DEEP_JSON}\n"
+    assert not (tmp_path / "pairs").exists()
+
+
+def test_report_on_too_deeply_nested_evidence_document_names_it(tmp_path, capsys):
+    (tmp_path / "rrs.csv").write_text("firm,A,B\nA,1,0.5\nB,0.5,1\n")
+    (tmp_path / "evidence").mkdir()
+    doc = tmp_path / "evidence" / "A__B.json"
+    doc.write_text("[" * 100_000)
+    code, _, err = run(["report", "--workdir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == f"error: ValueError: malformed evidence document {doc}: {DEEP_JSON}\n"
+    assert not (tmp_path / "report.md").exists()
+
+
 def test_report_on_metrics_row_without_value_names_file(tmp_path, capsys):
     metrics = tmp_path / "eval" / "metrics.csv"
     metrics.parent.mkdir()

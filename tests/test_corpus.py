@@ -3,6 +3,8 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskrel import corpus
 from riskrel.corpus import (
@@ -101,6 +103,21 @@ def test_strip_markup_block_tags_become_breaks():
 ])
 def test_strip_markup_invariant_no_open_angle_letter(raw):
     assert re.search(r"<[A-Za-z]", strip_markup(raw)) is None
+
+
+def _oracle_paragraph_split(text):
+    """The paragraph split of strip_markup before it walked lines."""
+    paragraphs = [re.sub(r"\s+", " ", part).strip()
+                  for part in re.split(r"\s*\n\s*\n\s*", text)]
+    return "\n\n".join(p for p in paragraphs if p)
+
+
+# Letters and whitespace only, so the markup steps leave the text as it is.
+@settings(max_examples=400, deadline=None)
+@given(text=st.text(st.sampled_from(
+    ["a", "b", " ", "\n", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])))
+def test_strip_markup_splits_paragraphs_as_the_regex_split(text):
+    assert strip_markup(text) == _oracle_paragraph_split(text)
 
 
 # --- extract_sections ---

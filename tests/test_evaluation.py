@@ -108,6 +108,15 @@ def test_pearson_zero_variance():
         pearson(np.ones(10), np.arange(10.0))
 
 
+@pytest.mark.parametrize("scale", [1e-121, 1e100], ids=["underflow", "overflow"])
+def test_pearson_when_the_variance_product_leaves_the_float_range(scale):
+    # Each sum of squares is a normal float, their product is not.
+    x = np.array([0.0, 1.0, 3.0]) * scale
+    y = np.array([0.0, 2.0, 1.0]) * scale
+    assert pearson(x, x) == 1.0
+    assert pearson(x, y) == pytest.approx(pearson(x / scale, y / scale), abs=1e-12)
+
+
 def test_pearson_affine_invariance():
     rng = np.random.default_rng(2)
     x, y = rng.normal(size=(2, 30))

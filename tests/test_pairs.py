@@ -1,6 +1,8 @@
 """Pair generation: date detection, chronological and lexical views, splits."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskrel import pairs as pairgen
 from riskrel.corpus import FirmCorpus, Paragraph, tokenize
@@ -75,6 +77,103 @@ def test_multiple_mentions_scanned_left_to_right():
     p = make_paragraph("On July 8, 2024 and again on October 5, 2024 events occurred")
     mentions = detect_date_tokens(p)
     assert [m.normalized for m in mentions] == ["2024-07-08", "2024-10-05"]
+
+
+def test_separator_at_token_zero_starts_no_mention():
+    # Trying start -1 would read tokens[-1] == "2020" as a year.
+    assert scan_tokens(["-", "12", "-", "05", "-", "2020"]) == []
+
+
+def test_impossible_day_after_month_name_gives_no_mention():
+    assert scan_tokens(["february", "30", ",", "2024"]) == []
+
+
+def test_strip_rescans_tokens_juxtaposed_by_a_deletion():
+    tokens = ("in", "december", "july", "8", ",", "2024", "2030", "units")
+    (mention,) = scan_tokens(tokens)
+    assert mention.token_span == (2, 6)
+    assert pairgen._strip_date_tokens(tokens, [mention]) == ("in", "units")
+
+
+def _oracle_scan(tokens):
+    """The scanner before start positions: every token is tried in turn."""
+    mentions = []
+    n = len(tokens)
+    i = 0
+    while i < n:
+        tok = tokens[i]
+        hit = None
+        if tok in pairgen._MONTHS:
+            month = pairgen._MONTHS[tok]
+            if (i + 3 < n and tokens[i + 1].isdigit() and len(tokens[i + 1]) <= 2
+                    and tokens[i + 2] == "," and pairgen._is_year(tokens[i + 3])):
+                iso = pairgen._valid_date(int(tokens[i + 3]), month, int(tokens[i + 1]))
+                if iso:
+                    hit = (i + 4, iso)
+            if hit is None and i + 1 < n and pairgen._is_year(tokens[i + 1]):
+                iso = pairgen._valid_date(int(tokens[i + 1]), month, 1)
+                if iso:
+                    hit = (i + 2, iso)
+        elif (tok.isdigit() and len(tok) <= 2 and i + 4 < n
+                and tokens[i + 1] == "/" and tokens[i + 2].isdigit()
+                and len(tokens[i + 2]) <= 2 and tokens[i + 3] == "/"
+                and pairgen._is_year(tokens[i + 4])):
+            iso = pairgen._valid_date(int(tokens[i + 4]), int(tok), int(tokens[i + 2]))
+            if iso:
+                hit = (i + 5, iso)
+        elif (pairgen._is_year(tok) and i + 4 < n
+                and tokens[i + 1] == "-" and tokens[i + 2].isdigit()
+                and len(tokens[i + 2]) <= 2 and tokens[i + 3] == "-"
+                and tokens[i + 4].isdigit() and len(tokens[i + 4]) <= 2):
+            iso = pairgen._valid_date(int(tok), int(tokens[i + 2]), int(tokens[i + 4]))
+            if iso:
+                hit = (i + 5, iso)
+        if hit is None:
+            i += 1
+            continue
+        end, iso = hit
+        mentions.append(pairgen.DateMention(
+            paragraph_id="", token_span=(i, end), normalized=iso,
+            is_accounting=(int(iso[5:7]), int(iso[8:10])) in pairgen.ACCOUNTING_DATES))
+        i = end
+    return mentions
+
+
+def _oracle_strip(tokens):
+    """Date deletion before mentions were passed in: scan, filter, repeat."""
+    current = tuple(tokens)
+    while True:
+        mentions = _oracle_scan(current)
+        if not mentions:
+            return current
+        drop = set()
+        for m in mentions:
+            drop.update(range(*m.token_span))
+        current = tuple(t for k, t in enumerate(current) if k not in drop)
+
+
+_MONTH = st.sampled_from(["january", "february", "may", "june", "september", "december"])
+_DAY = st.one_of(st.integers(0, 99).map(str), st.integers(0, 99).map("{:02d}".format))
+_YEAR = st.integers(0, 9999).map("{:04d}".format)
+_TOKEN = st.one_of(_MONTH, _DAY, _YEAR, st.sampled_from(["/", "-", ",", "the", "risk"]))
+# Whole date shapes, valid or not, so that hits and near misses are common.
+_CHUNK = st.one_of(
+    _TOKEN.map(lambda t: (t,)),
+    st.tuples(_MONTH, _DAY, st.just(","), _YEAR),
+    st.tuples(_MONTH, _YEAR),
+    st.tuples(_DAY, st.just("/"), _DAY, st.just("/"), _YEAR),
+    st.tuples(_YEAR, st.just("-"), _DAY, st.just("-"), _DAY),
+)
+_TOKEN_STREAMS = st.lists(_CHUNK, max_size=10).map(
+    lambda chunks: tuple(t for chunk in chunks for t in chunk))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tokens=_TOKEN_STREAMS)
+def test_scan_and_strip_match_the_every_position_scanner(tokens):
+    mentions = scan_tokens(tokens)
+    assert mentions == _oracle_scan(tokens)
+    assert pairgen._strip_date_tokens(tokens, mentions) == _oracle_strip(tokens)
 
 
 # --- chronological view ---
