@@ -26,7 +26,8 @@ index = scoring.embed_corpus(outcome.vocab, outcome.params,
                              corpus.group_by_firm(paragraphs).values())
 
 grid = evaluation.make_grid(0.6, 0.9, 0.05)
-rows = evaluation.threshold_sweep(index, index.firm_ids(), grid, returns=returns)
+table = scoring.max_similarity_table(index, scoring.firm_pairs(index.firm_ids()))
+rows = evaluation.threshold_sweep(table, grid, returns=returns)
 
 print(f"{'threshold':>9} {'mean RRS':>9} {'total MRPs':>11} {'rho':>8}")
 for row in rows:

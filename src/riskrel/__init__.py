@@ -57,12 +57,16 @@ from .pairs import (
 )
 from .scoring import (
     EmbeddingIndex,
+    MaxSimTable,
     MrpResult,
     ScoreConfig,
     embed_corpus,
     evidence_report,
     find_mrps,
+    firm_pairs,
     load_embeddings,
+    max_similarity_table,
+    pair_cells,
     read_rrs_csv,
     rrs,
     rrs_matrix,

@@ -207,7 +207,7 @@ def cmd_score(args: argparse.Namespace, outputs: Outputs) -> None:
     if args.out_evidence:
         # A generator, so each pair's file is written before the next search.
         results = (scoring.find_mrps(index, a, b, threshold)
-                   for i, a in enumerate(firms) for b in firms[i + 1:])
+                   for a, b in scoring.firm_pairs(firms))
         written = scoring.write_evidence_files(results, outputs(args.out_evidence), texts)
         print(f"score: wrote {len(written)} evidence files to {args.out_evidence}")
     print(f"score: threshold {threshold:.2f}, matrix for {len(firms)} firms "
@@ -222,8 +222,7 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Outputs) -> None:
     out_dir = outputs(args.out)
     out_dir.mkdir()
 
-    cells = {(firms[i], firms[j]): float(matrix[i, j])
-             for i in range(len(firms)) for j in range(i + 1, len(firms))}
+    cells = scoring.pair_cells(firms, matrix)
     co_movement = evaluation.pairwise_cavdsr(returns, cells)
     excluded = len(cells) - len(co_movement)
     kept = list(co_movement)  # the evaluated pairs, in matrix order
@@ -272,8 +271,8 @@ def cmd_sweep(args: argparse.Namespace, outputs: Outputs) -> None:
     grid = evaluation.make_grid(*parts)
     returns = evaluation.read_prices_dir(args.prices) if args.prices else None
 
-    rows = evaluation.threshold_sweep(index, index.firm_ids(), grid,
-                                      returns=returns)
+    table = scoring.max_similarity_table(index, scoring.firm_pairs(index.firm_ids()))
+    rows = evaluation.threshold_sweep(table, grid, returns=returns)
     with open(outputs(args.out), "w", encoding="utf-8") as fh:
         fh.write("threshold,mean_rrs,total_mrps,rho\n")
         for row in rows:
@@ -314,8 +313,8 @@ def cmd_report(args: argparse.Namespace, outputs: Outputs) -> None:
 
     if rrs_path.is_file():
         firms, matrix = scoring.read_rrs_csv(rrs_path)
-        pair_scores = [(matrix[i, j], firms[i], firms[j])
-                       for i in range(len(firms)) for j in range(i + 1, len(firms))]
+        pair_scores = [(value, a, b)
+                       for (a, b), value in scoring.pair_cells(firms, matrix).items()]
         pair_scores.sort(key=lambda t: (-t[0], t[1], t[2]))
         lines += ["## Top risk relation scores", "",
                   "| rank | pair | RRS |", "| --- | --- | --- |"]
@@ -327,15 +326,19 @@ def cmd_report(args: argparse.Namespace, outputs: Outputs) -> None:
         lines += ["## Top risk relation scores", "", "_rrs.csv not found._", ""]
 
     lines += ["## Evidence highlights", ""]
-    if pair_scores and evidence_dir.is_dir():
+    if not rrs_path.is_file():
+        lines += ["_No top pair: rrs.csv not found._", ""]
+    elif not pair_scores:
+        lines += ["_No top pair: rrs.csv holds one firm._", ""]
+    elif not evidence_dir.is_dir():
+        lines += ["_No evidence directory._", ""]
+    else:
         _, top_a, top_b = pair_scores[0]
         doc_path = evidence_dir / f"{top_a}__{top_b}.json"
         if doc_path.is_file():
             lines += _evidence_highlights(doc_path, top_a, top_b)
         else:
             lines += ["_No evidence document for the top pair._", ""]
-    else:
-        lines += ["_No evidence directory._", ""]
 
     lines += ["## Alignment with return co-movement", ""]
     if metrics_path.is_file():

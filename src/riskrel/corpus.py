@@ -190,6 +190,8 @@ def ingest_directory(root: str | Path, sections: Iterable[str] = DEFAULT_SECTION
     """Ingest a ``<root>/<ticker>/<year>.txt`` tree of raw filings.
 
     Firms and years are processed in sorted order so the output is stable.
+    A filing that is not UTF-8, or that :func:`ingest_filing` rejects, is a
+    ``ValueError`` naming it.
     """
     root = Path(root)
     if not root.is_dir():
@@ -200,10 +202,12 @@ def ingest_directory(root: str | Path, sections: Iterable[str] = DEFAULT_SECTION
             if not filing_path.stem.isdigit():
                 raise ValueError(
                     f"filing name must be <year>.txt, got: {filing_path}")
-            year = int(filing_path.stem)
-            raw = filing_path.read_text(encoding="utf-8")
-            paragraphs.extend(ingest_filing(firm_dir.name, year, raw,
-                                            sections=sections, min_tokens=min_tokens))
+            try:
+                raw = filing_path.read_text(encoding="utf-8")
+                paragraphs.extend(ingest_filing(firm_dir.name, int(filing_path.stem), raw,
+                                                sections=sections, min_tokens=min_tokens))
+            except ValueError as exc:  # UnicodeDecodeError is one
+                raise ValueError(f"bad filing {filing_path}: {exc}") from None
     return paragraphs
 
 

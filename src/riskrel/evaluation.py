@@ -38,7 +38,7 @@ from .errors import (
     UnknownFirm,
     ZeroVariance,
 )
-from .scoring import EmbeddingIndex, max_similarity_table
+from .scoring import MaxSimTable
 
 MIN_OVERLAP = 30
 DEFAULT_GRID_START = 0.60
@@ -314,29 +314,27 @@ def make_grid(start: float = DEFAULT_GRID_START, stop: float = DEFAULT_GRID_STOP
     return grid
 
 
-def threshold_sweep(index: EmbeddingIndex, firms: Sequence[str],
-                    grid: Sequence[float],
+def threshold_sweep(table: MaxSimTable, grid: Sequence[float],
                     returns: Mapping[str, ReturnSeries] | None = None,
                     min_overlap: int = MIN_OVERLAP) -> list[SweepRow]:
-    """Score every firm pair at each threshold in the ascending grid.
+    """Score every pair of the table at each threshold in the ascending grid.
 
-    Each pair's similarities are computed once (see
-    :func:`~riskrel.scoring.max_similarity_table`) and counted at every
-    threshold. Reports the mean off-diagonal RRS and total MRP count per
-    threshold; when return series are supplied, rho is reported too:
-    :func:`alignment_rho` over the pairs that have a CAVDSR, or None when it
-    degenerates (fewer than two such pairs, or all scores equal, e.g. all
-    zero at a high threshold). The CAVDSR array is built once.
+    Each pair's similarities were reduced once, to the table's maxima (see
+    :func:`~riskrel.scoring.max_similarity_table`), and are counted at every
+    threshold. Reports the mean RRS over the table's pairs and the total MRP
+    count per threshold; when return series are supplied, rho is reported
+    too: :func:`alignment_rho` over the pairs that have a CAVDSR, or None
+    when it degenerates (fewer than two such pairs, or all scores equal, e.g.
+    all zero at a high threshold). The CAVDSR array is built once.
     """
     if list(grid) != sorted(grid):
         raise ValueError("grid must be ascending")
-    pairs = [(a, b) for i, a in enumerate(firms) for b in firms[i + 1:]]
+    pairs = table.pairs
     if returns is not None:
         pair_cavdsr = pairwise_cavdsr(returns, pairs, min_overlap)
         kept = np.array([pair in pair_cavdsr for pair in pairs], dtype=bool)
         cavdsr_vec = np.array([pair_cavdsr[pair] for pair in pairs if pair in pair_cavdsr])
     rows: list[SweepRow] = []
-    table = max_similarity_table(index, pairs)
     for threshold, counts in zip(grid, table.mrp_counts(grid)):
         scores = table.scores(counts)
         try:

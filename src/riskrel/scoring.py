@@ -11,14 +11,16 @@ fraction of both firms' paragraphs that are MRPs:
 The score is symmetric, lives in [0, 1], and every contributing paragraph
 pair is retained as inspectable evidence.
 
-Search is exact all-pairs, one similarity block per firm pair. Whether a
-paragraph is an MRP at threshold t depends only on its maximum cosine to
-the other firm, so the matrix and the threshold sweep compute each block
-once and keep just those maxima (:class:`MaxSimTable`); the MRP count at
-any threshold is then a ``searchsorted`` over them. Exactness is the
-contract: every block is the same ``unit(A) @ unit(B).T`` product, firms in
-sorted order, that :func:`find_mrps` uses, so the table's counts and RRS
-values equal find_mrps's bit for bit, ties at the threshold included.
+Search is exact all-pairs, one similarity block per firm pair, the pairs
+of a firm list in one order (:func:`firm_pairs`). Whether a paragraph is an
+MRP at threshold t depends only on its maximum cosine to the other firm, so
+the matrix and the threshold sweep compute each block once and keep just
+those maxima, one flat array for all pairs (:class:`MaxSimTable`); a pair's
+MRP count at any threshold is then the number of its maxima that reach it,
+one ``np.add.reduceat`` over all pairs. Exactness is the contract: every
+block is the same ``unit(A) @ unit(B).T`` product, firms in sorted order,
+that :func:`find_mrps` uses, so the table's counts and RRS values equal
+find_mrps's bit for bit, ties at the threshold included.
 
 Evidence files are JSON in ``json.dumps(..., indent=2, ensure_ascii=False)``
 layout, but not written by ``json``: CPython serves ``indent`` only from its
@@ -197,51 +199,71 @@ def find_mrps(index: EmbeddingIndex, firm_a: str, firm_b: str,
                      mrps_a=mrps_a, mrps_b=mrps_b, evidence=evidence)
 
 
+def firm_pairs(firms: Sequence[str]) -> list[tuple[str, str]]:
+    """Every pair of distinct positions in ``firms``, in upper-triangle order:
+    the k-th pair is the k-th cell of ``np.triu_indices(len(firms), 1)``."""
+    return [(a, b) for i, a in enumerate(firms) for b in firms[i + 1:]]
+
+
+def pair_cells(firms: Sequence[str], matrix: np.ndarray) -> dict[tuple[str, str], float]:
+    """The upper triangle of a matrix over distinct ``firms``, keyed by
+    :func:`firm_pairs` and in that order."""
+    return dict(zip(firm_pairs(firms), matrix[np.triu_indices(len(firms), 1)].tolist()))
+
+
 @dataclass
 class MaxSimTable:
     """Each paragraph's maximum cosine to the other firm, per firm pair.
 
-    ``maxima[k]`` holds both firms' maxima for the k-th pair scored, in one
-    ascending array, and ``sizes[k]`` the two firms' paragraph counts. A
-    paragraph is an MRP at threshold t exactly when its maximum is >= t, so
-    a pair's MRP count is its array's length minus a ``searchsorted``. NaN
-    maxima (a paragraph whose every similarity is NaN) are dropped: such a
-    paragraph never clears a threshold.
+    ``sizes[k]`` holds the two firms' paragraph counts of ``pairs[k]``, and
+    ``maxima`` holds, pair after pair, the row maxima and then the column
+    maxima of each pair's block, unsorted. A paragraph is an MRP at
+    threshold t exactly when its maximum is >= t, so a pair's MRP count is
+    the sum of ``maxima >= t`` over its segment. A NaN maximum (a paragraph
+    whose every similarity is NaN) never clears a threshold.
     """
 
-    sizes: list[tuple[int, int]]
-    maxima: list[np.ndarray]
+    pairs: list[tuple[str, str]]
+    sizes: np.ndarray
+    maxima: np.ndarray
 
     def mrp_counts(self, thresholds: Sequence[float]) -> np.ndarray:
         """MRP counts, one row per threshold and one column per pair."""
+        lengths = self.sizes.sum(axis=1)
+        starts = np.cumsum(lengths) - lengths
         grid = np.asarray(thresholds, dtype=np.float64)
-        counts = np.empty((len(grid), len(self.maxima)), dtype=np.int64)
-        for k, maxima in enumerate(self.maxima):
-            counts[:, k] = len(maxima) - np.searchsorted(maxima, grid, side="left")
+        counts = np.empty((len(grid), len(self.pairs)), dtype=np.int64)
+        # A threshold at a time: reducing a (G, total) hit matrix at once
+        # would cast all of it to int64.
+        for t, row in zip(grid, counts):
+            np.add.reduceat(self.maxima >= t, starts, dtype=np.int64, out=row)
         return counts
 
     def scores(self, counts: Sequence[int]) -> np.ndarray:
         """Per-pair RRS from one threshold's row of MRP counts (see :func:`rrs`)."""
-        n_a, n_b = np.array(self.sizes, dtype=np.int64).reshape(-1, 2).T
+        n_a, n_b = self.sizes.T
         return rrs(np.asarray(counts, dtype=np.int64), n_a, n_b)
 
 
 def max_similarity_table(index: EmbeddingIndex,
                          pairs: Sequence[tuple[str, str]]) -> MaxSimTable:
-    """One similarity block per firm pair, reduced to sorted maxima.
+    """One similarity block per firm pair, reduced to its row and column maxima.
 
+    No pair at all (fewer than two firms to score) is a ``ValueError``.
     Raises like :func:`find_mrps` on the first pair, in order, that has an
     empty or missing firm or mixed embedding widths.
     """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("scoring needs at least two firms")
     units: dict[str, np.ndarray] = {}
     sizes, maxima = [], []
     for a, b in pairs:
         ids_a, ids_b, sims = _similarities(index, a, b, units)
-        both = np.concatenate((np.fmax.reduce(sims, axis=1),
-                               np.fmax.reduce(sims, axis=0)))
         sizes.append((len(ids_a), len(ids_b)))
-        maxima.append(np.sort(both[~np.isnan(both)]))
-    return MaxSimTable(sizes=sizes, maxima=maxima)
+        maxima += [np.fmax.reduce(sims, axis=1), np.fmax.reduce(sims, axis=0)]
+    return MaxSimTable(pairs=pairs, sizes=np.array(sizes, dtype=np.int64),
+                       maxima=np.concatenate(maxima))
 
 
 def rrs_matrix(index: EmbeddingIndex, firms: Sequence[str] | None = None,
@@ -252,17 +274,10 @@ def rrs_matrix(index: EmbeddingIndex, firms: Sequence[str] | None = None,
     every correlation computed downstream.
     """
     firm_list = list(firms) if firms is not None else index.firm_ids()
-    if len(firm_list) < 2:
-        raise ValueError("rrs_matrix needs at least two firms")
-    n = len(firm_list)
-    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    table = max_similarity_table(
-        index, [(firm_list[i], firm_list[j]) for i, j in cells])
-    values = table.scores(table.mrp_counts([threshold])[0])
-    matrix = np.eye(n)
-    for (i, j), value in zip(cells, values):
-        matrix[i, j] = value
-        matrix[j, i] = value
+    table = max_similarity_table(index, firm_pairs(firm_list))
+    upper = np.triu_indices(len(firm_list), 1)
+    matrix = np.eye(len(firm_list))
+    matrix[upper] = matrix.T[upper] = table.scores(table.mrp_counts([threshold])[0])
     return firm_list, matrix
 
 

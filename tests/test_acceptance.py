@@ -27,7 +27,13 @@ from riskrel.evaluation import (
     retrieval_metrics,
     threshold_sweep,
 )
-from riskrel.scoring import EmbeddingIndex, find_mrps, rrs_matrix
+from riskrel.scoring import (
+    EmbeddingIndex,
+    find_mrps,
+    firm_pairs,
+    max_similarity_table,
+    rrs_matrix,
+)
 from riskrel.training import TrainConfig, TrainingBatch, batch_objective, compute_gradients, info_nce_loss
 
 SEED = 7
@@ -134,7 +140,7 @@ def test_criterion_3_threshold_monotonicity():
     for _ in range(200):
         index = random_index(rng)
         firms = sorted(index.firms)
-        rows = threshold_sweep(index, firms, grid)
+        rows = threshold_sweep(max_similarity_table(index, firm_pairs(firms)), grid)
         assert len(rows) == 7
         counts = [r.total_mrps for r in rows]
         mean_scores = [r.mean_rrs for r in rows]

@@ -17,7 +17,7 @@ from riskrel.evaluation import (
     pearson,
     threshold_sweep,
 )
-from riskrel.scoring import EmbeddingIndex, max_similarity_table, rrs
+from riskrel.scoring import EmbeddingIndex, firm_pairs, max_similarity_table, rrs
 
 DATES = tuple(f"2023-01-{d:02d}" for d in range(1, 15))
 FIRMS = [f"F{k}" for k in range(5)]
@@ -155,6 +155,7 @@ def test_sweep_rho_equals_pearson_over_kept_pairs(data):
     min_overlap = data.draw(st.integers(2, 6))
     grid = sorted(data.draw(st.lists(st.floats(-1.1, 1.1), max_size=3))) + [2.0]
     expected = reference_sweep(index, firms, grid, returns, min_overlap)
-    rows = threshold_sweep(index, firms, grid, returns=returns, min_overlap=min_overlap)
+    rows = threshold_sweep(max_similarity_table(index, firm_pairs(firms)), grid,
+                           returns=returns, min_overlap=min_overlap)
     assert [(row.mean_rrs, row.rho) for row in rows] == expected
     assert rows[-1].rho is None           # nothing clears 2.0: all-zero RRS

@@ -782,3 +782,48 @@ def test_failed_evaluate_rerun_keeps_previous_outputs(pipeline_dir, fixture_mani
     gics.unlink()
     assert _tree(tmp_path) == before
     assert not list(tmp_path.rglob(".*"))
+
+
+@pytest.mark.parametrize("command", ["score", "sweep"])
+def test_one_firm_corpus_is_one_line_error(pipeline_dir, tmp_path, capsys, command):
+    paragraphs = tmp_path / "acme.jsonl"
+    paragraphs.write_text("".join(line for line in (pipeline_dir / "paragraphs.jsonl")
+                                  .read_text().splitlines(True) if '"firm": "ACME"' in line))
+    argv = _stage_argv(pipeline_dir, tmp_path / "out", command)
+    argv[argv.index("--paragraphs") + 1] = str(paragraphs)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: scoring needs at least two firms\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_without_rrs_names_it_as_the_missing_evidence_input(tmp_path, capsys):
+    (tmp_path / "evidence").mkdir()
+    assert run(["report", "--workdir", str(tmp_path)], capsys)[0] == 0
+    report = (tmp_path / "report.md").read_text()
+    assert "## Evidence highlights\n\n_No top pair: rrs.csv not found._\n" in report
+    assert "_No evidence directory._" not in report
+
+
+def test_report_on_one_firm_matrix_says_there_is_no_pair(tmp_path, capsys):
+    (tmp_path / "rrs.csv").write_text("firm,A\nA,1\n")
+    (tmp_path / "evidence").mkdir()
+    assert run(["report", "--workdir", str(tmp_path)], capsys)[0] == 0
+    report = (tmp_path / "report.md").read_text()
+    assert "## Evidence highlights\n\n_No top pair: rrs.csv holds one firm._\n" in report
+
+
+@pytest.mark.parametrize("name, raw, detail", [
+    ("2020.txt", b"Item 1A. \xff risk",
+     "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+    ("1800.txt", b"Item 1A. risk", "fiscal_year 1800 out of range [1990, 2100]"),
+], ids=["not_utf8", "year_out_of_range"])
+def test_ingest_error_names_the_filing(tmp_path, capsys, name, raw, detail):
+    filing = tmp_path / "filings" / "ACME" / name
+    filing.parent.mkdir(parents=True)
+    filing.write_bytes(raw)
+    code, out, err = run(["ingest", "--root", str(tmp_path / "filings"),
+                          "--out", str(tmp_path / "p.jsonl")], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: ValueError: bad filing {filing}: {detail}\n"
+    assert not (tmp_path / "p.jsonl").exists()

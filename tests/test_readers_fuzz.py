@@ -3,7 +3,9 @@ succeeds or ends in one ``error: <Kind>: <detail>`` line with exit status 1.
 
 Text inputs are written as UTF-8 with LF, CR or CR LF line ends, now and then
 with a byte that is not UTF-8; the model file is arbitrary bytes, or a model
-header of random sizes with tokens and parameters of any value."""
+header of random sizes with tokens and parameters of any value. A filing is
+arbitrary bytes, or a run of markup, entities, Item headings and words, fed
+through ``ingest`` (markup stripping, section extraction and segmentation)."""
 
 import contextlib
 import io
@@ -92,6 +94,16 @@ def _rrs_matrices(draw):
     return "\n".join([",".join(["firm", *firms]), *rows])
 
 
+# Pieces of a filing: markup that strip_markup removes or turns into paragraph
+# breaks, entities that decode into more markup, and the headings that
+# extract_sections splits on.
+_FILING_PIECE = st.sampled_from([
+    "Item 1A. Risk Factors", "ITEM 7A —", "Item 2.", "item 1a", "<p>", "</p>", "<br/>",
+    "<table>", "</table>", "<table><tr><td>", "<div class=x>", "<?xml v?>", "<em", ">",
+    "&lt;b&gt;", "&amp;", "&#160;", "\n\n", "\n", " \t ", "supply ", "risk ", "2023 ",
+]) | st.text(max_size=8)
+_FILINGS = st.lists(_FILING_PIECE, max_size=30).map("".join)
+
 _TEXT = {
     "config": st.text(max_size=60) | st.lists(
         st.sampled_from(["min_tokens", "sections", "threshold", "seed", ""])
@@ -145,6 +157,7 @@ def _encoded(draw, text):
 
 
 _INPUTS = {**{kind: _encoded(text) for kind, text in _TEXT.items()},
+           "filing": _encoded(_FILINGS) | st.binary(max_size=120),
            "model": st.binary(max_size=80) | st.binary(max_size=80).map(b"RRENC001".__add__)
            | _model_files()}
 
@@ -168,6 +181,12 @@ def inputs(tmp_path_factory):
 
 
 def _argv(kind: str, inputs: Path, fuzzed: Path, work: Path) -> list[str]:
+    if kind == "filing":
+        filing = work / "filings" / "AAA" / "2020.txt"
+        filing.parent.mkdir(parents=True)
+        shutil.copy(fuzzed, filing)
+        return ["ingest", "--root", str(work / "filings"), "--out", str(work / "p.jsonl"),
+                "--min-tokens", "3"]
     if kind == "config":
         return ["ingest", "--root", str(inputs / "filings"), "--out", str(work / "p.jsonl"),
                 "--config", str(fuzzed)]

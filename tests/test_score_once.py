@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from riskrel.errors import DimensionMismatch, EmptyFirm
 from riskrel.evaluation import threshold_sweep
-from riskrel.scoring import EmbeddingIndex, find_mrps, max_similarity_table, rrs_matrix
+from riskrel.scoring import (
+    EmbeddingIndex,
+    find_mrps,
+    firm_pairs,
+    max_similarity_table,
+    rrs_matrix,
+)
 
 # Small integers give zero vectors, parallel rows and exactly repeated cosines.
 COMPONENT = st.one_of(st.integers(-2, 2).map(float),
@@ -62,7 +68,7 @@ def test_sweep_rows_equal_per_threshold_search(data):
     index = data.draw(indices())
     firms = index.firm_ids()
     grid = sorted(data.draw(st.lists(thresholds(index), min_size=1, max_size=4)))
-    rows = threshold_sweep(index, firms, grid)
+    rows = threshold_sweep(max_similarity_table(index, firm_pairs(firms)), grid)
     assert [row.threshold for row in rows] == grid
     for row in rows:
         results = [find_mrps(index, a, b, row.threshold)
@@ -108,7 +114,8 @@ def test_self_pair_matches_an_identical_copy():
 
 @pytest.mark.parametrize("score", [
     lambda index, firms: rrs_matrix(index, firms, 0.5),
-    lambda index, firms: threshold_sweep(index, firms, [0.5]),
+    lambda index, firms: threshold_sweep(max_similarity_table(index, firm_pairs(firms)),
+                                         [0.5]),
 ], ids=["rrs_matrix", "threshold_sweep"])
 def test_one_pass_keeps_error_kinds(score):
     index = EmbeddingIndex(firms={
