@@ -29,7 +29,6 @@ from .encoder import (
     load_model,
     model_fingerprint,
     save_model,
-    similarity,
 )
 from .evaluation import (
     RankedList,
@@ -76,7 +75,6 @@ from .scoring import (
 )
 from .training import (
     AdamState,
-    Gradients,
     TrainConfig,
     TrainingBatch,
     TrainOutcome,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import struct
 from collections import Counter
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpus, EmptyParagraph, ZeroVector
+from .errors import EmptyCorpus, EmptyParagraph
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -77,9 +78,12 @@ class EncoderParams:
     def vocab_size(self) -> int:
         return self.embed.shape[0]
 
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The parameter blocks in field, file and optimizer order."""
+        return self.embed, self.proj_w, self.proj_b
+
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.embed.copy(), self.proj_w.copy(),
-                             self.proj_b.copy())
+        return EncoderParams(*(block.copy() for block in self.blocks()))
 
 
 def build_vocab(train_paragraphs: Iterable[Sequence[str]],
@@ -151,26 +155,14 @@ def encode(params: EncoderParams, token_ids: Sequence[int] | np.ndarray,
     return forward(params, ids[None, :])[1][0]
 
 
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """(n, 1) row norms floored at NORM_EPS: the one norm behind every cosine."""
+    return np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), NORM_EPS)
+
+
 def unit_rows(vectors: np.ndarray) -> np.ndarray:
-    """Rows over their norms floored at NORM_EPS: cosines are unit @ unit.T."""
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    return vectors / np.maximum(norms, NORM_EPS)
-
-
-def similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two embedding vectors, in [-1, 1].
-
-    The denominator is sqrt(|u|^2 * |v|^2) rather than a product of two
-    rounded square roots: sqrt(s*s) == s holds in IEEE-754 binary64, so
-    similarity(u, u) is exactly 1.0 and similarity(u, -u) exactly -1.0.
-    """
-    su = float(np.dot(u, u))
-    sv = float(np.dot(v, v))
-    if su < NORM_EPS ** 2 or sv < NORM_EPS ** 2:
-        raise ZeroVector(
-            f"cosine undefined for near-zero norm ({np.sqrt(su):.3e}, {np.sqrt(sv):.3e})")
-    r = float(np.dot(u, v)) / np.sqrt(su * sv)
-    return max(-1.0, min(1.0, r))
+    """Rows over their :func:`row_norms`: cosines are unit @ unit.T."""
+    return vectors / row_norms(vectors)
 
 
 def pad_batch(id_lists: Sequence[np.ndarray]) -> np.ndarray:
@@ -207,9 +199,8 @@ def save_model(path: str | Path, vocab: Vocabulary, params: EncoderParams,
             raw = token.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-        fh.write(np.ascontiguousarray(params.embed, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(params.proj_w, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(params.proj_b, dtype="<f8").tobytes())
+        for block in params.blocks():
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
 def read_exact(fh, n: int, path: str | Path) -> bytes:
@@ -256,19 +247,14 @@ def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
                 raise malformed(f"token {len(tokens)}: {exc}") from None
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise malformed(f"first tokens {tokens[:2]} are not {[PAD_TOKEN, UNK_TOKEN]}")
-        embed = np.frombuffer(read_exact(fh, 8 * vocab_size * d, path), dtype="<f8")
-        proj_w = np.frombuffer(read_exact(fh, 8 * d * d, path), dtype="<f8")
-        proj_b = np.frombuffer(read_exact(fh, 8 * d, path), dtype="<f8")
-    if not all(np.isfinite(block).all() for block in (embed, proj_w, proj_b)):
+        blocks = [np.frombuffer(read_exact(fh, 8 * math.prod(shape), path), dtype="<f8")
+                  .reshape(shape).astype(np.float64)
+                  for shape in ((vocab_size, d), (d, d), (d,))]
+    if not all(np.isfinite(block).all() for block in blocks):
         raise malformed("parameters must be finite")
     vocab = Vocabulary(index_to_token=tuple(tokens),
                        token_to_index={t: i for i, t in enumerate(tokens)})
-    params = EncoderParams(
-        embed=embed.reshape(vocab_size, d).astype(np.float64),
-        proj_w=proj_w.reshape(d, d).astype(np.float64),
-        proj_b=proj_b.astype(np.float64),
-    )
-    return vocab, params, max_len
+    return vocab, EncoderParams(*blocks), max_len
 
 
 def model_fingerprint(path: str | Path) -> str:

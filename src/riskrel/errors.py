@@ -24,10 +24,6 @@ class EmptyParagraph(RiskRelError):
         self.row = row
 
 
-class ZeroVector(RiskRelError):
-    """Cosine similarity requested for a vector with near-zero norm."""
-
-
 # --- pair generation ---
 
 class InsufficientPairs(RiskRelError):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .encoder import (
     forward,
     init_params,
     pad_batch,
-    unit_rows,
+    row_norms,
 )
 from .errors import InsufficientPairs, NonFiniteGradient, NonFiniteSimilarity
 from .pairs import PositivePair
@@ -86,40 +86,26 @@ class TrainingBatch:
 
 
 @dataclass
-class Gradients:
-    """Gradient blocks matching EncoderParams."""
-
-    embed: np.ndarray
-    proj_w: np.ndarray
-    proj_b: np.ndarray
-
-
-@dataclass
 class AdamState:
-    """First/second moment accumulators, zero-initialized.
+    """First and second moments, one array per parameter block in
+    :meth:`EncoderParams.blocks` order, zero-initialized.
 
-    ``scratch`` holds two reusable buffers per parameter block, so that an
-    update allocates no temporaries the size of the embedding table.
+    ``scratch`` holds two reusable buffers per block, so that an update
+    allocates no temporaries the size of the embedding table.
     """
 
-    m_embed: np.ndarray
-    v_embed: np.ndarray
-    m_proj_w: np.ndarray
-    v_proj_w: np.ndarray
-    m_proj_b: np.ndarray
-    v_proj_b: np.ndarray
+    m: tuple[np.ndarray, ...]
+    v: tuple[np.ndarray, ...]
     scratch: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.scratch = tuple((np.empty_like(m), np.empty_like(m))
-                             for m in (self.m_embed, self.m_proj_w, self.m_proj_b))
+        self.scratch = tuple((np.empty_like(m), np.empty_like(m)) for m in self.m)
 
     @classmethod
     def zeros_like(cls, params: EncoderParams) -> "AdamState":
-        return cls(*(np.zeros_like(a) for a in
-                     (params.embed, params.embed, params.proj_w,
-                      params.proj_w, params.proj_b, params.proj_b)))
+        m = tuple(np.zeros_like(block) for block in params.blocks())
+        return cls(m, tuple(np.zeros_like(block) for block in m))
 
 
 @dataclass
@@ -224,6 +210,21 @@ def _pool_backward(batch: TrainingBatch, d_h: np.ndarray) -> tuple[np.ndarray, n
     return rows, tally.astype(np.float64) @ (d_h / counts[:, None])
 
 
+def _batch_pass(params: EncoderParams, batch: TrainingBatch) -> tuple[tuple, tuple, np.ndarray]:
+    """Training's one forward pass: per side (pooled h, encoded u, floored
+    norms, unit rows), anchors then positives, and their B x B cosines.
+
+    The step, :func:`batch_objective` and validation all read their cosines
+    from here.
+    """
+    sides = []
+    for ids in (batch.anchors, batch.positives):
+        h, u = forward(params, ids)
+        norms = row_norms(u)
+        sides.append((h, u, norms, u / norms))
+    return sides[0], sides[1], sides[0][3] @ sides[1][3].T
+
+
 def batch_objective(params: EncoderParams, batch: TrainingBatch,
                     config: TrainConfig) -> float:
     """InfoNCE plus L2 on the parameters the batch touches.
@@ -232,9 +233,7 @@ def batch_objective(params: EncoderParams, batch: TrainingBatch,
     up by this batch, so untouched vocabulary rows keep exactly zero
     gradient. This is the objective the analytic gradients differentiate.
     """
-    _, u = forward(params, batch.anchors)
-    _, v = forward(params, batch.positives)
-    loss = info_nce_loss(unit_rows(u) @ unit_rows(v).T, config.temperature)
+    loss = info_nce_loss(_batch_pass(params, batch)[2], config.temperature)
     if config.l2_coeff:
         rows = _touched_rows(batch)
         reg = (np.sum(params.proj_w ** 2) + np.sum(params.proj_b ** 2)
@@ -244,25 +243,18 @@ def batch_objective(params: EncoderParams, batch: TrainingBatch,
 
 
 def compute_gradients(params: EncoderParams, batch: TrainingBatch,
-                      config: TrainConfig) -> Gradients:
-    """Exact analytic gradients of :func:`batch_objective`."""
-    grads, _, _ = _loss_and_gradients(params, batch, config)
-    return grads
+                      config: TrainConfig) -> EncoderParams:
+    """Exact analytic gradients of :func:`batch_objective`, one per block."""
+    return _loss_and_gradients(params, batch, config)[0]
 
 
 def _loss_and_gradients(params: EncoderParams, batch: TrainingBatch,
-                        config: TrainConfig) -> tuple[Gradients, float, np.ndarray]:
-    """Shared forward/backward pass; returns (grads, info_nce loss, sims)."""
+                        config: TrainConfig) -> tuple[EncoderParams, float]:
+    """The step's forward and backward pass; returns (grads, InfoNCE loss)."""
     b = batch.size
     tau = config.temperature
 
-    h_a, u = forward(params, batch.anchors)
-    h_p, v = forward(params, batch.positives)
-    nu = np.linalg.norm(u, axis=1, keepdims=True)
-    nv = np.linalg.norm(v, axis=1, keepdims=True)
-    u_hat = u / nu
-    v_hat = v / nv
-    sims = u_hat @ v_hat.T
+    (h_a, u, nu, u_hat), (h_p, v, nv, v_hat), sims = _batch_pass(params, batch)
     loss = info_nce_loss(sims, tau)
 
     # dL/dS: softmax rows minus identity, scaled by 1/(B*tau)
@@ -298,7 +290,7 @@ def _loss_and_gradients(params: EncoderParams, batch: TrainingBatch,
             raise NonFiniteGradient("gradient contains NaN or inf")
     d_embed = np.zeros_like(params.embed)
     d_embed[rows] = d_rows
-    return Gradients(d_embed, d_proj_w, d_proj_b), loss, sims
+    return EncoderParams(d_embed, d_proj_w, d_proj_b), loss
 
 
 def warmup_factor(step: int, warmup_steps: int) -> float:
@@ -308,7 +300,7 @@ def warmup_factor(step: int, warmup_steps: int) -> float:
     return min(1.0, step / warmup_steps)
 
 
-def adam_step(params: EncoderParams, grads: Gradients, state: AdamState,
+def adam_step(params: EncoderParams, grads: EncoderParams, state: AdamState,
               step: int, config: TrainConfig) -> tuple[EncoderParams, AdamState]:
     """One Adam update with bias correction and linear warmup.
 
@@ -325,10 +317,8 @@ def adam_step(params: EncoderParams, grads: Gradients, state: AdamState,
     #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
     #   value -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
     # so the result is bit-identical to that expression.
-    blocks = ((params.embed, grads.embed, state.m_embed, state.v_embed),
-              (params.proj_w, grads.proj_w, state.m_proj_w, state.v_proj_w),
-              (params.proj_b, grads.proj_b, state.m_proj_b, state.v_proj_b))
-    for (value, grad, m, v), (a, b) in zip(blocks, state.scratch):
+    for value, grad, m, v, (a, b) in zip(params.blocks(), grads.blocks(),
+                                         state.m, state.v, state.scratch):
         m *= ADAM_BETA1
         m += np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
         v *= ADAM_BETA2
@@ -352,6 +342,18 @@ def _index_pairs(pairs: Sequence[PositivePair], vocab: Vocabulary,
     return anchors, positives
 
 
+def _batches(anchors: Sequence[np.ndarray], positives: Sequence[np.ndarray],
+             order: Sequence[int], size: int, min_size: int) -> Iterator[TrainingBatch]:
+    """PAD-padded batches of ``size`` pairs taken in ``order``; a short last
+    batch is kept only if it holds at least ``min_size`` pairs."""
+    for start in range(0, len(order), size):
+        rows = order[start:start + size]
+        if len(rows) < min_size:
+            return
+        yield TrainingBatch(pad_batch([anchors[r] for r in rows]),
+                            pad_batch([positives[r] for r in rows]))
+
+
 def _evaluate(params: EncoderParams, anchors: list[np.ndarray],
               positives: list[np.ndarray], config: TrainConfig) -> tuple[float, float]:
     """Validation loss and positive-minus-negative margin, fixed order.
@@ -359,29 +361,15 @@ def _evaluate(params: EncoderParams, anchors: list[np.ndarray],
     Batches of batch_size; a final short batch is kept when it still has
     at least two pairs (one negative).
     """
-    b = config.batch_size
-    total_loss = 0.0
-    total_pos = 0.0
-    total_neg = 0.0
-    n_anchors = 0
-    n_neg = 0
-    start = 0
-    while start < len(anchors):
-        stop = min(start + b, len(anchors))
-        if stop - start < 2:
-            break
-        batch = TrainingBatch(pad_batch(anchors[start:stop]),
-                              pad_batch(positives[start:stop]))
-        _, u = forward(params, batch.anchors)
-        _, v = forward(params, batch.positives)
-        sims = unit_rows(u) @ unit_rows(v).T
+    total_loss = total_pos = total_neg = 0.0
+    n_anchors = n_neg = 0
+    for batch in _batches(anchors, positives, range(len(anchors)), config.batch_size, 2):
+        sims = _batch_pass(params, batch)[2]
         total_loss += float(_per_anchor_loss(sims, config.temperature).sum())
         total_pos += float(np.trace(sims))
         total_neg += float(sims.sum() - np.trace(sims))
-        k = stop - start
-        n_anchors += k
-        n_neg += k * (k - 1)
-        start = stop
+        n_anchors += batch.size
+        n_neg += batch.size * (batch.size - 1)
     if n_anchors == 0:
         raise InsufficientPairs("validation set yields no batch of >= 2 pairs")
     margin = total_pos / n_anchors - total_neg / n_neg
@@ -415,19 +403,14 @@ def train(pairs_train: Sequence[PositivePair], pairs_val: Sequence[PositivePair]
     best_params = params.copy()
     epochs_since_best = 0
     step = 0
-    n = len(pairs_train)
     b = config.batch_size
 
     for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
-        for start in range(0, n - b + 1, b):
-            rows = order[start:start + b]
-            batch = TrainingBatch(
-                pad_batch([train_anchors[r] for r in rows]),
-                pad_batch([train_positives[r] for r in rows]))
-            grads, loss, _ = _loss_and_gradients(params, batch, config)
+        for batch in _batches(train_anchors, train_positives,
+                              rng.permutation(len(pairs_train)), b, b):
+            grads, loss = _loss_and_gradients(params, batch, config)
             adam_step(params, grads, state, step, config)
             epoch_loss += loss
             n_batches += 1

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from riskrel import cli, corpus, evaluation, pairs as pairgen, scoring, synthetic, training
-from riskrel.encoder import encode, init_params, pad_batch, similarity
+from riskrel.encoder import encode, init_params, pad_batch, unit_rows
 from riskrel.evaluation import (
     RankedList,
     ReturnSeries,
@@ -206,11 +206,12 @@ def test_criterion_5_training_efficacy(pipeline):
 
     vocab, params = pipeline.outcome.vocab, pipeline.outcome.params
 
-    def embed_tokens(tokens):
-        return encode(params, vocab.indices(tokens), 256)
+    def similarity(left, right):
+        u, v = unit_rows(np.stack([encode(params, vocab.indices(tokens), 256)
+                                   for tokens in (left, right)]))
+        return float(u @ v)
 
-    positive = [similarity(embed_tokens(p.left_tokens), embed_tokens(p.right_tokens))
-                for p in pipeline.val_pairs]
+    positive = [similarity(p.left_tokens, p.right_tokens) for p in pipeline.val_pairs]
 
     theme_of = pipeline.manifest.theme_by_paragraph
     by_id = {p.id: p for p in pipeline.paragraphs}
@@ -222,7 +223,7 @@ def test_criterion_5_training_efficacy(pipeline):
         pa, pb = by_id[ids[i]], by_id[ids[j]]
         if theme_of[pa.id] == theme_of[pb.id]:
             continue
-        cross.append(similarity(embed_tokens(pa.tokens), embed_tokens(pb.tokens)))
+        cross.append(similarity(pa.tokens, pb.tokens))
     gap = float(np.mean(positive) - np.mean(cross))
     assert gap >= 0.2, gap
 

@@ -1,4 +1,4 @@
-"""Encoder: vocabulary, forward pass, cosine similarity, model file format."""
+"""Encoder: vocabulary, forward pass, row norms, model file format."""
 
 import math
 import struct
@@ -19,9 +19,8 @@ from riskrel.encoder import (
     model_fingerprint,
     pad_batch,
     save_model,
-    similarity,
 )
-from riskrel.errors import EmptyCorpus, EmptyParagraph, ZeroVector
+from riskrel.errors import EmptyCorpus, EmptyParagraph
 
 
 # --- vocabulary ---
@@ -114,50 +113,12 @@ def test_encode_batch_matches_single():
         assert h[k] == pytest.approx(params.embed[ids].mean(axis=0), abs=1e-15)
 
 
-# --- similarity ---
+# --- cosine ---
 
-def test_similarity_self_is_one():
-    u = np.array([0.3, -1.2, 0.5])
-    assert similarity(u, u) == 1.0
-
-
-def test_similarity_self_exactly_one_on_random_vectors():
-    # sqrt(s)**2 != s for roughly half of all doubles; the implementation
-    # must use the sqrt(s*s) form so the identity case is exact.
-    rng = np.random.default_rng(42)
-    for _ in range(500):
-        u = rng.normal(size=int(rng.integers(2, 12)))
-        assert similarity(u, u) == 1.0
-        assert similarity(u, -u) == -1.0
-
-
-def test_similarity_antipodal():
-    u = np.array([0.3, -1.2, 0.5])
-    assert similarity(u, -u) == -1.0
-
-
-def test_similarity_orthogonal():
-    assert similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_similarity_symmetric_exact():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        u, v = rng.normal(size=(2, 12))
-        assert similarity(u, v) == similarity(v, u)
-
-
-def test_similarity_scale_invariant():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        u, v = rng.normal(size=(2, 6))
-        c = float(rng.uniform(0.01, 100.0))
-        assert abs(similarity(c * u, v) - similarity(u, v)) <= 1e-12
-
-
-def test_similarity_zero_vector_errors():
-    with pytest.raises(ZeroVector):
-        similarity(np.zeros(4), np.ones(4))
+def test_unit_rows_floor_a_zero_row_at_norm_eps():
+    vectors = np.array([[3.0, 4.0], [0.0, 0.0]])
+    assert encoder.row_norms(vectors).tolist() == [[5.0], [encoder.NORM_EPS]]
+    assert encoder.unit_rows(vectors).tolist() == [[0.6, 0.8], [0.0, 0.0]]
 
 
 # --- model file ---

@@ -115,6 +115,21 @@ def test_all_pad_row_raises_empty_paragraph():
             objective(params, batch, _config())
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_objective_and_validation_see_one_cosine_matrix(seed):
+    """The step, the objective and validation take their InfoNCE loss from
+    one batch pass, so on one batch the three agree bit for bit."""
+    rng = np.random.default_rng(seed)
+    params = init_params(20, d=8, rng=rng)
+    anchors = [rng.integers(1, 20, size=int(rng.integers(2, 9))) for _ in range(5)]
+    positives = [rng.integers(1, 20, size=int(rng.integers(2, 9))) for _ in range(5)]
+    batch = TrainingBatch(pad_batch(anchors), pad_batch(positives))
+    config = _config(batch_size=5, l2_coeff=0.0)
+    step_loss = training._loss_and_gradients(params, batch, config)[1]
+    val_loss, _ = training._evaluate(params, anchors, positives, config)
+    assert step_loss == batch_objective(params, batch, config) == val_loss
+
+
 def _central_difference(params, batch, config, h=1e-5):
     """Finite-difference oracle for every parameter block."""
     grads = {"embed": np.zeros_like(params.embed),
@@ -243,16 +258,16 @@ def test_warmup_factor_edges():
 def test_adam_step_zero_rate_moves_nothing():
     params = init_params(6, d=4, rng=0)
     before = params.copy()
-    grads = training.Gradients(np.ones_like(params.embed),
-                               np.ones_like(params.proj_w),
-                               np.ones_like(params.proj_b))
+    grads = EncoderParams(np.ones_like(params.embed),
+                          np.ones_like(params.proj_w),
+                          np.ones_like(params.proj_b))
     state = AdamState.zeros_like(params)
     adam_step(params, grads, state, step=0, config=_config(warmup_steps=100))
     assert np.array_equal(params.embed, before.embed)
     assert np.array_equal(params.proj_w, before.proj_w)
     assert np.array_equal(params.proj_b, before.proj_b)
     # moments still accumulate during warmup
-    assert not np.array_equal(state.m_proj_w, np.zeros_like(state.m_proj_w))
+    assert not np.array_equal(state.m[1], np.zeros_like(state.m[1]))
 
 
 def test_adam_first_full_rate_step_is_unit_update():
@@ -262,9 +277,9 @@ def test_adam_first_full_rate_step_is_unit_update():
     expected_delta = -lr * 1.0 / (1.0 + 1e-8)
     params = init_params(6, d=4, rng=1)
     before = params.proj_b.copy()
-    grads = training.Gradients(np.zeros_like(params.embed),
-                               np.zeros_like(params.proj_w),
-                               np.ones_like(params.proj_b))
+    grads = EncoderParams(np.zeros_like(params.embed),
+                          np.zeros_like(params.proj_w),
+                          np.ones_like(params.proj_b))
     state = AdamState.zeros_like(params)
     adam_step(params, grads, state, step=0,
               config=_config(warmup_steps=0, learning_rate=lr))
@@ -280,8 +295,8 @@ def test_adam_in_place_matches_reference_expression_bitwise():
     moments = {name: (np.zeros_like(getattr(ref, name)), np.zeros_like(getattr(ref, name)))
                for name in ("embed", "proj_w", "proj_b")}
     for step in range(6):
-        grads = training.Gradients(*(rng.standard_normal(a.shape) * 10.0 ** (step - 3)
-                                     for a in (params.embed, params.proj_w, params.proj_b)))
+        grads = EncoderParams(*(rng.standard_normal(a.shape) * 10.0 ** (step - 3)
+                                for a in (params.embed, params.proj_w, params.proj_b)))
         adam_step(params, grads, state, step, config)
         lr = config.learning_rate * warmup_factor(step, config.warmup_steps)
         bc1 = 1.0 - training.ADAM_BETA1 ** (step + 1)
@@ -293,10 +308,10 @@ def test_adam_in_place_matches_reference_expression_bitwise():
             getattr(ref, name)[...] -= (lr * (m / bc1)
                                         / (np.sqrt(v / bc2) + training.ADAM_EPS))
         ref.embed[PAD_INDEX] = 0.0
-        for name, (m, v) in moments.items():
+        for k, (name, (m, v)) in enumerate(moments.items()):
             assert np.array_equal(getattr(params, name), getattr(ref, name)), (step, name)
-            assert np.array_equal(getattr(state, f"m_{name}"), m), (step, name)
-            assert np.array_equal(getattr(state, f"v_{name}"), v), (step, name)
+            assert np.array_equal(state.m[k], m), (step, name)
+            assert np.array_equal(state.v[k], v), (step, name)
 
 
 def test_adam_never_mutates_pad_row():
