@@ -37,6 +37,10 @@ _XML_DECL_RE = re.compile(r"<\?[^>]*\?>")
 
 _TOKEN_RE = re.compile(r"[^\W\d_]+|\d+|[^\w\s]|_")
 
+# What a firm id may not hold: it names evidence files (<a>__<b>.json), is
+# a CSV cell and starts every paragraph id (firm:year:section:ordinal).
+_BAD_FIRM_ID_RE = re.compile(r"[/\\,:\s\x00-\x1f\x7f-\x9f]|__")
+
 # "Item 1A", "ITEM 7A.", "Item 7A —" ... optional punctuation after the code.
 _ITEM_HEADING_RE = re.compile(r"\bitem\s+(\d{1,2})([a-z])?\b\s*[.:;\-–—]?\s*",
                               re.IGNORECASE)
@@ -72,6 +76,18 @@ class FirmCorpus:
     @property
     def count(self) -> int:
         return len(self.paragraphs)
+
+
+def check_firm_id(firm_id: str) -> str:
+    """``firm_id``, if it is safe as a file name, a CSV cell and an id prefix.
+
+    An empty id, ``.``, ``..``, or one holding ``/``, ``\\``, ``,``, ``:``,
+    ``__``, whitespace or a control character is a ``ValueError``.
+    """
+    if firm_id in ("", ".", "..") or _BAD_FIRM_ID_RE.search(firm_id):
+        raise ValueError(f"firm_id {firm_id!r} must be non-empty, not '.' or '..', and "
+                         "hold no '/', '\\', ',', ':', '__', whitespace or control character")
+    return firm_id
 
 
 def tokenize(text: str) -> list[str]:
@@ -174,8 +190,7 @@ def ingest_filing(firm_id: str, year: int, raw_text: str,
                   sections: Iterable[str] = DEFAULT_SECTIONS,
                   min_tokens: int = DEFAULT_MIN_TOKENS) -> list[Paragraph]:
     """Clean one raw filing and segment its requested sections, in that order."""
-    if not firm_id:
-        raise ValueError("firm_id must be non-empty")
+    check_firm_id(firm_id)
     if not 1990 <= year <= 2100:
         raise ValueError(f"fiscal_year {year} out of range [1990, 2100]")
     sections = tuple(dict.fromkeys(sections))
@@ -237,7 +252,7 @@ def read_paragraphs(path: str | Path) -> list[Paragraph]:
     """Read paragraphs written by :func:`write_paragraphs`."""
     paragraphs = read_jsonl(path, lambda rec: Paragraph(
         id=typed_field(rec, "id", str),
-        firm_id=typed_field(rec, "firm", str),
+        firm_id=check_firm_id(typed_field(rec, "firm", str)),
         year=typed_field(rec, "year", int),
         section=typed_field(rec, "section", str),
         text=typed_field(rec, "text", str),

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import Paragraph
+
 PLANTED_THEME = "supply_chain"
 PLANTED_PAIR = ("ACME", "BOLT")
 
@@ -253,11 +255,11 @@ class FixtureManifest:
     planted_pair: tuple[str, str] = PLANTED_PAIR
     planted_theme: str = PLANTED_THEME
     theme_by_paragraph: dict[str, str] = field(default_factory=dict)
+    planted_ids: set[str] = field(default_factory=set)
 
     def planted_paragraph_ids(self) -> set[str]:
-        return {pid for pid, theme in self.theme_by_paragraph.items()
-                if theme == self.planted_theme
-                and pid.split(":")[0] in self.planted_pair}
+        """Ids of the planted theme's paragraphs in the planted pair's filings."""
+        return set(self.planted_ids)
 
 
 def _date_phrase(month: int, day: int, year: int) -> str:
@@ -408,8 +410,10 @@ def write_fixture(root: str | Path, seed: int = DEFAULT_SEED,
             body_7a = _section_paragraphs(rng, firm, year, "7A", PARAGRAPHS_7A)
             for label, body in (("1A", body_1a), ("7A", body_7a)):
                 for ordinal, (_, theme) in enumerate(body):
-                    pid = f"{firm}:{year}:{label}:{ordinal:04d}"
+                    pid = Paragraph.make_id(firm, year, label, ordinal)
                     manifest.theme_by_paragraph[pid] = theme
+                    if theme == manifest.planted_theme and firm in manifest.planted_pair:
+                        manifest.planted_ids.add(pid)
             raw = _render_filing(firm, year, [t for t, _ in body_1a],
                                  [t for t, _ in body_7a])
             (firm_dir / f"{year}.txt").write_text(raw, encoding="utf-8")

@@ -21,6 +21,7 @@ its textbook expression.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -67,10 +68,18 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (in-batch negatives)")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if self.max_len < 1:
+            raise ValueError("max_len must be >= 1")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not self.l2_coeff >= 0:
+            raise ValueError("l2_coeff must be >= 0")
 
 
 @dataclass
@@ -210,9 +219,11 @@ def _pool_backward(batch: TrainingBatch, d_h: np.ndarray) -> tuple[np.ndarray, n
     return rows, tally.astype(np.float64) @ (d_h / counts[:, None])
 
 
-def _batch_pass(params: EncoderParams, batch: TrainingBatch) -> tuple[tuple, tuple, np.ndarray]:
+def _batch_pass(params: EncoderParams,
+                batch: TrainingBatch) -> tuple[tuple, tuple, np.ndarray]:
     """Training's one forward pass: per side (pooled h, encoded u, floored
-    norms, unit rows), anchors then positives, and their B x B cosines.
+    norms, unit rows as in :func:`unit_rows`), anchors then positives, and
+    their B x B cosines.
 
     The step, :func:`batch_objective` and validation all read their cosines
     from here.

@@ -813,13 +813,19 @@ def test_report_on_one_firm_matrix_says_there_is_no_pair(tmp_path, capsys):
     assert "## Evidence highlights\n\n_No top pair: rrs.csv holds one firm._\n" in report
 
 
-@pytest.mark.parametrize("name, raw, detail", [
-    ("2020.txt", b"Item 1A. \xff risk",
+_FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', ':', '__', "
+              "whitespace or control character")
+
+
+@pytest.mark.parametrize("firm, name, raw, detail", [
+    ("ACME", "2020.txt", b"Item 1A. \xff risk",
      "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
-    ("1800.txt", b"Item 1A. risk", "fiscal_year 1800 out of range [1990, 2100]"),
-], ids=["not_utf8", "year_out_of_range"])
-def test_ingest_error_names_the_filing(tmp_path, capsys, name, raw, detail):
-    filing = tmp_path / "filings" / "ACME" / name
+    ("ACME", "1800.txt", b"Item 1A. risk", "fiscal_year 1800 out of range [1990, 2100]"),
+    ("AC,ME", "2020.txt", b"Item 1A. risk", f"firm_id 'AC,ME' {_FIRM_RULE}"),
+    ("A__B", "2020.txt", b"Item 1A. risk", f"firm_id 'A__B' {_FIRM_RULE}"),
+], ids=["not_utf8", "year_out_of_range", "firm_comma", "firm_pair_separator"])
+def test_ingest_error_names_the_filing(tmp_path, capsys, firm, name, raw, detail):
+    filing = tmp_path / "filings" / firm / name
     filing.parent.mkdir(parents=True)
     filing.write_bytes(raw)
     code, out, err = run(["ingest", "--root", str(tmp_path / "filings"),
@@ -827,3 +833,39 @@ def test_ingest_error_names_the_filing(tmp_path, capsys, name, raw, detail):
     assert (code, out) == (1, "")
     assert err == f"error: ValueError: bad filing {filing}: {detail}\n"
     assert not (tmp_path / "p.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag, value, detail", [
+    ("--max-epochs", "0", "max_epochs must be >= 1"),
+    ("--l2-coeff", "-1", "l2_coeff must be >= 0"),
+    ("--learning-rate", "nan", "learning_rate must be finite and >= 0"),
+    ("--max-len", "0", "max_len must be >= 1"),
+], ids=["max_epochs", "l2_coeff", "learning_rate", "max_len"])
+def test_train_rejects_settings_no_training_can_use(pipeline_dir, tmp_path, capsys, flag,
+                                                     value, detail):
+    code, out, err = run(["train", "--pairs", str(pipeline_dir / "pairs"), "--seed", "0",
+                          flag, value, "--out", str(tmp_path / "model.bin"),
+                          "--report", str(tmp_path / "report.jsonl")], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: ValueError: {detail}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("firm", ["../../escaped", "AC,ME", "A__B"],
+                         ids=["path", "comma", "pair_separator"])
+def test_score_rejects_a_firm_id_that_would_break_its_outputs(pipeline_dir, tmp_path, capsys,
+                                                              firm):
+    lines = (pipeline_dir / "paragraphs.jsonl").read_text().splitlines(True)
+    paragraphs = tmp_path / "paragraphs.jsonl"
+    paragraphs.write_text("".join(line.replace('"firm": "BOLT"', f'"firm": {json.dumps(firm)}')
+                                  for line in lines))
+    first = next(n for n, line in enumerate(lines, 1) if '"firm": "BOLT"' in line)
+    out = tmp_path / "out" / "deep"
+    code, stdout, err = run(["score", "--model", str(pipeline_dir / "model.bin"),
+                             "--paragraphs", str(paragraphs),
+                             "--out-matrix", str(out / "rrs.csv"),
+                             "--out-evidence", str(out / "evidence")], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: ValueError: malformed record in {paragraphs} line {first}: "
+                   f"firm_id {firm!r} {_FIRM_RULE}\n")
+    assert not (tmp_path / "out").exists()

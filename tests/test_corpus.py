@@ -228,6 +228,10 @@ def test_ingest_filing_rejects_bad_year_and_empty_firm():
         corpus.ingest_filing("X", 1800, "t")
     with pytest.raises(ValueError, match="firm_id"):
         corpus.ingest_filing("", 2020, "t")
+    for firm in (".", "..", "../../escaped", "A/B", "A\\B", "AC,ME", "AC:ME", "A__B",
+                 "AC ME", "AC\tME", "AC\x00ME", "AC\x85ME"):
+        with pytest.raises(ValueError, match=f"^firm_id {re.escape(repr(firm))} must"):
+            corpus.ingest_filing(firm, 2020, "t")
 
 
 _FILING = ("<p>Item 1A. Risk Factors</p><p>" + " ".join(f"risk{i}" for i in range(25))

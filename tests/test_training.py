@@ -425,3 +425,8 @@ def test_config_validation():
         TrainConfig(temperature=0.0)
     with pytest.raises(ValueError):
         TrainConfig(patience=0)
+    for setting in ({"temperature": math.nan}, {"max_epochs": 0}, {"max_len": 0},
+                    {"l2_coeff": -1.0}, {"l2_coeff": math.nan}, {"learning_rate": math.nan},
+                    {"learning_rate": math.inf}, {"learning_rate": -1e-3}):
+        with pytest.raises(ValueError, match=f"^{next(iter(setting))} must be"):
+            TrainConfig(**setting)
