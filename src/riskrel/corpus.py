@@ -249,14 +249,24 @@ def write_paragraphs(paragraphs: Iterable[Paragraph], path: str | Path) -> int:
 
 
 def read_paragraphs(path: str | Path) -> list[Paragraph]:
-    """Read paragraphs written by :func:`write_paragraphs`."""
-    paragraphs = read_jsonl(path, lambda rec: Paragraph(
-        id=typed_field(rec, "id", str),
-        firm_id=check_firm_id(typed_field(rec, "firm", str)),
-        year=typed_field(rec, "year", int),
-        section=typed_field(rec, "section", str),
-        text=typed_field(rec, "text", str),
-        tokens=tuple(typed_field(rec, "tokens", list))))
+    """Read paragraphs written by :func:`write_paragraphs`; a well-formed
+    record whose id an earlier line has is a ``malformed record`` error."""
+    seen: set[str] = set()
+
+    def parse(rec: dict) -> Paragraph:
+        paragraph = Paragraph(
+            id=typed_field(rec, "id", str),
+            firm_id=check_firm_id(typed_field(rec, "firm", str)),
+            year=typed_field(rec, "year", int),
+            section=typed_field(rec, "section", str),
+            text=typed_field(rec, "text", str),
+            tokens=tuple(typed_field(rec, "tokens", list)))
+        if paragraph.id in seen:
+            raise ValueError(f"paragraph id {paragraph.id!r} repeated")
+        seen.add(paragraph.id)
+        return paragraph
+
+    paragraphs = read_jsonl(path, parse)
     if not paragraphs:
         raise EmptyCorpus(f"no paragraph records in {path}")
     return paragraphs

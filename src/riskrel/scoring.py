@@ -24,9 +24,11 @@ find_mrps's bit for bit, ties at the threshold included.
 
 Evidence files are JSON in ``json.dumps(..., indent=2, ensure_ascii=False)``
 layout, but not written by ``json``: CPython serves ``indent`` only from its
-pure-Python encoder, which was most of ``score``'s time. A streaming writer
-(:func:`write_evidence_files`) gives the same bytes from one template per
-evidence entry, with ``json``'s own string escaping and float ``repr``;
+pure-Python encoder, which was most of ``score``'s time. The writer
+(:func:`write_evidence_files`) gives the same bytes with ``json``'s own
+string escaping and float ``repr``: each id's and text's JSON literal is
+escaped and UTF-8 encoded once per run into a byte cache, and each file is
+one ``b"".join`` of those literals and the fixed keys, written at once;
 :func:`mrp_result_to_dict` stays the dict view and the writer's test oracle.
 Each file is renamed into place only once complete.
 """
@@ -43,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FirmCorpus, Paragraph, read_lines
+from .corpus import FirmCorpus, Paragraph, check_firm_id, read_lines
 from .encoder import (
     DEFAULT_MAX_LEN,
     EncoderParams,
@@ -185,18 +187,29 @@ def find_mrps(index: EmbeddingIndex, firm_a: str, firm_b: str,
     The similarity matrix is always computed with the firms in sorted
     order internally, so rrs(A, B) == rrs(B, A) bit-exactly regardless of
     argument order. Evidence lists every qualifying cross pair, sorted by
-    similarity descending with (id_a, id_b) breaking ties.
+    similarity descending with (id_a, id_b) breaking ties, and then by
+    block position: one ``np.lexsort`` over the similarity and each id's
+    rank among its firm's distinct ids.
     """
     ids_a, ids_b, sims = _similarities(index, firm_a, firm_b, {})
     hits = sims >= threshold
     mrps_a = tuple(sorted(ids_a[i] for i in np.flatnonzero(hits.any(axis=1))))
     mrps_b = tuple(sorted(ids_b[j] for j in np.flatnonzero(hits.any(axis=0))))
-    evidence = [(ids_a[i], ids_b[j], float(sims[i, j]))
-                for i, j in zip(*np.nonzero(hits))]
-    evidence.sort(key=lambda e: (-e[2], e[0], e[1]))
+    rows, cols = np.nonzero(hits)
+    values = sims[rows, cols]
+    order = np.lexsort((_id_ranks(ids_b)[cols], _id_ranks(ids_a)[rows], -values))
+    evidence = list(zip(np.array(ids_a, dtype=object)[rows[order]].tolist(),
+                        np.array(ids_b, dtype=object)[cols[order]].tolist(),
+                        values[order].tolist()))
     return MrpResult(firm_a=firm_a, firm_b=firm_b, threshold=threshold,
                      n_a=len(ids_a), n_b=len(ids_b),
                      mrps_a=mrps_a, mrps_b=mrps_b, evidence=evidence)
+
+
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each id's rank among the distinct ids in str order; equal ids share one."""
+    rank = {pid: r for r, pid in enumerate(sorted(set(ids)))}
+    return np.array([rank[pid] for pid in ids], dtype=np.intp)
 
 
 def firm_pairs(firms: Sequence[str]) -> list[tuple[str, str]]:
@@ -347,12 +360,13 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
     """One ``<A>__<B>.json`` per firm pair, A before B lexicographically.
 
     Each file holds exactly the bytes of ``json.dumps(mrp_result_to_dict(
-    result, paragraphs), indent=2, ensure_ascii=False) + "\\n"``, streamed
-    one evidence entry at a time rather than built as a dict; each
-    paragraph's id and text are escaped once per call, however many entries
-    and files repeat them. Each file is staged (:mod:`riskrel.outputs`) and
-    renamed into place once closed, so an error or a kill never leaves a
-    partial ``.json``; on an error the files of earlier pairs stay.
+    result, paragraphs), indent=2, ensure_ascii=False) + "\\n"``, joined
+    from its pieces and written at once rather than built as a dict; each
+    paragraph's id and text are escaped and UTF-8 encoded once per call,
+    however many entries and files repeat them. Each file is staged
+    (:mod:`riskrel.outputs`) and renamed into place once closed, so an error
+    or a kill never leaves a partial ``.json``; on an error the files of
+    earlier pairs stay.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -364,22 +378,23 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
     for result in results:
         a, b = sorted((result.firm_a, result.firm_b))
         path = out_dir / f"{a}__{b}.json"
-        with Outputs() as stage, open(stage(path), "w", encoding="utf-8") as fh:
+        with Outputs() as stage, open(stage(path), "wb") as fh:
             _write_evidence_document(fh, result, ids, texts)
         written.append(path)
     return written
 
 
 class _EscapeCache(dict):
-    """Paragraph id -> JSON string literal of ``source(id)``, escaped on first use."""
+    """Paragraph id -> UTF-8 bytes of the JSON string literal of ``source(id)``,
+    made on first use."""
 
     def __init__(self, source: Callable[[str], str]) -> None:
         super().__init__()
         self._source = source
 
-    def __missing__(self, pid: str) -> str:
-        escaped = self[pid] = encode_basestring(self._source(pid))
-        return escaped
+    def __missing__(self, pid: str) -> bytes:
+        literal = self[pid] = encode_basestring(self._source(pid)).encode("utf-8")
+        return literal
 
 
 def _json_number(value) -> str:
@@ -389,37 +404,39 @@ def _json_number(value) -> str:
     return json.dumps(value)
 
 
-def _json_id_list(pids: Sequence[str], ids: _EscapeCache) -> str:
+def _json_id_list(pids: Sequence[str], ids: _EscapeCache) -> bytes:
     if not pids:
-        return "[]"
-    return "[\n    " + ",\n    ".join([ids[pid] for pid in pids]) + "\n  ]"
+        return b"[]"
+    return b"[\n    " + b",\n    ".join([ids[pid] for pid in pids]) + b"\n  ]"
 
 
 def _write_evidence_document(fh, result: MrpResult, ids: _EscapeCache,
                              texts: _EscapeCache | None) -> None:
-    """Stream :func:`mrp_result_to_dict`'s document in json.dumps's indent=2 layout."""
-    fh.write(f'{{\n  "firm_a": {encode_basestring(result.firm_a)},\n'
-             f'  "firm_b": {encode_basestring(result.firm_b)},\n'
-             f'  "threshold": {_json_number(result.threshold)},\n'
-             f'  "n_a": {_json_number(result.n_a)},\n'
-             f'  "n_b": {_json_number(result.n_b)},\n'
-             f'  "rrs": {_json_number(result.rrs)},\n'
-             f'  "mrps_a": {_json_id_list(result.mrps_a, ids)},\n'
-             f'  "mrps_b": {_json_id_list(result.mrps_b, ids)},\n'
-             f'  "evidence": ')
+    """Write :func:`mrp_result_to_dict`'s document in json.dumps's indent=2
+    layout, to a binary file in one write."""
+    head = (f'{{\n  "firm_a": {encode_basestring(result.firm_a)},\n'
+            f'  "firm_b": {encode_basestring(result.firm_b)},\n'
+            f'  "threshold": {_json_number(result.threshold)},\n'
+            f'  "n_a": {_json_number(result.n_a)},\n'
+            f'  "n_b": {_json_number(result.n_b)},\n'
+            f'  "rrs": {_json_number(result.rrs)},\n')
+    parts = [head.encode("utf-8"),
+             b'  "mrps_a": ', _json_id_list(result.mrps_a, ids),
+             b',\n  "mrps_b": ', _json_id_list(result.mrps_b, ids),
+             b',\n  "evidence": ']
     if not result.evidence:
-        fh.write("[]\n}\n")
-        return
-    separator = "[\n"
-    for id_a, id_b, sim in result.evidence:
-        entry = (f'{separator}    {{\n      "id_a": {ids[id_a]},\n'
-                 f'      "id_b": {ids[id_b]},\n'
-                 f'      "similarity": {_json_number(sim)}')
-        if texts is not None:
-            entry += f',\n      "text_a": {texts[id_a]},\n      "text_b": {texts[id_b]}'
-        fh.write(entry + "\n    }")
-        separator = ",\n"
-    fh.write("\n  ]\n}\n")
+        parts.append(b"[]\n}\n")
+    else:
+        entry_start = b'[\n    {\n      "id_a": '
+        for id_a, id_b, sim in result.evidence:
+            parts += (entry_start, ids[id_a], b',\n      "id_b": ', ids[id_b],
+                      b',\n      "similarity": ', _json_number(sim).encode("ascii"))
+            if texts is not None:
+                parts += (b',\n      "text_a": ', texts[id_a],
+                          b',\n      "text_b": ', texts[id_b])
+            entry_start = b'\n    },\n    {\n      "id_a": '
+        parts.append(b"\n    }\n  ]\n}\n")
+    fh.write(b"".join(parts))
 
 
 def write_rrs_csv(firms: Sequence[str], matrix: np.ndarray,
@@ -497,9 +514,18 @@ def save_embeddings(index: EmbeddingIndex, path: str | Path) -> None:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingIndex:
-    """Read an index written by :func:`save_embeddings`; a truncated file, or
-    an undecodable fingerprint, firm or paragraph id, is a ``ValueError``
-    naming it."""
+    """Read an index written by :func:`save_embeddings`.
+
+    A truncated file is a ``ValueError`` naming it, and so is, as
+    ``malformed embeddings file <path>: …``, what ``embed`` never writes: an
+    undecodable fingerprint, firm or paragraph id, a firm id that
+    :func:`~riskrel.corpus.check_firm_id` rejects, a repeated firm or
+    paragraph id, vectors narrower than 2 or holding a value that is not
+    finite, or bytes after the last vector.
+    """
+    def malformed(detail) -> ValueError:
+        return ValueError(f"malformed embeddings file {path}: {detail}")
+
     with open(path, "rb") as fh:
         if fh.read(8) != _EMB_MAGIC:
             raise ValueError(f"not a riskrel embeddings file: {path}")
@@ -512,18 +538,35 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
             try:
                 return read_exact(fh, length, path).decode(encoding)
             except UnicodeDecodeError as exc:
-                raise ValueError(f"malformed embeddings file {path}: {exc}") from None
+                raise malformed(exc) from None
 
         fingerprint = text("ascii")
         firms: dict[str, tuple[list[str], np.ndarray]] = {}
+        seen_ids: set[str] = set()
         for _ in range(n_firms):
             firm = text()
+            try:
+                check_firm_id(firm)
+            except ValueError as exc:
+                raise malformed(exc) from None
+            if firm in firms:
+                raise malformed(f"firm {firm!r} repeated")
             (count,) = struct.unpack("<I", read_exact(fh, 4, path))
             ids, rows = [], []
             for _ in range(count):
-                ids.append(text())
+                pid = text()
+                if pid in seen_ids:
+                    raise malformed(f"paragraph id {pid!r} repeated")
+                seen_ids.add(pid)
+                ids.append(pid)
                 rows.append(read_exact(fh, 8 * d, path))
             vectors = np.frombuffer(b"".join(rows), dtype="<f8").reshape(count, d)
+            if ids and d < 2:
+                raise malformed(f"firm {firm!r} has vectors of width {d}, below 2")
+            if not np.isfinite(vectors).all():
+                raise malformed(f"firm {firm!r} has a value that is not finite")
             firms[firm] = (ids, vectors.astype(np.float64))
+        if fh.read(1):
+            raise malformed("bytes after the last vector")
     return EmbeddingIndex(firms=firms, model_fingerprint=fingerprint,
                           max_len=max_len)

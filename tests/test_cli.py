@@ -7,9 +7,12 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from riskrel import cli, scoring
 
@@ -596,6 +599,28 @@ def _score_argv(pipeline_dir, out, *extra):
             *extra]
 
 
+# No shrink phase: each shrink step reruns score, and shrinking a permutation
+# of the whole file took minutes; the failing permutation is reported as drawn.
+@settings(max_examples=20, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(data=st.data())
+def test_shuffled_paragraph_file_scores_byte_for_byte_alike(pipeline_dir, data):
+    """Reordering paragraphs.jsonl, within a firm and across firms, changes no
+    byte of rrs.csv or of any evidence file, for a fixed model.bin."""
+    lines = (pipeline_dir / "paragraphs.jsonl").read_text().splitlines(True)
+    shuffled = data.draw(st.permutations(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        paragraphs = out / "paragraphs.jsonl"
+        paragraphs.write_text("".join(shuffled))
+        argv = _score_argv(pipeline_dir, out, "--threshold", "0.75")
+        argv[argv.index("--paragraphs") + 1] = str(paragraphs)
+        assert cli.main(argv) == 0
+        paragraphs.unlink()
+        assert _tree(out) == {name: body for name, body in _tree(pipeline_dir).items()
+                              if name == "rrs.csv" or name.startswith("evidence/")}
+
+
 def test_config_threshold_reaches_score(pipeline_dir, tmp_path, capsys):
     config = tmp_path / "score.conf"
     config.write_text("threshold = 0.8\n")
@@ -869,3 +894,22 @@ def test_score_rejects_a_firm_id_that_would_break_its_outputs(pipeline_dir, tmp_
     assert err == (f"error: ValueError: malformed record in {paragraphs} line {first}: "
                    f"firm_id {firm!r} {_FIRM_RULE}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["score", "pairs"])
+def test_repeated_paragraph_id_is_one_line_error(pipeline_dir, tmp_path, capsys, command):
+    lines = (pipeline_dir / "paragraphs.jsonl").read_text().splitlines(True)
+    paragraphs = tmp_path / "paragraphs.jsonl"
+    paragraphs.write_text("".join([lines[0], *lines]))
+    out = tmp_path / "out"
+    argv = {"score": _score_argv(pipeline_dir, out),
+            "pairs": ["pairs", "--in", str(paragraphs), "--seed", "7",
+                      "--out", str(out / "pairs")]}[command]
+    if command == "score":
+        argv[argv.index("--paragraphs") + 1] = str(paragraphs)
+    code, stdout, err = run(argv, capsys)
+    pid = json.loads(lines[0])["id"]
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: ValueError: malformed record in {paragraphs} line 2: "
+                   f"paragraph id {pid!r} repeated\n")
+    assert not out.exists()

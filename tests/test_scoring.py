@@ -2,12 +2,17 @@
 
 import json
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskrel import scoring
-from riskrel.corpus import FirmCorpus, Paragraph, group_by_firm, tokenize
+from riskrel.corpus import FirmCorpus, Paragraph, check_firm_id, group_by_firm, tokenize
 from riskrel.encoder import build_vocab, init_params
 from riskrel.errors import (
     DimensionMismatch,
@@ -129,6 +134,49 @@ def test_evidence_sorted_by_similarity_then_ids():
     sims = [e[2] for e in result.evidence]
     assert sims == sorted(sims, reverse=True)
     assert result.evidence[0][0] == "A:2023:1A:0000"  # similarity 1.0 first
+
+
+def sorted_evidence_oracle(index, firm_a, firm_b, threshold):
+    """Evidence built in block order, then sorted by (-similarity, id_a, id_b)."""
+    ids_a, ids_b, sims = scoring._similarities(index, firm_a, firm_b, {})
+    evidence = [(ids_a[i], ids_b[j], float(sims[i, j]))
+                for i, j in zip(*np.nonzero(sims >= threshold))]
+    evidence.sort(key=lambda e: (-e[2], e[0], e[1]))
+    return evidence
+
+
+# Few distinct ids, so a firm repeats some; "x\0" sorts after "x", but a
+# numpy U array would read it as "x".
+TIED_IDS = ["a", "x", "x\0", "z"]
+
+
+@st.composite
+def tied_firm(draw, d):
+    n = draw(st.integers(1, 5))
+    vectors = draw(st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d))
+    ids = draw(st.lists(st.sampled_from(TIED_IDS), min_size=n, max_size=n))
+    return ids, np.array(vectors, dtype=np.float64).reshape(n, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_evidence_order_matches_a_sort_by_similarity_then_ids(data):
+    d = data.draw(st.integers(1, 3))
+    index = EmbeddingIndex(firms={"A": data.draw(tied_firm(d)), "B": data.draw(tied_firm(d))})
+    firm_a, firm_b = data.draw(st.permutations(["A", "B"]))
+    sims = scoring._similarities(index, firm_a, firm_b, {})[2]
+    threshold = data.draw(st.sampled_from([0.0, 1.0]) | st.sampled_from(sims.ravel().tolist()))
+    expected = sorted_evidence_oracle(index, firm_a, firm_b, threshold)
+    evidence = find_mrps(index, firm_a, firm_b, threshold).evidence
+    assert [(a, b, s.hex()) for a, b, s in evidence] == \
+        [(a, b, s.hex()) for a, b, s in expected]
+
+
+def test_evidence_order_ranks_equal_ids_alike():
+    index = EmbeddingIndex(firms={"A": (["x", "x"], np.ones((2, 1))),
+                                  "B": (["z", "a"], np.ones((2, 1)))})
+    assert [(a, b) for a, b, _ in find_mrps(index, "A", "B", 0.5).evidence] == [
+        ("x", "a"), ("x", "a"), ("x", "z"), ("x", "z")]
 
 
 def test_every_mrp_member_appears_in_evidence():
@@ -298,6 +346,89 @@ def test_embeddings_undecodable_text_names_the_file(tmp_path, old, new, detail):
     with pytest.raises(ValueError) as exc:
         load_embeddings(path)
     assert str(exc.value) == f"malformed embeddings file {path}: {detail}"
+
+
+def embeddings_bytes(firms, d=2, n_firms=None, fingerprint=b"fp"):
+    """A hand-built embeddings file: ``firms`` is a list of (name, ids, count)."""
+    raw = scoring._EMB_MAGIC + struct.pack(
+        "<IIIII", 1, d, 256, len(firms) if n_firms is None else n_firms, len(fingerprint))
+    raw += fingerprint
+    for firm, ids, count in firms:
+        raw += struct.pack("<I", len(firm)) + firm + struct.pack("<I", count)
+        for pid in ids:
+            raw += struct.pack("<I", len(pid)) + pid + bytes(8 * d)
+    return raw
+
+
+_FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', ':', '__', "
+              "whitespace or control character")
+
+
+@pytest.mark.parametrize("raw, detail", [
+    (embeddings_bytes([(b"A", [b"A:0"], 1), (b"A", [b"A:1"], 1)]), "firm 'A' repeated"),
+    (embeddings_bytes([(b"a/b", [b"a/b:0"], 1)]), f"firm_id 'a/b' {_FIRM_RULE}"),
+    (embeddings_bytes([(b"A", [b"A:0"], 1)]) + b"\0", "bytes after the last vector"),
+    (embeddings_bytes([(b"A", [b"A:0", b"A:0"], 2)]), "paragraph id 'A:0' repeated"),
+    (embeddings_bytes([(b"A", [b"X:0"], 1), (b"B", [b"X:0"], 1)]),
+     "paragraph id 'X:0' repeated"),
+    (embeddings_bytes([(b"A", [b"A:0"], 1)], d=1), "firm 'A' has vectors of width 1, below 2"),
+    (embeddings_bytes([(b"A", [b"A:0"], 1)])[:-8] + struct.pack("<d", math.nan),
+     "firm 'A' has a value that is not finite"),
+], ids=["repeated_firm", "firm_with_slash", "trailing_byte", "repeated_id",
+        "id_in_two_firms", "width_1", "nan"])
+def test_embeddings_that_embed_never_writes_are_malformed(tmp_path, raw, detail):
+    path = tmp_path / "emb.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as exc:
+        load_embeddings(path)
+    assert str(exc.value) == f"malformed embeddings file {path}: {detail}"
+
+
+def test_embeddings_roundtrip_with_every_firm_empty(tmp_path):
+    index = make_index({"A": [], "EMPTY": []}, fingerprint="fp")
+    assert index.d == 0
+    path = tmp_path / "emb.bin"
+    save_embeddings(index, path)
+    loaded = load_embeddings(path)
+    assert {firm: (ids, vectors.shape) for firm, (ids, vectors) in loaded.firms.items()} == {
+        "A": ([], (0, 0)), "EMPTY": ([], (0, 0))}
+
+
+_HUGE = 2 ** 32 - 1
+
+
+@st.composite
+def embeddings_files(draw):
+    """A valid header, then firm records whose counts need not match what follows."""
+    d = draw(st.integers(0, 3) | st.just(_HUGE))
+    firms = draw(st.lists(st.tuples(
+        st.sampled_from([b"A", b"B", b"a/b", b"", b"\xff"]),
+        st.lists(st.sampled_from([b"A:0", b"A:1", b"B:0", b"\xff"]), max_size=3),
+        st.integers(0, 3) | st.just(_HUGE)), max_size=3))
+    n_firms = draw(st.none() | st.integers(0, 4) | st.just(_HUGE))
+    if d == _HUGE:
+        firms = [(firm, [], count) for firm, _, count in firms]
+    return embeddings_bytes(firms, d, n_firms) + draw(st.binary(max_size=9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=80) | st.binary(max_size=60).map(scoring._EMB_MAGIC.__add__)
+       | embeddings_files())
+def test_load_embeddings_returns_an_index_or_raises_value_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "emb.bin"
+        path.write_bytes(raw)
+        try:
+            index = load_embeddings(path)
+        except ValueError:
+            return
+    ids = [pid for firm_ids, _ in index.firms.values() for pid in firm_ids]
+    assert len(set(ids)) == len(ids)
+    for firm, (firm_ids, vectors) in index.firms.items():
+        assert check_firm_id(firm) == firm
+        assert vectors.dtype == np.float64 and vectors.shape[0] == len(firm_ids)
+        assert not firm_ids or vectors.shape[1] >= 2
+        assert np.isfinite(vectors).all()
 
 
 def test_embed_corpus_keeps_empty_firm():
