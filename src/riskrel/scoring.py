@@ -49,6 +49,7 @@ from .corpus import FirmCorpus, Paragraph, check_firm_id, read_lines
 from .encoder import (
     DEFAULT_MAX_LEN,
     EncoderParams,
+    TokenCounts,
     Vocabulary,
     forward,
     pad_batch,
@@ -140,7 +141,7 @@ def embed_corpus(vocab: Vocabulary, params: EncoderParams,
         batch = pad_batch([vocab.indices(paragraph.tokens, max_len)
                            for paragraph in corpus.paragraphs])
         try:
-            _, rows = forward(params, batch)
+            _, rows = forward(params, TokenCounts.of(batch))
         except EmptyParagraph as exc:
             raise EmptyParagraph(f"paragraph {ids[exc.row]}: {exc}") from exc
         firms[corpus.firm_id] = (ids, rows)

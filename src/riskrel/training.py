@@ -7,15 +7,21 @@ warmup on the learning rate, L2 regularization on the touched parameters,
 and early stopping on validation loss. Gradients are exact and analytic;
 tests verify them against central differences.
 
-The backward pass into the embedding table is one product rather than a
-position-by-position scatter: each paragraph row spreads one vector over
-its tokens, so a (touched rows x 2B) token-count matrix times the 2B
+Each step builds one token-count matrix (:class:`~riskrel.encoder.TokenCounts`)
+over the B anchor rows stacked on the B positive rows, and the forward and
+the backward share it. The forward is one :func:`~riskrel.encoder.forward`
+over all 2B rows: one product for the pooled vectors and one tanh affine.
+The backward into the embedding table is the transposed product rather
+than a position-by-position scatter: each paragraph row spreads one vector
+over its tokens, so the (touched rows x 2B) count matrix times the 2B
 per-row vectors gives every touched row's gradient (:func:`_pool_backward`).
 A token repeated k times in a row is rounded once as k * x instead of as
 k sequential additions, and the rows are summed in the product's order, so
-the gradient may differ from a sequential scatter in the last bits. The
-Adam update runs in place with reusable buffers and is bit-identical to
-its textbook expression.
+the gradient may differ from a sequential scatter in the last bits. Like
+the forward, it is order-invariant bit for bit. Both products cost
+2B x R x d for the batch's R distinct tokens; the encoder module gives the
+measured crossover against a gather. The Adam update runs in place with
+reusable buffers and is bit-identical to its textbook expression.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .encoder import (
     DEFAULT_MIN_FREQ,
     PAD_INDEX,
     EncoderParams,
+    TokenCounts,
     Vocabulary,
     build_vocab,
     forward,
@@ -41,7 +48,7 @@ from .encoder import (
     pad_batch,
     row_norms,
 )
-from .errors import InsufficientPairs, NonFiniteGradient, NonFiniteSimilarity
+from .errors import EmptyParagraph, InsufficientPairs, NonFiniteGradient, NonFiniteSimilarity
 from .pairs import PositivePair
 
 ADAM_BETA1 = 0.9
@@ -186,54 +193,59 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _touched_rows(batch: TrainingBatch) -> np.ndarray:
-    ids = np.unique(np.concatenate([batch.anchors.ravel(), batch.positives.ravel()]))
-    return ids[ids != PAD_INDEX]
+def _token_counts(batch: TrainingBatch) -> TokenCounts:
+    """The token counts of the B anchor rows stacked on the B positive rows.
 
-
-def _pool_backward(batch: TrainingBatch, d_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Back through the masked mean pool into the embedding rows it read.
-
-    ``d_h`` stacks the gradients of the B anchor and then the B positive
-    pooled vectors, (2B, d). Returns the sorted non-PAD vocabulary rows the
-    batch looks up and their (len(rows), d) gradients.
-
-    Every pooled position of paragraph row i receives the same vector
-    d_h[i] / counts[i], so the scatter is one product: the integer
-    (touched rows x 2B) matrix of how often each token occurs in each row,
-    times those 2B vectors. A token that occurs k times in a row thus
-    contributes k * x once, where a position-by-position scatter adds x
-    k times in sequence, and the product sums the rows in its own order,
-    so the two can differ in the last bits.
+    An all-PAD row raises :class:`EmptyParagraph` naming its side and its
+    row within that side.
     """
     b = batch.size
-    tokens, owners = [], []
-    for offset, ids in ((0, batch.anchors), (b, batch.positives)):
-        row, col = np.nonzero(ids != PAD_INDEX)
-        tokens.append(ids[row, col])
-        owners.append(row + offset)
-    rows, inverse = np.unique(np.concatenate(tokens), return_inverse=True)
-    tally = np.bincount(inverse * (2 * b) + np.concatenate(owners),
-                        minlength=len(rows) * 2 * b).reshape(len(rows), 2 * b)
-    counts = tally.sum(axis=0)
-    return rows, tally.astype(np.float64) @ (d_h / counts[:, None])
+    width = max(batch.anchors.shape[1], batch.positives.shape[1])
+    ids = np.full((2 * b, width), PAD_INDEX, dtype=np.int64)
+    ids[:b, :batch.anchors.shape[1]] = batch.anchors
+    ids[b:, :batch.positives.shape[1]] = batch.positives
+    try:
+        return TokenCounts.of(ids)
+    except EmptyParagraph as exc:
+        side, row = ("anchor", exc.row) if exc.row < b else ("positive", exc.row - b)
+        raise EmptyParagraph(f"{side} row {row} has no non-padding tokens",
+                             row=row) from None
 
 
-def _batch_pass(params: EncoderParams,
-                batch: TrainingBatch) -> tuple[tuple, tuple, np.ndarray]:
-    """Training's one forward pass: per side (pooled h, encoded u, floored
-    norms, unit rows as in :func:`unit_rows`), anchors then positives, and
-    their B x B cosines.
+def _pool_backward(tokens: TokenCounts, d_h: np.ndarray) -> np.ndarray:
+    """Back through the mean pool into the embedding rows it read.
+
+    ``d_h`` holds the gradients of the pooled vectors of ``tokens``' rows,
+    (B, d). Returns the (len(tokens.rows), d) gradients of
+    ``tokens.rows``.
+
+    Every pooled position of paragraph row i receives the same vector
+    d_h[i] / lengths[i], so the scatter is one product: the forward's
+    (touched rows x B) count matrix times those B vectors. A token that
+    occurs k times in a row thus contributes k * x once, where a
+    position-by-position scatter adds x k times in sequence, and the
+    product sums the rows in its own order, so the two can differ in the
+    last bits.
+    """
+    return tokens.counts @ (d_h / tokens.lengths[:, None])
+
+
+def _batch_pass(params: EncoderParams, batch: TrainingBatch
+                ) -> tuple[TokenCounts, np.ndarray, np.ndarray, np.ndarray,
+                           np.ndarray, np.ndarray]:
+    """Training's one forward pass over the 2B stacked rows, anchors then
+    positives: (token counts, pooled h, encoded u, floored norms, unit rows
+    as in :func:`unit_rows`), and the B x B anchor-positive cosines.
 
     The step, :func:`batch_objective` and validation all read their cosines
     from here.
     """
-    sides = []
-    for ids in (batch.anchors, batch.positives):
-        h, u = forward(params, ids)
-        norms = row_norms(u)
-        sides.append((h, u, norms, u / norms))
-    return sides[0], sides[1], sides[0][3] @ sides[1][3].T
+    tokens = _token_counts(batch)
+    h, u = forward(params, tokens)
+    norms = row_norms(u)
+    units = u / norms
+    b = batch.size
+    return tokens, h, u, norms, units, units[:b] @ units[b:].T
 
 
 def batch_objective(params: EncoderParams, batch: TrainingBatch,
@@ -244,11 +256,11 @@ def batch_objective(params: EncoderParams, batch: TrainingBatch,
     up by this batch, so untouched vocabulary rows keep exactly zero
     gradient. This is the objective the analytic gradients differentiate.
     """
-    loss = info_nce_loss(_batch_pass(params, batch)[2], config.temperature)
+    tokens, *_, sims = _batch_pass(params, batch)
+    loss = info_nce_loss(sims, config.temperature)
     if config.l2_coeff:
-        rows = _touched_rows(batch)
         reg = (np.sum(params.proj_w ** 2) + np.sum(params.proj_b ** 2)
-               + np.sum(params.embed[rows] ** 2))
+               + np.sum(params.embed[tokens.rows] ** 2))
         loss += config.l2_coeff * reg
     return float(loss)
 
@@ -265,42 +277,41 @@ def _loss_and_gradients(params: EncoderParams, batch: TrainingBatch,
     b = batch.size
     tau = config.temperature
 
-    (h_a, u, nu, u_hat), (h_p, v, nv, v_hat), sims = _batch_pass(params, batch)
+    tokens, h, u, norms, units, sims = _batch_pass(params, batch)
     loss = info_nce_loss(sims, tau)
 
     # dL/dS: softmax rows minus identity, scaled by 1/(B*tau)
     g_s = (_softmax_rows(sims / tau) - np.eye(b)) / (b * tau)
 
-    # back through cosine: s_ij = u_hat_i . v_hat_j
+    # back through cosine: s_ij = u_hat_i . v_hat_j, anchors u_hat = units[:b]
+    # and positives v_hat = units[b:]
+    u_hat, v_hat = units[:b], units[b:]
     row_dot = (g_s * sims).sum(axis=1, keepdims=True)
     col_dot = (g_s * sims).sum(axis=0)[:, None]
-    d_u = (g_s @ v_hat - row_dot * u_hat) / nu
-    d_v = (g_s.T @ u_hat - col_dot * v_hat) / nv
+    d_units = np.concatenate([g_s @ v_hat - row_dot * u_hat,
+                              g_s.T @ u_hat - col_dot * v_hat]) / norms
 
-    # back through tanh and the affine head
-    g_u = d_u * (1.0 - u ** 2)
-    g_v = d_v * (1.0 - v ** 2)
-    d_proj_w = g_u.T @ h_a + g_v.T @ h_p
-    d_proj_b = g_u.sum(axis=0) + g_v.sum(axis=0)
-    d_h_a = g_u @ params.proj_w
-    d_h_p = g_v @ params.proj_w
+    # back through tanh and the affine head, all 2B rows at once
+    g = d_units * (1.0 - u ** 2)
+    d_proj_w = g.T @ h
+    d_proj_b = g.sum(axis=0)
 
-    # back through the masked mean into the touched embedding rows: one
-    # token-count product, whose rounding differs from a sequential scatter
-    # (see _pool_backward); the L2 term reuses the same touched rows
-    rows, d_rows = _pool_backward(batch, np.concatenate([d_h_a, d_h_p]))
+    # back through the mean pool into the touched embedding rows: the
+    # forward's token-count product, transposed (see _pool_backward); the
+    # L2 term reuses the same touched rows
+    d_rows = _pool_backward(tokens, g @ params.proj_w)
 
     if config.l2_coeff:
         lam2 = 2.0 * config.l2_coeff
         d_proj_w += lam2 * params.proj_w
         d_proj_b += lam2 * params.proj_b
-        d_rows += lam2 * params.embed[rows]
+        d_rows += lam2 * params.embed[tokens.rows]
 
     for block in (d_rows, d_proj_w, d_proj_b):
         if not np.all(np.isfinite(block)):
             raise NonFiniteGradient("gradient contains NaN or inf")
     d_embed = np.zeros_like(params.embed)
-    d_embed[rows] = d_rows
+    d_embed[tokens.rows] = d_rows
     return EncoderParams(d_embed, d_proj_w, d_proj_b), loss
 
 
@@ -370,19 +381,18 @@ def _evaluate(params: EncoderParams, anchors: list[np.ndarray],
     """Validation loss and positive-minus-negative margin, fixed order.
 
     Batches of batch_size; a final short batch is kept when it still has
-    at least two pairs (one negative).
+    at least two pairs (one negative). :func:`train` checks beforehand that
+    there are at least two pairs, so the first batch always counts.
     """
     total_loss = total_pos = total_neg = 0.0
     n_anchors = n_neg = 0
     for batch in _batches(anchors, positives, range(len(anchors)), config.batch_size, 2):
-        sims = _batch_pass(params, batch)[2]
+        sims = _batch_pass(params, batch)[-1]
         total_loss += float(_per_anchor_loss(sims, config.temperature).sum())
         total_pos += float(np.trace(sims))
         total_neg += float(sims.sum() - np.trace(sims))
         n_anchors += batch.size
         n_neg += batch.size * (batch.size - 1)
-    if n_anchors == 0:
-        raise InsufficientPairs("validation set yields no batch of >= 2 pairs")
     margin = total_pos / n_anchors - total_neg / n_neg
     return total_loss / n_anchors, margin
 
@@ -396,10 +406,17 @@ def train(pairs_train: Sequence[PositivePair], pairs_val: Sequence[PositivePair]
     dropped); validation loss is computed every epoch and the best
     snapshot is kept. Stops after ``patience`` epochs without improvement
     or at max_epochs. Deterministic for a fixed config and inputs.
+
+    Too few training pairs for one batch, or fewer than two validation
+    pairs (one in-batch negative), raise :class:`InsufficientPairs` before
+    any step.
     """
     if len(pairs_train) < config.batch_size:
         raise InsufficientPairs(
             f"{len(pairs_train)} training pairs < batch size {config.batch_size}")
+    if len(pairs_val) < 2:
+        raise InsufficientPairs(
+            f"{len(pairs_val)} validation pairs < 2 (one in-batch negative)")
 
     vocab = build_vocab(
         (side for p in pairs_train for side in (p.left_tokens, p.right_tokens)),

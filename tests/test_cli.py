@@ -240,6 +240,25 @@ def test_train_files_without_pairs_are_insufficient_pairs(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs"]
 
 
+@pytest.mark.parametrize("n_val", [0, 1])
+def test_train_without_a_validation_batch_is_insufficient_pairs(pipeline_dir, tmp_path,
+                                                               capsys, n_val):
+    pairs_dir = tmp_path / "pairs"
+    pairs_dir.mkdir()
+    for path in (pipeline_dir / "pairs").glob("*.train.jsonl"):
+        shutil.copy(path, pairs_dir / path.name)
+    if n_val:
+        val_lines = (pipeline_dir / "pairs" / "lexical.val.jsonl").read_text().splitlines()
+        (pairs_dir / "lexical.val.jsonl").write_text(val_lines[0] + "\n")
+    code, stdout, err = run(["train", "--pairs", str(pairs_dir), "--seed", "0",
+                             "--out", str(tmp_path / "model.bin"),
+                             "--report", str(tmp_path / "report.jsonl")], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: InsufficientPairs: {n_val} validation pairs < 2 "
+                   "(one in-batch negative)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs"]
+
+
 def test_ingest_without_requested_sections_is_empty_corpus(fixture_manifest, tmp_path,
                                                             capsys):
     root = fixture_manifest.filings_dir

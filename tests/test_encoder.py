@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskrel import encoder
 from riskrel.encoder import (
@@ -107,10 +109,51 @@ def test_encode_output_within_tanh_range():
 def test_encode_batch_matches_single():
     params = init_params(vocab_size=30, d=8, rng=4)
     rows = [np.array([2, 3, 4]), np.array([5, 6]), np.array([7, 8, 9, 10])]
-    h, batch_out = forward(params, pad_batch(rows))
+    h, batch_out = forward(params, encoder.TokenCounts.of(pad_batch(rows)))
     for k, ids in enumerate(rows):
         assert batch_out[k] == pytest.approx(encode(params, ids), abs=1e-15)
         assert h[k] == pytest.approx(params.embed[ids].mean(axis=0), abs=1e-15)
+
+
+def test_token_counts_of_a_padded_matrix():
+    tokens = encoder.TokenCounts.of(np.array([[4, 2, 4, PAD_INDEX], [2, PAD_INDEX, 7, 7]]))
+    assert tokens.rows.tolist() == [2, 4, 7]
+    assert tokens.counts.tolist() == [[1.0, 1.0], [2.0, 0.0], [0.0, 2.0]]
+    assert tokens.lengths.tolist() == [3, 3]
+    with pytest.raises(EmptyParagraph, match="^row 1 has no non-padding tokens$") as exc:
+        encoder.TokenCounts.of(np.array([[3, PAD_INDEX], [PAD_INDEX, PAD_INDEX]]))
+    assert exc.value.row == 1
+
+
+# Paragraphs over a small vocabulary, so tokens repeat; PAD (0) may sit
+# anywhere, but every paragraph keeps at least one real token.
+_VOCAB = 12
+_PARAGRAPH = st.lists(st.integers(0, _VOCAB - 1), min_size=1, max_size=40).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(2, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_encode_is_order_invariant_bit_for_bit(data, d, seed):
+    params = init_params(_VOCAB, d=d, rng=seed)
+    ids = data.draw(_PARAGRAPH, label="ids")
+    shuffled = data.draw(st.permutations(ids), label="shuffled")
+    assert encode(params, shuffled).tobytes() == encode(params, ids).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(2, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_rows_of_one_token_multiset_forward_alike_bit_for_bit(data, d, seed):
+    """Two rows of one batch holding the same tokens in different orders
+    get the same pooled and encoded bits, wherever they sit in the batch."""
+    params = init_params(_VOCAB, d=d, rng=seed)
+    rows = data.draw(st.lists(_PARAGRAPH, min_size=1, max_size=8), label="rows")
+    k = data.draw(st.integers(0, len(rows) - 1), label="k")
+    j = data.draw(st.integers(0, len(rows)), label="j")
+    rows.insert(j, data.draw(st.permutations(rows[k]), label="shuffled"))
+    k += k >= j
+    h, u = forward(params, encoder.TokenCounts.of(pad_batch([np.array(r) for r in rows])))
+    assert h[j].tobytes() == h[k].tobytes()
+    assert u[j].tobytes() == u[k].tobytes()
 
 
 # --- cosine ---

@@ -115,6 +115,20 @@ def test_all_pad_row_raises_empty_paragraph():
             objective(params, batch, _config())
 
 
+@pytest.mark.parametrize("side, row", [("anchors", 0), ("anchors", 3), ("positives", 1)])
+def test_all_pad_row_error_names_its_side(side, row):
+    """Anchors and positives share one stacked count matrix, but an all-PAD
+    row is reported by its side and its row within that side."""
+    params = init_params(vocab_size=20, d=6, rng=11)
+    batch = _random_batch(np.random.default_rng(12), 20)
+    getattr(batch, side)[row] = PAD_INDEX
+    message = f"^{side[:-1]} row {row} has no non-padding tokens$"
+    for objective in (training.batch_objective, training.compute_gradients):
+        with pytest.raises(EmptyParagraph, match=message) as exc:
+            objective(params, batch, _config())
+        assert exc.value.row == row
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_step_objective_and_validation_see_one_cosine_matrix(seed):
     """The step, the objective and validation take their InfoNCE loss from
@@ -221,7 +235,8 @@ def test_pool_backward_matches_add_at_oracle(data, b, d, seed):
                           pad_batch([np.array(r) for r in positives]))
     rng = np.random.default_rng(seed)
     d_h = rng.standard_normal((2 * b, d)) * 10.0 ** rng.integers(-3, 4, size=(2 * b, 1))
-    rows, d_rows = training._pool_backward(batch, d_h)
+    tokens = training._token_counts(batch)
+    rows, d_rows = tokens.rows, training._pool_backward(tokens, d_h)
     oracle, scale = _add_at_scatter(batch, d_h, vocab_size=7)
     touched = sorted({t for row in anchors + positives for t in row} - {PAD_INDEX})
     assert rows.tolist() == touched
@@ -357,6 +372,17 @@ def test_train_requires_enough_pairs():
     pairs = _cluster_pairs(per_cluster=2)
     with pytest.raises(InsufficientPairs):
         train(pairs[:4], pairs[4:6], TrainConfig(batch_size=16, seed=0))
+
+
+@pytest.mark.parametrize("n_val", [0, 1])
+def test_train_rejects_a_validation_set_without_a_batch_before_any_step(monkeypatch, n_val):
+    steps = []
+    monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+    pairs = _cluster_pairs()
+    with pytest.raises(InsufficientPairs,
+                       match=rf"^{n_val} validation pairs < 2 \(one in-batch negative\)$"):
+        train(pairs[:32], pairs[32:32 + n_val], TrainConfig(batch_size=8, seed=0))
+    assert steps == []
 
 
 def test_train_early_stopping_rule(monkeypatch):
