@@ -17,15 +17,17 @@ order, a token repeated k times contributing k * x once, so the encoder is
 order-invariant bit for bit: permuting a paragraph's tokens, or two rows
 holding the same token multiset, gives the same bits.
 
-The product costs B x R x d multiply-adds where a (B, L, d) gather-and-sum
-costs B x L x d, and R grows with the vocabulary a batch reaches. At d = 64
-over Zipf-distributed tokens the product was 1.03-1.7x faster than the
-gather for batches of at most 60 rows over vocabularies up to 30k tokens,
-and 1.5-4x faster at about 700; it breaks even at a 5k vocabulary with
-500-row batches and is 2.2x slower at 30k with 500 rows. Its memory stayed
-below the gather's in every case measured. Training batches here are 2 x 16
-rows, and a firm's batch in embedding is 40-60 paragraphs over 139-874
-distinct tokens.
+The product costs B x R x d multiply-adds for the batch's R distinct
+tokens, where a (B, L, d) gather-and-sum costs B x L x d, so it pays while
+R stays within a few times the padded width L; its two (R, B) count
+matrices stay below the gather's memory roughly while R < L x d / 2.
+Measured at d = 64 over 256-token rows of Zipf tokens (one BLAS thread):
+with 32-60 rows it was 1.2-1.5x faster at R = 700 and 0.5-0.8x as fast at
+R = 2,000-4,600; with 500 rows it was 4.4x faster at R = 700, 0.85x at
+R = 5,000 and 0.26x at R = 20,700, where it also took 160 MiB against the
+gather's 64. Here a training step is 2 x 16 rows (R = 551 on average on
+the bundled fixture), and a firm's batch in embedding is 60 paragraphs
+over R = 51-345 tokens.
 """
 
 from __future__ import annotations
