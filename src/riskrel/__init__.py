@@ -60,13 +60,15 @@ from .scoring import (
     MrpResult,
     ScoreConfig,
     embed_corpus,
-    evidence_report,
+    evidence_path,
     find_mrps,
     firm_pairs,
     load_embeddings,
     max_similarity_table,
     pair_cells,
+    read_evidence,
     read_rrs_csv,
+    render_evidence,
     rrs,
     rrs_matrix,
     save_embeddings,

@@ -13,13 +13,14 @@ file given by ``--config``; an explicit flag wins over the file, and a key
 the command does not take is an error.
 
 ``ingest --sections`` alone chooses the risk sections: every later stage
-reads the paragraphs file whole.
+reads the paragraphs file whole. ``report`` reads one work directory, the
+files the README's commands write there, and writes ``report.md`` beside
+them; :mod:`riskrel.scoring` reads and renders its evidence document.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -28,11 +29,6 @@ from . import corpus, evaluation, pairs as pairgen, scoring, training
 from .encoder import load_model, model_fingerprint, save_model
 from .errors import EmptyCorpus, InsufficientPairs, RiskRelError
 from .outputs import Outputs
-
-_VIEW_ALIASES = {"chrono": pairgen.CHRONOLOGICAL,
-                 "chronological": pairgen.CHRONOLOGICAL,
-                 "lexical": pairgen.LEXICAL}
-
 
 def _labels(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
@@ -121,8 +117,7 @@ def cmd_ingest(args: argparse.Namespace, outputs: Outputs) -> None:
 
 def cmd_pairs(args: argparse.Namespace, outputs: Outputs) -> None:
     paragraphs = corpus.read_paragraphs(_require_file(args.infile, "paragraph file"))
-    views = ([pairgen.CHRONOLOGICAL, pairgen.LEXICAL] if args.view == "both"
-             else [_VIEW_ALIASES[args.view]])
+    views = list(pairgen.VIEWS) if args.view == "both" else [args.view]
 
     stats: dict[str, int] = {}
     all_pairs: list[pairgen.PositivePair] = []
@@ -264,11 +259,11 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Outputs) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace, outputs: Outputs) -> None:
-    index, _ = _load_index(args.model, args.paragraphs)
     parts = [float(x) for x in args.grid.split(":")]
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {args.grid!r}")
     grid = evaluation.make_grid(*parts)
+    index, _ = _load_index(args.model, args.paragraphs)
     returns = evaluation.read_prices_dir(args.prices) if args.prices else None
 
     table = scoring.max_similarity_table(index, scoring.firm_pairs(index.firm_ids()))
@@ -282,32 +277,12 @@ def cmd_sweep(args: argparse.Namespace, outputs: Outputs) -> None:
     print(f"sweep: {len(rows)} thresholds -> {args.out}")
 
 
-def _evidence_highlights(path: Path, firm_a: str, firm_b: str) -> list[str]:
-    """The report lines of one evidence document; a document that is not
-    UTF-8 JSON with the fields of one is a ``ValueError`` naming it."""
-    try:
-        doc = json.loads(path.read_bytes().decode("utf-8"))
-        lines = [f"Strongest pair {firm_a} - {firm_b}: "
-                 f"RRS {doc['rrs']:.6f} at threshold {doc['threshold']:.2f}, "
-                 f"{len(doc['evidence'])} evidence pairs.", ""]
-        for entry in doc["evidence"][:3]:
-            lines.append(f"- similarity {entry['similarity']:.4f}: "
-                         f"`{entry['id_a']}` / `{entry['id_b']}`")
-            if "text_a" in entry:
-                lines.append(f"    - {entry['text_a'][:220]}")
-                lines.append(f"    - {entry['text_b'][:220]}")
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"malformed evidence document {path}: {detail}") from None
-    return lines + [""]
-
-
 def cmd_report(args: argparse.Namespace, outputs: Outputs) -> None:
     workdir = Path(args.workdir)
-    rrs_path = Path(args.rrs) if args.rrs else workdir / "rrs.csv"
-    evidence_dir = Path(args.evidence_dir) if args.evidence_dir else workdir / "evidence"
-    metrics_path = Path(args.metrics) if args.metrics else workdir / "eval" / "metrics.csv"
-    sweep_path = Path(args.sweep) if args.sweep else workdir / "sweep.csv"
+    if not workdir.is_dir():
+        raise FileNotFoundError(f"work directory not found: {workdir}")
+    rrs_path, evidence_dir = workdir / "rrs.csv", workdir / "evidence"
+    metrics_path, sweep_path = workdir / "eval" / "metrics.csv", workdir / "sweep.csv"
 
     lines = ["# Risk relation report", ""]
 
@@ -333,10 +308,10 @@ def cmd_report(args: argparse.Namespace, outputs: Outputs) -> None:
     elif not evidence_dir.is_dir():
         lines += ["_No evidence directory._", ""]
     else:
-        _, top_a, top_b = pair_scores[0]
-        doc_path = evidence_dir / f"{top_a}__{top_b}.json"
+        top, top_a, top_b = pair_scores[0]
+        doc_path = scoring.evidence_path(evidence_dir, top_a, top_b)
         if doc_path.is_file():
-            lines += _evidence_highlights(doc_path, top_a, top_b)
+            lines.append(scoring.read_evidence(doc_path, top))
         else:
             lines += ["_No evidence document for the top pair._", ""]
 
@@ -359,7 +334,7 @@ def cmd_report(args: argparse.Namespace, outputs: Outputs) -> None:
     else:
         lines += ["_No sweep table found._", ""]
 
-    out = args.out or workdir / "report.md"
+    out = workdir / "report.md"
     outputs(out).write_text("\n".join(lines), encoding="utf-8")
     print(f"report: wrote {out}")
 
@@ -380,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pairs", help="build positive pairs and split train/val")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--view", choices=["chrono", "chronological", "lexical", "both"],
-                   default="both")
+    p.add_argument("--view", choices=[*pairgen.VIEWS, "both"], default="both")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
     _settings(p, "train_count", "val_count", "min_tokens", "min_span", "overlap_cap",
@@ -426,12 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="collate artifacts into one markdown report")
-    p.add_argument("--workdir", default=".")
-    p.add_argument("--rrs")
-    p.add_argument("--evidence-dir", dest="evidence_dir")
-    p.add_argument("--metrics")
-    p.add_argument("--sweep")
-    p.add_argument("--out")
+    p.add_argument("--workdir", default=".", help="directory of the pipeline's outputs")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -304,13 +304,21 @@ def retrieval_metrics(lists: Sequence[RankedList],
 
 def make_grid(start: float = DEFAULT_GRID_START, stop: float = DEFAULT_GRID_STOP,
               step: float = DEFAULT_GRID_STEP) -> list[float]:
-    """Inclusive ascending threshold grid with clean decimal values."""
-    if step <= 0 or stop < start:
+    """Inclusive ascending threshold grid with clean decimal values, which
+    must differ at the two decimals ``sweep.csv`` prints. Two decimals tell
+    at most 101 values in [0, 1] apart: a finer grid fails from its count."""
+    if not (step > 0 and stop >= start):
         raise ValueError(f"bad grid range {start}:{stop}:{step}")
-    count = int(round((stop - start) / step)) + 1
-    grid = [round(start + i * step, 10) for i in range(count)]
+    alike = ValueError(f"grid {start}:{stop}:{step} has thresholds that print alike "
+                       "at the two decimals of sweep.csv")
+    span = (stop - start) / step
+    if not span < 101:
+        raise alike
+    grid = [round(start + i * step, 10) for i in range(round(span) + 1)]
     if any(not 0.0 <= g <= 1.0 for g in grid):
         raise ValueError("grid values must lie in [0, 1]")
+    if len({f"{g:.2f}" for g in grid}) < len(grid):
+        raise alike
     return grid
 
 

@@ -30,7 +30,9 @@ string escaping and float ``repr``: each id's and text's JSON literal is
 escaped and UTF-8 encoded once per run into a byte cache, and each file is
 one ``b"".join`` of those literals and the fixed keys, written at once;
 :func:`mrp_result_to_dict` stays the dict view and the writer's test oracle.
-Each file is renamed into place only once complete.
+Each file is renamed into place only once complete. This module alone names
+(:func:`evidence_path`), reads (:func:`read_evidence`) and renders
+(:func:`render_evidence`) evidence documents.
 """
 
 from __future__ import annotations
@@ -301,37 +303,6 @@ def _paragraph(paragraphs: Mapping[str, Paragraph], pid: str) -> Paragraph:
     return paragraphs[pid]
 
 
-def evidence_report(result: MrpResult,
-                    paragraphs: Mapping[str, Paragraph] | Iterable[Paragraph]) -> str:
-    """Render an MRP result as a human-readable document.
-
-    Lists every evidence pair with both paragraph texts, firms, years and
-    section labels so the score can be inspected directly.
-    """
-    lookup = (paragraphs if isinstance(paragraphs, Mapping)
-              else {p.id: p for p in paragraphs})
-    lines = [
-        f"Risk relation evidence: {result.firm_a} vs {result.firm_b}",
-        f"threshold: {result.threshold:.2f}   "
-        f"RRS: {result.rrs:.6f}   "
-        f"paragraphs: {result.n_a} + {result.n_b}   "
-        f"MRPs: {len(result.mrps_a)} + {len(result.mrps_b)}",
-        "",
-    ]
-    if not result.evidence:
-        lines.append("No mutual risk paragraphs at this threshold.")
-        return "\n".join(lines) + "\n"
-    for rank, (id_a, id_b, sim) in enumerate(result.evidence, start=1):
-        pa, pb = _paragraph(lookup, id_a), _paragraph(lookup, id_b)
-        lines.append(f"[{rank}] similarity {sim:.6f}")
-        lines.append(f"  {pa.firm_id} {pa.year} Item {pa.section} ({pa.id}):")
-        lines.append(f"    {pa.text}")
-        lines.append(f"  {pb.firm_id} {pb.year} Item {pb.section} ({pb.id}):")
-        lines.append(f"    {pb.text}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def mrp_result_to_dict(result: MrpResult,
                        paragraphs: Mapping[str, Paragraph] | None = None) -> dict:
     """JSON-ready view of an MRP result, optionally with paragraph texts."""
@@ -356,6 +327,48 @@ def mrp_result_to_dict(result: MrpResult,
     return doc
 
 
+def evidence_path(evidence_dir: str | Path, firm_a: str, firm_b: str) -> Path:
+    """The pair's evidence document: ``<A>__<B>.json``, A before B lexicographically."""
+    a, b = sorted((firm_a, firm_b))
+    return Path(evidence_dir) / f"{a}__{b}.json"
+
+
+def render_evidence(doc: Mapping) -> str:
+    """Highlights of an evidence document, as :func:`mrp_result_to_dict` gives
+    it: a header with the pair, RRS, threshold and evidence count, then the top
+    3 evidence pairs, texts cut at 220 characters. A document without those
+    fields raises ``KeyError``, ``TypeError`` or ``ValueError``."""
+    score, threshold, evidence = f"{doc['rrs']:.6f}", f"{doc['threshold']:.2f}", doc["evidence"]
+    lines = [f"Strongest pair {doc['firm_a']} - {doc['firm_b']}: RRS {score} at threshold "
+             f"{threshold}, {len(evidence)} evidence pairs.", ""]
+    for entry in evidence[:3]:
+        lines.append(f"- similarity {entry['similarity']:.4f}: "
+                     f"`{entry['id_a']}` / `{entry['id_b']}`")
+        if "text_a" in entry:
+            lines.append(f"    - {entry['text_a'][:220]}")
+            lines.append(f"    - {entry['text_b'][:220]}")
+    return "\n".join(lines + [""])
+
+
+def read_evidence(path: str | Path, rrs_cell: float) -> str:
+    """:func:`render_evidence` of the document at ``path``, for a pair whose
+    ``rrs.csv`` cell is ``rrs_cell``. A ``ValueError`` names a document that is
+    not UTF-8 JSON with the rendered fields (``malformed evidence document
+    <path>: …``), or whose RRS at rrs.csv's six decimals is not ``rrs_cell``,
+    as one left from another threshold (``stale evidence document <path>: …``).
+    """
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+        highlights = render_evidence(doc)
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed evidence document {path}: {detail}") from None
+    if f"{doc['rrs']:.6f}" != f"{rrs_cell:.6f}":
+        raise ValueError(f"stale evidence document {path}: RRS {doc['rrs']:.6f}, "
+                         f"but rrs.csv holds {rrs_cell:.6f} for the pair")
+    return highlights
+
+
 def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
                          paragraphs: Mapping[str, Paragraph] | None = None) -> list[Path]:
     """One ``<A>__<B>.json`` per firm pair, A before B lexicographically.
@@ -369,16 +382,14 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
     or a kill never leaves a partial ``.json``; on an error the files of
     earlier pairs stay.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     ids = _EscapeCache(str)
     texts = None
     if paragraphs is not None:
         texts = _EscapeCache(lambda pid: _paragraph(paragraphs, pid).text)
     written = []
     for result in results:
-        a, b = sorted((result.firm_a, result.firm_b))
-        path = out_dir / f"{a}__{b}.json"
+        path = evidence_path(out_dir, result.firm_a, result.firm_b)
         with Outputs() as stage, open(stage(path), "wb") as fh:
             _write_evidence_document(fh, result, ids, texts)
         written.append(path)

@@ -230,22 +230,21 @@ def _pool_backward(tokens: TokenCounts, d_h: np.ndarray) -> np.ndarray:
     return tokens.counts @ (d_h / tokens.lengths[:, None])
 
 
-def _batch_pass(params: EncoderParams, batch: TrainingBatch
-                ) -> tuple[TokenCounts, np.ndarray, np.ndarray, np.ndarray,
-                           np.ndarray, np.ndarray]:
-    """Training's one forward pass over the 2B stacked rows, anchors then
-    positives: (token counts, pooled h, encoded u, floored norms, unit rows
-    as in :func:`unit_rows`), and the B x B anchor-positive cosines.
+def _batch_pass(params: EncoderParams, tokens: TokenCounts
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Training's one forward pass over the token counts of the 2B stacked
+    rows, anchors then positives (:func:`_token_counts`): (pooled h, encoded
+    u, floored norms, unit rows as in :func:`unit_rows`), and the B x B
+    anchor-positive cosines.
 
     The step, :func:`batch_objective` and validation all read their cosines
     from here.
     """
-    tokens = _token_counts(batch)
     h, u = forward(params, tokens)
     norms = row_norms(u)
     units = u / norms
-    b = batch.size
-    return tokens, h, u, norms, units, units[:b] @ units[b:].T
+    b = len(units) // 2
+    return h, u, norms, units, units[:b] @ units[b:].T
 
 
 def batch_objective(params: EncoderParams, batch: TrainingBatch,
@@ -256,7 +255,8 @@ def batch_objective(params: EncoderParams, batch: TrainingBatch,
     up by this batch, so untouched vocabulary rows keep exactly zero
     gradient. This is the objective the analytic gradients differentiate.
     """
-    tokens, *_, sims = _batch_pass(params, batch)
+    tokens = _token_counts(batch)
+    sims = _batch_pass(params, tokens)[-1]
     loss = info_nce_loss(sims, config.temperature)
     if config.l2_coeff:
         reg = (np.sum(params.proj_w ** 2) + np.sum(params.proj_b ** 2)
@@ -277,7 +277,8 @@ def _loss_and_gradients(params: EncoderParams, batch: TrainingBatch,
     b = batch.size
     tau = config.temperature
 
-    tokens, h, u, norms, units, sims = _batch_pass(params, batch)
+    tokens = _token_counts(batch)
+    h, u, norms, units, sims = _batch_pass(params, tokens)
     loss = info_nce_loss(sims, tau)
 
     # dL/dS: softmax rows minus identity, scaled by 1/(B*tau)
@@ -376,23 +377,20 @@ def _batches(anchors: Sequence[np.ndarray], positives: Sequence[np.ndarray],
                             pad_batch([positives[r] for r in rows]))
 
 
-def _evaluate(params: EncoderParams, anchors: list[np.ndarray],
-              positives: list[np.ndarray], config: TrainConfig) -> tuple[float, float]:
-    """Validation loss and positive-minus-negative margin, fixed order.
-
-    Batches of batch_size; a final short batch is kept when it still has
-    at least two pairs (one negative). :func:`train` checks beforehand that
-    there are at least two pairs, so the first batch always counts.
+def _evaluate(params: EncoderParams, batches: Sequence[TokenCounts],
+              config: TrainConfig) -> tuple[float, float]:
+    """Validation loss and positive-minus-negative margin over the token
+    counts of the validation batches, which :func:`train` counts once.
     """
     total_loss = total_pos = total_neg = 0.0
     n_anchors = n_neg = 0
-    for batch in _batches(anchors, positives, range(len(anchors)), config.batch_size, 2):
-        sims = _batch_pass(params, batch)[-1]
+    for tokens in batches:
+        sims = _batch_pass(params, tokens)[-1]
         total_loss += float(_per_anchor_loss(sims, config.temperature).sum())
         total_pos += float(np.trace(sims))
         total_neg += float(sims.sum() - np.trace(sims))
-        n_anchors += batch.size
-        n_neg += batch.size * (batch.size - 1)
+        n_anchors += len(sims)
+        n_neg += len(sims) * (len(sims) - 1)
     margin = total_pos / n_anchors - total_neg / n_neg
     return total_loss / n_anchors, margin
 
@@ -422,7 +420,11 @@ def train(pairs_train: Sequence[PositivePair], pairs_val: Sequence[PositivePair]
         (side for p in pairs_train for side in (p.left_tokens, p.right_tokens)),
         min_freq=config.vocab_min_freq)
     train_anchors, train_positives = _index_pairs(pairs_train, vocab, config.max_len)
-    val_anchors, val_positives = _index_pairs(pairs_val, vocab, config.max_len)
+    b = config.batch_size
+    # Fixed order, counted once: only the parameters change between epochs.
+    # A final short batch counts while it has a negative (two pairs).
+    val_batches = [_token_counts(batch) for batch in _batches(
+        *_index_pairs(pairs_val, vocab, config.max_len), range(len(pairs_val)), b, 2)]
 
     rng = np.random.default_rng(config.seed)
     params = init_params(len(vocab), config.embed_dim, rng)
@@ -431,7 +433,6 @@ def train(pairs_train: Sequence[PositivePair], pairs_val: Sequence[PositivePair]
     best_params = params.copy()
     epochs_since_best = 0
     step = 0
-    b = config.batch_size
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_loss = 0.0
@@ -444,7 +445,7 @@ def train(pairs_train: Sequence[PositivePair], pairs_val: Sequence[PositivePair]
             n_batches += 1
             step += 1
 
-        val_loss, margin = _evaluate(params, val_anchors, val_positives, config)
+        val_loss, margin = _evaluate(params, val_batches, config)
         report.epochs.append(EpochStats(
             epoch=epoch, train_loss=epoch_loss / n_batches,
             val_loss=val_loss, margin=margin))

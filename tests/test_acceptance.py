@@ -249,7 +249,8 @@ def test_criterion_6_planted_risk_recovery(pipeline):
     planted_evidence = [(a, b) for a, b, _ in result.evidence
                         if a in planted_ids and b in planted_ids]
     assert len(planted_evidence) >= 1
-    report_doc = scoring.evidence_report(result, pipeline.paragraphs)
+    report_doc = scoring.render_evidence(scoring.mrp_result_to_dict(
+        result, {p.id: p for p in pipeline.paragraphs}))
     assert planted_evidence[0][0] in report_doc
 
 

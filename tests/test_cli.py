@@ -560,6 +560,72 @@ def test_report_on_malformed_evidence_document_names_it(tmp_path, capsys, docume
     assert not (tmp_path / "report.md").exists()
 
 
+def test_report_on_evidence_left_from_another_threshold_is_stale(pipeline_dir, tmp_path,
+                                                                   capsys):
+    """rrs.csv scored at 0.9 beside evidence scored at 0.75 is one error line."""
+    shutil.copytree(pipeline_dir / "evidence", tmp_path / "evidence")
+    assert run(_stage_argv(pipeline_dir, tmp_path, "score") + ["--threshold", "0.9"],
+               capsys)[0] == 0
+    firms, matrix = scoring.read_rrs_csv(tmp_path / "rrs.csv")
+    (a, b), top = max(scoring.pair_cells(firms, matrix).items(), key=lambda kv: kv[1])
+    doc = tmp_path / "evidence" / f"{a}__{b}.json"
+    stale = json.loads(doc.read_text())["rrs"]
+    assert f"{stale:.6f}" != f"{top:.6f}"
+    code, _, err = run(["report", "--workdir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == (f"error: ValueError: stale evidence document {doc}: RRS {stale:.6f}, "
+                   f"but rrs.csv holds {top:.6f} for the pair\n")
+    assert not (tmp_path / "report.md").exists()
+
+
+def test_report_on_missing_work_directory_creates_nothing(tmp_path, capsys):
+    workdir = tmp_path / "no" / "such" / "work"
+    code, out, err = run(["report", "--workdir", str(workdir)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: FileNotFoundError: work directory not found: {workdir}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid", ["0.6:0.62:0.005", "0:1:1e-6"], ids=["half_steps", "million"])
+def test_sweep_rejects_a_grid_that_prints_alike(pipeline_dir, tmp_path, capsys, grid):
+    start, stop, step = grid.split(":")
+    code, out, err = run(_stage_argv(pipeline_dir, tmp_path, "sweep") + ["--grid", grid], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: ValueError: grid {float(start)}:{float(stop)}:{float(step)} has "
+                   "thresholds that print alike at the two decimals of sweep.csv\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Every subcommand's option strings, so a new knob shows as a one-line diff.
+_TRAIN_FLAGS = ("--batch-size --learning-rate --warmup-steps --max-epochs --patience "
+                "--temperature --l2-coeff --max-len --embed-dim --vocab-min-freq")
+_FLAGS = {
+    "ingest": "--root --out --min-tokens --sections --config",
+    "pairs": "--in --view --seed --out --train --val --min-tokens --min-span --overlap-cap "
+             "--max-pairs-per-paragraph --config",
+    "train": f"--pairs --seed --out --report {_TRAIN_FLAGS} --config",
+    "embed": "--model --in --out",
+    "score": "--model --paragraphs --out-matrix --out-evidence --threshold --config",
+    "evaluate": "--rrs --prices --gics --out",
+    "sweep": "--model --paragraphs --prices --out --grid --config",
+    "report": "--workdir",
+}
+
+
+def test_every_subcommand_takes_exactly_its_pinned_flags():
+    [commands] = [action.choices for action in cli.build_parser()._actions
+                  if isinstance(action.choices, dict)]
+    assert list(commands) == list(_FLAGS)
+    for name, parser in commands.items():
+        flags = [flag for action in parser._actions for flag in action.option_strings
+                 if action.dest != "help"]
+        assert flags == _FLAGS[name].split(), name
+        choices = {action.dest: action.choices for action in parser._actions
+                   if action.choices}
+        assert choices == ({"view": ["chronological", "lexical", "both"]}
+                           if name == "pairs" else {}), name
+
+
 DEEP_JSON = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 
 

@@ -388,6 +388,22 @@ def test_grid_rejects_bad_range():
         make_grid(0.6, 1.4, 0.2)
 
 
+@pytest.mark.parametrize("start, stop, step", [
+    (0.6, 0.62, 0.005),   # 0.605 prints as 0.60
+    (0.465, 0.53, 0.01),  # 0.465 and 0.475 both print as 0.47
+    (0.0, 1.0, 1e-6),     # rejected from its count, before a list is built
+    (0.0, 1.0, 5e-324),
+])
+def test_grid_rejects_thresholds_that_print_alike(start, stop, step):
+    with pytest.raises(ValueError, match="print alike at the two decimals of sweep.csv"):
+        make_grid(start, stop, step)
+
+
+def test_grid_of_every_two_decimal_threshold():
+    grid = make_grid(0.0, 1.0, 0.01)
+    assert len({f"{g:.2f}" for g in grid}) == len(grid) == 101
+
+
 def _two_firm_index(cosine):
     vectors = {"A": np.array([[1.0, 0.0]]),
                "B": np.array([[cosine, math.sqrt(1 - cosine ** 2)]])}

@@ -24,11 +24,12 @@ from riskrel.scoring import (
     EmbeddingIndex,
     ScoreConfig,
     embed_corpus,
-    evidence_report,
+    evidence_path,
     find_mrps,
     load_embeddings,
     mrp_result_to_dict,
     read_rrs_csv,
+    render_evidence,
     rrs,
     rrs_matrix,
     save_embeddings,
@@ -444,38 +445,33 @@ def test_embed_corpus_keeps_empty_firm():
 
 # --- evidence ---
 
-def test_evidence_report_contains_texts():
-    para_a = Paragraph("A:2023:1A:0000", "A", 2023, "1A",
-                       "supply chain disruption text", ("supply",))
-    para_b = Paragraph("B:2023:1A:0000", "B", 2023, "1A",
-                       "logistics shortage text", ("logistics",))
-    result = scoring.MrpResult("A", "B", 0.75, 1, 1,
-                               (para_a.id,), (para_b.id,),
-                               [(para_a.id, para_b.id, 0.91)])
-    doc = evidence_report(result, [para_a, para_b])
-    assert "supply chain disruption text" in doc
-    assert "logistics shortage text" in doc
-    assert "0.91" in doc
-    assert "A 2023 Item 1A" in doc
+def test_render_evidence_shows_top_three_pairs_with_texts_cut():
+    texts = {f"{firm}:{k}": f"{firm} risk {k} " + "x" * 300
+             for firm in "AB" for k in range(4)}
+    paragraphs = {pid: Paragraph(pid, pid[0], 2023, "1A", text, ("risk",))
+                  for pid, text in texts.items()}
+    evidence = [(f"A:{k}", f"B:{k}", 0.99 - k / 100) for k in range(4)]
+    result = scoring.MrpResult("A", "B", 0.75, 4, 4, ("A:0", "A:1", "A:2", "A:3"),
+                               ("B:0", "B:1", "B:2", "B:3"), evidence)
+    lines = render_evidence(mrp_result_to_dict(result, paragraphs)).split("\n")
+    assert lines[:3] == ["Strongest pair A - B: RRS 1.000000 at threshold 0.75, "
+                         "4 evidence pairs.", "", "- similarity 0.9900: `A:0` / `B:0`"]
+    assert lines[3:5] == [f"    - {texts['A:0'][:220]}", f"    - {texts['B:0'][:220]}"]
+    assert len(lines) == 2 + 3 * 3 + 1 and lines[-1] == ""
+    assert "`A:3`" not in "\n".join(lines)
 
 
-def test_evidence_report_zero_mrps():
+def test_render_evidence_without_evidence_pairs():
     result = scoring.MrpResult("A", "B", 0.75, 2, 3, (), (), [])
-    doc = evidence_report(result, [])
-    assert "No mutual risk paragraphs" in doc
-
-
-def test_evidence_report_unknown_id():
-    result = scoring.MrpResult("A", "B", 0.75, 1, 1, ("A:x",), ("B:x",),
-                               [("A:x", "B:x", 0.8)])
-    with pytest.raises(UnknownParagraphId):
-        evidence_report(result, [])
+    assert render_evidence(mrp_result_to_dict(result)) == (
+        "Strongest pair A - B: RRS 0.000000 at threshold 0.75, 0 evidence pairs.\n\n")
 
 
 def test_evidence_files_named_lexicographically(tmp_path):
     index = make_index({"ZZZ": [[1.0, 0.0]], "AAA": [[1.0, 0.0]]})
     result = find_mrps(index, "ZZZ", "AAA", 0.5)
     paths = write_evidence_files([result], tmp_path)
+    assert paths == [evidence_path(tmp_path, "ZZZ", "AAA")]
     assert [p.name for p in paths] == ["AAA__ZZZ.json"]
     doc = json.loads(paths[0].read_text())
     assert doc["rrs"] == 1.0

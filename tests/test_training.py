@@ -140,7 +140,7 @@ def test_step_objective_and_validation_see_one_cosine_matrix(seed):
     batch = TrainingBatch(pad_batch(anchors), pad_batch(positives))
     config = _config(batch_size=5, l2_coeff=0.0)
     step_loss = training._loss_and_gradients(params, batch, config)[1]
-    val_loss, _ = training._evaluate(params, anchors, positives, config)
+    val_loss, _ = training._evaluate(params, [training._token_counts(batch)], config)
     assert step_loss == batch_objective(params, batch, config) == val_loss
 
 
@@ -390,7 +390,7 @@ def test_train_early_stopping_rule(monkeypatch):
     # patience=2 the loop must stop at epoch 3 and keep epoch 1.
     losses = iter([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0), (5.0, 0.0)])
     monkeypatch.setattr(training, "_evaluate",
-                        lambda params, a, p, c: next(losses))
+                        lambda params, batches, config: next(losses))
     pairs = _cluster_pairs()
     config = TrainConfig(batch_size=8, max_epochs=10, patience=2, seed=2,
                          embed_dim=8, vocab_min_freq=1)
@@ -403,7 +403,7 @@ def test_train_early_stopping_rule(monkeypatch):
 def test_train_runs_to_max_epochs_when_improving(monkeypatch):
     losses = iter([(1.0 / (k + 1), 0.0) for k in range(4)])
     monkeypatch.setattr(training, "_evaluate",
-                        lambda params, a, p, c: next(losses))
+                        lambda params, batches, config: next(losses))
     pairs = _cluster_pairs()
     config = TrainConfig(batch_size=8, max_epochs=4, patience=2, seed=3,
                          embed_dim=8, vocab_min_freq=1)
