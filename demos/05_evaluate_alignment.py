@@ -34,10 +34,9 @@ index = scoring.embed_corpus(outcome.vocab, outcome.params,
                              corpus.group_by_firm(paragraphs).values())
 firms, matrix = scoring.rrs_matrix(index, threshold=0.75)
 
-upper = [(i, j) for i in range(len(firms)) for j in range(i + 1, len(firms))]
-pair_firms = [(firms[i], firms[j]) for i, j in upper]
-rrs_values = [float(matrix[i, j]) for i, j in upper]
-cavdsr_values = [evaluation.cavdsr(returns[a], returns[b]) for a, b in pair_firms]
+cells = scoring.pair_cells(firms, matrix)
+rrs_values = list(cells.values())
+cavdsr_values = [evaluation.cavdsr(returns[a], returns[b]) for a, b in cells]
 
 print("=== alignment of RRS with return co-movement ===")
 print(f"rho (pearson)  = {evaluation.alignment_rho(rrs_values, cavdsr_values):.4f}")
@@ -45,7 +44,7 @@ print(f"rho (spearman) = "
       f"{evaluation.alignment_rho(rrs_values, cavdsr_values, 'spearman'):.4f}")
 
 for level in ("sector", "industry"):
-    flags = [evaluation.gics_binary_rrs(gics, a, b, level) for a, b in pair_firms]
+    flags = [evaluation.gics_binary_rrs(gics, a, b, level) for a, b in cells]
     try:
         rho = f"{evaluation.alignment_rho(flags, cavdsr_values):.4f}"
     except evaluation.DegenerateInput:

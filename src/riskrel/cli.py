@@ -272,7 +272,7 @@ def cmd_sweep(args: argparse.Namespace, outputs: Outputs) -> None:
         fh.write("threshold,mean_rrs,total_mrps,rho\n")
         for row in rows:
             rho_cell = "" if row.rho is None else f"{row.rho:.6f}"
-            fh.write(f"{row.threshold:.2f},{row.mean_rrs:.6f},"
+            fh.write(f"{evaluation.threshold_label(row.threshold)},{row.mean_rrs:.6f},"
                      f"{row.total_mrps},{rho_cell}\n")
     print(f"sweep: {len(rows)} thresholds -> {args.out}")
 

@@ -262,8 +262,8 @@ def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
 
     Besides a wrong magic, version or length, a file no training writes is a
     ``ValueError`` naming it: fewer than two tokens, a width d below 2, first
-    tokens other than PAD and UNK, an undecodable token or a non-finite
-    parameter.
+    tokens other than PAD and UNK, an undecodable token, bytes after the
+    last parameter or a non-finite parameter.
     """
     def malformed(detail: object) -> ValueError:
         return ValueError(f"malformed model file {path}: {detail}")
@@ -291,6 +291,8 @@ def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
         blocks = [np.frombuffer(read_exact(fh, 8 * math.prod(shape), path), dtype="<f8")
                   .reshape(shape).astype(np.float64)
                   for shape in ((vocab_size, d), (d, d), (d,))]
+        if fh.read(1):
+            raise malformed("bytes after the last parameter")
     if not all(np.isfinite(block).all() for block in blocks):
         raise malformed("parameters must be finite")
     vocab = Vocabulary(index_to_token=tuple(tokens),

@@ -302,11 +302,17 @@ def retrieval_metrics(lists: Sequence[RankedList],
     return table
 
 
+def threshold_label(threshold: float) -> str:
+    """The two-decimal label ``sweep.csv`` prints for a threshold."""
+    return f"{threshold:.2f}"
+
+
 def make_grid(start: float = DEFAULT_GRID_START, stop: float = DEFAULT_GRID_STOP,
               step: float = DEFAULT_GRID_STEP) -> list[float]:
-    """Inclusive ascending threshold grid with clean decimal values, which
-    must differ at the two decimals ``sweep.csv`` prints. Two decimals tell
-    at most 101 values in [0, 1] apart: a finer grid fails from its count."""
+    """Inclusive ascending threshold grid whose values differ at the two
+    decimals of :func:`threshold_label` and each read back exactly from its
+    label. Two decimals tell at most 101 values in [0, 1] apart: a finer
+    grid fails from its count."""
     if not (step > 0 and stop >= start):
         raise ValueError(f"bad grid range {start}:{stop}:{step}")
     alike = ValueError(f"grid {start}:{stop}:{step} has thresholds that print alike "
@@ -317,8 +323,13 @@ def make_grid(start: float = DEFAULT_GRID_START, stop: float = DEFAULT_GRID_STOP
     grid = [round(start + i * step, 10) for i in range(round(span) + 1)]
     if any(not 0.0 <= g <= 1.0 for g in grid):
         raise ValueError("grid values must lie in [0, 1]")
-    if len({f"{g:.2f}" for g in grid}) < len(grid):
+    labels = [threshold_label(g) for g in grid]
+    if len(set(labels)) < len(grid):
         raise alike
+    for g, label in zip(grid, labels):
+        if float(label) != g:
+            raise ValueError(f"grid value {g} prints as {label} in sweep.csv: "
+                             "grid values must have at most two decimals")
     return grid
 
 

@@ -463,8 +463,9 @@ def write_rrs_csv(firms: Sequence[str], matrix: np.ndarray,
 def read_rrs_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read a matrix written by :func:`write_rrs_csv`, its firms sorted.
 
-    The header's firms must be distinct and every row needs one finite
-    number per firm (else a ``malformed RRS matrix`` error of
+    The header's firms must be distinct ids that
+    :func:`~riskrel.corpus.check_firm_id` accepts and every row needs one
+    finite number per firm (else a ``malformed RRS matrix`` error of
     :func:`read_lines`); the header needs a firm, the row labels must repeat
     it and the matrix must be symmetric (else a ``ValueError`` naming the
     file). A header in any order is read into sorted order, the matrix
@@ -475,7 +476,7 @@ def read_rrs_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
         for line in lines:
             label, *cells = line.strip().split(",")
             if firms is None:
-                firms = cells
+                firms = [check_firm_id(firm) for firm in cells]
                 repeated = [firm for k, firm in enumerate(firms) if firm in firms[:k]]
                 if repeated:
                     raise ValueError(f"firm {repeated[0]!r} appears twice in the header")

@@ -17,6 +17,10 @@ from hypothesis import strategies as st
 from riskrel import cli, scoring
 
 
+_FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', ':', '__', "
+              "whitespace or control character")
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -306,7 +310,8 @@ def test_evaluate_rejects_asymmetric_matrix(tmp_path, capsys):
     (b"firm,A,B\nA,1.0,nan\nB,nan,1.0\n", 2, "values must be finite numbers"),
     (b"firm,A,B\nA,1.0,0.5\nB,0.5,1.0\xff\n", 3,
      "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
-], ids=["repeated_firm", "nan", "undecodable"])
+    (b"firm,../x,y\n../x,1.0,0.5\ny,0.5,1.0\n", 1, f"firm_id '../x' {_FIRM_RULE}"),
+], ids=["repeated_firm", "nan", "undecodable", "path_firm_id"])
 def test_evaluate_on_malformed_rrs_matrix_names_file_and_line(tmp_path, capsys, text,
                                                               line, detail):
     rrs = tmp_path / "rrs.csv"
@@ -560,6 +565,17 @@ def test_report_on_malformed_evidence_document_names_it(tmp_path, capsys, docume
     assert not (tmp_path / "report.md").exists()
 
 
+def test_report_rejects_a_firm_id_that_names_a_path_outside_evidence(tmp_path, capsys):
+    """A header firm ``../x`` would have report read ``evidence/../x__y.json``."""
+    rrs = tmp_path / "rrs.csv"
+    rrs.write_text("firm,../x,y\n../x,1.0,0.5\ny,0.5,1.0\n")
+    code, out, err = run(["report", "--workdir", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: ValueError: malformed RRS matrix in {rrs} line 1: "
+                   f"firm_id '../x' {_FIRM_RULE}\n")
+    assert list(tmp_path.iterdir()) == [rrs]
+
+
 def test_report_on_evidence_left_from_another_threshold_is_stale(pipeline_dir, tmp_path,
                                                                    capsys):
     """rrs.csv scored at 0.9 beside evidence scored at 0.75 is one error line."""
@@ -593,6 +609,16 @@ def test_sweep_rejects_a_grid_that_prints_alike(pipeline_dir, tmp_path, capsys, 
     assert (code, out) == (1, "")
     assert err == (f"error: ValueError: grid {float(start)}:{float(stop)}:{float(step)} has "
                    "thresholds that print alike at the two decimals of sweep.csv\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_rejects_a_grid_value_with_more_than_two_decimals(pipeline_dir, tmp_path,
+                                                              capsys):
+    argv = _stage_argv(pipeline_dir, tmp_path, "sweep") + ["--grid", "0.125:0.325:0.1"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: ValueError: grid value 0.125 prints as 0.12 in sweep.csv: "
+                   "grid values must have at most two decimals\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -921,10 +947,6 @@ def test_report_on_one_firm_matrix_says_there_is_no_pair(tmp_path, capsys):
     assert run(["report", "--workdir", str(tmp_path)], capsys)[0] == 0
     report = (tmp_path / "report.md").read_text()
     assert "## Evidence highlights\n\n_No top pair: rrs.csv holds one firm._\n" in report
-
-
-_FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', ':', '__', "
-              "whitespace or control character")
 
 
 @pytest.mark.parametrize("firm, name, raw, detail", [

@@ -224,8 +224,9 @@ def test_model_bytes_helper_writes_what_save_model_writes(tmp_path):
      "token 2: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     (_model_bytes(2, [b"<pad>", b"<unk>"], value=math.inf), "parameters must be finite"),
     (_model_bytes(2, [b"<pad>", b"<unk>"], value=math.nan), "parameters must be finite"),
+    (_model_bytes(2, [b"<pad>", b"<unk>"]) + b"\0", "bytes after the last parameter"),
 ], ids=["no_tokens", "one_token", "d0", "d1", "specials_swapped", "undecodable_token",
-        "inf", "nan"])
+        "inf", "nan", "trailing_bytes"])
 def test_model_rejects_what_no_training_writes(tmp_path, raw, detail):
     path = tmp_path / "model.bin"
     path.write_bytes(raw)

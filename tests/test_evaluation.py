@@ -399,6 +399,14 @@ def test_grid_rejects_thresholds_that_print_alike(start, stop, step):
         make_grid(start, stop, step)
 
 
+def test_grid_rejects_a_value_its_label_does_not_read_back_as():
+    """0.125, 0.225 and 0.325 would print as 0.12, 0.23 and 0.33."""
+    with pytest.raises(ValueError) as exc:
+        make_grid(0.125, 0.325, 0.1)
+    assert str(exc.value) == ("grid value 0.125 prints as 0.12 in sweep.csv: "
+                              "grid values must have at most two decimals")
+
+
 def test_grid_of_every_two_decimal_threshold():
     grid = make_grid(0.0, 1.0, 0.01)
     assert len({f"{g:.2f}" for g in grid}) == len(grid) == 101
