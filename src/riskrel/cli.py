@@ -15,12 +15,15 @@ the command does not take is an error.
 ``ingest --sections`` alone chooses the risk sections: every later stage
 reads the paragraphs file whole. ``report`` reads one work directory, the
 files the README's commands write there, and writes ``report.md`` beside
-them; :mod:`riskrel.scoring` reads and renders its evidence document.
+them; :mod:`riskrel.scoring` reads and renders its evidence document. A
+threshold ``score`` takes must print back as itself at the two decimals of
+:func:`riskrel.evaluation.threshold_label`, as a ``sweep`` grid value must.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -193,6 +196,8 @@ def cmd_embed(args: argparse.Namespace, outputs: Outputs) -> None:
 
 def cmd_score(args: argparse.Namespace, outputs: Outputs) -> None:
     threshold = scoring.ScoreConfig(args.threshold).threshold
+    label = evaluation.read_back_label(threshold, "threshold",
+                                       "score's summary line and report.md")
     index, texts = _load_index(args.model, args.paragraphs)
 
     firms = index.firm_ids()
@@ -205,7 +210,7 @@ def cmd_score(args: argparse.Namespace, outputs: Outputs) -> None:
                    for a, b in scoring.firm_pairs(firms))
         written = scoring.write_evidence_files(results, outputs(args.out_evidence), texts)
         print(f"score: wrote {len(written)} evidence files to {args.out_evidence}")
-    print(f"score: threshold {threshold:.2f}, matrix for {len(firms)} firms "
+    print(f"score: threshold {label}, matrix for {len(firms)} firms "
           f"-> {args.out_matrix}")
 
 
@@ -277,6 +282,22 @@ def cmd_sweep(args: argparse.Namespace, outputs: Outputs) -> None:
     print(f"sweep: {len(rows)} thresholds -> {args.out}")
 
 
+def _check_evaluation(eval_dir: Path, metrics: list[list[str]]) -> None:
+    """An evaluation is read only whole: ``pairs.csv`` beside ``metrics.csv``
+    holds exactly the ``n_pairs`` data rows that ``metrics.csv`` counts."""
+    n_pairs = dict(metrics).get("n_pairs", "none")
+    pairs_path = eval_dir / "pairs.csv"
+    if not pairs_path.is_file():
+        found = "pairs.csv is missing"
+    else:
+        rows = len(corpus.read_lines(pairs_path, "CSV row", csv.reader)) - 1
+        if str(rows) == n_pairs:
+            return
+        found = f"pairs.csv has {rows} data rows"
+    raise ValueError(f"stale evaluation {eval_dir}: metrics.csv has n_pairs {n_pairs}, "
+                     f"but {found}")
+
+
 def cmd_report(args: argparse.Namespace, outputs: Outputs) -> None:
     workdir = Path(args.workdir)
     if not workdir.is_dir():
@@ -317,9 +338,10 @@ def cmd_report(args: argparse.Namespace, outputs: Outputs) -> None:
 
     lines += ["## Alignment with return co-movement", ""]
     if metrics_path.is_file():
+        metrics = evaluation.read_csv_body(metrics_path, 2)
+        _check_evaluation(metrics_path.parent, metrics)
         lines += ["| metric | value |", "| --- | --- |"]
-        lines += ["| " + " | ".join(row) + " |"
-                  for row in evaluation.read_csv_body(metrics_path, 2)]
+        lines += ["| " + " | ".join(row) + " |" for row in metrics]
         lines.append("")
     else:
         lines += ["_No evaluation metrics found._", ""]

@@ -10,7 +10,9 @@ depends on (paragraph -> d-vector, cosine similarity, 256-token truncation).
 
 The forward reads a batch as its token-count matrix (:class:`TokenCounts`):
 the R distinct non-PAD tokens of the batch in sorted order, times how often
-each occurs in each row. The pooled vectors are one product,
+each occurs in each row. The rows may have any lengths, so no batch is
+padded, and the matrix is counted without a sort: two bincounts over the
+batch's ids cost O(max id + tokens). The pooled vectors are one product,
 counts.T @ embed[rows] / lengths, and training's backward reuses the same
 matrix. A row's pooled sum thus runs over its distinct tokens in vocabulary
 order, a token repeated k times contributing k * x once, so the encoder is
@@ -39,6 +41,7 @@ import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -75,8 +78,8 @@ class Vocabulary:
         """Map tokens to vocabulary indices (unknown -> UNK), truncating."""
         if max_len is not None:
             tokens = tokens[:max_len]
-        return np.array([self.token_to_index.get(t, UNK_INDEX) for t in tokens],
-                        dtype=np.int64)
+        return np.fromiter(map(self.token_to_index.get, tokens, repeat(UNK_INDEX)),
+                           dtype=np.int64, count=len(tokens))
 
 
 @dataclass
@@ -143,11 +146,13 @@ def init_params(vocab_size: int, d: int = DEFAULT_EMBED_DIM,
 
 @dataclass(frozen=True)
 class TokenCounts:
-    """The token-count matrix of a PAD-padded (B, L) index matrix.
+    """The token-count matrix of B rows of vocabulary indices.
 
-    ``rows`` holds the R distinct non-PAD vocabulary rows the matrix reads,
-    sorted; ``counts`` (R, B) how often each occurs in each matrix row, as
-    float64; ``lengths`` (B,) each row's number of non-PAD positions.
+    The rows may have any lengths: a list of unpadded index arrays, or a
+    PAD-padded (B, L) matrix, which iterates as its rows. ``rows`` holds the
+    R distinct non-PAD vocabulary rows they read, sorted; ``counts`` (R, B)
+    how often each occurs in each row, as float64; ``lengths`` (B,) each
+    row's number of non-PAD entries.
     """
 
     rows: np.ndarray
@@ -155,23 +160,36 @@ class TokenCounts:
     lengths: np.ndarray
 
     @classmethod
-    def of(cls, id_matrix: np.ndarray) -> "TokenCounts":
-        """Count a (B, L) matrix's tokens per row.
+    def of(cls, id_rows: Sequence[np.ndarray] | np.ndarray) -> "TokenCounts":
+        """Count each row's tokens, without sorting: O(max id + tokens).
 
-        A row with no non-PAD position raises :class:`EmptyParagraph` with
-        its index as ``row``.
+        One ``bincount`` over all the rows' ids marks the present ids, their
+        running count gives each id its slot among ``rows``, and a second
+        ``bincount`` over (slot, row) fills the tally. PAD (id 0) takes slot
+        0, whose tally row is each row's PAD count and is then dropped. A
+        row with no non-PAD entry raises :class:`EmptyParagraph` with its
+        index as ``row``; a negative id is a ``ValueError`` naming it and
+        its row.
         """
-        b = id_matrix.shape[0]
-        row, col = np.nonzero(id_matrix != PAD_INDEX)
-        rows, inverse = np.unique(id_matrix[row, col], return_inverse=True)
-        tally = np.bincount(inverse * b + row,
-                            minlength=len(rows) * b).reshape(len(rows), b)
-        lengths = tally.sum(axis=0)
+        b = len(id_rows)
+        sizes = np.fromiter(map(len, id_rows), dtype=np.int64, count=b)
+        ids = np.concatenate(id_rows) if b else np.zeros(0, dtype=np.int64)
+        owner = np.repeat(np.arange(b), sizes)
+        if ids.size and ids.min() < 0:
+            first = int(np.argmax(ids < 0))
+            raise ValueError(f"row {owner[first]} holds negative token id {ids[first]}")
+        present = np.bincount(ids, minlength=1) > 0
+        present[PAD_INDEX] = False
+        rows = np.flatnonzero(present)
+        slot = np.cumsum(present)
+        tally = np.bincount(slot[ids] * b + owner,
+                            minlength=(len(rows) + 1) * b).reshape(len(rows) + 1, b)
+        lengths = sizes - tally[0]
         empty = np.flatnonzero(lengths == 0)
         if empty.size:
             raise EmptyParagraph(f"row {empty[0]} has no non-padding tokens",
                                  row=int(empty[0]))
-        return cls(rows, tally.astype(np.float64), lengths)
+        return cls(rows, tally[1:].astype(np.float64), lengths)
 
 
 def forward(params: EncoderParams,
@@ -193,7 +211,7 @@ def encode(params: EncoderParams, token_ids: Sequence[int] | np.ndarray,
     positions never influence the output.
     """
     ids = np.asarray(token_ids, dtype=np.int64)[:max_len]
-    return forward(params, TokenCounts.of(ids[None, :]))[1][0]
+    return forward(params, TokenCounts.of([ids]))[1][0]
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:

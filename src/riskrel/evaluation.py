@@ -307,6 +307,17 @@ def threshold_label(threshold: float) -> str:
     return f"{threshold:.2f}"
 
 
+def read_back_label(value: float, what: str, where: str) -> str:
+    """The :func:`threshold_label` of a value it must read back as: another
+    value would be printed as a threshold it is not. ``what`` names the
+    value and ``where`` the output that prints it."""
+    label = threshold_label(value)
+    if float(label) != value:
+        raise ValueError(f"{what} {value} prints as {label} in {where}: "
+                         f"{what}s must have at most two decimals")
+    return label
+
+
 def make_grid(start: float = DEFAULT_GRID_START, stop: float = DEFAULT_GRID_STOP,
               step: float = DEFAULT_GRID_STEP) -> list[float]:
     """Inclusive ascending threshold grid whose values differ at the two
@@ -323,13 +334,10 @@ def make_grid(start: float = DEFAULT_GRID_START, stop: float = DEFAULT_GRID_STOP
     grid = [round(start + i * step, 10) for i in range(round(span) + 1)]
     if any(not 0.0 <= g <= 1.0 for g in grid):
         raise ValueError("grid values must lie in [0, 1]")
-    labels = [threshold_label(g) for g in grid]
-    if len(set(labels)) < len(grid):
+    if len({threshold_label(g) for g in grid}) < len(grid):
         raise alike
-    for g, label in zip(grid, labels):
-        if float(label) != g:
-            raise ValueError(f"grid value {g} prints as {label} in sweep.csv: "
-                             "grid values must have at most two decimals")
+    for g in grid:
+        read_back_label(g, "grid value", "sweep.csv")
     return grid
 
 

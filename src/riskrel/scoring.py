@@ -54,7 +54,6 @@ from .encoder import (
     TokenCounts,
     Vocabulary,
     forward,
-    pad_batch,
     read_exact,
     unit_rows,
 )
@@ -140,8 +139,7 @@ def embed_corpus(vocab: Vocabulary, params: EncoderParams,
     firms: dict[str, tuple[list[str], np.ndarray]] = {}
     for corpus in firm_corpora:
         ids = [paragraph.id for paragraph in corpus.paragraphs]
-        batch = pad_batch([vocab.indices(paragraph.tokens, max_len)
-                           for paragraph in corpus.paragraphs])
+        batch = [vocab.indices(paragraph.tokens, max_len) for paragraph in corpus.paragraphs]
         try:
             _, rows = forward(params, TokenCounts.of(batch))
         except EmptyParagraph as exc:

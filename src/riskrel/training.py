@@ -7,8 +7,9 @@ warmup on the learning rate, L2 regularization on the touched parameters,
 and early stopping on validation loss. Gradients are exact and analytic;
 tests verify them against central differences.
 
+Batches are not padded: a batch holds its pairs' index arrays as they are.
 Each step builds one token-count matrix (:class:`~riskrel.encoder.TokenCounts`)
-over the B anchor rows stacked on the B positive rows, and the forward and
+over the B anchor rows followed by the B positive rows, and the forward and
 the backward share it. The forward is one :func:`~riskrel.encoder.forward`
 over all 2B rows: one product for the pooled vectors and one tanh affine.
 The backward into the embedding table is the transposed product rather
@@ -45,7 +46,6 @@ from .encoder import (
     build_vocab,
     forward,
     init_params,
-    pad_batch,
     row_norms,
 )
 from .errors import EmptyParagraph, InsufficientPairs, NonFiniteGradient, NonFiniteSimilarity
@@ -91,14 +91,15 @@ class TrainConfig:
 
 @dataclass
 class TrainingBatch:
-    """Aligned anchor/positive index matrices, PAD-padded, one row per pair."""
+    """Aligned anchor and positive index rows, one per pair: B arrays of any
+    lengths each, or a PAD-padded (B, L) matrix each."""
 
-    anchors: np.ndarray    # (B, La) int64
-    positives: np.ndarray  # (B, Lp) int64
+    anchors: Sequence[np.ndarray]    # B int64 rows
+    positives: Sequence[np.ndarray]  # B int64 rows
 
     @property
     def size(self) -> int:
-        return self.anchors.shape[0]
+        return len(self.anchors)
 
 
 @dataclass
@@ -194,18 +195,14 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _token_counts(batch: TrainingBatch) -> TokenCounts:
-    """The token counts of the B anchor rows stacked on the B positive rows.
+    """The token counts of the B anchor rows followed by the B positive rows.
 
     An all-PAD row raises :class:`EmptyParagraph` naming its side and its
     row within that side.
     """
     b = batch.size
-    width = max(batch.anchors.shape[1], batch.positives.shape[1])
-    ids = np.full((2 * b, width), PAD_INDEX, dtype=np.int64)
-    ids[:b, :batch.anchors.shape[1]] = batch.anchors
-    ids[b:, :batch.positives.shape[1]] = batch.positives
     try:
-        return TokenCounts.of(ids)
+        return TokenCounts.of([*batch.anchors, *batch.positives])
     except EmptyParagraph as exc:
         side, row = ("anchor", exc.row) if exc.row < b else ("positive", exc.row - b)
         raise EmptyParagraph(f"{side} row {row} has no non-padding tokens",
@@ -367,14 +364,13 @@ def _index_pairs(pairs: Sequence[PositivePair], vocab: Vocabulary,
 
 def _batches(anchors: Sequence[np.ndarray], positives: Sequence[np.ndarray],
              order: Sequence[int], size: int, min_size: int) -> Iterator[TrainingBatch]:
-    """PAD-padded batches of ``size`` pairs taken in ``order``; a short last
+    """Unpadded batches of ``size`` pairs taken in ``order``; a short last
     batch is kept only if it holds at least ``min_size`` pairs."""
     for start in range(0, len(order), size):
         rows = order[start:start + size]
         if len(rows) < min_size:
             return
-        yield TrainingBatch(pad_batch([anchors[r] for r in rows]),
-                            pad_batch([positives[r] for r in rows]))
+        yield TrainingBatch([anchors[r] for r in rows], [positives[r] for r in rows])
 
 
 def _evaluate(params: EncoderParams, batches: Sequence[TokenCounts],

@@ -622,6 +622,53 @@ def test_sweep_rejects_a_grid_value_with_more_than_two_decimals(pipeline_dir, tm
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_score_rejects_a_threshold_with_more_than_two_decimals(pipeline_dir, tmp_path,
+                                                             capsys, source):
+    """score and report.md print the threshold at two decimals, so 0.125
+    would be reported as 0.12 beside evidence documents scored at 0.125."""
+    config = tmp_path / "run.conf"
+    config.write_text("threshold = 0.125\n")
+    argv = _stage_argv(pipeline_dir, tmp_path / "out", "score") + (
+        ["--threshold", "0.125"] if source == "flag" else ["--config", str(config)])
+    code, out, err = run(argv + ["--out-evidence", str(tmp_path / "out" / "evidence")], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: ValueError: threshold 0.125 prints as 0.12 in score's summary line "
+                   "and report.md: thresholds must have at most two decimals\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threshold", ["0.75", "0.8", "0.9"])
+def test_score_prints_a_two_decimal_threshold(pipeline_dir, tmp_path, capsys, threshold):
+    code, out, _ = run(_stage_argv(pipeline_dir, tmp_path, "score")
+                       + ["--threshold", threshold], capsys)
+    assert code == 0
+    assert out == (f"score: threshold {float(threshold):.2f}, matrix for 8 firms "
+                   f"-> {tmp_path / 'rrs.csv'}\n")
+
+
+@pytest.mark.parametrize("damage", ["row_deleted", "pairs_missing"])
+def test_report_on_a_half_published_evaluation_is_stale(pipeline_dir, tmp_path, capsys,
+                                                        damage):
+    """metrics.csv counts 28 pairs: a pairs.csv short of a row, or missing,
+    is one error line and no report.md."""
+    shutil.copytree(pipeline_dir / "eval", tmp_path / "eval")
+    pairs_csv = tmp_path / "eval" / "pairs.csv"
+    lines = pairs_csv.read_text().splitlines(True)
+    assert len(lines) == 1 + 28
+    if damage == "row_deleted":
+        pairs_csv.write_text("".join(lines[:-1]))
+        found = "pairs.csv has 27 data rows"
+    else:
+        pairs_csv.unlink()
+        found = "pairs.csv is missing"
+    code, out, err = run(["report", "--workdir", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: ValueError: stale evaluation {tmp_path / 'eval'}: metrics.csv has "
+                   f"n_pairs 28, but {found}\n")
+    assert not (tmp_path / "report.md").exists()
+
+
 # Every subcommand's option strings, so a new knob shows as a one-line diff.
 _TRAIN_FLAGS = ("--batch-size --learning-rate --warmup-steps --max-epochs --patience "
                 "--temperature --l2-coeff --max-len --embed-dim --vocab-min-freq")

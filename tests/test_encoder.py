@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskrel import encoder
@@ -123,6 +123,71 @@ def test_token_counts_of_a_padded_matrix():
     with pytest.raises(EmptyParagraph, match="^row 1 has no non-padding tokens$") as exc:
         encoder.TokenCounts.of(np.array([[3, PAD_INDEX], [PAD_INDEX, PAD_INDEX]]))
     assert exc.value.row == 1
+
+
+def _unique_token_counts(id_matrix):
+    """The sorting count of a padded matrix that TokenCounts.of replaced:
+    (rows, counts, lengths), or the EmptyParagraph it raised."""
+    b = id_matrix.shape[0]
+    row, col = np.nonzero(id_matrix != PAD_INDEX)
+    rows, inverse = np.unique(id_matrix[row, col], return_inverse=True)
+    tally = np.bincount(inverse * b + row,
+                        minlength=len(rows) * b).reshape(len(rows), b)
+    lengths = tally.sum(axis=0)
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        return EmptyParagraph(f"row {empty[0]} has no non-padding tokens", row=int(empty[0]))
+    return rows, tally.astype(np.float64), lengths
+
+
+def _counted(id_rows):
+    try:
+        tokens = encoder.TokenCounts.of(id_rows)
+    except EmptyParagraph as exc:
+        return exc
+    return tokens.rows, tokens.counts, tokens.lengths
+
+
+def _same(got, want):
+    if isinstance(want, EmptyParagraph):
+        return (isinstance(got, EmptyParagraph) and str(got) == str(want)
+                and got.row == want.row)
+    return not isinstance(got, EmptyParagraph) and all(
+        (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+        for g, w in zip(got, want))
+
+
+# Ids that are PAD, repeat within and across rows, or reach a few thousand;
+# a row may be empty or all PAD.
+_ID = st.one_of(st.just(PAD_INDEX), st.integers(1, 8), st.integers(1, 3000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_ID, max_size=30), max_size=8))
+@example(rows=[])
+@example(rows=[[5, PAD_INDEX, 2999, 5], [PAD_INDEX, PAD_INDEX], [7]])
+def test_token_counts_equal_the_sorting_count_bit_for_bit(rows):
+    """Unpadded rows and their padded matrix count exactly as np.unique
+    counted the padded matrix, including B = 0 and the first empty row."""
+    id_rows = [np.array(row, dtype=np.int64) for row in rows]
+    want = _unique_token_counts(pad_batch(id_rows))
+    assert _same(_counted(id_rows), want)
+    assert _same(_counted(pad_batch(id_rows)), want)
+
+
+@pytest.mark.parametrize("id_rows, message", [
+    ([np.array([3, 4]), np.array([2, -1, 5])], "^row 1 holds negative token id -1$"),
+    (np.array([[-7, 2], [3, PAD_INDEX]]), "^row 0 holds negative token id -7$"),
+])
+def test_token_counts_reject_a_negative_id_naming_its_row(id_rows, message):
+    with pytest.raises(ValueError, match=message):
+        encoder.TokenCounts.of(id_rows)
+
+
+def test_encode_rejects_a_negative_id():
+    """Numpy would read a negative id from the end of the embedding table."""
+    with pytest.raises(ValueError, match="^row 0 holds negative token id -1$"):
+        encode(init_params(vocab_size=10, d=4, rng=0), [-1])
 
 
 # Paragraphs over a small vocabulary, so tokens repeat; PAD (0) may sit

@@ -243,6 +243,27 @@ def test_pool_backward_matches_add_at_oracle(data, b, d, seed):
     assert np.all(np.abs(d_rows - oracle[rows]) <= 1e-14 * scale[rows])
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), b=st.integers(2, 6), d=st.integers(2, 6),
+       l2=st.sampled_from([0.0, 1e-3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_padded_and_unpadded_batches_give_identical_bits(data, b, d, l2, seed):
+    """The benchmark's probe passes padded matrices and training passes
+    unpadded rows: the objective and every gradient block agree bit for bit."""
+    anchors = [np.array(r) for r in data.draw(st.lists(_TOKEN_ROW, min_size=b, max_size=b),
+                                              label="anchors")]
+    positives = [np.array(r) for r in data.draw(st.lists(_TOKEN_ROW, min_size=b, max_size=b),
+                                                label="positives")]
+    params = init_params(7, d=d, rng=seed)
+    config = _config(batch_size=b, l2_coeff=l2)
+    padded = TrainingBatch(pad_batch(anchors), pad_batch(positives))
+    unpadded = TrainingBatch(anchors, positives)
+    assert (batch_objective(params, padded, config).hex()
+            == batch_objective(params, unpadded, config).hex())
+    for got, want in zip(compute_gradients(params, unpadded, config).blocks(),
+                         compute_gradients(params, padded, config).blocks()):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_gradient_near_zero_at_orthogonal_optimum():
     # One distinct token per pair, each embedded on its own axis, identity
     # head: anchors equal their positives (s_ii = 1) and cross pairs are
