@@ -194,7 +194,16 @@ class TokenCounts:
 
 def forward(params: EncoderParams,
             tokens: TokenCounts) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled embeddings h and encoded vectors u of a batch's token counts."""
+    """Pooled embeddings h and encoded vectors u of a batch's token counts.
+
+    A token id at or past the vocabulary size is a ``ValueError`` naming the
+    largest such id, the first row holding it and the vocabulary size.
+    """
+    if tokens.rows.size and tokens.rows[-1] >= params.vocab_size:
+        token = tokens.rows[-1]
+        row = np.flatnonzero(tokens.counts[-1])[0]
+        raise ValueError(f"row {row} holds token id {token}, outside the vocabulary "
+                         f"of {params.vocab_size}")
     h = tokens.counts.T @ params.embed[tokens.rows] / tokens.lengths[:, None]
     # tanh saturates: a product that overflows still encodes to +-1, and an
     # undefined one (inf - inf) to NaN, which training rejects as non-finite

@@ -24,9 +24,11 @@ find_mrps's bit for bit, ties at the threshold included.
 
 Evidence files are JSON in ``json.dumps(..., indent=2, ensure_ascii=False)``
 layout, but not written by ``json``: CPython serves ``indent`` only from its
-pure-Python encoder, which was most of ``score``'s time. The writer
-(:func:`write_evidence_files`) gives the same bytes with ``json``'s own
-string escaping and float ``repr``: each id's and text's JSON literal is
+pure-Python encoder, which was most of ``score``'s time. Entries hold ids and
+the similarity only; a paragraph's text is written once per document, in a
+``texts`` object after the evidence, however many entries name it. The
+writer (:func:`write_evidence_files`) gives the same bytes with ``json``'s
+own string escaping and float ``repr``: each id's and text's JSON literal is
 escaped and UTF-8 encoded once per run into a byte cache, and each file is
 one ``b"".join`` of those literals and the fixed keys, written at once;
 :func:`mrp_result_to_dict` stays the dict view and the writer's test oracle.
@@ -42,6 +44,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -303,7 +306,13 @@ def _paragraph(paragraphs: Mapping[str, Paragraph], pid: str) -> Paragraph:
 
 def mrp_result_to_dict(result: MrpResult,
                        paragraphs: Mapping[str, Paragraph] | None = None) -> dict:
-    """JSON-ready view of an MRP result, optionally with paragraph texts."""
+    """JSON-ready view of an MRP result.
+
+    Each evidence entry holds ``id_a``, ``id_b`` and ``similarity``. With
+    ``paragraphs``, a last key ``texts`` maps each id the evidence names to
+    its text, ids sorted; an id missing from ``paragraphs`` raises
+    :class:`~riskrel.errors.UnknownParagraphId`.
+    """
     doc = {
         "firm_a": result.firm_a,
         "firm_b": result.firm_b,
@@ -319,10 +328,15 @@ def mrp_result_to_dict(result: MrpResult,
         ],
     }
     if paragraphs is not None:
-        for entry in doc["evidence"]:
-            for side in ("a", "b"):
-                entry[f"text_{side}"] = _paragraph(paragraphs, entry[f"id_{side}"]).text
+        doc["texts"] = {pid: _paragraph(paragraphs, pid).text
+                        for pid in _evidence_ids(result)}
     return doc
+
+
+def _evidence_ids(result: MrpResult) -> list[str]:
+    """The distinct paragraph ids the evidence names, sorted."""
+    evidence = result.evidence
+    return sorted(set(map(itemgetter(0), evidence)).union(map(itemgetter(1), evidence)))
 
 
 def evidence_path(evidence_dir: str | Path, firm_a: str, firm_b: str) -> Path:
@@ -334,17 +348,19 @@ def evidence_path(evidence_dir: str | Path, firm_a: str, firm_b: str) -> Path:
 def render_evidence(doc: Mapping) -> str:
     """Highlights of an evidence document, as :func:`mrp_result_to_dict` gives
     it: a header with the pair, RRS, threshold and evidence count, then the top
-    3 evidence pairs, texts cut at 220 characters. A document without those
-    fields raises ``KeyError``, ``TypeError`` or ``ValueError``."""
+    3 evidence pairs, each with both texts from ``doc["texts"]`` cut at 220
+    characters. A document without ``texts`` renders ids only. A document
+    without the fields, or whose ``texts`` lacks an id of a top pair, raises
+    ``KeyError``, ``TypeError`` or ``ValueError``."""
     score, threshold, evidence = f"{doc['rrs']:.6f}", f"{doc['threshold']:.2f}", doc["evidence"]
     lines = [f"Strongest pair {doc['firm_a']} - {doc['firm_b']}: RRS {score} at threshold "
              f"{threshold}, {len(evidence)} evidence pairs.", ""]
     for entry in evidence[:3]:
         lines.append(f"- similarity {entry['similarity']:.4f}: "
                      f"`{entry['id_a']}` / `{entry['id_b']}`")
-        if "text_a" in entry:
-            lines.append(f"    - {entry['text_a'][:220]}")
-            lines.append(f"    - {entry['text_b'][:220]}")
+        if "texts" in doc:
+            lines.append(f"    - {doc['texts'][entry['id_a']][:220]}")
+            lines.append(f"    - {doc['texts'][entry['id_b']][:220]}")
     return "\n".join(lines + [""])
 
 
@@ -375,7 +391,8 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
     result, paragraphs), indent=2, ensure_ascii=False) + "\\n"``, joined
     from its pieces and written at once rather than built as a dict; each
     paragraph's id and text are escaped and UTF-8 encoded once per call,
-    however many entries and files repeat them. Each file is staged
+    however many entries and files repeat them, and a text is joined once
+    per file, in its ``texts`` object. Each file is staged
     (:mod:`riskrel.outputs`) and renamed into place once closed, so an error
     or a kill never leaves a partial ``.json``; on an error the files of
     earlier pairs stay.
@@ -435,17 +452,25 @@ def _write_evidence_document(fh, result: MrpResult, ids: _EscapeCache,
              b',\n  "mrps_b": ', _json_id_list(result.mrps_b, ids),
              b',\n  "evidence": ']
     if not result.evidence:
-        parts.append(b"[]\n}\n")
+        parts.append(b"[]")
     else:
         entry_start = b'[\n    {\n      "id_a": '
         for id_a, id_b, sim in result.evidence:
             parts += (entry_start, ids[id_a], b',\n      "id_b": ', ids[id_b],
                       b',\n      "similarity": ', _json_number(sim).encode("ascii"))
-            if texts is not None:
-                parts += (b',\n      "text_a": ', texts[id_a],
-                          b',\n      "text_b": ', texts[id_b])
             entry_start = b'\n    },\n    {\n      "id_a": '
-        parts.append(b"\n    }\n  ]\n}\n")
+        parts.append(b"\n    }\n  ]")
+    if texts is not None:
+        pids = _evidence_ids(result)
+        if not pids:
+            parts.append(b',\n  "texts": {}')
+        else:
+            text_start = b',\n  "texts": {\n    '
+            for pid in pids:
+                parts += (text_start, ids[pid], b": ", texts[pid])
+                text_start = b",\n    "
+            parts.append(b"\n  }")
+    parts.append(b"\n}\n")
     fh.write(b"".join(parts))
 
 

@@ -553,7 +553,14 @@ def test_bad_close_price_names_file_and_line(pipeline_dir, fixture_manifest, tmp
      "Unknown format code 'f' for object of type 'str'"),
     (b'{"rrs": 0.5, "threshold": 0.75, "evidence": [\xff]}',
      "'utf-8' codec can't decode byte 0xff in position 45: invalid start byte"),
-], ids=["not_json", "no_rrs", "rrs_not_a_number", "undecodable"])
+    (b'{"firm_a": "A", "firm_b": "B", "rrs": 0.5, "threshold": 0.75, "evidence": '
+     b'[{"id_a": "A:0", "id_b": "B:0", "similarity": 0.9}], "texts": {"A:0": "risk"}}',
+     "missing key 'B:0'"),
+    (b'{"firm_a": "A", "firm_b": "B", "rrs": 0.5, "threshold": 0.75, "evidence": '
+     b'[{"id_a": "A:0", "id_b": "B:0", "similarity": 0.9}], "texts": ["risk", "risk"]}',
+     "list indices must be integers or slices, not str"),
+], ids=["not_json", "no_rrs", "rrs_not_a_number", "undecodable", "id_missing_from_texts",
+        "texts_not_an_object"])
 def test_report_on_malformed_evidence_document_names_it(tmp_path, capsys, document, detail):
     (tmp_path / "rrs.csv").write_text("firm,A,B\nA,1,0.5\nB,0.5,1\n")
     (tmp_path / "evidence").mkdir()

@@ -190,6 +190,21 @@ def test_encode_rejects_a_negative_id():
         encode(init_params(vocab_size=10, d=4, rng=0), [-1])
 
 
+def test_encode_rejects_an_id_outside_the_vocabulary():
+    """Numpy would end in a bare IndexError naming neither the row nor the model."""
+    with pytest.raises(ValueError,
+                       match="^row 0 holds token id 10, outside the vocabulary of 10$"):
+        encode(init_params(vocab_size=10, d=4, rng=0), [3, 10])
+
+
+def test_forward_names_the_largest_id_outside_the_vocabulary_and_its_row():
+    tokens = encoder.TokenCounts.of([np.array([3, 9]), np.array([2, 12, 11]),
+                                     np.array([12, 1])])
+    with pytest.raises(ValueError,
+                       match="^row 1 holds token id 12, outside the vocabulary of 10$"):
+        forward(init_params(vocab_size=10, d=4, rng=0), tokens)
+
+
 # Paragraphs over a small vocabulary, so tokens repeat; PAD (0) may sit
 # anywhere, but every paragraph keeps at least one real token.
 _VOCAB = 12

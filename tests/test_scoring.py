@@ -480,11 +480,19 @@ def test_evidence_files_named_lexicographically(tmp_path):
 
 def test_mrp_result_to_dict_includes_texts():
     para_a = Paragraph("A:1", "A", 2023, "1A", "text a", ("text", "a"))
+    para_a0 = Paragraph("A:0", "A", 2023, "1A", "text a0", ("text", "a0"))
     para_b = Paragraph("B:1", "B", 2023, "1A", "text b", ("text", "b"))
-    result = scoring.MrpResult("A", "B", 0.75, 1, 1, ("A:1",), ("B:1",),
-                               [("A:1", "B:1", 0.9)])
-    doc = mrp_result_to_dict(result, {"A:1": para_a, "B:1": para_b})
-    assert doc["evidence"][0]["text_a"] == "text a"
+    result = scoring.MrpResult("A", "B", 0.75, 2, 1, ("A:0", "A:1"), ("B:1",),
+                               [("A:1", "B:1", 0.9), ("A:0", "B:1", 0.8)])
+    doc = mrp_result_to_dict(result, {"A:1": para_a, "B:1": para_b, "A:0": para_a0})
+    # Each text once, keyed by id, ids sorted rather than in evidence order.
+    assert list(doc["texts"].items()) == [("A:0", "text a0"), ("A:1", "text a"),
+                                          ("B:1", "text b")]
+    assert list(doc) == ["firm_a", "firm_b", "threshold", "n_a", "n_b", "rrs",
+                         "mrps_a", "mrps_b", "evidence", "texts"]
+    assert doc["evidence"] == [{"id_a": "A:1", "id_b": "B:1", "similarity": 0.9},
+                               {"id_a": "A:0", "id_b": "B:1", "similarity": 0.8}]
+    assert "texts" not in mrp_result_to_dict(result)
     with pytest.raises(UnknownParagraphId):
         mrp_result_to_dict(result, {"A:1": para_a})
 
