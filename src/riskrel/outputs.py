@@ -4,9 +4,13 @@ Inside ``with Outputs() as outputs:``, ``outputs(path)`` makes missing
 parent directories and returns a hidden sibling ``.<name>.tmp`` to write
 instead, file or directory. On a normal exit each sibling is ``os.replace``d
 onto its name; a staged directory whose target exists has its entries moved
-in one by one, so other files there stay. On an exception the siblings and
-the directories made are removed, so earlier outputs stay as they were. A
-killed run leaves only siblings, which the next ``outputs(path)`` clears.
+in one by one, so other files there stay. Before the first rename every
+target is checked: a staged file whose target is a directory, or a staged
+directory whose target is a file, at the top or one entry into a merged
+directory, is an ``IsADirectoryError`` or ``NotADirectoryError`` that
+publishes nothing. On an exception the siblings and the directories made are
+removed, so earlier outputs stay as they were. A killed run leaves only
+siblings, which the next ``outputs(path)`` clears.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ class Outputs(AbstractContextManager):
         try:
             if exc_type is None:
                 for path, staged in self._staged.items():
+                    _check_kind(staged, path)
+                for path, staged in self._staged.items():
                     _publish(staged, path)
                 self._made.clear()  # published, so the directories stay
         finally:
@@ -46,6 +52,20 @@ class Outputs(AbstractContextManager):
             for parent in reversed(self._made):
                 with suppress(OSError):
                     parent.rmdir()
+
+
+def _check_kind(staged: Path, path: Path) -> None:
+    """Raise if ``staged`` is a directory and ``path`` an existing file, or the
+    other way round; for a directory merged into ``path``, check each entry."""
+    if not (staged.exists() and path.exists()):
+        return
+    if staged.is_dir() and not path.is_dir():
+        raise NotADirectoryError(f"{path} is a file, so a directory cannot be written there")
+    if path.is_dir() and not staged.is_dir():
+        raise IsADirectoryError(f"{path} is a directory, so a file cannot be written there")
+    if staged.is_dir():
+        for entry in staged.iterdir():
+            _check_kind(entry, path / entry.name)
 
 
 def _publish(staged: Path, path: Path) -> None:

@@ -29,12 +29,16 @@ the similarity only; a paragraph's text is written once per document, in a
 ``texts`` object after the evidence, however many entries name it. The
 writer (:func:`write_evidence_files`) gives the same bytes with ``json``'s
 own string escaping and float ``repr``: each id's and text's JSON literal is
-escaped and UTF-8 encoded once per run into a byte cache, and each file is
-one ``b"".join`` of those literals and the fixed keys, written at once;
+escaped and UTF-8 encoded once per run into a byte cache, the similarities of
+a document take one ``float.__repr__`` map, and each file is one
+``b"".join`` of those literals and the fixed keys, interleaved by ``zip``
+with no Python loop over entries, and written at once;
 :func:`mrp_result_to_dict` stays the dict view and the writer's test oracle.
-Each file is renamed into place only once complete. This module alone names
-(:func:`evidence_path`), reads (:func:`read_evidence`) and renders
-(:func:`render_evidence`) evidence documents.
+The writer makes each document whole before it opens the file, and stages
+nothing itself: ``score`` stages the evidence directory
+(:mod:`riskrel.outputs`), so it publishes every document or none. This
+module alone names (:func:`evidence_path`), reads (:func:`read_evidence`)
+and renders (:func:`render_evidence`) evidence documents.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -61,7 +66,6 @@ from .encoder import (
     unit_rows,
 )
 from .errors import DimensionMismatch, EmptyFirm, EmptyParagraph, UnknownParagraphId
-from .outputs import Outputs
 
 DEFAULT_THRESHOLD = 0.75
 
@@ -388,14 +392,15 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
     """One ``<A>__<B>.json`` per firm pair, A before B lexicographically.
 
     Each file holds exactly the bytes of ``json.dumps(mrp_result_to_dict(
-    result, paragraphs), indent=2, ensure_ascii=False) + "\\n"``, joined
-    from its pieces and written at once rather than built as a dict; each
-    paragraph's id and text are escaped and UTF-8 encoded once per call,
-    however many entries and files repeat them, and a text is joined once
-    per file, in its ``texts`` object. Each file is staged
-    (:mod:`riskrel.outputs`) and renamed into place once closed, so an error
-    or a kill never leaves a partial ``.json``; on an error the files of
-    earlier pairs stay.
+    result, paragraphs), indent=2, ensure_ascii=False) + "\\n"``, built as one
+    ``bytes`` object (:func:`_evidence_document`) and then written at once
+    into ``out_dir``; each paragraph's id and text are escaped and UTF-8
+    encoded once per call, however many entries and files repeat them, and a
+    text is joined once per file, in its ``texts`` object. An unknown
+    paragraph id or a text that cannot be encoded raises before the pair's
+    file is opened, so it leaves no file; the files of earlier pairs stay.
+    Files are not staged one by one: to publish all of them or none, stage
+    ``out_dir`` with :class:`riskrel.outputs.Outputs`, as ``score`` does.
     """
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     ids = _EscapeCache(str)
@@ -404,9 +409,9 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
         texts = _EscapeCache(lambda pid: _paragraph(paragraphs, pid).text)
     written = []
     for result in results:
+        document = _evidence_document(result, ids, texts)
         path = evidence_path(out_dir, result.firm_a, result.firm_b)
-        with Outputs() as stage, open(stage(path), "wb") as fh:
-            _write_evidence_document(fh, result, ids, texts)
+        path.write_bytes(document)
         written.append(path)
     return written
 
@@ -431,16 +436,40 @@ def _json_number(value) -> str:
     return json.dumps(value)
 
 
+def _json_numbers(values: Sequence) -> list[bytes]:
+    """:func:`_json_number` of each of ``values`` (at least one), ASCII-encoded.
+
+    One ``float.__repr__`` map serves values that are all finite floats
+    (``np.float64`` included); a value of another type makes that map raise,
+    and ``nan`` or ``inf`` put an ``n`` in its text, which a finite float's
+    repr never holds. Either sends every value through :func:`_json_number`.
+    """
+    try:
+        text = ",".join(map(float.__repr__, values))
+    except TypeError:
+        text = "n"
+    if "n" in text:
+        text = ",".join(map(_json_number, values))
+    return text.encode("ascii").split(b",")
+
+
 def _json_id_list(pids: Sequence[str], ids: _EscapeCache) -> bytes:
     if not pids:
         return b"[]"
     return b"[\n    " + b",\n    ".join([ids[pid] for pid in pids]) + b"\n  ]"
 
 
-def _write_evidence_document(fh, result: MrpResult, ids: _EscapeCache,
-                             texts: _EscapeCache | None) -> None:
-    """Write :func:`mrp_result_to_dict`'s document in json.dumps's indent=2
-    layout, to a binary file in one write."""
+def _joined(parts: list[bytes], columns: Iterable[Iterable[bytes]], end: bytes) -> None:
+    """Append the items of ``columns`` to ``parts`` row by row, with ``end``
+    in place of the last row's last item (the separator to the next row)."""
+    parts += chain.from_iterable(zip(*columns))
+    parts[-1] = end
+
+
+def _evidence_document(result: MrpResult, ids: _EscapeCache,
+                       texts: _EscapeCache | None) -> bytes:
+    """:func:`mrp_result_to_dict`'s document in json.dumps's indent=2 layout,
+    UTF-8 encoded, without a Python loop over its entries."""
     head = (f'{{\n  "firm_a": {encode_basestring(result.firm_a)},\n'
             f'  "firm_b": {encode_basestring(result.firm_b)},\n'
             f'  "threshold": {_json_number(result.threshold)},\n'
@@ -451,27 +480,29 @@ def _write_evidence_document(fh, result: MrpResult, ids: _EscapeCache,
              b'  "mrps_a": ', _json_id_list(result.mrps_a, ids),
              b',\n  "mrps_b": ', _json_id_list(result.mrps_b, ids),
              b',\n  "evidence": ']
-    if not result.evidence:
+    evidence = result.evidence
+    if not evidence:
         parts.append(b"[]")
     else:
-        entry_start = b'[\n    {\n      "id_a": '
-        for id_a, id_b, sim in result.evidence:
-            parts += (entry_start, ids[id_a], b',\n      "id_b": ', ids[id_b],
-                      b',\n      "similarity": ', _json_number(sim).encode("ascii"))
-            entry_start = b'\n    },\n    {\n      "id_a": '
-        parts.append(b"\n    }\n  ]")
+        parts.append(b'[\n    {\n      "id_a": ')
+        _joined(parts, (map(ids.__getitem__, map(itemgetter(0), evidence)),
+                        repeat(b',\n      "id_b": '),
+                        map(ids.__getitem__, map(itemgetter(1), evidence)),
+                        repeat(b',\n      "similarity": '),
+                        _json_numbers(list(map(itemgetter(2), evidence))),
+                        repeat(b'\n    },\n    {\n      "id_a": ')),
+                b"\n    }\n  ]")
     if texts is not None:
         pids = _evidence_ids(result)
         if not pids:
             parts.append(b',\n  "texts": {}')
         else:
-            text_start = b',\n  "texts": {\n    '
-            for pid in pids:
-                parts += (text_start, ids[pid], b": ", texts[pid])
-                text_start = b",\n    "
-            parts.append(b"\n  }")
+            parts.append(b',\n  "texts": {\n    ')
+            _joined(parts, (map(ids.__getitem__, pids), repeat(b": "),
+                            map(texts.__getitem__, pids), repeat(b",\n    ")),
+                    b"\n  }")
     parts.append(b"\n}\n")
-    fh.write(b"".join(parts))
+    return b"".join(parts)
 
 
 def write_rrs_csv(firms: Sequence[str], matrix: np.ndarray,

@@ -939,21 +939,56 @@ def test_failed_score_rerun_keeps_previous_outputs(pipeline_dir, tmp_path, capsy
     before = _tree(tmp_path)
     assert len(before) == 29  # rrs.csv and C(8, 2) evidence files
 
-    write_document = scoring._write_evidence_document
+    build_document = scoring._evidence_document
     calls = []
 
-    def fail_on_third(fh, *args):
+    def fail_on_third(*args):
         calls.append(1)
-        write_document(fh, *args)
+        document = build_document(*args)
         if len(calls) == 3:
             raise OSError("disk full")
+        return document
 
-    monkeypatch.setattr(scoring, "_write_evidence_document", fail_on_third)
+    monkeypatch.setattr(scoring, "_evidence_document", fail_on_third)
     code, _, err = run(_score_argv(pipeline_dir, tmp_path), capsys)
     assert code == 1
     assert err == "error: OSError: disk full\n"
     assert _tree(tmp_path) == before
     assert not list(tmp_path.rglob(".*"))
+
+
+def test_score_onto_a_file_keeps_previous_outputs(pipeline_dir, tmp_path, capsys):
+    assert run(_score_argv(pipeline_dir, tmp_path), capsys)[0] == 0
+    (tmp_path / "F").write_text("not a directory")
+    before = _tree(tmp_path)
+    argv = _score_argv(pipeline_dir, tmp_path, "--threshold", "0.6")
+    argv[argv.index("--out-evidence") + 1] = str(tmp_path / "F")
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert _tree(tmp_path) == before
+    assert err == (f"error: NotADirectoryError: {tmp_path / 'F'} is a file, "
+                   "so a directory cannot be written there\n")
+    assert not list(tmp_path.rglob(".*"))
+
+
+@pytest.mark.parametrize("evidence_exists, renames", [(False, 2), (True, 29)],
+                         ids=["fresh", "rerun"])
+def test_score_stages_the_evidence_directory_once(pipeline_dir, tmp_path, capsys,
+                                                  monkeypatch, evidence_exists, renames):
+    if evidence_exists:
+        assert run(_score_argv(pipeline_dir, tmp_path), capsys)[0] == 0
+    replace, targets = os.replace, []
+
+    def counting(src, dst, **kwargs):
+        targets.append(dst)
+        replace(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", counting)
+    assert run(_score_argv(pipeline_dir, tmp_path), capsys)[0] == 0
+    # rrs.csv, then the evidence directory or each of its C(8, 2) files
+    assert len(targets) == renames
+    assert _tree(tmp_path) == {name: body for name, body in _tree(pipeline_dir).items()
+                               if name == "rrs.csv" or name.startswith("evidence/")}
 
 
 def test_failed_evaluate_rerun_keeps_previous_outputs(pipeline_dir, fixture_manifest,

@@ -1,4 +1,4 @@
-"""Evidence files: the streamed writer against json.dumps, and atomic files."""
+"""Evidence files: the writer against json.dumps, and what an error leaves."""
 
 import json
 import tempfile
@@ -22,9 +22,12 @@ texts = st.lists(st.one_of(st.sampled_from(SPECIAL),
                  max_size=12).map("".join)
 # Firm names also name the file, so no path separator or NUL.
 firm_names = texts.map(lambda s: s.replace("/", "|").replace("\x00", "0"))
-similarities = st.one_of(st.floats(-1, 1),
-                         st.sampled_from([-0.0, 0.0, 1.0, -1.0, 5e-324, 2.2e-308,
-                                          float("nan"), float("inf"), -float("inf")]))
+special_floats = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 5e-324, 2.2e-308,
+                                  float("nan"), float("inf"), -float("inf")])
+# Every number type the dict view passes through to json.dumps: a document
+# may mix them, or hold finite floats only.
+similarities = st.one_of(st.floats(-1, 1), special_floats, st.integers(-2, 2),
+                         st.one_of(st.floats(-1, 1), special_floats).map(np.float64))
 thresholds = st.one_of(st.sampled_from([0, 1]), st.floats(0, 1),
                        st.floats(0, 1).map(np.float64))
 
@@ -110,7 +113,7 @@ def test_paragraph_shared_across_files_is_escaped_alike(tmp_path):
 def test_failed_pair_leaves_earlier_files_and_no_partial_file(tmp_path, bad_text):
     results, paragraphs = _shared_paragraph_results()
     if bad_text is None:
-        # The unknown id comes after a good entry, so the file was begun.
+        # The unknown id comes after a good entry, so the document was begun.
         results[2].evidence.append(("A:0", "D:missing", 0.25))
         error = UnknownParagraphId
     else:

@@ -67,3 +67,45 @@ def test_clears_stale_siblings_left_by_a_killed_run(tmp_path):
     assert (tmp_path / "rrs.csv").read_text() == "matrix"
     assert not list((tmp_path / "evidence").iterdir())
     assert hidden(tmp_path) == []
+
+
+def test_directory_over_a_file_publishes_nothing(tmp_path):
+    (tmp_path / "rrs.csv").write_text("previous matrix")
+    (tmp_path / "evidence").write_text("a file in the way")
+    with pytest.raises(NotADirectoryError, match="evidence is a file"):
+        with Outputs() as outputs:
+            outputs(tmp_path / "rrs.csv").write_text("new matrix")
+            staged = outputs(tmp_path / "evidence")
+            staged.mkdir()
+            (staged / "A__B.json").write_text("{}")
+    assert (tmp_path / "rrs.csv").read_text() == "previous matrix"
+    assert (tmp_path / "evidence").read_text() == "a file in the way"
+    assert hidden(tmp_path) == []
+
+
+def test_file_over_a_directory_publishes_nothing(tmp_path):
+    (tmp_path / "a.txt").write_text("previous")
+    (tmp_path / "model.bin").mkdir()
+    with pytest.raises(IsADirectoryError, match="model.bin is a directory"):
+        with Outputs() as outputs:
+            outputs(tmp_path / "a.txt").write_text("new")
+            outputs(tmp_path / "model.bin").write_text("weights")
+    assert (tmp_path / "a.txt").read_text() == "previous"
+    assert not list((tmp_path / "model.bin").iterdir())
+    assert hidden(tmp_path) == []
+
+
+def test_merge_checks_every_entry_before_moving_any(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    (target / "a.json").write_text("old")
+    (target / "b.json").mkdir()
+    with pytest.raises(IsADirectoryError, match="b.json is a directory"):
+        with Outputs() as outputs:
+            staged = outputs(target)
+            staged.mkdir()
+            (staged / "a.json").write_text("new")
+            (staged / "b.json").write_text("new")
+    assert (target / "a.json").read_text() == "old"
+    assert (target / "b.json").is_dir()
+    assert hidden(tmp_path) == []
