@@ -42,5 +42,5 @@ with tempfile.TemporaryDirectory(prefix="riskrel_demo_") as tmp:
     by_firm = corpus.group_by_firm(all_paragraphs)
     print("=== full corpus ===")
     for firm, fc in by_firm.items():
-        print(f"  {firm}: {fc.count} risk paragraphs")
+        print(f"  {firm}: {len(fc.paragraphs)} risk paragraphs")
     print(f"total: {len(all_paragraphs)}")

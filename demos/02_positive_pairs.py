@@ -2,7 +2,9 @@
 
 Chronological view: same-firm paragraphs sharing an identical calendar
 date become a pair, and every date mention is deleted from both sides so
-training cannot match on the date tokens themselves. Quarter-end
+training cannot match on the date tokens themselves. One scanner,
+``pairs.scan_tokens``, finds the dates in a paragraph's tokens, both for
+pairing and for checking that none is left after deletion. Quarter-end
 accounting dates (3/31, 6/30, 9/30, 12/31) never justify a pair.
 
 Lexical view: two overlapping spans of one paragraph become a pair,
@@ -19,8 +21,8 @@ with tempfile.TemporaryDirectory(prefix="riskrel_demo_") as tmp:
     paragraphs = corpus.ingest_directory(manifest.filings_dir)
 
 print("=== date detection ===")
-sample = next(p for p in paragraphs if pairs.detect_date_tokens(p))
-for mention in pairs.detect_date_tokens(sample):
+sample = next(p for p in paragraphs if pairs.scan_tokens(p.tokens))
+for mention in pairs.scan_tokens(sample.tokens):
     span = sample.tokens[mention.token_span[0]:mention.token_span[1]]
     print(f"  {sample.id}: tokens {span} -> {mention.normalized}"
           f"{'  [accounting]' if mention.is_accounting else ''}")

@@ -16,8 +16,9 @@ the command does not take is an error.
 reads the paragraphs file whole. ``report`` reads one work directory, the
 files the README's commands write there, and writes ``report.md`` beside
 them; :mod:`riskrel.scoring` reads and renders its evidence document. A
-threshold ``score`` takes must print back as itself at the two decimals of
-:func:`riskrel.evaluation.threshold_label`, as a ``sweep`` grid value must.
+threshold ``score`` takes, like each ``sweep`` grid value, must lie in [0, 1]
+and print back as itself at the two decimals of ``sweep.csv``:
+:func:`riskrel.evaluation.read_back_label` decides for both.
 """
 
 from __future__ import annotations
@@ -138,7 +139,9 @@ def cmd_pairs(args: argparse.Namespace, outputs: Outputs) -> None:
                                          rng_seed=args.seed)
     out_dir = outputs(args.out)
     out_dir.mkdir()
-    for view in views:
+    # Every view's files, empty for a view not built, so that none is left
+    # from an earlier run for train's *.train.jsonl glob to read.
+    for view in pairgen.VIEWS:
         for split_name, split in (("train", train), ("val", val)):
             name = f"{view}.{split_name}.jsonl"
             n = pairgen.write_pairs((p for p in split if p.view == view), out_dir / name)
@@ -195,18 +198,17 @@ def cmd_embed(args: argparse.Namespace, outputs: Outputs) -> None:
 
 
 def cmd_score(args: argparse.Namespace, outputs: Outputs) -> None:
-    threshold = scoring.ScoreConfig(args.threshold).threshold
-    label = evaluation.read_back_label(threshold, "threshold",
+    label = evaluation.read_back_label(args.threshold, "threshold",
                                        "score's summary line and report.md")
     index, texts = _load_index(args.model, args.paragraphs)
 
     firms = index.firm_ids()
-    _, matrix = scoring.rrs_matrix(index, firms, threshold)
+    _, matrix = scoring.rrs_matrix(index, firms, args.threshold)
     scoring.write_rrs_csv(firms, matrix, outputs(args.out_matrix))
 
     if args.out_evidence:
         # A generator, so each pair's file is written before the next search.
-        results = (scoring.find_mrps(index, a, b, threshold)
+        results = (scoring.find_mrps(index, a, b, args.threshold)
                    for a, b in scoring.firm_pairs(firms))
         written = scoring.write_evidence_files(results, outputs(args.out_evidence), texts)
         print(f"score: wrote {len(written)} evidence files to {args.out_evidence}")

@@ -73,10 +73,6 @@ class FirmCorpus:
     firm_id: str
     paragraphs: list[Paragraph]
 
-    @property
-    def count(self) -> int:
-        return len(self.paragraphs)
-
 
 def check_firm_id(firm_id: str) -> str:
     """``firm_id``, if it is safe as a file name, a CSV cell and an id prefix.

@@ -3,10 +3,13 @@
 A paragraph is encoded as tanh(W @ mean(token embeddings) + b): an
 embedding lookup, a mean pool over non-padding positions, and a single
 affine layer squashed through tanh, all in one batched :func:`forward` that
-training and embedding share. Relevance between paragraphs is the cosine
-of their vectors. The architecture is small enough that every gradient is
-hand-verifiable, while keeping the contract the rest of the pipeline
-depends on (paragraph -> d-vector, cosine similarity, 256-token truncation).
+training and embedding share. It is the only way to encode: the vectors
+``embed`` writes are those of one firm's batch
+(:func:`riskrel.scoring.embed_corpus`). Relevance between paragraphs is the
+cosine of their vectors. The architecture is small enough that every
+gradient is hand-verifiable, while keeping the contract the rest of the
+pipeline depends on (paragraph -> d-vector, cosine similarity, 256-token
+truncation, which :meth:`Vocabulary.indices` alone applies).
 
 The forward reads a batch as its token-count matrix (:class:`TokenCounts`):
 the R distinct non-PAD tokens of the batch in sorted order, times how often
@@ -210,17 +213,6 @@ def forward(params: EncoderParams,
     # and which never clears a scoring threshold.
     with np.errstate(over="ignore", invalid="ignore"):
         return h, np.tanh(h @ params.proj_w.T + params.proj_b)
-
-
-def encode(params: EncoderParams, token_ids: Sequence[int] | np.ndarray,
-           max_len: int = DEFAULT_MAX_LEN) -> np.ndarray:
-    """Encode one paragraph of vocabulary indices into a d-vector.
-
-    A one-row :func:`forward` of the first ``max_len`` indices. Padding
-    positions never influence the output.
-    """
-    ids = np.asarray(token_ids, dtype=np.int64)[:max_len]
-    return forward(params, TokenCounts.of([ids]))[1][0]
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:

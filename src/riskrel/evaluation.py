@@ -308,9 +308,12 @@ def threshold_label(threshold: float) -> str:
 
 
 def read_back_label(value: float, what: str, where: str) -> str:
-    """The :func:`threshold_label` of a value it must read back as: another
+    """The :func:`threshold_label` of a valid threshold: a value in [0, 1]
+    (NaN is not) that reads back as itself from its label, since another
     value would be printed as a threshold it is not. ``what`` names the
     value and ``where`` the output that prints it."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} {value} must lie in [0, 1]")
     label = threshold_label(value)
     if float(label) != value:
         raise ValueError(f"{what} {value} prints as {label} in {where}: "
@@ -321,9 +324,9 @@ def read_back_label(value: float, what: str, where: str) -> str:
 def make_grid(start: float = DEFAULT_GRID_START, stop: float = DEFAULT_GRID_STOP,
               step: float = DEFAULT_GRID_STEP) -> list[float]:
     """Inclusive ascending threshold grid whose values differ at the two
-    decimals of :func:`threshold_label` and each read back exactly from its
-    label. Two decimals tell at most 101 values in [0, 1] apart: a finer
-    grid fails from its count."""
+    decimals of :func:`threshold_label` and are each a valid threshold for
+    :func:`read_back_label`. Two decimals tell at most 101 values in [0, 1]
+    apart: a finer grid fails from its count."""
     if not (step > 0 and stop >= start):
         raise ValueError(f"bad grid range {start}:{stop}:{step}")
     alike = ValueError(f"grid {start}:{stop}:{step} has thresholds that print alike "
@@ -332,8 +335,6 @@ def make_grid(start: float = DEFAULT_GRID_START, stop: float = DEFAULT_GRID_STOP
     if not span < 101:
         raise alike
     grid = [round(start + i * step, 10) for i in range(round(span) + 1)]
-    if any(not 0.0 <= g <= 1.0 for g in grid):
-        raise ValueError("grid values must lie in [0, 1]")
     if len({threshold_label(g) for g in grid}) < len(grid):
         raise alike
     for g in grid:

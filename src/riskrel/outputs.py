@@ -2,15 +2,17 @@
 
 Inside ``with Outputs() as outputs:``, ``outputs(path)`` makes missing
 parent directories and returns a hidden sibling ``.<name>.tmp`` to write
-instead, file or directory. On a normal exit each sibling is ``os.replace``d
-onto its name; a staged directory whose target exists has its entries moved
-in one by one, so other files there stay. Before the first rename every
-target is checked: a staged file whose target is a directory, or a staged
-directory whose target is a file, at the top or one entry into a merged
-directory, is an ``IsADirectoryError`` or ``NotADirectoryError`` that
-publishes nothing. On an exception the siblings and the directories made are
-removed, so earlier outputs stay as they were. A killed run leaves only
-siblings, which the next ``outputs(path)`` clears.
+instead, file or directory; a path already handed out is a ``ValueError``,
+since two outputs would be staged into one. On a normal exit each sibling
+is ``os.replace``d onto its name; a staged directory whose target exists
+has its entries moved in one by one, so other files there stay. Before the
+first rename every target is checked: a staged file whose target is a
+directory, or a staged directory whose target is a file, at the top or one
+entry into a merged directory, is an ``IsADirectoryError`` or
+``NotADirectoryError`` that publishes nothing. On an exception the siblings
+and the directories made are removed, so earlier outputs stay as they
+were. A killed run leaves only siblings, which the next ``outputs(path)``
+clears.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ class Outputs(AbstractContextManager):
 
     def __call__(self, path: str | Path) -> Path:
         path = Path(os.path.abspath(path))
+        if path in self._staged:
+            raise ValueError(f"{path} is given for two outputs")
         for parent in reversed(path.parents):
             if not parent.exists():
                 parent.mkdir()

@@ -5,9 +5,10 @@ Two complementary views over risk-section paragraphs:
 * chronological — two same-firm paragraphs that mention an identical
   calendar date (quarter-end accounting dates excluded) form a pair, with
   every date mention deleted from both sides so the encoder cannot match
-  on the dates themselves. The date scan tries only the positions where a
-  date can start (a month name, or the token before a "/" or "-"), and
-  each paragraph's mentions are found once and then deleted;
+  on the dates themselves. One scanner, :func:`scan_tokens`, reads a
+  paragraph's tokens: it tries only the positions where a date can start
+  (a month name, or the token before a "/" or "-"), and each paragraph's
+  mentions are found once and then deleted;
 * lexical — two overlapping spans of a single paragraph form a pair,
   exploiting the boilerplate phrasing of annual reports.
 
@@ -51,9 +52,8 @@ _DATE_STARTS = frozenset(_MONTHS) | _SEPARATORS
 
 @dataclass(frozen=True)
 class DateMention:
-    """A date expression found in a paragraph's token stream."""
+    """A date expression found in a token sequence."""
 
-    paragraph_id: str
     token_span: tuple[int, int]  # half-open [start, end)
     normalized: str              # ISO YYYY-MM-DD, day 01 when absent
     is_accounting: bool
@@ -81,19 +81,13 @@ def _is_year(tok: str) -> bool:
     return len(tok) == 4 and tok.isdigit()
 
 
-def detect_date_tokens(paragraph: Paragraph) -> list[DateMention]:
-    """Scan a tokenized paragraph for date expressions.
+def scan_tokens(tokens: Sequence[str]) -> list[DateMention]:
+    """Scan a token sequence for date expressions, left to right.
 
     Recognized forms (over tokens, longest match first):
     "july 8 , 2024", "july 2024", "07/08/2024" and "2024-07-08".
     Bare years are deliberately not dates. Unparseable near-dates
     (e.g. february 30) are ignored.
-    """
-    return scan_tokens(paragraph.tokens, paragraph.id)
-
-
-def scan_tokens(tokens: Sequence[str], paragraph_id: str = "") -> list[DateMention]:
-    """Token-level date scanner behind :func:`detect_date_tokens`.
 
     A date can start only at a month name or just before a "/" or "-", so
     only those positions are tried; a paragraph holding none of these
@@ -148,7 +142,6 @@ def scan_tokens(tokens: Sequence[str], paragraph_id: str = "") -> list[DateMenti
         end, iso = hit
         month_day = (int(iso[5:7]), int(iso[8:10]))
         mentions.append(DateMention(
-            paragraph_id=paragraph_id,
             token_span=(i, end),
             normalized=iso,
             is_accounting=month_day in ACCOUNTING_DATES,
@@ -186,7 +179,7 @@ def build_chronological_pairs(corpus: FirmCorpus,
     emitted; pairs whose either side drops below ``min_tokens`` are
     discarded. One pair per unordered paragraph-id pair.
     """
-    mentions_by_para = {p.id: detect_date_tokens(p) for p in corpus.paragraphs}
+    mentions_by_para = {p.id: scan_tokens(p.tokens) for p in corpus.paragraphs}
 
     by_date: dict[str, list[Paragraph]] = {}
     for p in corpus.paragraphs:

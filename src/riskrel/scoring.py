@@ -74,17 +74,6 @@ _EMB_VERSION = 1
 
 
 @dataclass
-class ScoreConfig:
-    """Similarity threshold gating MRP membership."""
-
-    threshold: float = DEFAULT_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
-
-
-@dataclass
 class EmbeddingIndex:
     """Per-firm paragraph ids and embedding matrices from one model."""
 
@@ -94,11 +83,6 @@ class EmbeddingIndex:
 
     def firm_ids(self) -> list[str]:
         return sorted(self.firms)
-
-    def get(self, firm: str) -> tuple[list[str], np.ndarray]:
-        if firm not in self.firms:
-            raise EmptyFirm(f"firm {firm!r} not in embedding index")
-        return self.firms[firm]
 
     @property
     def d(self) -> int:
@@ -163,14 +147,13 @@ def _similarities(index: EmbeddingIndex, firm_a: str, firm_b: str,
 
     The product is always taken with the firms in sorted order, so the
     block of (B, A) is the exact transpose of the block of (A, B). Each
-    firm's vectors are normalized once per ``units`` cache.
+    firm's vectors are normalized once per ``units`` cache. A firm that
+    the index lacks or holds without paragraphs is :class:`EmptyFirm`.
     """
-    ids_a, vec_a = index.get(firm_a)
-    ids_b, vec_b = index.get(firm_b)
-    if not ids_a:
-        raise EmptyFirm(f"firm {firm_a!r} has no paragraphs")
-    if not ids_b:
-        raise EmptyFirm(f"firm {firm_b!r} has no paragraphs")
+    for firm in (firm_a, firm_b):
+        if firm not in index.firms or not index.firms[firm][0]:
+            raise EmptyFirm(f"firm {firm!r} has no paragraphs in the embedding index")
+    (ids_a, vec_a), (ids_b, vec_b) = index.firms[firm_a], index.firms[firm_b]
     if vec_a.shape[1] != vec_b.shape[1]:
         raise DimensionMismatch(
             f"embedding widths differ: {vec_a.shape[1]} vs {vec_b.shape[1]}")

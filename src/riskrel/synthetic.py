@@ -255,11 +255,8 @@ class FixtureManifest:
     planted_pair: tuple[str, str] = PLANTED_PAIR
     planted_theme: str = PLANTED_THEME
     theme_by_paragraph: dict[str, str] = field(default_factory=dict)
+    # ids of the planted theme's paragraphs in the planted pair's filings
     planted_ids: set[str] = field(default_factory=set)
-
-    def planted_paragraph_ids(self) -> set[str]:
-        """Ids of the planted theme's paragraphs in the planted pair's filings."""
-        return set(self.planted_ids)
 
 
 def _date_phrase(month: int, day: int, year: int) -> str:

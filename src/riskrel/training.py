@@ -173,10 +173,13 @@ def info_nce_loss(sim_matrix: np.ndarray, temperature: float) -> float:
     diagonal holds each anchor's own positive. Computed as negative
     log-softmax of the diagonal with max-subtraction for stability.
     """
-    return float(np.mean(_per_anchor_loss(sim_matrix, temperature)))
+    return float(np.mean(_per_anchor_loss(sim_matrix, temperature)[0]))
 
 
-def _per_anchor_loss(sim_matrix: np.ndarray, temperature: float) -> np.ndarray:
+def _per_anchor_loss(sim_matrix: np.ndarray,
+                     temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each anchor's InfoNCE loss, and the softmax rows of sim / temperature
+    that its gradient reads, from one max-shifted exponential."""
     s = np.asarray(sim_matrix, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 2:
         raise ValueError(f"similarity matrix must be B x B with B >= 2, got {s.shape}")
@@ -184,14 +187,9 @@ def _per_anchor_loss(sim_matrix: np.ndarray, temperature: float) -> np.ndarray:
         raise NonFiniteSimilarity("similarity matrix contains NaN or inf")
     z = s / temperature
     zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    return lse - np.diag(z)
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
-    return e / e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=1, keepdims=True)
+    return zmax[:, 0] + np.log(total[:, 0]) - np.diag(z), e / total
 
 
 def _token_counts(batch: TrainingBatch) -> TokenCounts:
@@ -276,10 +274,11 @@ def _loss_and_gradients(params: EncoderParams, batch: TrainingBatch,
 
     tokens = _token_counts(batch)
     h, u, norms, units, sims = _batch_pass(params, tokens)
-    loss = info_nce_loss(sims, tau)
+    per_anchor, softmax = _per_anchor_loss(sims, tau)
+    loss = float(np.mean(per_anchor))
 
     # dL/dS: softmax rows minus identity, scaled by 1/(B*tau)
-    g_s = (_softmax_rows(sims / tau) - np.eye(b)) / (b * tau)
+    g_s = (softmax - np.eye(b)) / (b * tau)
 
     # back through cosine: s_ij = u_hat_i . v_hat_j, anchors u_hat = units[:b]
     # and positives v_hat = units[b:]
@@ -382,7 +381,7 @@ def _evaluate(params: EncoderParams, batches: Sequence[TokenCounts],
     n_anchors = n_neg = 0
     for tokens in batches:
         sims = _batch_pass(params, tokens)[-1]
-        total_loss += float(_per_anchor_loss(sims, config.temperature).sum())
+        total_loss += float(_per_anchor_loss(sims, config.temperature)[0].sum())
         total_pos += float(np.trace(sims))
         total_neg += float(sims.sum() - np.trace(sims))
         n_anchors += len(sims)

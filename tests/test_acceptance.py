@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from riskrel import cli, corpus, evaluation, pairs as pairgen, scoring, synthetic, training
-from riskrel.encoder import encode, init_params, pad_batch, unit_rows
+from riskrel.encoder import TokenCounts, forward, init_params, pad_batch, unit_rows
 from riskrel.evaluation import (
     RankedList,
     ReturnSeries,
@@ -206,24 +206,28 @@ def test_criterion_5_training_efficacy(pipeline):
 
     vocab, params = pipeline.outcome.vocab, pipeline.outcome.params
 
-    def similarity(left, right):
-        u, v = unit_rows(np.stack([encode(params, vocab.indices(tokens), 256)
-                                   for tokens in (left, right)]))
-        return float(u @ v)
+    # Pair vectors from one forward over the validation pairs' left rows,
+    # then their right rows, as training batches them.
+    pairs = pipeline.val_pairs
+    rows = ([vocab.indices(p.left_tokens, 256) for p in pairs]
+            + [vocab.indices(p.right_tokens, 256) for p in pairs])
+    units = unit_rows(forward(params, TokenCounts.of(rows))[1])
+    positive = np.sum(units[:len(pairs)] * units[len(pairs):], axis=1)
 
-    positive = [similarity(p.left_tokens, p.right_tokens) for p in pipeline.val_pairs]
-
+    # Paragraph vectors as embed writes them.
+    index = scoring.embed_corpus(vocab, params,
+                                 corpus.group_by_firm(pipeline.paragraphs).values())
+    unit_of = {pid: u for ids, vectors in index.firms.values()
+               for pid, u in zip(ids, unit_rows(vectors))}
     theme_of = pipeline.manifest.theme_by_paragraph
-    by_id = {p.id: p for p in pipeline.paragraphs}
-    ids = sorted(by_id)
+    ids = sorted(unit_of)
     rng = np.random.default_rng(500)
     cross = []
     while len(cross) < 300:
         i, j = rng.integers(0, len(ids), size=2)
-        pa, pb = by_id[ids[i]], by_id[ids[j]]
-        if theme_of[pa.id] == theme_of[pb.id]:
+        if theme_of[ids[i]] == theme_of[ids[j]]:
             continue
-        cross.append(similarity(pa.tokens, pb.tokens))
+        cross.append(float(unit_of[ids[i]] @ unit_of[ids[j]]))
     gap = float(np.mean(positive) - np.mean(cross))
     assert gap >= 0.2, gap
 
@@ -245,7 +249,7 @@ def test_criterion_6_planted_risk_recovery(pipeline):
     assert top_value > max(off_diag.values()), (top_value, max(off_diag.values()))
 
     result = find_mrps(index, *planted, 0.75)
-    planted_ids = pipeline.manifest.planted_paragraph_ids()
+    planted_ids = pipeline.manifest.planted_ids
     planted_evidence = [(a, b) for a, b, _ in result.evidence
                         if a in planted_ids and b in planted_ids]
     assert len(planted_evidence) >= 1

@@ -1,6 +1,8 @@
 """Command-line contracts: error reporting, cleanup, config precedence, pipeline."""
 
+import importlib
 import json
+import math
 import os
 import shlex
 import shutil
@@ -8,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +150,59 @@ def test_failure_removes_partial_outputs(pipeline_dir, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert not model_out.exists()
+
+
+def test_train_rejects_one_path_for_model_and_report(pipeline_dir, tmp_path, capsys):
+    """The report would be published over the model, which would be lost."""
+    out = tmp_path / "model.bin"
+    code, stdout, err = run(["train", "--pairs", str(pipeline_dir / "pairs"), "--seed", "0",
+                             "--max-epochs", "1", "--out", str(out), "--report", str(out)],
+                            capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: ValueError: {out} is given for two outputs\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_score_rejects_one_path_for_matrix_and_evidence(pipeline_dir, tmp_path, capsys):
+    """The evidence directory would be published over the matrix."""
+    out = tmp_path / "out"
+    argv = _stage_argv(pipeline_dir, tmp_path, "score")
+    argv[argv.index("--out-matrix") + 1] = str(out)
+    code, stdout, err = run(argv + ["--out-evidence", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: ValueError: {out} is given for two outputs\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_single_view_pairs_leave_no_other_view_for_train(pipeline_dir, tmp_path, capsys):
+    """pairs --view lexical over a --view both directory empties the
+    chronological files, so train's *.train.jsonl glob reads one view."""
+    out = tmp_path / "pairs"
+    shutil.copytree(pipeline_dir / "pairs", out)
+    code, _, _ = run(["pairs", "--in", str(pipeline_dir / "paragraphs.jsonl"),
+                      "--view", "lexical", "--seed", "7", "--train", "140", "--val", "25",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        f"{view}.{split}.jsonl" for view in ("chronological", "lexical")
+        for split in ("train", "val")]
+    views = {json.loads(line)["view"] for path in out.iterdir()
+             for line in path.read_text().splitlines()}
+    assert views == {"lexical"}
+
+
+def test_benchmark_training_probe_runs_on_the_pipeline(pipeline_dir, monkeypatch):
+    """bench/run.py's --trace 1 probe, the one caller of pad_batch, padded
+    TrainingBatches, batch_objective and compute_gradients outside the tests,
+    runs unchanged on a pipeline's work directory."""
+    monkeypatch.setattr(sys, "path", [str(Path(__file__).resolve().parents[1] / "bench"),
+                                      *sys.path])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        # run.py pins these on import; restore them after the test
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    probe = importlib.import_module("run").training_probe(pipeline_dir, time.perf_counter)
+    assert probe["training.objective_s"] > 0 and probe["training.gradients_s"] > 0
+    assert all(math.isfinite(value) for value in probe.values())
 
 
 def test_failure_in_preexisting_dir_keeps_unrelated_files(tmp_path, capsys):

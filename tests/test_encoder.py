@@ -9,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskrel import encoder
+from riskrel.corpus import FirmCorpus, Paragraph
 from riskrel.encoder import (
     PAD_INDEX,
     UNK_INDEX,
     EncoderParams,
     build_vocab,
-    encode,
     forward,
     init_params,
     load_model,
@@ -23,6 +23,7 @@ from riskrel.encoder import (
     save_model,
 )
 from riskrel.errors import EmptyCorpus, EmptyParagraph
+from riskrel.scoring import embed_corpus
 
 
 # --- vocabulary ---
@@ -55,7 +56,12 @@ def test_vocab_indices_truncate():
     assert len(vocab.indices(["a"] * 10, max_len=4)) == 4
 
 
-# --- encode ---
+# --- encoding: forward ---
+
+def _one_row(params, ids):
+    """The encoded vector of a batch of one row of ids."""
+    return forward(params, encoder.TokenCounts.of([np.asarray(ids, dtype=np.int64)]))[1][0]
+
 
 def _tiny_params():
     # d=2, one real token at index 2 with embedding [1, 0], identity head
@@ -66,35 +72,40 @@ def _tiny_params():
 
 
 def test_encode_single_token_identity_head():
-    out = encode(_tiny_params(), [2])
+    out = _one_row(_tiny_params(), [2])
     assert out == pytest.approx([math.tanh(1.0), 0.0], abs=1e-15)
     assert out[0] == pytest.approx(0.7615941559557649, abs=1e-15)
 
 
 def test_encode_identical_tokens_mean_is_row():
     params = _tiny_params()
-    assert np.array_equal(encode(params, [2, 2, 2]), encode(params, [2]))
+    assert np.array_equal(_one_row(params, [2, 2, 2]), _one_row(params, [2]))
 
 
 def test_encode_empty_errors():
     with pytest.raises(EmptyParagraph):
-        encode(_tiny_params(), [])
+        _one_row(_tiny_params(), [])
     with pytest.raises(EmptyParagraph):
-        encode(_tiny_params(), [PAD_INDEX, PAD_INDEX])
+        _one_row(_tiny_params(), [PAD_INDEX, PAD_INDEX])
 
 
 def test_encode_trailing_pad_invariant():
     params = init_params(vocab_size=20, d=8, rng=1)
     ids = [3, 5, 7, 11]
     with_pad = ids + [PAD_INDEX] * 6
-    assert np.array_equal(encode(params, ids), encode(params, with_pad))
+    assert np.array_equal(_one_row(params, ids), _one_row(params, with_pad))
 
 
 def test_encode_truncation_contract():
-    params = init_params(vocab_size=20, d=8, rng=2)
-    ids = list(range(2, 14))
-    assert np.array_equal(encode(params, ids, max_len=5),
-                          encode(params, ids[:5], max_len=5))
+    """Vocabulary.indices is the one truncation: at max_len 5, embedding
+    encodes a paragraph as its first 5 tokens, to the bit."""
+    tokens = tuple("abcdefghijkl")
+    vocab = build_vocab([tokens], min_freq=1)
+    firm = FirmCorpus("A", [Paragraph(f"A:2023:1A:000{k}", "A", 2023, "1A", "", side)
+                            for k, side in enumerate((tokens, tokens[:5]))])
+    index = embed_corpus(vocab, init_params(len(vocab), d=8, rng=2), [firm], max_len=5)
+    full, first_five = index.firms["A"][1]
+    assert full.tobytes() == first_five.tobytes()
 
 
 def test_encode_output_within_tanh_range():
@@ -102,7 +113,7 @@ def test_encode_output_within_tanh_range():
     rng = np.random.default_rng(0)
     for _ in range(20):
         ids = rng.integers(1, 50, size=rng.integers(1, 40))
-        out = encode(params, ids)
+        out = _one_row(params, ids)
         assert np.all(out > -1.0) and np.all(out < 1.0)
 
 
@@ -111,7 +122,7 @@ def test_encode_batch_matches_single():
     rows = [np.array([2, 3, 4]), np.array([5, 6]), np.array([7, 8, 9, 10])]
     h, batch_out = forward(params, encoder.TokenCounts.of(pad_batch(rows)))
     for k, ids in enumerate(rows):
-        assert batch_out[k] == pytest.approx(encode(params, ids), abs=1e-15)
+        assert batch_out[k] == pytest.approx(_one_row(params, ids), abs=1e-15)
         assert h[k] == pytest.approx(params.embed[ids].mean(axis=0), abs=1e-15)
 
 
@@ -187,14 +198,14 @@ def test_token_counts_reject_a_negative_id_naming_its_row(id_rows, message):
 def test_encode_rejects_a_negative_id():
     """Numpy would read a negative id from the end of the embedding table."""
     with pytest.raises(ValueError, match="^row 0 holds negative token id -1$"):
-        encode(init_params(vocab_size=10, d=4, rng=0), [-1])
+        _one_row(init_params(vocab_size=10, d=4, rng=0), [-1])
 
 
 def test_encode_rejects_an_id_outside_the_vocabulary():
     """Numpy would end in a bare IndexError naming neither the row nor the model."""
     with pytest.raises(ValueError,
                        match="^row 0 holds token id 10, outside the vocabulary of 10$"):
-        encode(init_params(vocab_size=10, d=4, rng=0), [3, 10])
+        _one_row(init_params(vocab_size=10, d=4, rng=0), [3, 10])
 
 
 def test_forward_names_the_largest_id_outside_the_vocabulary_and_its_row():
@@ -217,7 +228,7 @@ def test_encode_is_order_invariant_bit_for_bit(data, d, seed):
     params = init_params(_VOCAB, d=d, rng=seed)
     ids = data.draw(_PARAGRAPH, label="ids")
     shuffled = data.draw(st.permutations(ids), label="shuffled")
-    assert encode(params, shuffled).tobytes() == encode(params, ids).tobytes()
+    assert _one_row(params, shuffled).tobytes() == _one_row(params, ids).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

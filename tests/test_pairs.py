@@ -10,7 +10,6 @@ from riskrel.errors import InsufficientPairs
 from riskrel.pairs import (
     build_chronological_pairs,
     build_lexical_pairs,
-    detect_date_tokens,
     scan_tokens,
     split_train_val,
 )
@@ -28,7 +27,7 @@ def make_paragraph(text, firm="ACME", year=2023, section="1A", ordinal=0):
 
 def test_detects_month_day_year():
     p = make_paragraph("On July 8, 2024, we signed the agreement")
-    (m,) = detect_date_tokens(p)
+    (m,) = scan_tokens(p.tokens)
     assert m.normalized == "2024-07-08"
     assert m.is_accounting is False
     # span covers exactly "july 8 , 2024"
@@ -37,12 +36,12 @@ def test_detects_month_day_year():
 
 def test_bare_year_is_not_a_date():
     p = make_paragraph("growth in 2024 continued")
-    assert detect_date_tokens(p) == []
+    assert scan_tokens(p.tokens) == []
 
 
 def test_accounting_quarter_end_flagged():
     p = make_paragraph("the period ended December 31, 2023 as reported")
-    (m,) = detect_date_tokens(p)
+    (m,) = scan_tokens(p.tokens)
     assert m.normalized == "2023-12-31"
     assert m.is_accounting is True
 
@@ -54,13 +53,13 @@ def test_accounting_quarter_end_flagged():
     ("as of September 30, 2022 the balance", "2022-09-30", True),
 ])
 def test_date_formats(text, expected, accounting):
-    (m,) = detect_date_tokens(make_paragraph(text))
+    (m,) = scan_tokens(make_paragraph(text).tokens)
     assert m.normalized == expected
     assert m.is_accounting is accounting
 
 
 def test_invalid_calendar_date_ignored():
-    assert detect_date_tokens(make_paragraph("on February 30, 2024 nothing")) == []
+    assert scan_tokens(make_paragraph("on February 30, 2024 nothing").tokens) == []
 
 
 @pytest.mark.parametrize("text", [
@@ -70,12 +69,12 @@ def test_invalid_calendar_date_ignored():
     "maybe 00/10/2024 happened",
 ])
 def test_invalid_calendar_components_ignored(text):
-    assert detect_date_tokens(make_paragraph(text)) == []
+    assert scan_tokens(make_paragraph(text).tokens) == []
 
 
 def test_multiple_mentions_scanned_left_to_right():
     p = make_paragraph("On July 8, 2024 and again on October 5, 2024 events occurred")
-    mentions = detect_date_tokens(p)
+    mentions = scan_tokens(p.tokens)
     assert [m.normalized for m in mentions] == ["2024-07-08", "2024-10-05"]
 
 
@@ -133,7 +132,7 @@ def _oracle_scan(tokens):
             continue
         end, iso = hit
         mentions.append(pairgen.DateMention(
-            paragraph_id="", token_span=(i, end), normalized=iso,
+            token_span=(i, end), normalized=iso,
             is_accounting=(int(iso[5:7]), int(iso[8:10])) in pairgen.ACCOUNTING_DATES))
         i = end
     return mentions

@@ -20,9 +20,10 @@ from riskrel.errors import (
     EmptyParagraph,
     UnknownParagraphId,
 )
+from riskrel.evaluation import read_back_label
 from riskrel.scoring import (
+    DEFAULT_THRESHOLD,
     EmbeddingIndex,
-    ScoreConfig,
     embed_corpus,
     evidence_path,
     find_mrps,
@@ -85,9 +86,19 @@ def test_rrs_empty_firm():
 
 
 def test_score_config_validates():
-    assert ScoreConfig().threshold == 0.75
-    with pytest.raises(ValueError):
-        ScoreConfig(threshold=1.5)
+    """score's threshold goes through the one check that sweep's grid values
+    do: in [0, 1], NaN not, and reading back from its two-decimal label."""
+    assert read_back_label(DEFAULT_THRESHOLD, "threshold", "score") == "0.75"
+    for threshold, message in [
+        (1.5, "threshold 1.5 must lie in [0, 1]"),
+        (-0.25, "threshold -0.25 must lie in [0, 1]"),
+        (math.nan, "threshold nan must lie in [0, 1]"),
+        (0.125, "threshold 0.125 prints as 0.12 in score: "
+                "thresholds must have at most two decimals"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            read_back_label(threshold, "threshold", "score")
+        assert str(exc.value) == message
 
 
 # --- find_mrps ---

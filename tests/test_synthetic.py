@@ -9,7 +9,7 @@ def test_manifest_ids_align_with_ingestion(fixture_manifest, fixture_paragraphs)
 
 
 def test_planted_ids_cover_both_firms(fixture_manifest):
-    planted = fixture_manifest.planted_paragraph_ids()
+    planted = fixture_manifest.planted_ids
     assert planted
     firms = {pid.split(":")[0] for pid in planted}
     assert firms == set(fixture_manifest.planted_pair)
