@@ -5,7 +5,8 @@ explicit (mandatory for pairs/train) and nothing reads the clock. Outputs
 are staged (:mod:`riskrel.outputs`): a failed command leaves the previous
 outputs as they were and prints a single machine-parsable
 ``error: <Kind>: <detail>`` line on stderr; a killed one leaves only
-hidden ``.tmp`` siblings.
+hidden ``.tmp`` siblings. An output that names one of the command's input
+files or directories is such an error, and the input stays as it was.
 
 The tunable values are the keys of :data:`SETTINGS`, each with its type and
 default. A command takes its keys as flags or from a flat ``key = value``
@@ -56,6 +57,10 @@ SETTINGS: dict[str, tuple] = {
     **{key: (type(value), value) for key, value in _TRAIN_DEFAULTS.items()},
 }
 _FLAG_NAMES = {"train_count": "train", "val_count": "val"}
+# The arguments that name a file or directory a command reads; no output may
+# name one of them.
+_INPUTS = ("root", "infile", "pairs", "model", "paragraphs", "rrs", "prices", "gics",
+           "config")
 
 
 def read_config(path: str | Path) -> dict[str, str]:
@@ -433,7 +438,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _resolve_settings(args)
-        with Outputs() as outputs:
+        inputs = [getattr(args, key) for key in _INPUTS if getattr(args, key, None)]
+        with Outputs(inputs) as outputs:
             args.func(args, outputs)
     except (RiskRelError, OSError, ValueError, KeyError) as exc:
         detail = str(exc).replace("\n", " ")

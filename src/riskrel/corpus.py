@@ -4,6 +4,14 @@ Raw annual-report text (one file per firm and fiscal year) is cleaned of
 HTML/XBRL markup and tables, split into "Item"-labelled sections, and the
 risk sections are segmented into tokenized paragraphs. All functions here
 are pure; the same input always produces the same paragraphs and ids.
+
+Tokens are interned (``sys.intern``) wherever they are made: by
+:func:`segment_paragraphs` at ingest and by :func:`interned_strings` when
+a paragraph or pair file is read. A corpus repeats a few hundred distinct
+tokens hundreds of thousands of times, so equal tokens sharing one ``str``
+keeps paragraph memory growing with the vocabulary and the text rather than
+the token count, and the dictionary lookups of vocabulary indexing, date
+scanning and lexical overlap reuse the cached hash and match by identity.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import csv
 import html
 import json
 import re
+import sys
 from dataclasses import dataclass
 from itertools import filterfalse, groupby
 from operator import length_hint
@@ -37,6 +46,9 @@ _XML_DECL_RE = re.compile(r"<\?[^>]*\?>")
 
 _TOKEN_RE = re.compile(r"[^\W\d_]+|\d+|[^\w\s]|_")
 
+# json.dumps(..., ensure_ascii=False) builds an encoder per call; one serves all.
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
 # What a firm id may not hold: it names evidence files (<a>__<b>.json), is
 # a CSV cell and starts every paragraph id (firm:year:section:ordinal).
 _BAD_FIRM_ID_RE = re.compile(r"[/\\,:\s\x00-\x1f\x7f-\x9f]|__")
@@ -50,8 +62,9 @@ _ITEM_HEADING_RE = re.compile(r"\bitem\s+(\d{1,2})([a-z])?\b\s*[.:;\-–—]?\s*
 class Paragraph:
     """One risk-section paragraph with provenance.
 
-    ``tokens`` is always exactly ``tokenize(text)``; the id encodes
-    (firm, year, section, ordinal) and is unique within a corpus.
+    ``tokens`` is always exactly ``tokenize(text)``, each an interned
+    ``str``, so equal tokens across paragraphs are one object; the id
+    encodes (firm, year, section, ordinal) and is unique within a corpus.
     """
 
     id: str
@@ -159,7 +172,7 @@ def segment_paragraphs(section: str, firm_id: str, year: int, label: str,
 
     Fragments with fewer than ``min_tokens`` tokens (headings, page numbers)
     are discarded; ordinals are assigned in document order over the kept
-    paragraphs.
+    paragraphs. The kept paragraphs' tokens are interned.
     """
     paragraphs = []
     ordinal = 0
@@ -176,7 +189,7 @@ def segment_paragraphs(section: str, firm_id: str, year: int, label: str,
             year=year,
             section=label,
             text=text,
-            tokens=tuple(tokens),
+            tokens=tuple(map(sys.intern, tokens)),
         ))
         ordinal += 1
     return paragraphs
@@ -233,13 +246,18 @@ def group_by_firm(paragraphs: Iterable[Paragraph]) -> dict[str, FirmCorpus]:
 
 def write_paragraphs(paragraphs: Iterable[Paragraph], path: str | Path) -> int:
     """Write paragraphs as line-delimited JSON records. Returns the count."""
+    return write_jsonl(({"id": p.id, "firm": p.firm_id, "year": p.year,
+                         "section": p.section, "text": p.text, "tokens": list(p.tokens)}
+                        for p in paragraphs), path)
+
+
+def write_jsonl(records: Iterable[dict], path: str | Path) -> int:
+    """Write each record as ``json.dumps(record, ensure_ascii=False)`` and a
+    newline. Returns the count."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for p in paragraphs:
-            record = {"id": p.id, "firm": p.firm_id, "year": p.year,
-                      "section": p.section, "text": p.text,
-                      "tokens": list(p.tokens)}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        for record in records:
+            fh.write(_encode_json(record) + "\n")
             n += 1
     return n
 
@@ -256,7 +274,7 @@ def read_paragraphs(path: str | Path) -> list[Paragraph]:
             year=typed_field(rec, "year", int),
             section=typed_field(rec, "section", str),
             text=typed_field(rec, "text", str),
-            tokens=tuple(typed_field(rec, "tokens", list)))
+            tokens=interned_strings(rec, "tokens"))
         if paragraph.id in seen:
             raise ValueError(f"paragraph id {paragraph.id!r} repeated")
         seen.add(paragraph.id)
@@ -269,13 +287,23 @@ def read_paragraphs(path: str | Path) -> list[Paragraph]:
 
 
 def typed_field(record: dict, key: str, kind: type) -> object:
-    """``record[key]``, which must be a ``kind``; a list must hold only strings."""
+    """``record[key]``, which must be a ``kind``."""
     value = record[key]
-    if not isinstance(value, kind) or (
-            kind is list and not all(map(str.__instancecheck__, value))):
-        raise TypeError(f"{key} must be "
-                        f"{'a list of strings' if kind is list else kind.__name__}")
+    if not isinstance(value, kind):
+        raise TypeError(f"{key} must be {kind.__name__}")
     return value
+
+
+def interned_strings(record: dict, key: str) -> tuple[str, ...]:
+    """``record[key]``, which must be a list of strings, as a tuple of the
+    interned strings: equal strings of every record read are one object."""
+    value = record[key]
+    if isinstance(value, list):
+        try:
+            return tuple(map(sys.intern, value))
+        except TypeError:  # sys.intern takes nothing but a str
+            pass
+    raise TypeError(f"{key} must be a list of strings")
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:

@@ -42,6 +42,7 @@ import io
 import math
 import os
 import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -69,7 +70,13 @@ _MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token-to-index mapping with PAD (0) and UNK (1) specials."""
+    """Token-to-index mapping with PAD (0) and UNK (1) specials.
+
+    A vocabulary read by :func:`load_model` holds interned tokens, like the
+    paragraphs and pairs the corpus readers return, so a token looked up in
+    ``token_to_index`` is usually the very key object: its hash is cached
+    and the match is by identity.
+    """
 
     index_to_token: tuple[str, ...]
     token_to_index: dict[str, int]
@@ -302,7 +309,7 @@ def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
         for _ in range(vocab_size):
             (length,) = struct.unpack("<I", read_exact(fh, 4, path))
             try:
-                tokens.append(read_exact(fh, length, path).decode("utf-8"))
+                tokens.append(sys.intern(read_exact(fh, length, path).decode("utf-8")))
             except UnicodeDecodeError as exc:
                 raise malformed(f"token {len(tokens)}: {exc}") from None
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:

@@ -1,18 +1,19 @@
 """Staged outputs: a command publishes all of its files or none of them.
 
-Inside ``with Outputs() as outputs:``, ``outputs(path)`` makes missing
-parent directories and returns a hidden sibling ``.<name>.tmp`` to write
-instead, file or directory; a path already handed out is a ``ValueError``,
-since two outputs would be staged into one. On a normal exit each sibling
-is ``os.replace``d onto its name; a staged directory whose target exists
-has its entries moved in one by one, so other files there stay. Before the
+Inside ``with Outputs(inputs) as outputs:``, ``outputs(path)`` makes
+missing parent directories and returns a hidden sibling ``.<name>.tmp`` to
+write instead, file or directory. A path already handed out is a
+``ValueError``, since two outputs would be staged into one, and so is one
+of the command's ``inputs`` (compared after resolving symlinks), which
+publishing would overwrite. On a normal exit each sibling is
+``os.replace``d onto its name; a staged directory whose target exists has
+its entries moved in one by one, so other files there stay. Before the
 first rename every target is checked: a staged file whose target is a
 directory, or a staged directory whose target is a file, at the top or one
 entry into a merged directory, is an ``IsADirectoryError`` or
 ``NotADirectoryError`` that publishes nothing. On an exception the siblings
-and the directories made are removed, so earlier outputs stay as they
-were. A killed run leaves only siblings, which the next ``outputs(path)``
-clears.
+and the directories made are removed, so earlier outputs stay as they were.
+A killed run leaves only siblings, which the next ``outputs(path)`` clears.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from __future__ import annotations
 import os
 from contextlib import AbstractContextManager, suppress
 from pathlib import Path
+from typing import Iterable
 
 
 class Outputs(AbstractContextManager):
     """Hands out staging paths and publishes them if the ``with`` block succeeds."""
 
-    def __init__(self) -> None:
+    def __init__(self, inputs: Iterable[str | Path] = ()) -> None:
+        self._inputs = {Path(p).resolve() for p in inputs}
         self._staged: dict[Path, Path] = {}   # final path -> staged sibling
         self._made: list[Path] = []
 
@@ -33,6 +36,8 @@ class Outputs(AbstractContextManager):
         path = Path(os.path.abspath(path))
         if path in self._staged:
             raise ValueError(f"{path} is given for two outputs")
+        if path.resolve() in self._inputs:
+            raise ValueError(f"{path} is an input of this command, so it cannot be written")
         for parent in reversed(path.parents):
             if not parent.exists():
                 parent.mkdir()

@@ -18,14 +18,14 @@ All generation is deterministic given the corpus, the seed and the config.
 from __future__ import annotations
 
 import datetime
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import DEFAULT_MIN_TOKENS, FirmCorpus, Paragraph, read_jsonl, typed_field
+from .corpus import (DEFAULT_MIN_TOKENS, FirmCorpus, Paragraph, interned_strings,
+                     read_jsonl, typed_field, write_jsonl)
 from .errors import InsufficientPairs
 
 CHRONOLOGICAL = "chronological"
@@ -61,7 +61,11 @@ class DateMention:
 
 @dataclass(frozen=True)
 class PositivePair:
-    """A training pair: two token views of related text."""
+    """A training pair: two token views of related text.
+
+    Equal tokens are one interned ``str``: the builders cut pairs from
+    paragraph tokens, and :func:`read_pairs` interns the tokens it reads.
+    """
 
     view: str
     left_tokens: tuple[str, ...]
@@ -304,27 +308,22 @@ def split_train_val(pairs: Sequence[PositivePair], train_count: int,
 
 def write_pairs(pairs: Iterable[PositivePair], path: str | Path) -> int:
     """Write pairs as line-delimited JSON records. Returns the count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            record = {
-                "view": pair.view,
-                "left_tokens": list(pair.left_tokens),
-                "right_tokens": list(pair.right_tokens),
-                "provenance": list(pair.provenance),
-            }
-            if pair.seed_info is not None:
-                record["seed_info"] = list(pair.seed_info)
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            n += 1
-    return n
+    def record(pair: PositivePair) -> dict:
+        rec = {"view": pair.view, "left_tokens": list(pair.left_tokens),
+               "right_tokens": list(pair.right_tokens),
+               "provenance": list(pair.provenance)}
+        if pair.seed_info is not None:
+            rec["seed_info"] = list(pair.seed_info)
+        return rec
+
+    return write_jsonl(map(record, pairs), path)
 
 
 def read_pairs(path: str | Path) -> list[PositivePair]:
-    """Read pairs written by :func:`write_pairs`."""
+    """Read pairs written by :func:`write_pairs`, tokens interned."""
     return read_jsonl(path, lambda rec: PositivePair(
         view=typed_field(rec, "view", str),
-        left_tokens=tuple(typed_field(rec, "left_tokens", list)),
-        right_tokens=tuple(typed_field(rec, "right_tokens", list)),
-        provenance=tuple(typed_field(rec, "provenance", list)),
+        left_tokens=interned_strings(rec, "left_tokens"),
+        right_tokens=interned_strings(rec, "right_tokens"),
+        provenance=interned_strings(rec, "provenance"),
         seed_info=None if rec.get("seed_info") is None else tuple(rec["seed_info"])))

@@ -174,6 +174,24 @@ def test_score_rejects_one_path_for_matrix_and_evidence(pipeline_dir, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, flag, target", [
+    ("sweep", "--out", "model.bin"), ("score", "--out-matrix", "paragraphs.jsonl")])
+def test_an_output_that_names_an_input_keeps_the_input(pipeline_dir, tmp_path, capsys,
+                                                       command, flag, target):
+    """Publishing the output would replace the file the command read."""
+    for name in ("model.bin", "paragraphs.jsonl"):
+        shutil.copy(pipeline_dir / name, tmp_path / name)
+    before = _tree(tmp_path)
+    argv = _stage_argv(tmp_path, tmp_path, command)
+    argv[argv.index(flag) + 1] = str(tmp_path / target)
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: ValueError: {tmp_path / target} is an input of this command, "
+                   "so it cannot be written\n")
+    assert _tree(tmp_path) == before
+    assert not list(tmp_path.rglob(".*"))
+
+
 def test_single_view_pairs_leave_no_other_view_for_train(pipeline_dir, tmp_path, capsys):
     """pairs --view lexical over a --view both directory empties the
     chronological files, so train's *.train.jsonl glob reads one view."""
@@ -939,11 +957,15 @@ _PARAGRAPH = {"id": "ACME:2020:1A:0000", "firm": "ACME", "year": 2020, "section"
     ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ("[1]", "list indices must be integers or slices, not str"),
     (json.dumps({**_PARAGRAPH, "tokens": 5}), "tokens must be a list of strings"),
+    (json.dumps({**_PARAGRAPH, "tokens": "risk"}), "tokens must be a list of strings"),
     (json.dumps({**_PARAGRAPH, "tokens": [1]}), "tokens must be a list of strings"),
+    (json.dumps({**_PARAGRAPH, "tokens": ["risk", 1]}), "tokens must be a list of strings"),
+    (json.dumps({**_PARAGRAPH, "tokens": ["risk", ["x"]]}), "tokens must be a list of strings"),
     (json.dumps({**_PARAGRAPH, "firm": 7}), "firm must be str"),
     (json.dumps({key: value for key, value in _PARAGRAPH.items() if key != "firm"}),
      "missing key 'firm'"),
-], ids=["not-json", "list", "tokens-int", "token-int", "firm-int", "no-firm"])
+], ids=["not-json", "list", "tokens-int", "tokens-str", "token-int", "token-int-after-str",
+        "token-list-after-str", "firm-int", "no-firm"])
 def test_malformed_paragraph_record_names_file_and_line(tmp_path, capsys, line, detail):
     paragraphs = tmp_path / "paragraphs.jsonl"
     paragraphs.write_text(json.dumps(_PARAGRAPH) + "\n\n" + line + "\n")
@@ -959,10 +981,11 @@ _PAIR = {"view": "lexical", "left_tokens": ["a"], "right_tokens": ["b"], "proven
 
 @pytest.mark.parametrize("line, detail", [
     (json.dumps({**_PAIR, "left_tokens": None}), "left_tokens must be a list of strings"),
+    (json.dumps({**_PAIR, "right_tokens": ["b", 2]}), "right_tokens must be a list of strings"),
     (json.dumps({key: value for key, value in _PAIR.items() if key != "right_tokens"}),
      "missing key 'right_tokens'"),
     ('"pair"', "string indices must be integers, not 'str'"),
-], ids=["left-null", "no-right", "string"])
+], ids=["left-null", "right-int-after-str", "no-right", "string"])
 def test_malformed_pair_record_names_file_and_line(tmp_path, capsys, line, detail):
     pairs_dir = tmp_path / "pairs"
     pairs_dir.mkdir()

@@ -13,6 +13,8 @@ from riskrel.corpus import (
     strip_markup,
     tokenize,
 )
+from riskrel.encoder import build_vocab, init_params, load_model, save_model
+from riskrel.pairs import LEXICAL, PositivePair, read_pairs, write_pairs
 
 
 # --- tokenize ---
@@ -255,6 +257,36 @@ def test_paragraph_roundtrip_jsonl(tmp_path, fixture_paragraphs):
     n = corpus.write_paragraphs(fixture_paragraphs, path)
     assert n == len(fixture_paragraphs)
     assert corpus.read_paragraphs(path) == list(fixture_paragraphs)
+
+
+def test_equal_tokens_are_one_object(tmp_path, fixture_paragraphs):
+    """ingest_directory, read_paragraphs and read_pairs intern tokens: equal
+    tokens of different records are one str."""
+    paragraphs_path, pairs_path = tmp_path / "paragraphs.jsonl", tmp_path / "pairs.jsonl"
+    corpus.write_paragraphs(fixture_paragraphs, paragraphs_path)
+    read = corpus.read_paragraphs(paragraphs_path)
+    write_pairs([PositivePair(LEXICAL, a.tokens, b.tokens, (a.id, b.id))
+                 for a, b in zip(read, read[1:])], pairs_path)
+    pairs = read_pairs(pairs_path)
+    for rows in ([p.tokens for p in fixture_paragraphs], [p.tokens for p in read],
+                 [t for pair in pairs for t in (pair.left_tokens, pair.right_tokens)]):
+        # CPython shares strings of one character anyway.
+        tokens = [token for row in rows for token in row if len(token) > 1]
+        assert len(tokens) > 10 * len(set(tokens))
+        assert len({id(token) for token in tokens}) == len(set(tokens))
+
+
+def test_paragraph_tokens_are_the_vocabulary_keys(tmp_path, fixture_paragraphs):
+    """load_model interns its vocabulary, so a token read from a paragraph
+    file is the very key object of token_to_index."""
+    vocab = build_vocab([tokenize(p.text) for p in fixture_paragraphs])
+    save_model(tmp_path / "model.bin", vocab, init_params(len(vocab), d=4))
+    corpus.write_paragraphs(fixture_paragraphs, tmp_path / "paragraphs.jsonl")
+    read = corpus.read_paragraphs(tmp_path / "paragraphs.jsonl")
+    keys = {token: token for token in load_model(tmp_path / "model.bin")[0].token_to_index}
+    shared = [token for p in read for token in p.tokens if token in keys]
+    assert len(shared) > len(keys)
+    assert all(keys[token] is token for token in shared)
 
 
 def test_read_paragraphs_empty_file(tmp_path):
