@@ -54,8 +54,17 @@ _encode_json = json.JSONEncoder(ensure_ascii=False).encode
 _BAD_FIRM_ID_RE = re.compile(r"[/\\,:\s\x00-\x1f\x7f-\x9f]|__")
 
 # "Item 1A", "ITEM 7A.", "Item 7A —" ... optional punctuation after the code.
-_ITEM_HEADING_RE = re.compile(r"\bitem\s+(\d{1,2})([a-z])?\b\s*[.:;\-–—]?\s*",
+# It starts with a literal so that a search skips ahead to each "i"; the
+# lookbehind is the "\b" of "\bitem", as every case of "i" (I, İ, ı) is a
+# word character.
+_ITEM_HEADING_RE = re.compile(r"i(?<!\w.)tem\s+(\d{1,2})([a-z])?\b\s*[.:;\-–—]?\s*",
                               re.IGNORECASE)
+
+# A filing is <root>/<ticker>/<year>.txt, the year four ASCII digits.
+_FILING_YEAR_RE = re.compile(r"[0-9]{4}")
+
+_scan_json = json.JSONDecoder().scan_once
+_LINE_ENDS = frozenset(("", "\n", "\r\n", "\r"))
 
 
 @dataclass(frozen=True)
@@ -99,14 +108,32 @@ def check_firm_id(firm_id: str) -> str:
     return firm_id
 
 
+def _check_year(year: int) -> int:
+    """``year``, if it is a fiscal year in [1990, 2100]. A ``bool``, which
+    Python counts an int, is 0 or 1 and so out of range."""
+    if not 1990 <= year <= 2100:
+        raise ValueError(f"fiscal_year {year} out of range [1990, 2100]")
+    return year
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase word-level tokenization.
 
     Splits on whitespace, emits punctuation characters as standalone tokens
     and keeps digit runs intact, so "Net loss, 2023." becomes
     ["net", "loss", ",", "2023", "."].
+
+    This is ``_TOKEN_RE.findall(text.lower())`` run per whitespace chunk:
+    ``re``'s ``\\s`` is ``str.isspace``, as is ``str.split``'s, so no token
+    spans whitespace, and an alphabetic chunk is exactly one letter run.
     """
-    return _TOKEN_RE.findall(text.lower())
+    tokens: list[str] = []
+    for chunk in text.lower().split():
+        if chunk.isalpha():
+            tokens.append(chunk)
+        else:
+            tokens += _TOKEN_RE.findall(chunk)
+    return tokens
 
 
 def strip_markup(raw: str) -> str:
@@ -200,8 +227,7 @@ def ingest_filing(firm_id: str, year: int, raw_text: str,
                   min_tokens: int = DEFAULT_MIN_TOKENS) -> list[Paragraph]:
     """Clean one raw filing and segment its requested sections, in that order."""
     check_firm_id(firm_id)
-    if not 1990 <= year <= 2100:
-        raise ValueError(f"fiscal_year {year} out of range [1990, 2100]")
+    _check_year(year)
     sections = tuple(dict.fromkeys(sections))
     extracted = extract_sections(strip_markup(raw_text), sections)
     return [p for label in sections if label in extracted
@@ -214,8 +240,9 @@ def ingest_directory(root: str | Path, sections: Iterable[str] = DEFAULT_SECTION
     """Ingest a ``<root>/<ticker>/<year>.txt`` tree of raw filings.
 
     Firms and years are processed in sorted order so the output is stable.
-    A filing that is not UTF-8, or that :func:`ingest_filing` rejects, is a
-    ``ValueError`` naming it.
+    A filing whose name is not four ASCII digits and ``.txt``, that is not
+    UTF-8, or that :func:`ingest_filing` rejects, is a ``ValueError`` naming
+    it; so no two filings of a firm name one year.
     """
     root = Path(root)
     if not root.is_dir():
@@ -223,7 +250,7 @@ def ingest_directory(root: str | Path, sections: Iterable[str] = DEFAULT_SECTION
     paragraphs: list[Paragraph] = []
     for firm_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         for filing_path in sorted(firm_dir.glob("*.txt")):
-            if not filing_path.stem.isdigit():
+            if not _FILING_YEAR_RE.fullmatch(filing_path.stem):
                 raise ValueError(
                     f"filing name must be <year>.txt, got: {filing_path}")
             try:
@@ -271,7 +298,7 @@ def read_paragraphs(path: str | Path) -> list[Paragraph]:
         paragraph = Paragraph(
             id=typed_field(rec, "id", str),
             firm_id=check_firm_id(typed_field(rec, "firm", str)),
-            year=typed_field(rec, "year", int),
+            year=_check_year(typed_field(rec, "year", int)),
             section=typed_field(rec, "section", str),
             text=typed_field(rec, "text", str),
             tokens=interned_strings(rec, "tokens"))
@@ -312,7 +339,21 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     A line that is not JSON, or whose record ``parse`` rejects, is a
     ``malformed record`` error of :func:`read_lines`.
     """
-    return read_lines(path, "record", lambda lines: map(parse, map(json.loads, lines)))
+    return read_lines(path, "record", lambda lines: map(parse, map(_json_line, lines)))
+
+
+def _json_line(line: str) -> object:
+    """``json.loads(line)``, from one scanner call when the value starts the
+    line and only a line end follows it. The scan and ``json.loads`` agree
+    on such a line; any other line (a leading space or BOM, extra data,
+    malformed JSON) goes to ``json.loads`` itself for its value or error."""
+    try:
+        value, end = _scan_json(line, 0)
+        if line[end:] in _LINE_ENDS:
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(line)
 
 
 def read_lines(path: str | Path, kind: str,

@@ -964,8 +964,10 @@ _PARAGRAPH = {"id": "ACME:2020:1A:0000", "firm": "ACME", "year": 2020, "section"
     (json.dumps({**_PARAGRAPH, "firm": 7}), "firm must be str"),
     (json.dumps({key: value for key, value in _PARAGRAPH.items() if key != "firm"}),
      "missing key 'firm'"),
+    (json.dumps({**_PARAGRAPH, "year": True}), "fiscal_year True out of range [1990, 2100]"),
+    (json.dumps({**_PARAGRAPH, "year": 1800}), "fiscal_year 1800 out of range [1990, 2100]"),
 ], ids=["not-json", "list", "tokens-int", "tokens-str", "token-int", "token-int-after-str",
-        "token-list-after-str", "firm-int", "no-firm"])
+        "token-list-after-str", "firm-int", "no-firm", "year-true", "year-1800"])
 def test_malformed_paragraph_record_names_file_and_line(tmp_path, capsys, line, detail):
     paragraphs = tmp_path / "paragraphs.jsonl"
     paragraphs.write_text(json.dumps(_PARAGRAPH) + "\n\n" + line + "\n")
@@ -1132,6 +1134,21 @@ def test_ingest_error_names_the_filing(tmp_path, capsys, firm, name, raw, detail
                           "--out", str(tmp_path / "p.jsonl")], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: ValueError: bad filing {filing}: {detail}\n"
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+@pytest.mark.parametrize("names", [["02020.txt", "2020.txt"], ["２０２０.txt"], ["020.txt"]],
+                         ids=["leading-zero", "full-width", "three-digits"])
+def test_ingest_filing_name_must_be_four_ascii_digits(tmp_path, capsys, names):
+    """A year is four ASCII digits, so no two filings of a firm name one year."""
+    firm = tmp_path / "filings" / "ACME"
+    firm.mkdir(parents=True)
+    for name in names:
+        (firm / name).write_text("<p>Item 1A. Risk Factors</p><p>" + "risk " * 25 + "</p>")
+    code, out, err = run(["ingest", "--root", str(firm.parent),
+                          "--out", str(tmp_path / "p.jsonl")], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: ValueError: filing name must be <year>.txt, got: {firm / names[0]}\n"
     assert not (tmp_path / "p.jsonl").exists()
 
 

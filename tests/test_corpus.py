@@ -1,5 +1,6 @@
 """Corpus module: markup stripping, section extraction, segmentation, tokenization."""
 
+import json
 import re
 
 import pytest
@@ -46,6 +47,32 @@ def test_tokenize_lowercases():
 def test_tokenize_idempotent_on_joined_output(text):
     once = tokenize(text)
     assert tokenize(" ".join(once)) == once
+
+
+# tokenize as one regex over the whole text: the reference for its per-chunk form.
+_TOKEN_ORACLE = re.compile(r"[^\W\d_]+|\d+|[^\w\s]|_")
+
+# Separators that str.isspace accepts and ASCII does not, characters that
+# are \w but neither letter nor \d (², ½), a non-ASCII \d (٣), "_", letters
+# whose lowercase is not all letters (İ) and a zero-width space, which is
+# no whitespace.
+_TOKEN_CHARS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+                "\u200b", "²", "½", "٣", "_", "İ", "ß", "a", "Z", "7", " ", "\t", "\n",
+                ".", ",", "-", "\u0301"]
+
+
+@pytest.mark.parametrize("text", [
+    "abc123def", "x²y ½ ٣٤abc", "a_b __init__", "İstanbul Straße", "a\x1cb\x85c\xa0d",
+    "zero\u200bwidth", "e\u0301 café", "COVID-19, 2023.",
+])
+def test_tokenize_is_the_regex_findall(text):
+    assert tokenize(text) == _TOKEN_ORACLE.findall(text.lower())
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(st.one_of(st.sampled_from(_TOKEN_CHARS), st.characters())))
+def test_tokenize_is_the_regex_findall_on_any_text(text):
+    assert tokenize(text) == _TOKEN_ORACLE.findall(text.lower())
 
 
 # --- strip_markup ---
@@ -165,6 +192,32 @@ def test_extract_sections_values_contain_no_item_headings():
             "Market gamma delta Item 8. done")
     for value in extract_sections(text).values():
         assert not re.search(r"\bitem\s+\d{1,2}[a-z]?\b", value, re.IGNORECASE)
+
+
+# The heading pattern with "\b" in front: the reference for its literal-first form.
+_HEADING_ORACLE = re.compile(r"\bitem\s+(\d{1,2})([a-z])?\b\s*[.:;\-–—]?\s*", re.IGNORECASE)
+
+
+def _headings(pattern, text):
+    return [(m.span(), m.groups()) for m in pattern.finditer(text)]
+
+
+@pytest.mark.parametrize("text", [
+    "Item 1A. at offset 0", "İtem 1A. Risk ıtem 7A — market", "xitem 1A _item 1A 9item 7A -item 8",
+    "é item 1A.item 2 (item 7a) ITEM 12b:", "itemitem 1 iitem 2\nitem 3",
+])
+def test_item_heading_pattern_is_the_word_boundary_pattern(text):
+    assert _headings(corpus._ITEM_HEADING_RE, text) == _headings(_HEADING_ORACLE, text)
+    assert _headings(corpus._ITEM_HEADING_RE, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.lists(st.one_of(
+    st.sampled_from(["item", "ITEM", "Item", "İtem", "ıtem", "iTem", "i", "tem", " ", "\n",
+                     "\x85", "x", "_", "é", "1", "1A", "7a", "12", "123", ".", "—", "-"]),
+    st.characters())).map("".join))
+def test_item_heading_pattern_is_the_word_boundary_pattern_on_any_text(text):
+    assert _headings(corpus._ITEM_HEADING_RE, text) == _headings(_HEADING_ORACLE, text)
 
 
 # --- segment_paragraphs ---
@@ -287,6 +340,49 @@ def test_paragraph_tokens_are_the_vocabulary_keys(tmp_path, fixture_paragraphs):
     shared = [token for p in read for token in p.tokens if token in keys]
     assert len(shared) > len(keys)
     assert all(keys[token] is token for token in shared)
+
+
+def _decoded(decode, line):
+    """What ``decode(line)`` returns (by repr, so NaN equals NaN and 1 is not
+    1.0) or raises."""
+    try:
+        return "value", repr(decode(line))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("line", [
+    '{"a": [1, 2.5, null, true]}\n', '{"a": 1}', '{"a": 1}\r', '{"a": 1}\r\n',
+    '"x"\n', "NaN\n", "-0\n", " {\"a\": 1}\n", '\ufeff{"a": 1}\n', '{"a": 1} \n',
+    '{"a": 1}\t\r\n', '{"a": 1}\n\n', '{"a": 1} {"b": 2}\n', '{"a": 1}x\n', "{not json\n",
+    '{"a": 1\n', "", "\n", "[" * 500 + "]" * 500, "[" * 100_000 + "]" * 100_000 + "\n",
+    '{"a": ' * 100_000,
+], ids=["lf", "no-end", "cr", "crlf", "string", "nan", "minus-zero", "leading-space", "bom",
+        "trailing-space", "tab-crlf", "two-lf", "extra-data", "extra-char", "not-json",
+        "unclosed", "empty", "blank", "nested-500", "nested-100000", "open-objects-100000"])
+def test_json_line_returns_or_raises_as_json_loads(line):
+    assert _decoded(corpus._json_line, line) == _decoded(json.loads, line)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=_JSON, indent=st.sampled_from([None, 0, 2]),
+       head=st.sampled_from(["", " ", "\t", "\ufeff", "\n", "x"]),
+       tail=st.sampled_from(["", "\n", "\r", "\r\n", " ", " \n", "\n\r", "\x0b", "\xa0\n", ",", "}", "1"]))
+def test_json_line_returns_or_raises_as_json_loads_on_any_line(value, indent, head, tail):
+    line = head + json.dumps(value, indent=indent) + tail
+    assert _decoded(corpus._json_line, line) == _decoded(json.loads, line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=st.text())
+def test_json_line_returns_or_raises_as_json_loads_on_any_text(line):
+    assert _decoded(corpus._json_line, line) == _decoded(json.loads, line)
 
 
 def test_read_paragraphs_empty_file(tmp_path):
