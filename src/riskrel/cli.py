@@ -25,7 +25,6 @@ and print back as itself at the two decimals of ``sweep.csv``:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -238,34 +237,30 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Outputs) -> None:
     gics_flags = {level: [evaluation.gics_binary_rrs(gics, a, b, level) for a, b in kept]
                   for level in ("sector", "industry")} if gics is not None else {}
 
-    with open(out_dir / "pairs.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(["firm_a", "firm_b", "rrs", "cavdsr",
-                           *(f"gics_{level}" for level in gics_flags)]) + "\n")
-        for (firm_a, firm_b), value, co, *flags in zip(kept, rrs_values, cavdsr_values,
-                                                      *gics_flags.values()):
-            fh.write(",".join([firm_a, firm_b, f"{value:.6f}", f"{co:.6f}",
-                               *map(str, flags)]) + "\n")
+    corpus.write_csv(out_dir / "pairs.csv",
+                     ["firm_a", "firm_b", "rrs", "cavdsr",
+                      *(f"gics_{level}" for level in gics_flags)],
+                     ((*pair, *row) for pair, *row in zip(kept, rrs_values, cavdsr_values,
+                                                          *gics_flags.values())))
 
     rho = evaluation.alignment_rho(rrs_values, cavdsr_values)
     spearman = evaluation.alignment_rho(rrs_values, cavdsr_values, "spearman")
-    metrics = [("n_pairs", str(len(kept))), ("n_excluded", str(excluded)),
-               ("rho_pearson", f"{rho:.6f}"), ("rho_spearman", f"{spearman:.6f}")]
+    metrics = [("n_pairs", len(kept)), ("n_excluded", excluded),
+               ("rho_pearson", rho), ("rho_spearman", spearman)]
     for level, flags in gics_flags.items():
         try:
-            value = f"{evaluation.alignment_rho(flags, cavdsr_values):.6f}"
+            value = evaluation.alignment_rho(flags, cavdsr_values)
         except evaluation.DegenerateInput:
-            value = ""
+            value = None  # a constant GICS flag has no correlation
         metrics.append((f"rho_gics_{level}", value))
-    with open(out_dir / "metrics.csv", "w", encoding="utf-8") as fh:
-        fh.write("metric,value\n")
-        for key, value in metrics:
-            fh.write(f"{key},{value}\n")
+    corpus.write_csv(out_dir / "metrics.csv", ["metric", "value"], metrics)
 
     lines = ["# Evaluation summary", "",
              f"Firm pairs evaluated: {len(kept)} "
              f"(excluded for missing/short return data: {excluded})", "",
              "| metric | value |", "| --- | --- |"]
-    lines.extend(f"| {key} | {value} |" for key, value in metrics[2:])
+    lines.extend(f"| {key} | {'' if value is None else f'{value:.6f}'} |"
+                 for key, value in metrics[2:])
     (out_dir / "summary.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"evaluate: rho = {rho:.6f} over {len(kept)} pairs -> {args.out}")
 
@@ -280,12 +275,9 @@ def cmd_sweep(args: argparse.Namespace, outputs: Outputs) -> None:
 
     table = scoring.max_similarity_table(index, scoring.firm_pairs(index.firm_ids()))
     rows = evaluation.threshold_sweep(table, grid, returns=returns)
-    with open(outputs(args.out), "w", encoding="utf-8") as fh:
-        fh.write("threshold,mean_rrs,total_mrps,rho\n")
-        for row in rows:
-            rho_cell = "" if row.rho is None else f"{row.rho:.6f}"
-            fh.write(f"{evaluation.threshold_label(row.threshold)},{row.mean_rrs:.6f},"
-                     f"{row.total_mrps},{rho_cell}\n")
+    corpus.write_csv(outputs(args.out), ["threshold", "mean_rrs", "total_mrps", "rho"],
+                     ((evaluation.threshold_label(row.threshold), row.mean_rrs,
+                       row.total_mrps, row.rho) for row in rows))
     print(f"sweep: {len(rows)} thresholds -> {args.out}")
 
 
@@ -297,7 +289,7 @@ def _check_evaluation(eval_dir: Path, metrics: list[list[str]]) -> None:
     if not pairs_path.is_file():
         found = "pairs.csv is missing"
     else:
-        rows = len(corpus.read_lines(pairs_path, "CSV row", csv.reader)) - 1
+        rows = len(corpus.read_csv_body(pairs_path))
         if str(rows) == n_pairs:
             return
         found = f"pairs.csv has {rows} data rows"
@@ -345,7 +337,7 @@ def cmd_report(args: argparse.Namespace, outputs: Outputs) -> None:
 
     lines += ["## Alignment with return co-movement", ""]
     if metrics_path.is_file():
-        metrics = evaluation.read_csv_body(metrics_path, 2)
+        metrics = corpus.read_csv_body(metrics_path, 2)
         _check_evaluation(metrics_path.parent, metrics)
         lines += ["| metric | value |", "| --- | --- |"]
         lines += ["| " + " | ".join(row) + " |" for row in metrics]
@@ -358,7 +350,7 @@ def cmd_report(args: argparse.Namespace, outputs: Outputs) -> None:
         lines += ["| threshold | mean RRS | total MRPs | rho |",
                   "| --- | --- | --- | --- |"]
         lines += ["| " + " | ".join(row) + " |"
-                  for row in evaluation.read_csv_body(sweep_path, 4)]
+                  for row in corpus.read_csv_body(sweep_path, 4)]
         lines.append("")
     else:
         lines += ["_No sweep table found._", ""]

@@ -22,10 +22,10 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from itertools import filterfalse, groupby
+from itertools import chain, filterfalse, groupby
 from operator import length_hint
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import EmptyCorpus
 
@@ -50,8 +50,8 @@ _TOKEN_RE = re.compile(r"[^\W\d_]+|\d+|[^\w\s]|_")
 _encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 # What a firm id may not hold: it names evidence files (<a>__<b>.json), is
-# a CSV cell and starts every paragraph id (firm:year:section:ordinal).
-_BAD_FIRM_ID_RE = re.compile(r"[/\\,:\s\x00-\x1f\x7f-\x9f]|__")
+# an unquoted CSV cell and starts every paragraph id (firm:year:section:ordinal).
+_BAD_FIRM_ID_RE = re.compile(r"[/\\,:\"\s\x00-\x1f\x7f-\x9f]|__")
 
 # "Item 1A", "ITEM 7A.", "Item 7A —" ... optional punctuation after the code.
 # It starts with a literal so that a search skips ahead to each "i"; the
@@ -100,11 +100,11 @@ def check_firm_id(firm_id: str) -> str:
     """``firm_id``, if it is safe as a file name, a CSV cell and an id prefix.
 
     An empty id, ``.``, ``..``, or one holding ``/``, ``\\``, ``,``, ``:``,
-    ``__``, whitespace or a control character is a ``ValueError``.
+    ``"``, ``__``, whitespace or a control character is a ``ValueError``.
     """
     if firm_id in ("", ".", "..") or _BAD_FIRM_ID_RE.search(firm_id):
-        raise ValueError(f"firm_id {firm_id!r} must be non-empty, not '.' or '..', and "
-                         "hold no '/', '\\', ',', ':', '__', whitespace or control character")
+        raise ValueError(f"firm_id {firm_id!r} must be non-empty, not '.' or '..', and hold "
+                         "no '/', '\\', ',', ':', '\"', '__', whitespace or control character")
     return firm_id
 
 
@@ -289,6 +289,20 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> int:
     return n
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the header and each row as a line of :func:`_csv_cell` cells and commas."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in chain([header], rows))
+
+
+def _csv_cell(value: object) -> str:
+    """A ``float`` (``np.float64`` is one) at six decimals, ``None`` empty, anything
+    else by ``str``. No cell is quoted, so none may hold a comma, quote or line end."""
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return "" if value is None else str(value)
+
+
 def read_paragraphs(path: str | Path) -> list[Paragraph]:
     """Read paragraphs written by :func:`write_paragraphs`; a well-formed
     record whose id an earlier line has is a ``malformed record`` error."""
@@ -340,6 +354,34 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     ``malformed record`` error of :func:`read_lines`.
     """
     return read_lines(path, "record", lambda lines: map(parse, map(_json_line, lines)))
+
+
+def read_csv_body(path: str | Path, fields: int | None = None,
+                  parse: Callable[[list[str]], object] | None = None) -> list:
+    """The rows after a CSV file's header, ``fields`` each (by default the
+    header's width), mapped by ``parse``.
+
+    Blank rows are skipped. An empty file is a ``ValueError`` naming the file;
+    a row the CSV reader cannot split, a row of another width, or a row
+    ``parse`` rejects is a ``malformed CSV row`` error of :func:`read_lines`.
+    """
+    width: list[int] = []  # the header's, once it is read
+
+    def rows(lines: Iterator[str]) -> Iterator:
+        for row in csv.reader(lines):  # one reader for the file: rows may span lines
+            if len(row) < 2 and not (row and row[0].strip()):
+                continue  # a blank row
+            if not width:
+                width.append(fields or len(row))
+            elif len(row) != width[0]:
+                raise ValueError(f"expected {width[0]} fields, got {len(row)}")
+            else:
+                yield row if parse is None else parse(row)
+
+    body = read_lines(path, "CSV row", rows)
+    if not width:
+        raise ValueError(f"empty CSV file: {path}")
+    return body
 
 
 def _json_line(line: str) -> object:

@@ -287,9 +287,9 @@ def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
     """Read a model file; returns (vocabulary, params, max_len).
 
     Besides a wrong magic, version or length, a file no training writes is a
-    ``ValueError`` naming it: fewer than two tokens, a width d below 2, first
-    tokens other than PAD and UNK, an undecodable token, bytes after the
-    last parameter or a non-finite parameter.
+    ``ValueError`` naming it: fewer than two tokens, a width d below 2, a
+    max_len below 1, first tokens other than PAD and UNK, an undecodable
+    token, bytes after the last parameter or a non-finite parameter.
     """
     def malformed(detail: object) -> ValueError:
         return ValueError(f"malformed model file {path}: {detail}")
@@ -305,6 +305,8 @@ def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
             if value < 2:
                 raise malformed(f"{name} {value} < 2")
         (max_len,) = struct.unpack("<I", read_exact(fh, 4, path))
+        if max_len < 1:
+            raise malformed(f"max_len {max_len} < 1")
         tokens = []
         for _ in range(vocab_size):
             (length,) = struct.unpack("<I", read_exact(fh, 4, path))

@@ -19,16 +19,15 @@ MRP counts and scores respond to the similarity cutoff.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import read_lines
+from .corpus import read_csv_body
 from .errors import (
     DegenerateInput,
     EmptyRelevanceSet,
@@ -403,28 +402,3 @@ def read_gics_file(path: str | Path) -> dict[str, tuple[str, str]]:
     """Load a (ticker, sector, industry) mapping; header line required."""
     return {ticker: (sector, industry)
             for ticker, sector, industry in read_csv_body(path, 3)}
-
-
-def read_csv_body(path: str | Path, fields: int,
-                  parse: Callable[[list[str]], object] | None = None) -> list:
-    """The rows after a CSV file's header, ``fields`` (>= 2) each, mapped by ``parse``.
-
-    Blank rows are skipped. An empty file is a ``ValueError`` naming the file;
-    a row the CSV reader cannot split, a row of another width, or a row
-    ``parse`` rejects is a ``malformed CSV row`` error of :func:`read_lines`.
-    """
-    def rows(lines: Iterator[str]) -> Iterator:
-        reader = csv.reader(lines)  # one reader for the file: rows may span lines
-        for row in reader:
-            if len(row) == fields and header:
-                yield row if parse is None else parse(row)
-            elif len(row) > 1 or (row and row[0].strip()):  # not a blank row
-                if header:
-                    raise ValueError(f"expected {fields} fields, got {len(row)}")
-                header.append(row)
-
-    header: list[list[str]] = []
-    body = read_lines(path, "CSV row", rows)
-    if not header:
-        raise ValueError(f"empty CSV file: {path}")
-    return body

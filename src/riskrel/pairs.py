@@ -269,10 +269,14 @@ def split_train_val(pairs: Sequence[PositivePair], train_count: int,
                     val_count: int, rng_seed: int) -> tuple[list[PositivePair], list[PositivePair]]:
     """Seeded disjoint train/validation split, per view.
 
-    ``train_count``/``val_count`` apply to each view present. No source
-    paragraph id appears in both splits of the same view; validation
-    candidates touching a training paragraph are passed over.
+    ``train_count``/``val_count`` (each >= 0, else a ``ValueError``) apply to
+    each view present. No source paragraph id appears in both splits of the
+    same view; validation candidates touching a training paragraph are
+    passed over.
     """
+    for name, count in (("train_count", train_count), ("val_count", val_count)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0")
     rng = np.random.default_rng(rng_seed)
     by_view: dict[str, list[PositivePair]] = {}
     for pair in pairs:

@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FirmCorpus, Paragraph, check_firm_id, read_lines
+from .corpus import FirmCorpus, Paragraph, check_firm_id, read_lines, write_csv
 from .encoder import (
     DEFAULT_MAX_LEN,
     EncoderParams,
@@ -488,13 +488,10 @@ def _evidence_document(result: MrpResult, ids: _EscapeCache,
     return b"".join(parts)
 
 
-def write_rrs_csv(firms: Sequence[str], matrix: np.ndarray,
-                  path: str | Path) -> None:
-    """Symmetric RRS matrix as CSV: firm-id header, 6 decimal places."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("firm," + ",".join(firms) + "\n")
-        for i, firm in enumerate(firms):
-            fh.write(firm + "," + ",".join(f"{v:.6f}" for v in matrix[i]) + "\n")
+def write_rrs_csv(firms: Sequence[str], matrix: np.ndarray, path: str | Path) -> None:
+    """Symmetric RRS matrix as CSV: a firm-id header, then a labelled row per firm."""
+    write_csv(path, ["firm", *firms],
+              ([firm, *row] for firm, row in zip(firms, matrix.tolist())))
 
 
 def read_rrs_csv(path: str | Path) -> tuple[list[str], np.ndarray]:

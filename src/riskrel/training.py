@@ -27,7 +27,6 @@ reusable buffers and is bit-identical to its textbook expression.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +34,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .corpus import write_jsonl
 from .encoder import (
     DEFAULT_EMBED_DIM,
     DEFAULT_MAX_LEN,
@@ -75,8 +75,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (in-batch negatives)")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be finite and positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.max_epochs < 1:
@@ -140,21 +140,16 @@ class TrainReport:
     best_val_loss: float = float("inf")
     stop_reason: str = ""
 
-    def to_jsonl(self) -> str:
+    def records(self) -> list[dict]:
         """One record per epoch plus a summary record."""
-        lines = [json.dumps({"record": "epoch", "epoch": e.epoch,
-                             "train_loss": e.train_loss, "val_loss": e.val_loss,
-                             "margin": e.margin})
-                 for e in self.epochs]
-        lines.append(json.dumps({"record": "summary",
-                                 "epochs_run": len(self.epochs),
-                                 "best_epoch": self.best_epoch,
-                                 "best_val_loss": self.best_val_loss,
-                                 "stop_reason": self.stop_reason}))
-        return "\n".join(lines) + "\n"
+        return [*({"record": "epoch", "epoch": e.epoch, "train_loss": e.train_loss,
+                   "val_loss": e.val_loss, "margin": e.margin} for e in self.epochs),
+                {"record": "summary", "epochs_run": len(self.epochs),
+                 "best_epoch": self.best_epoch, "best_val_loss": self.best_val_loss,
+                 "stop_reason": self.stop_reason}]
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
+        write_jsonl(self.records(), path)
 
 
 @dataclass

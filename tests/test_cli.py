@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from riskrel import cli, scoring
 
 
-_FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', ':', '__', "
-              "whitespace or control character")
+_FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', ':', '\"', "
+              "'__', whitespace or control character")
 
 
 def run(argv, capsys):
@@ -385,7 +385,8 @@ def test_evaluate_rejects_asymmetric_matrix(tmp_path, capsys):
     (b"firm,A,B\nA,1.0,0.5\nB,0.5,1.0\xff\n", 3,
      "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
     (b"firm,../x,y\n../x,1.0,0.5\ny,0.5,1.0\n", 1, f"firm_id '../x' {_FIRM_RULE}"),
-], ids=["repeated_firm", "nan", "undecodable", "path_firm_id"])
+    (b'firm,"X,y\n"X,1.0,0.5\ny,0.5,1.0\n', 1, f"firm_id '\"X' {_FIRM_RULE}"),
+], ids=["repeated_firm", "nan", "undecodable", "path_firm_id", "quoted_firm_id"])
 def test_evaluate_on_malformed_rrs_matrix_names_file_and_line(tmp_path, capsys, text,
                                                               line, detail):
     rrs = tmp_path / "rrs.csv"
@@ -581,14 +582,18 @@ def test_undecodable_byte_names_the_input_and_its_line(pipeline_dir, fixture_man
                    "can't decode byte 0xff in position 0: invalid start byte\n")
 
 
-@pytest.mark.parametrize("d, size", [(64, 0), (0, 3)], ids=["no_vocabulary", "d0"])
-def test_embed_on_untrainable_model_is_one_line_error(pipeline_dir, tmp_path, capsys, d, size):
+@pytest.mark.parametrize("d, size, max_len, detail", [
+    (64, 0, 256, "vocabulary size 0 < 2"),
+    (0, 3, 256, "width d 0 < 2"),
+    (64, 3, 0, "max_len 0 < 1"),
+], ids=["no_vocabulary", "d0", "max_len_0"])
+def test_embed_on_untrainable_model_is_one_line_error(pipeline_dir, tmp_path, capsys, d, size,
+                                                      max_len, detail):
     model = tmp_path / "model.bin"
-    model.write_bytes(b"RRENC001" + struct.pack("<IIII", 1, d, size, 256))
+    model.write_bytes(b"RRENC001" + struct.pack("<IIII", 1, d, size, max_len))
     code, _, err = run(["embed", "--model", str(model), "--in",
                         str(pipeline_dir / "paragraphs.jsonl"), "--out", str(tmp_path / "e.bin")],
                        capsys)
-    detail = "vocabulary size 0 < 2" if size == 0 else "width d 0 < 2"
     assert (code, err) == (1, f"error: ValueError: malformed model file {model}: {detail}\n")
 
 
@@ -1137,6 +1142,24 @@ def test_ingest_error_names_the_filing(tmp_path, capsys, firm, name, raw, detail
     assert not (tmp_path / "p.jsonl").exists()
 
 
+def test_ingest_of_a_firm_id_with_a_quote_publishes_nothing(tmp_path, capsys):
+    """A firm id is an unquoted cell of rrs.csv and eval/pairs.csv, where a
+    leading '"' would open a quoted field for every CSV reader."""
+    filings = tmp_path / "filings"
+    for firm in ("ACME", '"X'):
+        (filings / firm).mkdir(parents=True)
+        (filings / firm / "2020.txt").write_text(
+            "<p>Item 1A. Risk Factors</p><p>" + "risk " * 25 + "</p>")
+    out = tmp_path / "p.jsonl"
+    out.write_text("previous run\n")
+    code, stdout, err = run(["ingest", "--root", str(filings), "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    filing = filings / '"X' / "2020.txt"
+    assert err == f"error: ValueError: bad filing {filing}: firm_id '\"X' {_FIRM_RULE}\n"
+    assert out.read_text() == "previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["filings", "p.jsonl"]
+
+
 @pytest.mark.parametrize("names", [["02020.txt", "2020.txt"], ["２０２０.txt"], ["020.txt"]],
                          ids=["leading-zero", "full-width", "three-digits"])
 def test_ingest_filing_name_must_be_four_ascii_digits(tmp_path, capsys, names):
@@ -1168,8 +1191,26 @@ def test_train_rejects_settings_no_training_can_use(pipeline_dir, tmp_path, caps
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("firm", ["../../escaped", "AC,ME", "A__B"],
-                         ids=["path", "comma", "pair_separator"])
+@pytest.mark.parametrize("command, flag, value, detail", [
+    ("pairs", "--val", "-3", "val_count must be >= 0"),
+    ("pairs", "--train", "-5", "train_count must be >= 0"),
+    ("train", "--temperature", "inf", "temperature must be finite and positive"),
+], ids=["val_count", "train_count", "temperature"])
+def test_out_of_range_count_or_temperature_is_one_line_error(pipeline_dir, tmp_path, capsys,
+                                                             command, flag, value, detail):
+    """A negative count never equals the pairs taken, so it took every pair
+    left, and an infinite temperature makes every logit 0, so training
+    learns nothing: each is an error that writes nothing."""
+    inputs = {"pairs": ["--in", str(pipeline_dir / "paragraphs.jsonl"), "--seed", "7"],
+              "train": ["--pairs", str(pipeline_dir / "pairs"), "--seed", "0"]}[command]
+    code, out, err = run([command, *inputs, flag, value, "--out", str(tmp_path / "out")],
+                         capsys)
+    assert (code, out, err) == (1, "", f"error: ValueError: {detail}\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("firm", ["../../escaped", "AC,ME", "A__B", '"CRUX'],
+                         ids=["path", "comma", "pair_separator", "quote"])
 def test_score_rejects_a_firm_id_that_would_break_its_outputs(pipeline_dir, tmp_path, capsys,
                                                               firm):
     lines = (pipeline_dir / "paragraphs.jsonl").read_text().splitlines(True)

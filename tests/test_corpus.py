@@ -1,8 +1,12 @@
 """Corpus module: markup stripping, section extraction, segmentation, tokenization."""
 
+import csv
 import json
 import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +20,7 @@ from riskrel.corpus import (
 )
 from riskrel.encoder import build_vocab, init_params, load_model, save_model
 from riskrel.pairs import LEXICAL, PositivePair, read_pairs, write_pairs
+from riskrel.scoring import read_rrs_csv, write_rrs_csv
 
 
 # --- tokenize ---
@@ -284,7 +289,7 @@ def test_ingest_filing_rejects_bad_year_and_empty_firm():
     with pytest.raises(ValueError, match="firm_id"):
         corpus.ingest_filing("", 2020, "t")
     for firm in (".", "..", "../../escaped", "A/B", "A\\B", "AC,ME", "AC:ME", "A__B",
-                 "AC ME", "AC\tME", "AC\x00ME", "AC\x85ME"):
+                 "AC ME", "AC\tME", "AC\x00ME", "AC\x85ME", '"CRUX', 'AC"ME'):
         with pytest.raises(ValueError, match=f"^firm_id {re.escape(repr(firm))} must"):
             corpus.ingest_filing(firm, 2020, "t")
 
@@ -407,3 +412,57 @@ def test_ingest_rejects_non_year_filenames(tmp_path):
     (tmp_path / "ACME" / "notes.txt").write_text("not a filing")
     with pytest.raises(ValueError, match="notes.txt"):
         corpus.ingest_directory(tmp_path)
+
+
+# --- CSV: one writer, one cell rule ---
+
+def _accepted_firm_id(firm):
+    try:
+        return corpus.check_firm_id(firm) == firm
+    except ValueError:
+        return False
+
+
+_FIRM_IDS = st.text(min_size=1, max_size=8).filter(_accepted_firm_id)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_CELLS = st.one_of(_FIRM_IDS, st.integers(), _FINITE, _FINITE.map(np.float64), st.none())
+
+
+def _rule(value):
+    """The cell the CSV rule gives: floats at six decimals, None empty, else str."""
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return "" if value is None else str(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(2, 5), data=st.data())
+def test_csv_reader_splits_each_written_line_into_the_rule_cells(width, data):
+    """A row of two or more cells (every CSV artifact has two or more columns)
+    never needs quoting: a CSV reader gets back exactly the rule's cells."""
+    header = data.draw(st.lists(_FIRM_IDS, min_size=width, max_size=width))
+    rows = data.draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=5))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        corpus.write_csv(path, header, rows)
+        with open(path, encoding="utf-8", newline="") as fh:
+            read = list(csv.reader(fh))
+        assert read == [header, *([_rule(v) for v in row] for row in rows)]
+        assert corpus.read_csv_body(path) == read[1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(firms=st.lists(_FIRM_IDS, min_size=1, max_size=5, unique=True), data=st.data())
+def test_rrs_csv_reads_back_sorted_at_six_decimals(firms, data):
+    n = len(firms)
+    upper = data.draw(st.lists(_FINITE, min_size=n * n, max_size=n * n))
+    matrix = np.array(upper).reshape(n, n)
+    matrix = np.triu(matrix) + np.triu(matrix, 1).T  # symmetric
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rrs.csv"
+        write_rrs_csv(firms, matrix, path)
+        read_firms, read_matrix = read_rrs_csv(path)
+    order = sorted(range(n), key=firms.__getitem__)
+    assert read_firms == sorted(firms)
+    expected = [[float(f"{matrix[i, j]:.6f}") for j in order] for i in order]
+    assert read_matrix.tolist() == expected

@@ -287,10 +287,10 @@ def test_model_rejects_truncated_file(tmp_path):
         load_model(clipped)
 
 
-def _model_bytes(d, tokens, value=0.5, vocab_size=None):
+def _model_bytes(d, tokens, value=0.5, vocab_size=None, max_len=256):
     """A model file of these tokens whose every parameter is ``value``."""
     size = len(tokens) if vocab_size is None else vocab_size
-    return (b"RRENC001" + struct.pack("<IIII", 1, d, size, 256)
+    return (b"RRENC001" + struct.pack("<IIII", 1, d, size, max_len)
             + b"".join(struct.pack("<I", len(t)) + t for t in tokens)
             + np.full(len(tokens) * d + d * d + d, value, dtype="<f8").tobytes())
 
@@ -309,6 +309,7 @@ def test_model_bytes_helper_writes_what_save_model_writes(tmp_path):
     (_model_bytes(4, [b"<pad>"]), "vocabulary size 1 < 2"),
     (_model_bytes(0, [b"<pad>", b"<unk>", b"a"]), "width d 0 < 2"),
     (_model_bytes(1, [b"<pad>", b"<unk>", b"a"]), "width d 1 < 2"),
+    (_model_bytes(2, [b"<pad>", b"<unk>", b"a"], max_len=0), "max_len 0 < 1"),
     (_model_bytes(2, [b"<unk>", b"<pad>", b"a"]),
      "first tokens ['<unk>', '<pad>'] are not ['<pad>', '<unk>']"),
     (_model_bytes(2, [b"<pad>", b"<unk>", b"\xff"]),
@@ -316,8 +317,8 @@ def test_model_bytes_helper_writes_what_save_model_writes(tmp_path):
     (_model_bytes(2, [b"<pad>", b"<unk>"], value=math.inf), "parameters must be finite"),
     (_model_bytes(2, [b"<pad>", b"<unk>"], value=math.nan), "parameters must be finite"),
     (_model_bytes(2, [b"<pad>", b"<unk>"]) + b"\0", "bytes after the last parameter"),
-], ids=["no_tokens", "one_token", "d0", "d1", "specials_swapped", "undecodable_token",
-        "inf", "nan", "trailing_bytes"])
+], ids=["no_tokens", "one_token", "d0", "d1", "max_len_0", "specials_swapped",
+        "undecodable_token", "inf", "nan", "trailing_bytes"])
 def test_model_rejects_what_no_training_writes(tmp_path, raw, detail):
     path = tmp_path / "model.bin"
     path.write_bytes(raw)

@@ -322,6 +322,14 @@ def test_split_insufficient():
         split_train_val(_distinct_pairs(50), 80, 20, rng_seed=0)
 
 
+@pytest.mark.parametrize("counts, name", [((-5, 20), "train_count"), ((80, -3), "val_count")],
+                         ids=["train", "val"])
+def test_split_rejects_a_negative_count(counts, name):
+    """A negative val count never equals the validation pairs taken, so it took them all."""
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+        split_train_val(_distinct_pairs(100), *counts, rng_seed=0)
+
+
 def test_split_accepts_production_scale_counts():
     train, val = split_train_val(_distinct_pairs(9600), 8500, 1000, rng_seed=1)
     assert len(train) == 8500 and len(val) == 1000

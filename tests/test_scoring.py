@@ -372,13 +372,14 @@ def embeddings_bytes(firms, d=2, n_firms=None, fingerprint=b"fp"):
     return raw
 
 
-_FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', ':', '__', "
-              "whitespace or control character")
+_FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', ':', '\"', "
+              "'__', whitespace or control character")
 
 
 @pytest.mark.parametrize("raw, detail", [
     (embeddings_bytes([(b"A", [b"A:0"], 1), (b"A", [b"A:1"], 1)]), "firm 'A' repeated"),
     (embeddings_bytes([(b"a/b", [b"a/b:0"], 1)]), f"firm_id 'a/b' {_FIRM_RULE}"),
+    (embeddings_bytes([(b'"X', [b'"X:0'], 1)]), f"firm_id '\"X' {_FIRM_RULE}"),
     (embeddings_bytes([(b"A", [b"A:0"], 1)]) + b"\0", "bytes after the last vector"),
     (embeddings_bytes([(b"A", [b"A:0", b"A:0"], 2)]), "paragraph id 'A:0' repeated"),
     (embeddings_bytes([(b"A", [b"X:0"], 1), (b"B", [b"X:0"], 1)]),
@@ -386,7 +387,7 @@ _FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', '
     (embeddings_bytes([(b"A", [b"A:0"], 1)], d=1), "firm 'A' has vectors of width 1, below 2"),
     (embeddings_bytes([(b"A", [b"A:0"], 1)])[:-8] + struct.pack("<d", math.nan),
      "firm 'A' has a value that is not finite"),
-], ids=["repeated_firm", "firm_with_slash", "trailing_byte", "repeated_id",
+], ids=["repeated_firm", "firm_with_slash", "firm_with_quote", "trailing_byte", "repeated_id",
         "id_in_two_firms", "width_1", "nan"])
 def test_embeddings_that_embed_never_writes_are_malformed(tmp_path, raw, detail):
     path = tmp_path / "emb.bin"

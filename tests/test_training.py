@@ -460,9 +460,15 @@ def test_report_jsonl_has_epoch_and_summary_records():
     config = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=6,
                          embed_dim=8, vocab_min_freq=1)
     outcome = train(pairs[:32], pairs[32:40], config)
-    lines = outcome.report.to_jsonl().strip().splitlines()
-    assert len(lines) == len(outcome.report.epochs) + 1
-    assert '"record": "summary"' in lines[-1]
+    records = outcome.report.records()
+    assert len(records) == len(outcome.report.epochs) + 1
+    assert records[-1]["record"] == "summary"
+
+
+def test_config_temperature_must_be_finite():
+    """At an infinite temperature every logit is 0, so the loss is ln B and nothing is learned."""
+    with pytest.raises(ValueError, match="^temperature must be finite and positive$"):
+        TrainConfig(temperature=math.inf)
 
 
 def test_config_validation():
