@@ -29,9 +29,7 @@ for mention in pairs.scan_tokens(sample.tokens):
 print()
 
 print("=== chronological pairs ===")
-chrono = []
-for fc in corpus.group_by_firm(paragraphs).values():
-    chrono.extend(pairs.build_chronological_pairs(fc))
+chrono = pairs.build_chronological_pairs(paragraphs)
 print(f"{len(chrono)} pairs across the corpus")
 pair = chrono[0]
 print(f"example pair from {pair.provenance}")

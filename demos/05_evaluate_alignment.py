@@ -24,10 +24,8 @@ print("=== CAVDSR on the fixture price series ===")
 print(f"planted pair ACME/BOLT: {evaluation.cavdsr(returns['ACME'], returns['BOLT']):.4f}")
 print(f"unrelated   CRUX/HALE: {evaluation.cavdsr(returns['CRUX'], returns['HALE']):.4f}\n")
 
-all_pairs = []
-for fc in corpus.group_by_firm(paragraphs).values():
-    all_pairs.extend(pairs.build_chronological_pairs(fc))
-all_pairs.extend(pairs.build_lexical_pairs(paragraphs, rng_seed=7))
+all_pairs = (pairs.build_chronological_pairs(paragraphs)
+             + pairs.build_lexical_pairs(paragraphs, rng_seed=7))
 train_pairs, val_pairs = pairs.split_train_val(all_pairs, 140, 25, rng_seed=7)
 outcome = training.train(train_pairs, val_pairs, training.TrainConfig(seed=0))
 index = scoring.embed_corpus(outcome.vocab, outcome.params,

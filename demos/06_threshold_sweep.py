@@ -16,10 +16,8 @@ with tempfile.TemporaryDirectory(prefix="riskrel_demo_") as tmp:
     paragraphs = corpus.ingest_directory(manifest.filings_dir)
     returns = evaluation.read_prices_dir(manifest.prices_dir)
 
-all_pairs = []
-for fc in corpus.group_by_firm(paragraphs).values():
-    all_pairs.extend(pairs.build_chronological_pairs(fc))
-all_pairs.extend(pairs.build_lexical_pairs(paragraphs, rng_seed=7))
+all_pairs = (pairs.build_chronological_pairs(paragraphs)
+             + pairs.build_lexical_pairs(paragraphs, rng_seed=7))
 train_pairs, val_pairs = pairs.split_train_val(all_pairs, 140, 25, rng_seed=7)
 outcome = training.train(train_pairs, val_pairs, training.TrainConfig(seed=0))
 index = scoring.embed_corpus(outcome.vocab, outcome.params,

@@ -130,9 +130,7 @@ def cmd_pairs(args: argparse.Namespace, outputs: Outputs) -> None:
     stats: dict[str, int] = {}
     all_pairs: list[pairgen.PositivePair] = []
     if pairgen.CHRONOLOGICAL in views:
-        for firm_corpus in corpus.group_by_firm(paragraphs).values():
-            all_pairs.extend(pairgen.build_chronological_pairs(
-                firm_corpus, min_tokens=args.min_tokens))
+        all_pairs.extend(pairgen.build_chronological_pairs(paragraphs, args.min_tokens))
     if pairgen.LEXICAL in views:
         all_pairs.extend(pairgen.build_lexical_pairs(
             paragraphs, rng_seed=args.seed, min_span=args.min_span,
@@ -141,6 +139,11 @@ def cmd_pairs(args: argparse.Namespace, outputs: Outputs) -> None:
 
     train, val = pairgen.split_train_val(all_pairs, args.train_count, args.val_count,
                                          rng_seed=args.seed)
+    for view in views:  # split_train_val checks only the views that built pairs
+        available = sum(p.view == view for p in all_pairs)
+        if available < args.train_count + args.val_count:
+            raise InsufficientPairs(f"view {view}: {available} pairs available, "
+                                    f"{args.train_count}+{args.val_count} requested")
     out_dir = outputs(args.out)
     out_dir.mkdir()
     # Every view's files, empty for a view not built, so that none is left
@@ -184,14 +187,14 @@ def cmd_train(args: argparse.Namespace, outputs: Outputs) -> None:
 
 
 def _load_index(model_path: str, paragraphs_path: str
-                ) -> tuple[scoring.EmbeddingIndex, dict[str, corpus.Paragraph]]:
+                ) -> tuple[scoring.EmbeddingIndex, dict[str, str]]:
+    """The paragraphs' embedding index, and each paragraph's text by id."""
     vocab, params, max_len = load_model(_require_file(model_path, "model file"))
-    paragraphs = corpus.read_paragraphs(_require_file(paragraphs_path,
-                                                      "paragraph file"))
+    paragraphs = corpus.read_paragraphs(_require_file(paragraphs_path, "paragraph file"))
     corpora = corpus.group_by_firm(paragraphs).values()
     index = scoring.embed_corpus(vocab, params, corpora, max_len=max_len,
                                  model_fingerprint=model_fingerprint(model_path))
-    return index, {p.id: p for p in paragraphs}
+    return index, {p.id: p.text for p in paragraphs}
 
 
 def cmd_embed(args: argparse.Namespace, outputs: Outputs) -> None:

@@ -399,6 +399,15 @@ def _price_row(row: list[str]) -> tuple[str, float]:
 
 
 def read_gics_file(path: str | Path) -> dict[str, tuple[str, str]]:
-    """Load a (ticker, sector, industry) mapping; header line required."""
-    return {ticker: (sector, industry)
-            for ticker, sector, industry in read_csv_body(path, 3)}
+    """Load a (ticker, sector, industry) mapping; header line required. A
+    repeated ticker is a ``malformed CSV row`` error of :func:`read_csv_body`."""
+    gics: dict[str, tuple[str, str]] = {}
+
+    def add(row: list[str]) -> None:
+        ticker, sector, industry = row
+        if ticker in gics:
+            raise ValueError(f"ticker {ticker!r} repeated")
+        gics[ticker] = (sector, industry)
+
+    read_csv_body(path, 3, add)
+    return gics

@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import (DEFAULT_MIN_TOKENS, FirmCorpus, Paragraph, interned_strings,
-                     read_jsonl, typed_field, write_jsonl)
+from .corpus import (DEFAULT_MIN_TOKENS, Paragraph, interned_strings, read_jsonl,
+                     typed_field, write_jsonl)
 from .errors import InsufficientPairs
 
 CHRONOLOGICAL = "chronological"
@@ -175,27 +175,26 @@ def _strip_date_tokens(tokens: Sequence[str],
     return current
 
 
-def build_chronological_pairs(corpus: FirmCorpus,
+def build_chronological_pairs(paragraphs: Sequence[Paragraph],
                               min_tokens: int = DEFAULT_MIN_TOKENS) -> list[PositivePair]:
-    """Pair same-firm paragraphs that share a non-accounting date.
+    """Pair paragraphs of one firm that share a non-accounting date.
 
     All date mentions are removed from both sides before the pair is
     emitted; pairs whose either side drops below ``min_tokens`` are
-    discarded. One pair per unordered paragraph-id pair.
+    discarded. One pair per unordered paragraph-id pair. Pairs come firm by
+    firm in sorted order, then date by date, then in paragraph order.
     """
-    mentions_by_para = {p.id: scan_tokens(p.tokens) for p in corpus.paragraphs}
+    mentions_by_para = {p.id: scan_tokens(p.tokens) for p in paragraphs}
 
-    by_date: dict[str, list[Paragraph]] = {}
-    for p in corpus.paragraphs:
-        dates = {m.normalized for m in mentions_by_para[p.id] if not m.is_accounting}
-        for d in sorted(dates):
-            by_date.setdefault(d, []).append(p)
+    by_date: dict[tuple[str, str], list[Paragraph]] = {}
+    for p in paragraphs:
+        for d in {m.normalized for m in mentions_by_para[p.id] if not m.is_accounting}:
+            by_date.setdefault((p.firm_id, d), []).append(p)
 
     stripped: dict[str, tuple[str, ...]] = {}
     pairs: list[PositivePair] = []
     seen: set[tuple[str, str]] = set()
-    for date in sorted(by_date):
-        group = by_date[date]
+    for _, group in sorted(by_date.items()):
         for a_idx in range(len(group)):
             for b_idx in range(a_idx + 1, len(group)):
                 left, right = sorted((group[a_idx], group[b_idx]), key=lambda p: p.id)

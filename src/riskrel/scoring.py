@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FirmCorpus, Paragraph, check_firm_id, read_lines, write_csv
+from .corpus import FirmCorpus, check_firm_id, read_lines, write_csv
 from .encoder import (
     DEFAULT_MAX_LEN,
     EncoderParams,
@@ -285,22 +285,21 @@ def rrs_matrix(index: EmbeddingIndex, firms: Sequence[str] | None = None,
     return firm_list, matrix
 
 
-def _paragraph(paragraphs: Mapping[str, Paragraph], pid: str) -> Paragraph:
-    if pid not in paragraphs:
+def _text(texts: Mapping[str, str], pid: str) -> str:
+    if pid not in texts:
         raise UnknownParagraphId(f"evidence references unknown paragraph {pid}")
-    return paragraphs[pid]
+    return texts[pid]
 
 
-def mrp_result_to_dict(result: MrpResult,
-                       paragraphs: Mapping[str, Paragraph] | None = None) -> dict:
+def mrp_result_to_dict(result: MrpResult, texts: Mapping[str, str]) -> dict:
     """JSON-ready view of an MRP result.
 
-    Each evidence entry holds ``id_a``, ``id_b`` and ``similarity``. With
-    ``paragraphs``, a last key ``texts`` maps each id the evidence names to
-    its text, ids sorted; an id missing from ``paragraphs`` raises
+    Each evidence entry holds ``id_a``, ``id_b`` and ``similarity``. A last
+    key ``texts`` maps each id the evidence names to its text in ``texts``,
+    ids sorted; an id missing from ``texts`` raises
     :class:`~riskrel.errors.UnknownParagraphId`.
     """
-    doc = {
+    return {
         "firm_a": result.firm_a,
         "firm_b": result.firm_b,
         "threshold": result.threshold,
@@ -313,11 +312,8 @@ def mrp_result_to_dict(result: MrpResult,
             {"id_a": id_a, "id_b": id_b, "similarity": sim}
             for id_a, id_b, sim in result.evidence
         ],
+        "texts": {pid: _text(texts, pid) for pid in _evidence_ids(result)},
     }
-    if paragraphs is not None:
-        doc["texts"] = {pid: _paragraph(paragraphs, pid).text
-                        for pid in _evidence_ids(result)}
-    return doc
 
 
 def _evidence_ids(result: MrpResult) -> list[str]:
@@ -336,18 +332,18 @@ def render_evidence(doc: Mapping) -> str:
     """Highlights of an evidence document, as :func:`mrp_result_to_dict` gives
     it: a header with the pair, RRS, threshold and evidence count, then the top
     3 evidence pairs, each with both texts from ``doc["texts"]`` cut at 220
-    characters. A document without ``texts`` renders ids only. A document
-    without the fields, or whose ``texts`` lacks an id of a top pair, raises
-    ``KeyError``, ``TypeError`` or ``ValueError``."""
+    characters. A document without the fields, ``texts`` included, or whose
+    ``texts`` lacks an id of a top pair, raises ``KeyError``, ``TypeError`` or
+    ``ValueError``."""
     score, threshold, evidence = f"{doc['rrs']:.6f}", f"{doc['threshold']:.2f}", doc["evidence"]
+    texts = doc["texts"]
     lines = [f"Strongest pair {doc['firm_a']} - {doc['firm_b']}: RRS {score} at threshold "
              f"{threshold}, {len(evidence)} evidence pairs.", ""]
     for entry in evidence[:3]:
         lines.append(f"- similarity {entry['similarity']:.4f}: "
                      f"`{entry['id_a']}` / `{entry['id_b']}`")
-        if "texts" in doc:
-            lines.append(f"    - {doc['texts'][entry['id_a']][:220]}")
-            lines.append(f"    - {doc['texts'][entry['id_b']][:220]}")
+        lines.append(f"    - {texts[entry['id_a']][:220]}")
+        lines.append(f"    - {texts[entry['id_b']][:220]}")
     return "\n".join(lines + [""])
 
 
@@ -371,11 +367,11 @@ def read_evidence(path: str | Path, rrs_cell: float) -> str:
 
 
 def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
-                         paragraphs: Mapping[str, Paragraph] | None = None) -> list[Path]:
+                         texts: Mapping[str, str]) -> list[Path]:
     """One ``<A>__<B>.json`` per firm pair, A before B lexicographically.
 
     Each file holds exactly the bytes of ``json.dumps(mrp_result_to_dict(
-    result, paragraphs), indent=2, ensure_ascii=False) + "\\n"``, built as one
+    result, texts), indent=2, ensure_ascii=False) + "\\n"``, built as one
     ``bytes`` object (:func:`_evidence_document`) and then written at once
     into ``out_dir``; each paragraph's id and text are escaped and UTF-8
     encoded once per call, however many entries and files repeat them, and a
@@ -387,12 +383,10 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
     """
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     ids = _EscapeCache(str)
-    texts = None
-    if paragraphs is not None:
-        texts = _EscapeCache(lambda pid: _paragraph(paragraphs, pid).text)
+    literals = _EscapeCache(lambda pid: _text(texts, pid))
     written = []
     for result in results:
-        document = _evidence_document(result, ids, texts)
+        document = _evidence_document(result, ids, literals)
         path = evidence_path(out_dir, result.firm_a, result.firm_b)
         path.write_bytes(document)
         written.append(path)
@@ -450,7 +444,7 @@ def _joined(parts: list[bytes], columns: Iterable[Iterable[bytes]], end: bytes) 
 
 
 def _evidence_document(result: MrpResult, ids: _EscapeCache,
-                       texts: _EscapeCache | None) -> bytes:
+                       texts: _EscapeCache) -> bytes:
     """:func:`mrp_result_to_dict`'s document in json.dumps's indent=2 layout,
     UTF-8 encoded, without a Python loop over its entries."""
     head = (f'{{\n  "firm_a": {encode_basestring(result.firm_a)},\n'
@@ -475,15 +469,14 @@ def _evidence_document(result: MrpResult, ids: _EscapeCache,
                         _json_numbers(list(map(itemgetter(2), evidence))),
                         repeat(b'\n    },\n    {\n      "id_a": ')),
                 b"\n    }\n  ]")
-    if texts is not None:
-        pids = _evidence_ids(result)
-        if not pids:
-            parts.append(b',\n  "texts": {}')
-        else:
-            parts.append(b',\n  "texts": {\n    ')
-            _joined(parts, (map(ids.__getitem__, pids), repeat(b": "),
-                            map(texts.__getitem__, pids), repeat(b",\n    ")),
-                    b"\n  }")
+    pids = _evidence_ids(result)
+    if not pids:
+        parts.append(b',\n  "texts": {}')
+    else:
+        parts.append(b',\n  "texts": {\n    ')
+        _joined(parts, (map(ids.__getitem__, pids), repeat(b": "),
+                        map(texts.__getitem__, pids), repeat(b",\n    ")),
+                b"\n  }")
     parts.append(b"\n}\n")
     return b"".join(parts)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Paragraph
+from .corpus import Paragraph, write_csv
 
 PLANTED_THEME = "supply_chain"
 PLANTED_PAIR = ("ACME", "BOLT")
@@ -373,10 +373,8 @@ def _write_prices(prices_dir: Path, firms: list[str], seed: int,
         load = 1.0 if firm in PLANTED_PAIR else 0.0
         returns = 0.5 * market + load * planted_factor + idio
         closes = (40.0 + 6.0 * rank) * np.cumprod(1.0 + returns)
-        with open(prices_dir / f"{firm}.csv", "w", encoding="utf-8") as fh:
-            fh.write("date,close\n")
-            for date, close in zip(dates, closes):
-                fh.write(f"{date},{close:.4f}\n")
+        write_csv(prices_dir / f"{firm}.csv", ["date", "close"],
+                  ((date, f"{close:.4f}") for date, close in zip(dates, closes)))
 
 
 def write_fixture(root: str | Path, seed: int = DEFAULT_SEED,
@@ -416,9 +414,6 @@ def write_fixture(root: str | Path, seed: int = DEFAULT_SEED,
             (firm_dir / f"{year}.txt").write_text(raw, encoding="utf-8")
 
     _write_prices(prices_dir, firms, seed)
-    with open(gics_path, "w", encoding="utf-8") as fh:
-        fh.write("ticker,sector,industry\n")
-        for firm in firms:
-            sector, industry = FIRM_GICS[firm]
-            fh.write(f"{firm},{sector},{industry}\n")
+    write_csv(gics_path, ["ticker", "sector", "industry"],
+              ((firm, *FIRM_GICS[firm]) for firm in firms))
     return manifest

@@ -62,10 +62,8 @@ class Pipeline:
 @pytest.fixture(scope="module")
 def pipeline(fixture_manifest, fixture_paragraphs):
     """Desk-default pairs + training on the bundled corpus, timed."""
-    all_pairs = []
-    for firm_corpus in corpus.group_by_firm(fixture_paragraphs).values():
-        all_pairs.extend(pairgen.build_chronological_pairs(firm_corpus))
-    all_pairs.extend(pairgen.build_lexical_pairs(fixture_paragraphs, rng_seed=SEED))
+    all_pairs = (pairgen.build_chronological_pairs(fixture_paragraphs)
+                 + pairgen.build_lexical_pairs(fixture_paragraphs, rng_seed=SEED))
     train_pairs, val_pairs = pairgen.split_train_val(all_pairs, 140, 25,
                                                      rng_seed=SEED)
     start = time.perf_counter()
@@ -254,7 +252,7 @@ def test_criterion_6_planted_risk_recovery(pipeline):
                         if a in planted_ids and b in planted_ids]
     assert len(planted_evidence) >= 1
     report_doc = scoring.render_evidence(scoring.mrp_result_to_dict(
-        result, {p.id: p for p in pipeline.paragraphs}))
+        result, {p.id: p.text for p in pipeline.paragraphs}))
     assert planted_evidence[0][0] in report_doc
 
 
@@ -262,9 +260,7 @@ def test_criterion_7_pair_construction_contracts(fixture_paragraphs):
     """No date tokens in chronological outputs; accounting-only overlaps give
     nothing; lexical structure holds on 100% of outputs; regeneration is
     byte-identical under a fixed seed."""
-    chrono = []
-    for firm_corpus in corpus.group_by_firm(fixture_paragraphs).values():
-        chrono.extend(pairgen.build_chronological_pairs(firm_corpus))
+    chrono = pairgen.build_chronological_pairs(fixture_paragraphs)
     assert chrono
     for pair in chrono:
         assert pairgen.scan_tokens(pair.left_tokens) == []
@@ -277,8 +273,7 @@ def test_criterion_7_pair_construction_contracts(fixture_paragraphs):
     acct_b = corpus.Paragraph("X:2023:1A:0001", "X", 2023, "1A", "",
                               tuple(corpus.tokenize(
                                   f"as of December 31, 2023 we saw {filler}")))
-    assert pairgen.build_chronological_pairs(
-        corpus.FirmCorpus("X", [acct_a, acct_b])) == []
+    assert pairgen.build_chronological_pairs([acct_a, acct_b]) == []
 
     lexical = pairgen.build_lexical_pairs(fixture_paragraphs, rng_seed=SEED)
     assert lexical
@@ -291,10 +286,7 @@ def test_criterion_7_pair_construction_contracts(fixture_paragraphs):
 
     again = pairgen.build_lexical_pairs(fixture_paragraphs, rng_seed=SEED)
     assert again == lexical
-    chrono_again = []
-    for firm_corpus in corpus.group_by_firm(fixture_paragraphs).values():
-        chrono_again.extend(pairgen.build_chronological_pairs(firm_corpus))
-    assert chrono_again == chrono
+    assert pairgen.build_chronological_pairs(fixture_paragraphs) == chrono
 
 
 def test_criterion_8_metric_correctness():

@@ -1,5 +1,6 @@
 """Command-line contracts: error reporting, cleanup, config precedence, pipeline."""
 
+import calendar
 import importlib
 import json
 import math
@@ -286,6 +287,27 @@ def test_ingest_rejects_missing_root(tmp_path, capsys):
     assert "nowhere" in err
 
 
+@pytest.mark.parametrize("view", ["chronological", "both"])
+def test_pairs_on_a_view_that_builds_no_pair_is_insufficient_pairs(pipeline_dir, tmp_path,
+                                                                   capsys, view):
+    """Without month names the fixture has no date to pair on: the empty view
+    is an error before anything is staged, not empty files for train."""
+    months = {name.lower() for name in calendar.month_name if name}
+    paragraphs = tmp_path / "paragraphs.jsonl"
+    records = [json.loads(line)
+               for line in (pipeline_dir / "paragraphs.jsonl").read_text().splitlines()]
+    for record in records:
+        record["tokens"] = [token for token in record["tokens"] if token not in months]
+    paragraphs.write_text("".join(json.dumps(record) + "\n" for record in records))
+    code, out, err = run(["pairs", "--in", str(paragraphs), "--view", view, "--seed", "7",
+                          "--train", "140", "--val", "25", "--out", str(tmp_path / "pairs")],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: InsufficientPairs: view chronological: 0 pairs available, "
+                   "140+25 requested\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["paragraphs.jsonl"]
+
+
 def test_insufficient_pairs_is_clean_error(pipeline_dir, tmp_path, capsys):
     code, _, err = run(["pairs", "--in", str(pipeline_dir / "paragraphs.jsonl"),
                         "--seed", "3", "--train", "100000", "--val", "10",
@@ -513,6 +535,8 @@ def test_sweep_on_short_price_row_is_clean_error(pipeline_dir, fixture_manifest,
     ("\n\n", "empty CSV file: {path}"),
     ("ticker,sector,industry\nAAA,Tech\n",
      "malformed CSV row in {path} line 2: expected 3 fields, got 2"),
+    ("ticker,sector,industry\nACME,Tech,Software\nBOLT,Tech,Hardware\nACME,Energy,Oil\n",
+     "malformed CSV row in {path} line 4: ticker 'ACME' repeated"),
 ])
 def test_evaluate_on_malformed_gics_file_is_clean_error(pipeline_dir, fixture_manifest,
                                                         tmp_path, capsys, content, detail):
@@ -638,8 +662,10 @@ def test_bad_close_price_names_file_and_line(pipeline_dir, fixture_manifest, tmp
     (b'{"firm_a": "A", "firm_b": "B", "rrs": 0.5, "threshold": 0.75, "evidence": '
      b'[{"id_a": "A:0", "id_b": "B:0", "similarity": 0.9}], "texts": ["risk", "risk"]}',
      "list indices must be integers or slices, not str"),
+    (b'{"firm_a": "A", "firm_b": "B", "rrs": 0.5, "threshold": 0.75, "evidence": []}',
+     "missing key 'texts'"),
 ], ids=["not_json", "no_rrs", "rrs_not_a_number", "undecodable", "id_missing_from_texts",
-        "texts_not_an_object"])
+        "texts_not_an_object", "no_texts"])
 def test_report_on_malformed_evidence_document_names_it(tmp_path, capsys, document, detail):
     (tmp_path / "rrs.csv").write_text("firm,A,B\nA,1,0.5\nB,0.5,1\n")
     (tmp_path / "evidence").mkdir()

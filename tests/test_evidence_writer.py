@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrel.corpus import Paragraph
 from riskrel.errors import UnknownParagraphId
 from riskrel.scoring import MrpResult, mrp_result_to_dict, write_evidence_files
 
@@ -32,13 +31,9 @@ thresholds = st.one_of(st.sampled_from([0, 1]), st.floats(0, 1),
                        st.floats(0, 1).map(np.float64))
 
 
-def oracle(result, paragraphs):
-    doc = mrp_result_to_dict(result, paragraphs)
+def oracle(result, paragraph_texts):
+    doc = mrp_result_to_dict(result, paragraph_texts)
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-
-
-def paragraph(pid, firm, text):
-    return Paragraph(pid, firm, 2023, "1A", text, ())
 
 
 @st.composite
@@ -58,78 +53,70 @@ def results(draw):
         mrps_a=tuple(sorted(draw(st.sets(st.sampled_from(ids_a)))) if ids_a else ()),
         mrps_b=tuple(sorted(draw(st.sets(st.sampled_from(ids_b)))) if ids_b else ()),
         evidence=evidence)
-    paragraphs = None
-    if draw(st.booleans()):
-        paragraphs = {pid: paragraph(pid, firm, draw(texts))
-                      for firm, ids in ((firm_a, ids_a), (firm_b, ids_b))
-                      for pid in ids}
-    return result, paragraphs
+    return result, {pid: draw(texts) for pid in ids_a + ids_b}
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=results())
 def test_writer_matches_json_dumps_byte_for_byte(case):
-    result, paragraphs = case
+    result, paragraph_texts = case
     with tempfile.TemporaryDirectory() as tmp:
-        [path] = write_evidence_files([result], tmp, paragraphs)
-        assert path.read_bytes() == oracle(result, paragraphs)
+        [path] = write_evidence_files([result], tmp, paragraph_texts)
+        assert path.read_bytes() == oracle(result, paragraph_texts)
         assert [p.name for p in Path(tmp).iterdir()] == [path.name]
 
 
-@pytest.mark.parametrize("paragraphs", [None, {}])
-def test_empty_mrps_and_evidence(tmp_path, paragraphs):
+def test_empty_mrps_and_evidence(tmp_path):
     result = MrpResult("B", "A", 0.75, 3, 4, (), (), [])
-    [path] = write_evidence_files([result], tmp_path, paragraphs)
+    [path] = write_evidence_files([result], tmp_path, {})
     assert path.name == "A__B.json"
-    assert path.read_bytes() == oracle(result, paragraphs)
-    tail = b'"evidence": []\n}\n' if paragraphs is None else b'"evidence": [],\n  "texts": {}\n}\n'
-    assert path.read_bytes().endswith(tail)
+    assert path.read_bytes() == oracle(result, {})
+    assert path.read_bytes().endswith(b'"evidence": [],\n  "texts": {}\n}\n')
 
 
 def _shared_paragraph_results():
-    shared = paragraph("A:0", "A", 'shared "risk" \\ text\u2028\U0001F600')
-    paragraphs = {shared.id: shared}
+    paragraph_texts = {"A:0": 'shared "risk" \\ text\u2028\U0001F600'}
     results = []
     for firm in ("B", "C", "D"):
-        other = paragraph(f"{firm}:0", firm, f"{firm} text")
-        paragraphs[other.id] = other
-        results.append(MrpResult("A", firm, 0.5, 1, 1, (shared.id,), (other.id,),
-                                 [(shared.id, other.id, 0.75), (shared.id, other.id, 0.5)]))
-    return results, paragraphs
+        other = f"{firm}:0"
+        paragraph_texts[other] = f"{firm} text"
+        results.append(MrpResult("A", firm, 0.5, 1, 1, ("A:0",), (other,),
+                                 [("A:0", other, 0.75), ("A:0", other, 0.5)]))
+    return results, paragraph_texts
 
 
 def test_paragraph_shared_across_files_is_escaped_alike(tmp_path):
-    results, paragraphs = _shared_paragraph_results()
-    paths = write_evidence_files(results, tmp_path, paragraphs)
-    escaped = json.dumps(paragraphs["A:0"].text, ensure_ascii=False)
+    results, paragraph_texts = _shared_paragraph_results()
+    paths = write_evidence_files(results, tmp_path, paragraph_texts)
+    escaped = json.dumps(paragraph_texts["A:0"], ensure_ascii=False)
     for result, path in zip(results, paths):
         body = path.read_bytes()
-        assert body == oracle(result, paragraphs)
+        assert body == oracle(result, paragraph_texts)
         assert body.count(escaped.encode("utf-8")) == 1
         assert body.count(f'"A:0": {escaped}'.encode("utf-8")) == 1
 
 
 @pytest.mark.parametrize("bad_text", [None, "lone \ud800 surrogate"])
 def test_failed_pair_leaves_earlier_files_and_no_partial_file(tmp_path, bad_text):
-    results, paragraphs = _shared_paragraph_results()
+    results, paragraph_texts = _shared_paragraph_results()
     if bad_text is None:
         # The unknown id comes after a good entry, so the document was begun.
         results[2].evidence.append(("A:0", "D:missing", 0.25))
         error = UnknownParagraphId
     else:
-        paragraphs["D:0"] = paragraph("D:0", "D", bad_text)
+        paragraph_texts["D:0"] = bad_text
         error = UnicodeEncodeError
     with pytest.raises(error):
-        write_evidence_files(results, tmp_path, paragraphs)
+        write_evidence_files(results, tmp_path, paragraph_texts)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["A__B.json", "A__C.json"]
     for result in results[:2]:
         path = tmp_path / f"A__{result.firm_b}.json"
-        assert path.read_bytes() == oracle(result, paragraphs)
+        assert path.read_bytes() == oracle(result, paragraph_texts)
 
 
 def test_rewrite_replaces_existing_file(tmp_path):
-    results, paragraphs = _shared_paragraph_results()
+    results, paragraph_texts = _shared_paragraph_results()
     (tmp_path / "A__B.json").write_text("stale " * 1000)
-    write_evidence_files(results[:1], tmp_path, paragraphs)
-    assert (tmp_path / "A__B.json").read_bytes() == oracle(results[0], paragraphs)
+    write_evidence_files(results[:1], tmp_path, paragraph_texts)
+    assert (tmp_path / "A__B.json").read_bytes() == oracle(results[0], paragraph_texts)
     assert [p.name for p in tmp_path.iterdir()] == ["A__B.json"]

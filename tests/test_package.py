@@ -1,7 +1,11 @@
 """Each public name has one import path, ``riskrel.<module>.<name>``: the
 package namespace re-exports nothing, so importing one module loads only
-what that module imports."""
+what that module imports. Every name the benchmark under ``bench/`` imports
+from riskrel, or traces by name, exists."""
 
+import ast
+import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -31,3 +35,41 @@ def test_importing_synthetic_loads_only_what_it_imports():
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.split() == ["riskrel", "riskrel.corpus", "riskrel.errors",
                                    "riskrel.synthetic"]
+
+
+def _bench_imports():
+    """(module, name) for each name ``bench/*.py`` and ``bench/tests/*.py``
+    import from riskrel; name is None for a plain ``import riskrel.<module>``."""
+    for path in sorted([*ROOT.glob("bench/*.py"), *ROOT.glob("bench/tests/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "riskrel":
+                yield from ((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                yield from ((alias.name, None) for alias in node.names
+                            if alias.name.split(".")[0] == "riskrel")
+
+
+def test_every_name_the_benchmark_imports_from_riskrel_exists():
+    imports = sorted(set(_bench_imports()), key=str)
+    assert ("riskrel.scoring", "embed_corpus") in imports
+    missing = []
+    for module, name in imports:
+        try:
+            holder = importlib.import_module(module)
+            if name is not None and not hasattr(holder, name):
+                importlib.import_module(f"{module}.{name}")
+        except ImportError:
+            missing.append(f"{module}.{name}" if name else module)
+    assert not missing
+
+
+def test_every_function_the_benchmark_hooks_exists():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.HOOKS
+    for key in spans.HOOKS:
+        layer, name = key.split(".")
+        assert inspect.isfunction(getattr(importlib.import_module(f"riskrel.{layer}"),
+                                          name, None)), key

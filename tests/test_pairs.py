@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskrel import pairs as pairgen
-from riskrel.corpus import FirmCorpus, Paragraph, tokenize
+from riskrel.corpus import Paragraph, tokenize
 from riskrel.errors import InsufficientPairs
 from riskrel.pairs import (
     build_chronological_pairs,
@@ -186,7 +186,7 @@ def test_chronological_pair_shares_date_and_strips_it():
     a = make_paragraph(f"On July 8, 2024 supply halted. {_filler(30, 'a')}", ordinal=0)
     b = make_paragraph(f"Shipping stopped on July 8, 2024 entirely. {_filler(30, 'b')}",
                        ordinal=1)
-    (pair,) = build_chronological_pairs(FirmCorpus("ACME", [a, b]))
+    (pair,) = build_chronological_pairs([a, b])
     assert pair.view == pairgen.CHRONOLOGICAL
     assert pair.provenance == (a.id, b.id)
     for side in (pair.left_tokens, pair.right_tokens):
@@ -198,21 +198,32 @@ def test_chronological_pair_shares_date_and_strips_it():
 def test_accounting_only_overlap_yields_no_pair():
     a = make_paragraph(f"ended December 31, 2023 quarter. {_filler(30, 'a')}", ordinal=0)
     b = make_paragraph(f"as of December 31, 2023 totals. {_filler(30, 'b')}", ordinal=1)
-    assert build_chronological_pairs(FirmCorpus("ACME", [a, b])) == []
+    assert build_chronological_pairs([a, b]) == []
 
 
 def test_cross_firm_dates_never_pair():
     a = make_paragraph(f"On July 8, 2024 outage. {_filler(30, 'a')}", firm="ACME")
     b = make_paragraph(f"On July 8, 2024 outage. {_filler(30, 'b')}", firm="BOLT")
-    assert build_chronological_pairs(FirmCorpus("ACME", [a])) == []
-    assert build_chronological_pairs(FirmCorpus("BOLT", [b])) == []
+    assert build_chronological_pairs([a, b]) == []
+
+
+def test_chronological_pairs_come_firm_by_firm_in_sorted_order():
+    def para(firm, day, ordinal):
+        return make_paragraph(f"On July {day}, 2024 {firm} outage. {_filler(30, firm)}",
+                              firm=firm, ordinal=ordinal)
+
+    zulu = [para("ZULU", 8, k) for k in range(2)]
+    acme = [para("ACME", day, k) for k, day in enumerate((9, 8, 9, 8))]
+    pairs = build_chronological_pairs([zulu[0], acme[0], acme[1], zulu[1], acme[2], acme[3]])
+    # ACME before ZULU; within ACME, July 8 before July 9, each in paragraph order.
+    assert [pair.provenance for pair in pairs] == [
+        (acme[1].id, acme[3].id), (acme[0].id, acme[2].id), (zulu[0].id, zulu[1].id)]
 
 
 def test_pair_dropped_when_too_short_after_removal():
     a = make_paragraph(f"On July 8, 2024 fail. {_filler(10, 'a')}", ordinal=0)
     b = make_paragraph(f"On July 8, 2024 fail. {_filler(30, 'b')}", ordinal=1)
-    assert build_chronological_pairs(FirmCorpus("ACME", [a, b]),
-                                     min_tokens=20) == []
+    assert build_chronological_pairs([a, b], min_tokens=20) == []
 
 
 def test_one_pair_per_unordered_pair_even_with_two_shared_dates():
@@ -220,7 +231,7 @@ def test_one_pair_per_unordered_pair_even_with_two_shared_dates():
     text_b = f"Both July 8, 2024 and October 5, 2024 hit us. {_filler(30, 'b')}"
     a = make_paragraph(text_a, ordinal=0)
     b = make_paragraph(text_b, ordinal=1)
-    result = build_chronological_pairs(FirmCorpus("ACME", [a, b]))
+    result = build_chronological_pairs([a, b])
     assert len(result) == 1
 
 
@@ -231,7 +242,7 @@ def test_date_removal_reaches_fixpoint_on_juxtaposed_tokens():
     other = f"seen July 8, 2024 at the plant. {_filler(30, 'b')}"
     a = make_paragraph(text, ordinal=0)
     b = make_paragraph(other, ordinal=1)
-    (pair,) = build_chronological_pairs(FirmCorpus("ACME", [a, b]))
+    (pair,) = build_chronological_pairs([a, b])
     assert scan_tokens(pair.left_tokens) == []
     assert scan_tokens(pair.right_tokens) == []
 

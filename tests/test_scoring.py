@@ -460,12 +460,10 @@ def test_embed_corpus_keeps_empty_firm():
 def test_render_evidence_shows_top_three_pairs_with_texts_cut():
     texts = {f"{firm}:{k}": f"{firm} risk {k} " + "x" * 300
              for firm in "AB" for k in range(4)}
-    paragraphs = {pid: Paragraph(pid, pid[0], 2023, "1A", text, ("risk",))
-                  for pid, text in texts.items()}
     evidence = [(f"A:{k}", f"B:{k}", 0.99 - k / 100) for k in range(4)]
     result = scoring.MrpResult("A", "B", 0.75, 4, 4, ("A:0", "A:1", "A:2", "A:3"),
                                ("B:0", "B:1", "B:2", "B:3"), evidence)
-    lines = render_evidence(mrp_result_to_dict(result, paragraphs)).split("\n")
+    lines = render_evidence(mrp_result_to_dict(result, texts)).split("\n")
     assert lines[:3] == ["Strongest pair A - B: RRS 1.000000 at threshold 0.75, "
                          "4 evidence pairs.", "", "- similarity 0.9900: `A:0` / `B:0`"]
     assert lines[3:5] == [f"    - {texts['A:0'][:220]}", f"    - {texts['B:0'][:220]}"]
@@ -475,14 +473,15 @@ def test_render_evidence_shows_top_three_pairs_with_texts_cut():
 
 def test_render_evidence_without_evidence_pairs():
     result = scoring.MrpResult("A", "B", 0.75, 2, 3, (), (), [])
-    assert render_evidence(mrp_result_to_dict(result)) == (
+    assert render_evidence(mrp_result_to_dict(result, {})) == (
         "Strongest pair A - B: RRS 0.000000 at threshold 0.75, 0 evidence pairs.\n\n")
 
 
 def test_evidence_files_named_lexicographically(tmp_path):
     index = make_index({"ZZZ": [[1.0, 0.0]], "AAA": [[1.0, 0.0]]})
     result = find_mrps(index, "ZZZ", "AAA", 0.5)
-    paths = write_evidence_files([result], tmp_path)
+    paths = write_evidence_files([result], tmp_path, {"AAA:2023:1A:0000": "risk a",
+                                                      "ZZZ:2023:1A:0000": "risk z"})
     assert paths == [evidence_path(tmp_path, "ZZZ", "AAA")]
     assert [p.name for p in paths] == ["AAA__ZZZ.json"]
     doc = json.loads(paths[0].read_text())
@@ -491,12 +490,9 @@ def test_evidence_files_named_lexicographically(tmp_path):
 
 
 def test_mrp_result_to_dict_includes_texts():
-    para_a = Paragraph("A:1", "A", 2023, "1A", "text a", ("text", "a"))
-    para_a0 = Paragraph("A:0", "A", 2023, "1A", "text a0", ("text", "a0"))
-    para_b = Paragraph("B:1", "B", 2023, "1A", "text b", ("text", "b"))
     result = scoring.MrpResult("A", "B", 0.75, 2, 1, ("A:0", "A:1"), ("B:1",),
                                [("A:1", "B:1", 0.9), ("A:0", "B:1", 0.8)])
-    doc = mrp_result_to_dict(result, {"A:1": para_a, "B:1": para_b, "A:0": para_a0})
+    doc = mrp_result_to_dict(result, {"A:1": "text a", "B:1": "text b", "A:0": "text a0"})
     # Each text once, keyed by id, ids sorted rather than in evidence order.
     assert list(doc["texts"].items()) == [("A:0", "text a0"), ("A:1", "text a"),
                                           ("B:1", "text b")]
@@ -504,9 +500,8 @@ def test_mrp_result_to_dict_includes_texts():
                          "mrps_a", "mrps_b", "evidence", "texts"]
     assert doc["evidence"] == [{"id_a": "A:1", "id_b": "B:1", "similarity": 0.9},
                                {"id_a": "A:0", "id_b": "B:1", "similarity": 0.8}]
-    assert "texts" not in mrp_result_to_dict(result)
     with pytest.raises(UnknownParagraphId):
-        mrp_result_to_dict(result, {"A:1": para_a})
+        mrp_result_to_dict(result, {"A:1": "text a"})
 
 
 # --- file round trips ---

@@ -35,13 +35,13 @@ def test_prices_and_gics_cover_every_firm(fixture_manifest):
 
 def test_shared_dates_stay_within_one_firm(fixture_paragraphs):
     # Event dates may repeat across firms by coincidence of the rotation,
-    # but chronological pairing only ever sees one firm's corpus at a time;
-    # each firm must supply pairs of its own.
-    for firm, fc in corpus.group_by_firm(fixture_paragraphs).items():
-        generated = pairs.build_chronological_pairs(fc)
-        assert generated, firm
-        for pair in generated:
-            assert {pid.split(":")[0] for pid in pair.provenance} == {firm}
+    # but chronological pairing groups dates by firm; each firm must supply
+    # pairs of its own.
+    firms = set()
+    for pair in pairs.build_chronological_pairs(fixture_paragraphs):
+        (firm,) = {pid.split(":")[0] for pid in pair.provenance}
+        firms.add(firm)
+    assert firms == {p.firm_id for p in fixture_paragraphs}
 
 
 def test_every_paragraph_clears_segmentation_floor(fixture_paragraphs):
@@ -50,10 +50,8 @@ def test_every_paragraph_clears_segmentation_floor(fixture_paragraphs):
 
 
 def test_fixture_supports_default_split_counts(fixture_paragraphs):
-    all_pairs = []
-    for fc in corpus.group_by_firm(fixture_paragraphs).values():
-        all_pairs.extend(pairs.build_chronological_pairs(fc))
-    all_pairs.extend(pairs.build_lexical_pairs(fixture_paragraphs, rng_seed=7))
+    all_pairs = (pairs.build_chronological_pairs(fixture_paragraphs)
+                 + pairs.build_lexical_pairs(fixture_paragraphs, rng_seed=7))
     by_view = {}
     for p in all_pairs:
         by_view[p.view] = by_view.get(p.view, 0) + 1
