@@ -192,13 +192,13 @@ def _load_index(model_path: str, paragraphs_path: str
     vocab, params, max_len = load_model(_require_file(model_path, "model file"))
     paragraphs = corpus.read_paragraphs(_require_file(paragraphs_path, "paragraph file"))
     corpora = corpus.group_by_firm(paragraphs).values()
-    index = scoring.embed_corpus(vocab, params, corpora, max_len=max_len,
-                                 model_fingerprint=model_fingerprint(model_path))
+    index = scoring.embed_corpus(vocab, params, corpora, max_len=max_len)
     return index, {p.id: p.text for p in paragraphs}
 
 
 def cmd_embed(args: argparse.Namespace, outputs: Outputs) -> None:
     index, _ = _load_index(args.model, args.infile)
+    index.model_fingerprint = model_fingerprint(args.model)
     scoring.save_embeddings(index, outputs(args.out))
     total = sum(len(ids) for ids, _ in index.firms.values())
     print(f"embed: wrote {total} vectors for {len(index.firms)} firms to {args.out}")

@@ -38,9 +38,7 @@ over R = 51-345 tokens.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
-import os
 import struct
 import sys
 from collections import Counter
@@ -65,7 +63,6 @@ DEFAULT_MAX_LEN = 256
 NORM_EPS = 1e-12
 
 _MODEL_MAGIC = b"RRENC001"
-_MODEL_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -241,46 +238,88 @@ def pad_batch(id_lists: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-# --- model file format ---
+# --- the riskrel binary container: model.bin and embeddings.bin ---
 #
-#   offset 0   8 bytes   magic "RRENC001"
-#   offset 8   u32 LE    format version (1)
-#   offset 12  u32 LE    embedding width d
-#   offset 16  u32 LE    vocabulary size |V|
-#   offset 20  u32 LE    max_len the model was trained with
-#   then |V| vocabulary entries, each: u32 LE byte length + UTF-8 token
-#   then embed  (|V| x d) float64 LE, row-major
-#   then proj_w (d x d)   float64 LE, row-major
-#   then proj_b (d,)      float64 LE
+# An 8-byte magic ("RRENC001" model, "RREMB001" embeddings), the u32 LE format
+# version (1), then the kind's u32 LE fields, texts (u32 LE byte length +
+# encoded bytes) and row-major float64 LE blocks, read and written only here:
+#
+#   model       d, |V|, max_len; |V| UTF-8 tokens; embed (|V| x d), proj_w
+#               (d x d), proj_b (d,)
+#   embeddings  d, max_len, firm count; the model fingerprint (ASCII); per
+#               firm, sorted, its id, a u32 LE paragraph count and per
+#               paragraph its id and d values (riskrel.scoring)
+
+_VERSION = 1
+
+
+def _pack_header(magic: bytes, *fields: int) -> bytes:
+    return magic + struct.pack(f"<{len(fields) + 1}I", _VERSION, *fields)
+
+
+def _pack_text(value: str, encoding: str = "utf-8") -> bytes:
+    raw = value.encode(encoding)
+    return len(raw).to_bytes(4, "little") + raw
+
+
+class _Reader:
+    """A riskrel binary file of one kind, read whole once its magic matches.
+
+    A field past the end is the one truncation error; a text that does not
+    decode raises ``UnicodeDecodeError``."""
+
+    def __init__(self, path: str | Path, kind: str, magic: bytes) -> None:
+        self.path, self.kind = path, kind
+        with open(path, "rb") as fh:
+            if fh.read(8) != magic:
+                raise ValueError(f"not a riskrel {kind} file: {path}")
+            self.data = fh.read()
+        self.pos = 0
+        (version,) = self.u32s(1)
+        if version != _VERSION:
+            raise ValueError(f"unsupported {kind} format version {version}")
+
+    def malformed(self, detail: object) -> ValueError:
+        return ValueError(f"malformed {self.kind} file {self.path}: {detail}")
+
+    def truncated(self) -> ValueError:
+        return ValueError(f"truncated riskrel binary file: {self.path}")
+
+    def take(self, n: int) -> bytes:
+        start = self.pos
+        self.pos += n
+        if self.pos > len(self.data):
+            raise self.truncated()
+        return self.data[start:self.pos]
+
+    def u32s(self, n: int) -> tuple[int, ...]:
+        return struct.unpack(f"<{n}I", self.take(4 * n))
+
+    def text(self, encoding: str = "utf-8") -> str:
+        # Self-contained, not a take() per field: load_model reads a text per token.
+        start = self.pos + 4
+        self.pos = start + int.from_bytes(self.data[start - 4:start], "little")
+        if self.pos > len(self.data):
+            raise self.truncated()
+        return self.data[start:self.pos].decode(encoding)
+
+    def floats(self, *shape: int) -> np.ndarray:
+        return np.frombuffer(self.take(8 * math.prod(shape)), "<f8").reshape(shape).astype(float)
+
+    def end(self, last: str) -> None:
+        if self.pos != len(self.data):
+            raise self.malformed(f"bytes after the last {last}")
+
 
 def save_model(path: str | Path, vocab: Vocabulary, params: EncoderParams,
                max_len: int = DEFAULT_MAX_LEN) -> None:
     """Write vocabulary and parameters in the binary model format."""
     if len(vocab) != params.vocab_size:
         raise ValueError("vocabulary and embedding row count disagree")
-    with open(path, "wb") as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<III", _MODEL_VERSION, params.d, params.vocab_size))
-        fh.write(struct.pack("<I", max_len))
-        for token in vocab.index_to_token:
-            raw = token.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        for block in params.blocks():
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
-
-
-def read_exact(fh, n: int, path: str | Path) -> bytes:
-    """Read exactly n bytes or fail with a clear truncation error.
-
-    A read allocates all n bytes first, so a length over the buffer size is
-    checked against the rest of the file before it is read.
-    """
-    past_end = n > io.DEFAULT_BUFFER_SIZE and n > os.fstat(fh.fileno()).st_size - fh.tell()
-    data = b"" if past_end else fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated riskrel binary file: {path}")
-    return data
+    Path(path).write_bytes(b"".join([
+        _pack_header(_MODEL_MAGIC, params.d, params.vocab_size, max_len),
+        *map(_pack_text, vocab.index_to_token),
+        *(np.ascontiguousarray(block, dtype="<f8") for block in params.blocks())]))
 
 
 def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
@@ -291,38 +330,24 @@ def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
     max_len below 1, first tokens other than PAD and UNK, an undecodable
     token, bytes after the last parameter or a non-finite parameter.
     """
-    def malformed(detail: object) -> ValueError:
-        return ValueError(f"malformed model file {path}: {detail}")
-
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MODEL_MAGIC:
-            raise ValueError(f"not a riskrel model file: {path}")
-        version, d, vocab_size = struct.unpack("<III", read_exact(fh, 12, path))
-        if version != _MODEL_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
-        for name, value in (("vocabulary size", vocab_size), ("width d", d)):
-            if value < 2:
-                raise malformed(f"{name} {value} < 2")
-        (max_len,) = struct.unpack("<I", read_exact(fh, 4, path))
-        if max_len < 1:
-            raise malformed(f"max_len {max_len} < 1")
-        tokens = []
+    r = _Reader(path, "model", _MODEL_MAGIC)
+    d, vocab_size, max_len = r.u32s(3)
+    for name, value, least in (("vocabulary size", vocab_size, 2), ("width d", d, 2),
+                               ("max_len", max_len, 1)):
+        if value < least:
+            raise r.malformed(f"{name} {value} < {least}")
+    tokens: list[str] = []
+    try:
         for _ in range(vocab_size):
-            (length,) = struct.unpack("<I", read_exact(fh, 4, path))
-            try:
-                tokens.append(sys.intern(read_exact(fh, length, path).decode("utf-8")))
-            except UnicodeDecodeError as exc:
-                raise malformed(f"token {len(tokens)}: {exc}") from None
-        if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
-            raise malformed(f"first tokens {tokens[:2]} are not {[PAD_TOKEN, UNK_TOKEN]}")
-        blocks = [np.frombuffer(read_exact(fh, 8 * math.prod(shape), path), dtype="<f8")
-                  .reshape(shape).astype(np.float64)
-                  for shape in ((vocab_size, d), (d, d), (d,))]
-        if fh.read(1):
-            raise malformed("bytes after the last parameter")
+            tokens.append(sys.intern(r.text()))
+    except UnicodeDecodeError as exc:
+        raise r.malformed(f"token {len(tokens)}: {exc}") from None
+    if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
+        raise r.malformed(f"first tokens {tokens[:2]} are not {[PAD_TOKEN, UNK_TOKEN]}")
+    blocks = [r.floats(vocab_size, d), r.floats(d, d), r.floats(d)]
+    r.end("parameter")
     if not all(np.isfinite(block).all() for block in blocks):
-        raise malformed("parameters must be finite")
+        raise r.malformed("parameters must be finite")
     vocab = Vocabulary(index_to_token=tuple(tokens),
                        token_to_index={t: i for i, t in enumerate(tokens)})
     return vocab, EncoderParams(*blocks), max_len
@@ -330,8 +355,4 @@ def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
 
 def model_fingerprint(path: str | Path) -> str:
     """SHA-256 of the model file, used to tie embeddings to their model."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

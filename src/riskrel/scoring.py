@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import encode_basestring
@@ -61,8 +60,10 @@ from .encoder import (
     EncoderParams,
     TokenCounts,
     Vocabulary,
+    _pack_header,
+    _pack_text,
+    _Reader,
     forward,
-    read_exact,
     unit_rows,
 )
 from .errors import DimensionMismatch, EmptyFirm, EmptyParagraph, UnknownParagraphId
@@ -70,7 +71,6 @@ from .errors import DimensionMismatch, EmptyFirm, EmptyParagraph, UnknownParagra
 DEFAULT_THRESHOLD = 0.75
 
 _EMB_MAGIC = b"RREMB001"
-_EMB_VERSION = 1
 
 
 @dataclass
@@ -531,82 +531,67 @@ def read_rrs_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
 
 
 def save_embeddings(index: EmbeddingIndex, path: str | Path) -> None:
-    """Write an embedding index in the binary embeddings format."""
+    """Write an embedding index in the binary embeddings format.
+
+    A firm whose vectors are not :attr:`EmbeddingIndex.d` wide, the one width
+    the file records, is a :class:`DimensionMismatch`, raised before writing."""
     d = index.d
-    with open(path, "wb") as fh:
-        fh.write(_EMB_MAGIC)
-        fingerprint = index.model_fingerprint.encode("ascii")
-        fh.write(struct.pack("<IIII", _EMB_VERSION, d, index.max_len,
-                             len(index.firms)))
-        fh.write(struct.pack("<I", len(fingerprint)))
-        fh.write(fingerprint)
-        for firm in sorted(index.firms):
-            ids, vectors = index.firms[firm]
-            raw_firm = firm.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw_firm)))
-            fh.write(raw_firm)
-            fh.write(struct.pack("<I", len(ids)))
-            for pid, row in zip(ids, vectors):
-                raw_id = pid.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw_id)))
-                fh.write(raw_id)
-                fh.write(np.ascontiguousarray(row, dtype="<f8").tobytes())
+    parts = [_pack_header(_EMB_MAGIC, d, index.max_len, len(index.firms)),
+             _pack_text(index.model_fingerprint, "ascii")]
+    for firm in sorted(index.firms):
+        ids, vectors = index.firms[firm]
+        if vectors.size and vectors.shape[1] != d:
+            raise DimensionMismatch(f"firm {firm!r} has vectors of width "
+                                    f"{vectors.shape[1]}, not {d}")
+        parts += (_pack_text(firm), len(ids).to_bytes(4, "little"))
+        parts += chain.from_iterable(zip(map(_pack_text, ids),
+                                         np.ascontiguousarray(vectors, dtype="<f8")))
+    Path(path).write_bytes(b"".join(parts))
 
 
 def load_embeddings(path: str | Path) -> EmbeddingIndex:
     """Read an index written by :func:`save_embeddings`.
 
     A truncated file is a ``ValueError`` naming it, and so is, as
-    ``malformed embeddings file <path>: …``, what ``embed`` never writes: an
-    undecodable fingerprint, firm or paragraph id, a firm id that
-    :func:`~riskrel.corpus.check_firm_id` rejects, a repeated firm or
-    paragraph id, vectors narrower than 2 or holding a value that is not
-    finite, or bytes after the last vector.
+    ``malformed embeddings file <path>: …``, what ``embed`` never writes: a
+    max_len below 1, an undecodable fingerprint, firm or paragraph id, a
+    firm id that :func:`~riskrel.corpus.check_firm_id` rejects, a repeated
+    firm or paragraph id, vectors narrower than 2 or holding a value that is
+    not finite, or bytes after the last vector.
     """
-    def malformed(detail) -> ValueError:
-        return ValueError(f"malformed embeddings file {path}: {detail}")
-
-    with open(path, "rb") as fh:
-        if fh.read(8) != _EMB_MAGIC:
-            raise ValueError(f"not a riskrel embeddings file: {path}")
-        version, d, max_len, n_firms = struct.unpack("<IIII", read_exact(fh, 16, path))
-        if version != _EMB_VERSION:
-            raise ValueError(f"unsupported embeddings format version {version}")
-
-        def text(encoding: str = "utf-8") -> str:
-            (length,) = struct.unpack("<I", read_exact(fh, 4, path))
-            try:
-                return read_exact(fh, length, path).decode(encoding)
-            except UnicodeDecodeError as exc:
-                raise malformed(exc) from None
-
-        fingerprint = text("ascii")
-        firms: dict[str, tuple[list[str], np.ndarray]] = {}
-        seen_ids: set[str] = set()
+    r = _Reader(path, "embeddings", _EMB_MAGIC)
+    d, max_len, n_firms = r.u32s(3)
+    if max_len < 1:
+        raise r.malformed(f"max_len {max_len} < 1")
+    firms: dict[str, tuple[list[str], np.ndarray]] = {}
+    seen_ids: set[str] = set()
+    try:
+        fingerprint = r.text("ascii")
         for _ in range(n_firms):
-            firm = text()
+            firm = r.text()
             try:
                 check_firm_id(firm)
             except ValueError as exc:
-                raise malformed(exc) from None
+                raise r.malformed(exc) from None
             if firm in firms:
-                raise malformed(f"firm {firm!r} repeated")
-            (count,) = struct.unpack("<I", read_exact(fh, 4, path))
+                raise r.malformed(f"firm {firm!r} repeated")
+            (count,) = r.u32s(1)
             ids, rows = [], []
             for _ in range(count):
-                pid = text()
+                pid = r.text()
                 if pid in seen_ids:
-                    raise malformed(f"paragraph id {pid!r} repeated")
+                    raise r.malformed(f"paragraph id {pid!r} repeated")
                 seen_ids.add(pid)
                 ids.append(pid)
-                rows.append(read_exact(fh, 8 * d, path))
+                rows.append(r.take(8 * d))
             vectors = np.frombuffer(b"".join(rows), dtype="<f8").reshape(count, d)
             if ids and d < 2:
-                raise malformed(f"firm {firm!r} has vectors of width {d}, below 2")
+                raise r.malformed(f"firm {firm!r} has vectors of width {d}, below 2")
             if not np.isfinite(vectors).all():
-                raise malformed(f"firm {firm!r} has a value that is not finite")
+                raise r.malformed(f"firm {firm!r} has a value that is not finite")
             firms[firm] = (ids, vectors.astype(np.float64))
-        if fh.read(1):
-            raise malformed("bytes after the last vector")
+    except UnicodeDecodeError as exc:
+        raise r.malformed(exc) from None
+    r.end("vector")
     return EmbeddingIndex(firms=firms, model_fingerprint=fingerprint,
                           max_len=max_len)

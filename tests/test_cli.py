@@ -930,6 +930,17 @@ def _stage_argv(pipeline_dir, tmp_path, command):
                       "--out", str(tmp_path / "sweep.csv")]}[command]
 
 
+@pytest.mark.parametrize("command", ["score", "sweep"])
+def test_only_embed_hashes_the_model(pipeline_dir, tmp_path, capsys, monkeypatch, command):
+    def refuse(path):
+        raise OSError(f"{command} hashed {path}")
+
+    monkeypatch.setattr(cli, "model_fingerprint", refuse)
+    code, out, err = run(_stage_argv(pipeline_dir, tmp_path, command), capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"{command}: ")
+
+
 def test_ingest_sections_choose_the_corpus(tmp_path, capsys):
     filing = tmp_path / "filings" / "ACME" / "2020.txt"
     filing.parent.mkdir(parents=True)

@@ -277,22 +277,26 @@ def test_model_rejects_garbage(tmp_path):
         load_model(path)
 
 
-def test_model_rejects_truncated_file(tmp_path):
-    vocab = build_vocab([["a", "a", "b", "b"]], min_freq=1)
-    path = tmp_path / "model.bin"
-    save_model(path, vocab, init_params(len(vocab), d=4, rng=0))
-    clipped = tmp_path / "clipped.bin"
-    clipped.write_bytes(path.read_bytes()[:40])
-    with pytest.raises(ValueError, match="truncated"):
-        load_model(clipped)
-
-
 def _model_bytes(d, tokens, value=0.5, vocab_size=None, max_len=256):
     """A model file of these tokens whose every parameter is ``value``."""
     size = len(tokens) if vocab_size is None else vocab_size
     return (b"RRENC001" + struct.pack("<IIII", 1, d, size, max_len)
             + b"".join(struct.pack("<I", len(t)) + t for t in tokens)
             + np.full(len(tokens) * d + d * d + d, value, dtype="<f8").tobytes())
+
+
+_MODEL_FILE = _model_bytes(4, [b"<pad>", b"<unk>", b"a", b"b"])
+
+
+@pytest.mark.parametrize("cut", range(len(_MODEL_FILE)))
+def test_model_rejects_truncated_file(tmp_path, cut):
+    """Every proper prefix: no magic below 8 bytes, then the one truncation error."""
+    path = tmp_path / "clipped.bin"
+    path.write_bytes(_MODEL_FILE[:cut])
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    expected = "not a riskrel model file" if cut < 8 else "truncated riskrel binary file"
+    assert str(exc.value) == f"{expected}: {path}"
 
 
 def test_model_bytes_helper_writes_what_save_model_writes(tmp_path):

@@ -330,17 +330,6 @@ def test_embed_corpus_matches_per_paragraph_reference(fixture_paragraphs):
             assert np.max(np.abs(vector - reference)) <= 1e-15
 
 
-def test_embeddings_rejects_truncated_file(tmp_path):
-    rng = np.random.default_rng(15)
-    index = make_index({"A": rng.normal(size=(3, 4))})
-    path = tmp_path / "emb.bin"
-    save_embeddings(index, path)
-    clipped = tmp_path / "clipped.bin"
-    clipped.write_bytes(path.read_bytes()[:30])
-    with pytest.raises(ValueError, match="truncated"):
-        load_embeddings(clipped)
-
-
 @pytest.mark.parametrize("old, new, detail", [
     (b"\x02\0\0\0fp", b"\x02\0\0\0f\xff",
      "'ascii' codec can't decode byte 0xff in position 1: ordinal not in range(128)"),
@@ -360,16 +349,44 @@ def test_embeddings_undecodable_text_names_the_file(tmp_path, old, new, detail):
     assert str(exc.value) == f"malformed embeddings file {path}: {detail}"
 
 
-def embeddings_bytes(firms, d=2, n_firms=None, fingerprint=b"fp"):
+def embeddings_bytes(firms, d=2, n_firms=None, fingerprint=b"fp", max_len=256):
     """A hand-built embeddings file: ``firms`` is a list of (name, ids, count)."""
     raw = scoring._EMB_MAGIC + struct.pack(
-        "<IIIII", 1, d, 256, len(firms) if n_firms is None else n_firms, len(fingerprint))
+        "<IIIII", 1, d, max_len, len(firms) if n_firms is None else n_firms, len(fingerprint))
     raw += fingerprint
     for firm, ids, count in firms:
         raw += struct.pack("<I", len(firm)) + firm + struct.pack("<I", count)
         for pid in ids:
             raw += struct.pack("<I", len(pid)) + pid + bytes(8 * d)
     return raw
+
+
+_EMB_FILE = embeddings_bytes([(b"A", [b"A:2023:1A:0000", b"A:2023:1A:0001"], 2),
+                              (b"EMPTY", [], 0)], d=3, fingerprint=b"test")
+
+
+def test_embeddings_bytes_helper_writes_what_save_embeddings_writes(tmp_path):
+    path = tmp_path / "emb.bin"
+    save_embeddings(make_index({"A": np.zeros((2, 3)), "EMPTY": np.empty((0, 3))}), path)
+    assert path.read_bytes() == _EMB_FILE
+
+
+@pytest.mark.parametrize("cut", range(len(_EMB_FILE)))
+def test_embeddings_rejects_truncated_file(tmp_path, cut):
+    """Every proper prefix: no magic below 8 bytes, then the one truncation error."""
+    path = tmp_path / "clipped.bin"
+    path.write_bytes(_EMB_FILE[:cut])
+    with pytest.raises(ValueError) as exc:
+        load_embeddings(path)
+    expected = "not a riskrel embeddings file" if cut < 8 else "truncated riskrel binary file"
+    assert str(exc.value) == f"{expected}: {path}"
+
+
+def test_save_embeddings_rejects_mixed_widths_before_writing(tmp_path):
+    path = tmp_path / "emb.bin"
+    with pytest.raises(DimensionMismatch, match="^firm 'B' has vectors of width 3, not 2$"):
+        save_embeddings(make_index({"A": np.ones((1, 2)), "B": np.ones((1, 3))}), path)
+    assert not path.exists()
 
 
 _FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', ':', '\"', "
@@ -387,8 +404,9 @@ _FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', '
     (embeddings_bytes([(b"A", [b"A:0"], 1)], d=1), "firm 'A' has vectors of width 1, below 2"),
     (embeddings_bytes([(b"A", [b"A:0"], 1)])[:-8] + struct.pack("<d", math.nan),
      "firm 'A' has a value that is not finite"),
+    (embeddings_bytes([(b"A", [b"A:0"], 1)], max_len=0), "max_len 0 < 1"),
 ], ids=["repeated_firm", "firm_with_slash", "firm_with_quote", "trailing_byte", "repeated_id",
-        "id_in_two_firms", "width_1", "nan"])
+        "id_in_two_firms", "width_1", "nan", "max_len_0"])
 def test_embeddings_that_embed_never_writes_are_malformed(tmp_path, raw, detail):
     path = tmp_path / "emb.bin"
     path.write_bytes(raw)
