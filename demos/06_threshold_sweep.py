@@ -24,7 +24,7 @@ index = scoring.embed_corpus(outcome.vocab, outcome.params,
                              corpus.group_by_firm(paragraphs).values())
 
 grid = evaluation.make_grid(0.6, 0.9, 0.05)
-table = scoring.max_similarity_table(index, scoring.firm_pairs(index.firm_ids()))
+table = scoring.max_similarity_table(index)
 rows = evaluation.threshold_sweep(table, grid, returns=returns)
 
 print(f"{'threshold':>9} {'mean RRS':>9} {'total MRPs':>11} {'rho':>8}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
@@ -198,24 +199,24 @@ def _load_index(model_path: str, paragraphs_path: str
 
 def cmd_embed(args: argparse.Namespace, outputs: Outputs) -> None:
     index, _ = _load_index(args.model, args.infile)
-    index.model_fingerprint = model_fingerprint(args.model)
+    index = replace(index, model_fingerprint=model_fingerprint(args.model))
     scoring.save_embeddings(index, outputs(args.out))
     total = sum(len(ids) for ids, _ in index.firms.values())
     print(f"embed: wrote {total} vectors for {len(index.firms)} firms to {args.out}")
 
 
 def cmd_score(args: argparse.Namespace, outputs: Outputs) -> None:
-    label = evaluation.read_back_label(args.threshold, "threshold",
+    threshold = args.threshold + 0.0  # -0.0 + 0.0 is 0.0: zero has one label, "0.00"
+    label = evaluation.read_back_label(threshold, "threshold",
                                        "score's summary line and report.md")
     index, texts = _load_index(args.model, args.paragraphs)
 
-    firms = index.firm_ids()
-    _, matrix = scoring.rrs_matrix(index, firms, args.threshold)
+    firms, matrix = scoring.rrs_matrix(index, threshold)
     scoring.write_rrs_csv(firms, matrix, outputs(args.out_matrix))
 
     if args.out_evidence:
         # A generator, so each pair's file is written before the next search.
-        results = (scoring.find_mrps(index, a, b, args.threshold)
+        results = (scoring.find_mrps(index, a, b, threshold)
                    for a, b in scoring.firm_pairs(firms))
         written = scoring.write_evidence_files(results, outputs(args.out_evidence), texts)
         print(f"score: wrote {len(written)} evidence files to {args.out_evidence}")
@@ -276,7 +277,7 @@ def cmd_sweep(args: argparse.Namespace, outputs: Outputs) -> None:
     index, _ = _load_index(args.model, args.paragraphs)
     returns = evaluation.read_prices_dir(args.prices) if args.prices else None
 
-    table = scoring.max_similarity_table(index, scoring.firm_pairs(index.firm_ids()))
+    table = scoring.max_similarity_table(index)
     rows = evaluation.threshold_sweep(table, grid, returns=returns)
     corpus.write_csv(outputs(args.out), ["threshold", "mean_rrs", "total_mrps", "rho"],
                      ((evaluation.threshold_label(row.threshold), row.mean_rrs,

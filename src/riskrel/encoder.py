@@ -120,7 +120,8 @@ def build_vocab(train_paragraphs: Iterable[Sequence[str]],
                 min_freq: int = DEFAULT_MIN_FREQ) -> Vocabulary:
     """Build a vocabulary from training-split token sequences.
 
-    Tokens below ``min_freq`` corpus frequency map to UNK. Ordering is
+    Tokens below ``min_freq`` corpus frequency map to UNK; a ``<pad>`` or ``<unk>``
+    in the text is that special token, never a second entry. Ordering is
     deterministic: frequency descending, then token ascending.
     """
     counts: Counter[str] = Counter()
@@ -130,7 +131,8 @@ def build_vocab(train_paragraphs: Iterable[Sequence[str]],
         n_sequences += 1
     if n_sequences == 0:
         raise EmptyCorpus("no training paragraphs supplied to build_vocab")
-    kept = sorted((t for t, c in counts.items() if c >= min_freq),
+    kept = sorted((t for t, c in counts.items()
+                   if c >= min_freq and t not in (PAD_TOKEN, UNK_TOKEN)),
                   key=lambda t: (-counts[t], t))
     index_to_token = (PAD_TOKEN, UNK_TOKEN) + tuple(kept)
     token_to_index = {t: i for i, t in enumerate(index_to_token)}
@@ -327,8 +329,9 @@ def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
 
     Besides a wrong magic, version or length, a file no training writes is a
     ``ValueError`` naming it: fewer than two tokens, a width d below 2, a
-    max_len below 1, first tokens other than PAD and UNK, an undecodable
-    token, bytes after the last parameter or a non-finite parameter.
+    max_len below 1, first tokens other than PAD and UNK, a repeated or
+    undecodable token, bytes after the last parameter or a non-finite
+    parameter.
     """
     r = _Reader(path, "model", _MODEL_MAGIC)
     d, vocab_size, max_len = r.u32s(3)
@@ -344,12 +347,15 @@ def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
         raise r.malformed(f"token {len(tokens)}: {exc}") from None
     if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
         raise r.malformed(f"first tokens {tokens[:2]} are not {[PAD_TOKEN, UNK_TOKEN]}")
+    token_to_index = {t: i for i, t in enumerate(tokens)}  # keeps a repeat's last index
+    if len(token_to_index) < len(tokens):
+        repeated = next(t for i, t in enumerate(tokens) if token_to_index[t] != i)
+        raise r.malformed(f"token {repeated!r} repeated")
     blocks = [r.floats(vocab_size, d), r.floats(d, d), r.floats(d)]
     r.end("parameter")
     if not all(np.isfinite(block).all() for block in blocks):
         raise r.malformed("parameters must be finite")
-    vocab = Vocabulary(index_to_token=tuple(tokens),
-                       token_to_index={t: i for i, t in enumerate(tokens)})
+    vocab = Vocabulary(index_to_token=tuple(tokens), token_to_index=token_to_index)
     return vocab, EncoderParams(*blocks), max_len
 
 

@@ -11,8 +11,8 @@ fraction of both firms' paragraphs that are MRPs:
 The score is symmetric, lives in [0, 1], and every contributing paragraph
 pair is retained as inspectable evidence.
 
-Search is exact all-pairs, one similarity block per firm pair, the pairs
-of a firm list in one order (:func:`firm_pairs`). Whether a paragraph is an
+Search is exact all-pairs, one similarity block per pair of an index's
+sorted firms, in one order (:func:`firm_pairs`). Whether a paragraph is an
 MRP at threshold t depends only on its maximum cosine to the other firm, so
 the matrix and the threshold sweep compute each block once and keep just
 those maxima, one flat array for all pairs (:class:`MaxSimTable`); a pair's
@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FirmCorpus, check_firm_id, read_lines, write_csv
+from .corpus import FirmCorpus, _csv_cell, check_firm_id, read_lines, write_csv
 from .encoder import (
     DEFAULT_MAX_LEN,
     EncoderParams,
@@ -73,23 +73,34 @@ DEFAULT_THRESHOLD = 0.75
 _EMB_MAGIC = b"RREMB001"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingIndex:
-    """Per-firm paragraph ids and embedding matrices from one model."""
+    """Per-firm paragraph ids and embedding matrices from one model, checked
+    once, when made: a firm's vectors have one row per id, else a ``ValueError``,
+    and every firm with rows has one width :attr:`d` (0 if none has rows), else
+    a :class:`DimensionMismatch`; each names the first such firm in sorted order."""
 
     firms: dict[str, tuple[list[str], np.ndarray]]
     model_fingerprint: str = ""
     max_len: int = DEFAULT_MAX_LEN
+    d: int = field(init=False, default=0)
+
+    def __post_init__(self) -> None:
+        d = None  # until a firm with rows is seen
+        for firm in self.firm_ids():
+            ids, vectors = self.firms[firm]
+            if vectors.ndim != 2 or vectors.shape[0] != len(ids):
+                raise ValueError(f"firm {firm!r} needs one vector row per id: "
+                                 f"{len(ids)} ids, vectors of shape {vectors.shape}")
+            if ids and d is None:
+                d = vectors.shape[1]
+            elif ids and vectors.shape[1] != d:
+                raise DimensionMismatch(f"firm {firm!r} has vectors of width "
+                                        f"{vectors.shape[1]}, not {d}")
+        object.__setattr__(self, "d", d or 0)
 
     def firm_ids(self) -> list[str]:
         return sorted(self.firms)
-
-    @property
-    def d(self) -> int:
-        for _, vectors in self.firms.values():
-            if vectors.size:
-                return vectors.shape[1]
-        return 0
 
 
 @dataclass
@@ -124,8 +135,7 @@ def rrs(mrp_count: int | np.ndarray, n_a: int | np.ndarray,
 
 def embed_corpus(vocab: Vocabulary, params: EncoderParams,
                  firm_corpora: Iterable[FirmCorpus],
-                 max_len: int = DEFAULT_MAX_LEN,
-                 model_fingerprint: str = "") -> EmbeddingIndex:
+                 max_len: int = DEFAULT_MAX_LEN) -> EmbeddingIndex:
     """Encode every paragraph of every firm, order preserved, a firm per batch."""
     firms: dict[str, tuple[list[str], np.ndarray]] = {}
     for corpus in firm_corpora:
@@ -136,8 +146,7 @@ def embed_corpus(vocab: Vocabulary, params: EncoderParams,
         except EmptyParagraph as exc:
             raise EmptyParagraph(f"paragraph {ids[exc.row]}: {exc}") from exc
         firms[corpus.firm_id] = (ids, rows)
-    return EmbeddingIndex(firms=firms, model_fingerprint=model_fingerprint,
-                          max_len=max_len)
+    return EmbeddingIndex(firms=firms, max_len=max_len)
 
 
 def _similarities(index: EmbeddingIndex, firm_a: str, firm_b: str,
@@ -147,24 +156,19 @@ def _similarities(index: EmbeddingIndex, firm_a: str, firm_b: str,
 
     The product is always taken with the firms in sorted order, so the
     block of (B, A) is the exact transpose of the block of (A, B). Each
-    firm's vectors are normalized once per ``units`` cache. A firm that
-    the index lacks or holds without paragraphs is :class:`EmptyFirm`.
+    firm's vectors are normalized once per ``units`` cache. A firm paired
+    with itself is a ``ValueError``; one that the index lacks or holds
+    without paragraphs is :class:`EmptyFirm`.
     """
+    if firm_a == firm_b:
+        raise ValueError(f"firm {firm_a!r} cannot be scored against itself")
     for firm in (firm_a, firm_b):
         if firm not in index.firms or not index.firms[firm][0]:
             raise EmptyFirm(f"firm {firm!r} has no paragraphs in the embedding index")
-    (ids_a, vec_a), (ids_b, vec_b) = index.firms[firm_a], index.firms[firm_b]
-    if vec_a.shape[1] != vec_b.shape[1]:
-        raise DimensionMismatch(
-            f"embedding widths differ: {vec_a.shape[1]} vs {vec_b.shape[1]}")
-    for firm, vectors in ((firm_a, vec_a), (firm_b, vec_b)):
         if firm not in units:
-            units[firm] = unit_rows(vectors)
-    if firm_a == firm_b:
-        # A copy keeps numpy off its X @ X.T shortcut (syrk), whose
-        # rounding can differ from the general product's.
-        sims = units[firm_a] @ units[firm_a].copy().T
-    elif firm_a < firm_b:
+            units[firm] = unit_rows(index.firms[firm][1])
+    ids_a, ids_b = index.firms[firm_a][0], index.firms[firm_b][0]
+    if firm_a < firm_b:
         sims = units[firm_a] @ units[firm_b].T
     else:
         sims = (units[firm_b] @ units[firm_a].T).T
@@ -249,15 +253,14 @@ class MaxSimTable:
         return rrs(np.asarray(counts, dtype=np.int64), n_a, n_b)
 
 
-def max_similarity_table(index: EmbeddingIndex,
-                         pairs: Sequence[tuple[str, str]]) -> MaxSimTable:
-    """One similarity block per firm pair, reduced to its row and column maxima.
+def max_similarity_table(index: EmbeddingIndex) -> MaxSimTable:
+    """One similarity block per pair of the index's firms, in :func:`firm_pairs`
+    order, reduced to its row and column maxima.
 
-    No pair at all (fewer than two firms to score) is a ``ValueError``.
-    Raises like :func:`find_mrps` on the first pair, in order, that has an
-    empty or missing firm or mixed embedding widths.
+    Fewer than two firms is a ``ValueError``; the first pair, in order, with a
+    firm without paragraphs is :class:`EmptyFirm`.
     """
-    pairs = list(pairs)
+    pairs = firm_pairs(index.firm_ids())
     if not pairs:
         raise ValueError("scoring needs at least two firms")
     units: dict[str, np.ndarray] = {}
@@ -270,19 +273,19 @@ def max_similarity_table(index: EmbeddingIndex,
                        maxima=np.concatenate(maxima))
 
 
-def rrs_matrix(index: EmbeddingIndex, firms: Sequence[str] | None = None,
+def rrs_matrix(index: EmbeddingIndex,
                threshold: float = DEFAULT_THRESHOLD) -> tuple[list[str], np.ndarray]:
-    """Symmetric RRS matrix over the given firms (diagonal fixed at 1).
+    """The index's sorted firms and their symmetric RRS matrix (diagonal fixed at 1).
 
     The diagonal is a convention, not a measurement, and is excluded from
     every correlation computed downstream.
     """
-    firm_list = list(firms) if firms is not None else index.firm_ids()
-    table = max_similarity_table(index, firm_pairs(firm_list))
-    upper = np.triu_indices(len(firm_list), 1)
-    matrix = np.eye(len(firm_list))
+    firms = index.firm_ids()
+    table = max_similarity_table(index)
+    upper = np.triu_indices(len(firms), 1)
+    matrix = np.eye(len(firms))
     matrix[upper] = matrix.T[upper] = table.scores(table.mrp_counts([threshold])[0])
-    return firm_list, matrix
+    return firms, matrix
 
 
 def _text(texts: Mapping[str, str], pid: str) -> str:
@@ -360,9 +363,9 @@ def read_evidence(path: str | Path, rrs_cell: float) -> str:
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"malformed evidence document {path}: {detail}") from None
-    if f"{doc['rrs']:.6f}" != f"{rrs_cell:.6f}":
-        raise ValueError(f"stale evidence document {path}: RRS {doc['rrs']:.6f}, "
-                         f"but rrs.csv holds {rrs_cell:.6f} for the pair")
+    if (held := _csv_cell(float(doc["rrs"]))) != (cell := _csv_cell(float(rrs_cell))):
+        raise ValueError(f"stale evidence document {path}: RRS {held}, "
+                         f"but rrs.csv holds {cell} for the pair")
     return highlights
 
 
@@ -531,18 +534,12 @@ def read_rrs_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
 
 
 def save_embeddings(index: EmbeddingIndex, path: str | Path) -> None:
-    """Write an embedding index in the binary embeddings format.
-
-    A firm whose vectors are not :attr:`EmbeddingIndex.d` wide, the one width
-    the file records, is a :class:`DimensionMismatch`, raised before writing."""
-    d = index.d
-    parts = [_pack_header(_EMB_MAGIC, d, index.max_len, len(index.firms)),
+    """Write an embedding index in the binary embeddings format, its one
+    width :attr:`EmbeddingIndex.d` in the header."""
+    parts = [_pack_header(_EMB_MAGIC, index.d, index.max_len, len(index.firms)),
              _pack_text(index.model_fingerprint, "ascii")]
-    for firm in sorted(index.firms):
+    for firm in index.firm_ids():
         ids, vectors = index.firms[firm]
-        if vectors.size and vectors.shape[1] != d:
-            raise DimensionMismatch(f"firm {firm!r} has vectors of width "
-                                    f"{vectors.shape[1]}, not {d}")
         parts += (_pack_text(firm), len(ids).to_bytes(4, "little"))
         parts += chain.from_iterable(zip(map(_pack_text, ids),
                                          np.ascontiguousarray(vectors, dtype="<f8")))

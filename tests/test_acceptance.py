@@ -30,7 +30,6 @@ from riskrel.evaluation import (
 from riskrel.scoring import (
     EmbeddingIndex,
     find_mrps,
-    firm_pairs,
     max_similarity_table,
     rrs_matrix,
 )
@@ -89,7 +88,7 @@ def test_criterion_1_rrs_symmetry_and_bounds():
                 assert ab == ba
                 assert 0.0 <= ab <= 1.0
                 checked += 1
-        _, matrix = rrs_matrix(index, firms, threshold)
+        _, matrix = rrs_matrix(index, threshold)
         assert np.array_equal(matrix, matrix.T)
     elapsed = time.perf_counter() - start
     assert checked >= 1000
@@ -138,7 +137,7 @@ def test_criterion_3_threshold_monotonicity():
     for _ in range(200):
         index = random_index(rng)
         firms = sorted(index.firms)
-        rows = threshold_sweep(max_similarity_table(index, firm_pairs(firms)), grid)
+        rows = threshold_sweep(max_similarity_table(index), grid)
         assert len(rows) == 7
         counts = [r.total_mrps for r in rows]
         mean_scores = [r.mean_rrs for r in rows]

@@ -17,7 +17,7 @@ from riskrel.evaluation import (
     pearson,
     threshold_sweep,
 )
-from riskrel.scoring import EmbeddingIndex, firm_pairs, max_similarity_table, rrs
+from riskrel.scoring import EmbeddingIndex, max_similarity_table, rrs
 
 DATES = tuple(f"2023-01-{d:02d}" for d in range(1, 15))
 FIRMS = [f"F{k}" for k in range(5)]
@@ -132,7 +132,8 @@ def reference_sweep(index, firms, grid, returns, min_overlap):
     over the pairs that have a CAVDSR (None when that is undefined)."""
     pairs = list(combinations(firms, 2))
     pair_cavdsr = per_pair(returns, pairs, min_overlap)
-    table = max_similarity_table(index, pairs)
+    table = max_similarity_table(index)
+    assert table.pairs == pairs
     out = []
     for counts in table.mrp_counts(grid):
         scores = [rrs(int(count), n_a, n_b) for count, (n_a, n_b) in zip(counts, table.sizes)]
@@ -155,7 +156,7 @@ def test_sweep_rho_equals_pearson_over_kept_pairs(data):
     min_overlap = data.draw(st.integers(2, 6))
     grid = sorted(data.draw(st.lists(st.floats(-1.1, 1.1), max_size=3))) + [2.0]
     expected = reference_sweep(index, firms, grid, returns, min_overlap)
-    rows = threshold_sweep(max_similarity_table(index, firm_pairs(firms)), grid,
+    rows = threshold_sweep(max_similarity_table(index), grid,
                            returns=returns, min_overlap=min_overlap)
     assert [(row.mean_rrs, row.rho) for row in rows] == expected
     assert rows[-1].rho is None           # nothing clears 2.0: all-zero RRS

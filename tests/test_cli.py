@@ -903,6 +903,16 @@ def test_config_threshold_reaches_score(pipeline_dir, tmp_path, capsys):
     assert doc["threshold"] == 0.8
 
 
+def test_score_writes_a_threshold_of_minus_zero_as_zero(pipeline_dir, tmp_path, capsys):
+    minus, zero = tmp_path / "minus", tmp_path / "zero"
+    code, out, _ = run(_score_argv(pipeline_dir, minus, "--threshold", "-0.0"), capsys)
+    assert code == 0 and "score: threshold 0.00," in out
+    assert run(_score_argv(pipeline_dir, zero, "--threshold", "0"), capsys)[0] == 0
+    assert _tree(minus) == _tree(zero)
+    doc = (minus / "evidence" / "ACME__BOLT.json").read_text()
+    assert '"threshold": 0.0,' in doc
+
+
 def test_config_grid_reaches_sweep(pipeline_dir, tmp_path, capsys):
     config = tmp_path / "sweep.conf"
     config.write_text("grid = 0.7:0.8:0.05\n")

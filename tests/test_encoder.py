@@ -51,6 +51,12 @@ def test_vocab_ordering_freq_desc_then_token_asc():
     assert vocab.index_to_token == ("<pad>", "<unk>", "a", "b", "c")
 
 
+def test_vocab_keeps_no_special_token_as_a_training_token():
+    vocab = build_vocab([["<pad>", "<unk>", "a"], ["<unk>", "<pad>", "a"]], min_freq=1)
+    assert vocab.index_to_token == ("<pad>", "<unk>", "a")
+    assert vocab.token_to_index == {"<pad>": PAD_INDEX, "<unk>": UNK_INDEX, "a": 2}
+
+
 def test_vocab_indices_truncate():
     vocab = build_vocab([["a", "a"]], min_freq=1)
     assert len(vocab.indices(["a"] * 10, max_len=4)) == 4
@@ -318,11 +324,13 @@ def test_model_bytes_helper_writes_what_save_model_writes(tmp_path):
      "first tokens ['<unk>', '<pad>'] are not ['<pad>', '<unk>']"),
     (_model_bytes(2, [b"<pad>", b"<unk>", b"\xff"]),
      "token 2: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (_model_bytes(2, [b"<pad>", b"<unk>", b"<pad>", b"a"]), "token '<pad>' repeated"),
+    (_model_bytes(2, [b"<pad>", b"<unk>", b"a", b"b", b"b", b"a"]), "token 'a' repeated"),
     (_model_bytes(2, [b"<pad>", b"<unk>"], value=math.inf), "parameters must be finite"),
     (_model_bytes(2, [b"<pad>", b"<unk>"], value=math.nan), "parameters must be finite"),
     (_model_bytes(2, [b"<pad>", b"<unk>"]) + b"\0", "bytes after the last parameter"),
 ], ids=["no_tokens", "one_token", "d0", "d1", "max_len_0", "specials_swapped",
-        "undecodable_token", "inf", "nan", "trailing_bytes"])
+        "undecodable_token", "repeated_special", "repeated_token", "inf", "nan", "trailing_bytes"])
 def test_model_rejects_what_no_training_writes(tmp_path, raw, detail):
     path = tmp_path / "model.bin"
     path.write_bytes(raw)

@@ -31,7 +31,7 @@ from riskrel.evaluation import (
     spearman,
     threshold_sweep,
 )
-from riskrel.scoring import EmbeddingIndex, firm_pairs, max_similarity_table
+from riskrel.scoring import EmbeddingIndex, max_similarity_table
 
 
 def series(returns, firm="X", start=0):
@@ -420,8 +420,7 @@ def _two_firm_index(cosine):
 
 def test_sweep_threshold_cut():
     index = _two_firm_index(0.72)
-    rows = threshold_sweep(max_similarity_table(index, firm_pairs(["A", "B"])),
-                           make_grid(0.6, 0.9, 0.05))
+    rows = threshold_sweep(max_similarity_table(index), make_grid(0.6, 0.9, 0.05))
     assert len(rows) == 7
     included = {r.threshold: r.total_mrps for r in rows}
     assert included[0.6] == 2 and included[0.65] == 2 and included[0.7] == 2
@@ -433,8 +432,7 @@ def test_sweep_monotone_counts():
     index = EmbeddingIndex(firms={
         f"F{k}": ([f"F{k}:{i}" for i in range(5)], rng.normal(size=(5, 4)))
         for k in range(4)})
-    rows = threshold_sweep(max_similarity_table(index, firm_pairs(sorted(index.firms))),
-                           make_grid(0.0, 0.9, 0.1))
+    rows = threshold_sweep(max_similarity_table(index), make_grid(0.0, 0.9, 0.1))
     counts = [r.total_mrps for r in rows]
     assert counts == sorted(counts, reverse=True)
     mean_rrs = [r.mean_rrs for r in rows]
@@ -450,8 +448,7 @@ def test_sweep_reports_rho_with_returns():
     })
     returns = {f"F{k}": series(rng.normal(0, 0.02, size=60), f"F{k}")
                for k in range(3)}
-    rows = threshold_sweep(max_similarity_table(index, firm_pairs(sorted(index.firms))),
-                           [0.5, 0.95], returns=returns)
+    rows = threshold_sweep(max_similarity_table(index), [0.5, 0.95], returns=returns)
     assert rows[0].rho is not None          # RRS varies across pairs at 0.5
     assert rows[1].rho is None              # all-zero RRS degenerates at 0.95
 
@@ -459,7 +456,7 @@ def test_sweep_reports_rho_with_returns():
 def test_sweep_requires_ascending_grid():
     index = _two_firm_index(0.5)
     with pytest.raises(ValueError):
-        threshold_sweep(max_similarity_table(index, firm_pairs(["A", "B"])), [0.9, 0.6])
+        threshold_sweep(max_similarity_table(index), [0.9, 0.6])
 
 
 # --- file readers ---

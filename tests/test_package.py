@@ -1,9 +1,11 @@
 """Each public name has one import path, ``riskrel.<module>.<name>``: the
 package namespace re-exports nothing, so importing one module loads only
 what that module imports. Every name the benchmark under ``bench/`` imports
-from riskrel, or traces by name, exists."""
+from riskrel, or traces by name, exists, and each call it makes to one
+binds to its signature."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -13,6 +15,7 @@ import sys
 from pathlib import Path
 
 import riskrel
+from riskrel import scoring
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,11 +40,17 @@ def test_importing_synthetic_loads_only_what_it_imports():
                                    "riskrel.synthetic"]
 
 
+def _bench_trees():
+    """The parsed ``bench/*.py`` and ``bench/tests/*.py``, by file name."""
+    for path in sorted([*ROOT.glob("bench/*.py"), *ROOT.glob("bench/tests/*.py")]):
+        yield path.relative_to(ROOT).as_posix(), ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _bench_imports():
     """(module, name) for each name ``bench/*.py`` and ``bench/tests/*.py``
     import from riskrel; name is None for a plain ``import riskrel.<module>``."""
-    for path in sorted([*ROOT.glob("bench/*.py"), *ROOT.glob("bench/tests/*.py")]):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for _, tree in _bench_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module \
                     and node.module.split(".")[0] == "riskrel":
                 yield from ((node.module, alias.name) for alias in node.names)
@@ -73,3 +82,44 @@ def test_every_function_the_benchmark_hooks_exists():
         layer, name = key.split(".")
         assert inspect.isfunction(getattr(importlib.import_module(f"riskrel.{layer}"),
                                           name, None)), key
+
+
+def _bench_calls():
+    """(where, riskrel callable, call node) for each call in ``bench/`` of a
+    name it imports from riskrel, or of a function of a module so imported."""
+    for name, tree in _bench_trees():
+        imported = {alias.asname or alias.name:
+                    getattr(importlib.import_module(node.module), alias.name)
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.module and node.module.split(".")[0] == "riskrel"
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in imported:
+                callee = imported[func.id]
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                    and inspect.ismodule(imported.get(func.value.id)):
+                callee = getattr(imported[func.value.id], func.attr)
+            else:
+                continue
+            yield f"{name}:{node.lineno}", callee, node
+
+
+def test_every_call_the_benchmark_makes_binds_to_its_signature():
+    """Each call keeps its shape: as many positional arguments and the same
+    keywords as ``bench/`` passes bind to the riskrel signature."""
+    called = set()
+    for where, callee, call in _bench_calls():
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args), where
+        assert all(keyword.arg for keyword in call.keywords), where
+        try:
+            inspect.signature(callee).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {exc}") from None
+        called.add(callee.__qualname__)
+    assert {"embed_corpus", "find_mrps", "load_model", "batch_objective", "compute_gradients",
+            "TrainingBatch", "write_fixture", "main"} <= called, sorted(called)
+    # The find_mrps hook in bench/spans.py reads the index's width as args[0].d.
+    assert "d" in {f.name for f in dataclasses.fields(scoring.EmbeddingIndex)}

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrel.errors import DimensionMismatch, EmptyFirm
+from riskrel.errors import EmptyFirm
 from riskrel.evaluation import threshold_sweep
 from riskrel.scoring import (
     EmbeddingIndex,
     find_mrps,
-    firm_pairs,
     max_similarity_table,
     rrs_matrix,
 )
@@ -52,10 +51,9 @@ def thresholds(index):
 @given(data=st.data())
 def test_matrix_equals_per_pair_search(data):
     index = data.draw(indices())
-    firms = data.draw(st.permutations(index.firm_ids()))
     threshold = data.draw(thresholds(index))
-    got_firms, matrix = rrs_matrix(index, firms, threshold)
-    assert got_firms == firms
+    firms, matrix = rrs_matrix(index, threshold)
+    assert firms == sorted(index.firms)
     for i, j in combinations(range(len(firms)), 2):
         expected = find_mrps(index, firms[i], firms[j], threshold).rrs
         assert matrix[i, j] == expected
@@ -68,7 +66,7 @@ def test_sweep_rows_equal_per_threshold_search(data):
     index = data.draw(indices())
     firms = index.firm_ids()
     grid = sorted(data.draw(st.lists(thresholds(index), min_size=1, max_size=4)))
-    rows = threshold_sweep(max_similarity_table(index, firm_pairs(firms)), grid)
+    rows = threshold_sweep(max_similarity_table(index), grid)
     assert [row.threshold for row in rows] == grid
     for row in rows:
         results = [find_mrps(index, a, b, row.threshold)
@@ -80,7 +78,7 @@ def test_sweep_rows_equal_per_threshold_search(data):
 def test_table_counts_ties_at_the_threshold():
     index = EmbeddingIndex(firms={"A": (["A:0", "A:1"], np.array([[1.0, 0.0], [0.0, 1.0]])),
                                   "B": (["B:0"], np.array([[3.0, 4.0]]))})
-    table = max_similarity_table(index, [("A", "B")])
+    table = max_similarity_table(index)
     # cos(A:0, B:0) = 0.6, cos(A:1, B:0) = 0.8; B:0's maximum is 0.8.
     assert table.mrp_counts([0.6, 0.8, 0.9]).tolist() == [[3], [2], [0]]
 
@@ -97,37 +95,14 @@ def test_nan_vectors_agree_with_find_mrps():
             assert matrix[i, j] == find_mrps(index, firms[i], firms[j], threshold).rrs
 
 
-def test_self_pair_matches_an_identical_copy():
-    # numpy computes X @ X.T with a symmetric kernel whose rounding differs
-    # from the general product's; a firm scored against itself must still
-    # see the similarities it would see against a copy of itself.
-    rng = np.random.default_rng(3)
-    vectors = rng.normal(size=(20, 16))
-    index = EmbeddingIndex(firms={f: ([f"{f}:{i:02d}" for i in range(20)], vectors.copy())
-                                  for f in ("A", "B")})
-    same = find_mrps(index, "A", "A", -math.inf).evidence
-    copy = find_mrps(index, "A", "B", -math.inf).evidence
-    assert [(a, b.replace("B", "A"), s) for a, b, s in copy] == same
-    _, matrix = rrs_matrix(index, ["A", "A", "B"], 0.5)
-    assert matrix[0, 1] == find_mrps(index, "A", "A", 0.5).rrs == matrix[0, 2]
-
-
 @pytest.mark.parametrize("score", [
-    lambda index, firms: rrs_matrix(index, firms, 0.5),
-    lambda index, firms: threshold_sweep(max_similarity_table(index, firm_pairs(firms)),
-                                         [0.5]),
+    lambda index: rrs_matrix(index, 0.5),
+    lambda index: threshold_sweep(max_similarity_table(index), [0.5]),
 ], ids=["rrs_matrix", "threshold_sweep"])
 def test_one_pass_keeps_error_kinds(score):
-    index = EmbeddingIndex(firms={
-        "A": (["A:0"], np.array([[1.0, 0.0]])),
-        "B": (["B:0"], np.array([[0.0, 1.0]])),
-        "EMPTY": ([], np.empty((0, 2))),
-        "WIDE": (["WIDE:0"], np.array([[1.0, 0.0, 0.0]])),
-    })
+    a, b = (["A:0"], np.array([[1.0, 0.0]])), (["B:0"], np.array([[0.0, 1.0]]))
     with pytest.raises(EmptyFirm):
-        score(index, ["A", "EMPTY"])
-    with pytest.raises(EmptyFirm):
-        score(index, ["A", "MISSING"])
-    with pytest.raises(DimensionMismatch):
-        score(index, ["A", "B", "WIDE"])
+        score(EmbeddingIndex(firms={"A": a, "B": b, "EMPTY": ([], np.empty((0, 2)))}))
+    with pytest.raises(ValueError, match="at least two firms"):
+        score(EmbeddingIndex(firms={"A": a}))
 

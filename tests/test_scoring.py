@@ -1,5 +1,6 @@
 """Scoring: MRP search vs brute force, RRS arithmetic, matrices, evidence."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -221,9 +222,33 @@ def test_empty_firm_errors():
 
 
 def test_dimension_mismatch():
-    index = make_index({"A": [[1.0, 0.0]], "B": [[1.0, 0.0, 0.0]]})
-    with pytest.raises(DimensionMismatch):
-        find_mrps(index, "A", "B", 0.5)
+    with pytest.raises(DimensionMismatch, match="^firm 'B' has vectors of width 3, not 2$"):
+        make_index({"A": [[1.0, 0.0]], "B": [[1.0, 0.0, 0.0]], "EMPTY": np.empty((0, 4))})
+
+
+@pytest.mark.parametrize("ids, vectors", [
+    (["A:0", "A:1"], np.ones((1, 2))),
+    (["A:0"], np.ones((2, 2))),
+    (["A:0"], np.ones(2)),
+], ids=["fewer_rows", "more_rows", "one_dimensional"])
+def test_index_needs_one_vector_row_per_id(ids, vectors):
+    with pytest.raises(ValueError, match="^firm 'A' needs one vector row per id"):
+        EmbeddingIndex(firms={"A": (ids, vectors), "B": (["B:0"], np.ones((1, 2)))})
+
+
+def test_index_is_checked_and_sized_once_when_made():
+    index = make_index({"A": np.ones((2, 3)), "B": np.ones((1, 3)), "EMPTY": np.empty((0, 5))})
+    assert index.d == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        index.d = 4
+    refit = dataclasses.replace(index, model_fingerprint="other")
+    assert (refit.d, refit.model_fingerprint, refit.firms) == (3, "other", index.firms)
+
+
+def test_self_pair_is_a_value_error():
+    index = make_index({"A": [[1.0, 0.0]], "B": [[0.0, 1.0]]})
+    with pytest.raises(ValueError, match="^firm 'A' cannot be scored against itself$"):
+        find_mrps(index, "A", "A", 0.5)
 
 
 # --- rrs_matrix ---
