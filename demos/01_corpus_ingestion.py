@@ -41,6 +41,6 @@ with tempfile.TemporaryDirectory(prefix="riskrel_demo_") as tmp:
     all_paragraphs = corpus.ingest_directory(manifest.filings_dir)
     by_firm = corpus.group_by_firm(all_paragraphs)
     print("=== full corpus ===")
-    for firm, fc in by_firm.items():
-        print(f"  {firm}: {len(fc.paragraphs)} risk paragraphs")
+    for firm, firm_paragraphs in by_firm.items():
+        print(f"  {firm}: {len(firm_paragraphs)} risk paragraphs")
     print(f"total: {len(all_paragraphs)}")

@@ -24,8 +24,7 @@ outcome = training.train(train_pairs, val_pairs, training.TrainConfig(seed=0))
 print(f"encoder trained ({outcome.report.stop_reason}, "
       f"best epoch {outcome.report.best_epoch})\n")
 
-index = scoring.embed_corpus(outcome.vocab, outcome.params,
-                             corpus.group_by_firm(paragraphs).values())
+index = scoring.embed_corpus(outcome.vocab, outcome.params, [paragraphs])
 firms, matrix = scoring.rrs_matrix(index, threshold=0.75)
 
 print("=== RRS matrix (threshold 0.75) ===")

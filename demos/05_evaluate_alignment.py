@@ -28,8 +28,7 @@ all_pairs = (pairs.build_chronological_pairs(paragraphs)
              + pairs.build_lexical_pairs(paragraphs, rng_seed=7))
 train_pairs, val_pairs = pairs.split_train_val(all_pairs, 140, 25, rng_seed=7)
 outcome = training.train(train_pairs, val_pairs, training.TrainConfig(seed=0))
-index = scoring.embed_corpus(outcome.vocab, outcome.params,
-                             corpus.group_by_firm(paragraphs).values())
+index = scoring.embed_corpus(outcome.vocab, outcome.params, [paragraphs])
 firms, matrix = scoring.rrs_matrix(index, threshold=0.75)
 
 cells = scoring.pair_cells(firms, matrix)

@@ -4,9 +4,10 @@ Every subcommand is deterministic given its inputs and flags: seeds are
 explicit (mandatory for pairs/train) and nothing reads the clock. Outputs
 are staged (:mod:`riskrel.outputs`): a failed command leaves the previous
 outputs as they were and prints a single machine-parsable
-``error: <Kind>: <detail>`` line on stderr; a killed one leaves only
-hidden ``.tmp`` siblings. An output that names one of the command's input
-files or directories is such an error, and the input stays as it was.
+``error: <Kind>: <detail>`` line on stderr. Each output is published by its
+own rename, so a kill between two renames can leave some new and some old
+(ROADMAP item 8). An output that names one of the command's input files or
+directories is such an error, and the input stays as it was.
 
 The tunable values are the keys of :data:`SETTINGS`, each with its type and
 default. A command takes its keys as flags or from a flat ``key = value``
@@ -147,13 +148,13 @@ def cmd_pairs(args: argparse.Namespace, outputs: Outputs) -> None:
                                     f"{args.train_count}+{args.val_count} requested")
     out_dir = outputs(args.out)
     out_dir.mkdir()
-    # Every view's files, empty for a view not built, so that none is left
-    # from an earlier run for train's *.train.jsonl glob to read.
+    # Every view's files, empty for a view not built, so that train, which
+    # reads all four, reads none left from an earlier run.
     for view in pairgen.VIEWS:
         for split_name, split in (("train", train), ("val", val)):
-            name = f"{view}.{split_name}.jsonl"
-            n = pairgen.write_pairs((p for p in split if p.view == view), out_dir / name)
-            print(f"pairs: wrote {n} {view} {split_name} pairs to {Path(args.out) / name}")
+            path = pairgen.pair_file(out_dir, view, split_name)
+            n = pairgen.write_pairs((p for p in split if p.view == view), path)
+            print(f"pairs: wrote {n} {view} {split_name} pairs to {Path(args.out) / path.name}")
     if stats.get("skipped_short"):
         print(f"pairs: skipped {stats['skipped_short']} paragraphs too short "
               f"for the lexical view")
@@ -163,19 +164,10 @@ def cmd_train(args: argparse.Namespace, outputs: Outputs) -> None:
     train_config = training.TrainConfig(
         seed=args.seed, **{key: getattr(args, key) for key in _TRAIN_DEFAULTS})
 
-    pairs_dir = Path(args.pairs)
-    if not pairs_dir.is_dir():
-        raise FileNotFoundError(f"pairs directory not found: {pairs_dir}")
-    train_files = sorted(pairs_dir.glob("*.train.jsonl"))
-    if not train_files:
-        raise FileNotFoundError(f"no *.train.jsonl files under {pairs_dir}")
-    train_pairs = [pair for path in train_files for pair in pairgen.read_pairs(path)]
-    val_pairs = [pair for path in sorted(pairs_dir.glob("*.val.jsonl"))
-                 for pair in pairgen.read_pairs(path)]
-    if not train_pairs:
-        raise InsufficientPairs(
-            f"no training pairs in the *.train.jsonl files under {pairs_dir}")
-
+    train_pairs, val_pairs = (
+        [pair for view in pairgen.VIEWS for pair in pairgen.read_pairs(
+            _require_file(pairgen.pair_file(args.pairs, view, split), "pair file"))]
+        for split in ("train", "val"))
     outcome = training.train(train_pairs, val_pairs, train_config)
     save_model(outputs(args.out), outcome.vocab, outcome.params,
                max_len=train_config.max_len)
@@ -192,8 +184,7 @@ def _load_index(model_path: str, paragraphs_path: str
     """The paragraphs' embedding index, and each paragraph's text by id."""
     vocab, params, max_len = load_model(_require_file(model_path, "model file"))
     paragraphs = corpus.read_paragraphs(_require_file(paragraphs_path, "paragraph file"))
-    corpora = corpus.group_by_firm(paragraphs).values()
-    index = scoring.embed_corpus(vocab, params, corpora, max_len=max_len)
+    index = scoring.embed_corpus(vocab, params, [paragraphs], max_len=max_len)
     return index, {p.id: p.text for p in paragraphs}
 
 

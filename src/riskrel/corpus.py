@@ -88,14 +88,6 @@ class Paragraph:
         return f"{firm_id}:{year}:{section}:{ordinal:04d}"
 
 
-@dataclass
-class FirmCorpus:
-    """All risk-section paragraphs of one firm."""
-
-    firm_id: str
-    paragraphs: list[Paragraph]
-
-
 def check_firm_id(firm_id: str) -> str:
     """``firm_id``, if it is safe as a file name, a CSV cell and an id prefix.
 
@@ -262,13 +254,12 @@ def ingest_directory(root: str | Path, sections: Iterable[str] = DEFAULT_SECTION
     return paragraphs
 
 
-def group_by_firm(paragraphs: Iterable[Paragraph]) -> dict[str, FirmCorpus]:
-    """Group paragraphs into per-firm corpora, firms in sorted order."""
+def group_by_firm(paragraphs: Iterable[Paragraph]) -> dict[str, list[Paragraph]]:
+    """Each firm's paragraphs, in input order, by ``firm_id``; firms in sorted order."""
     grouped: dict[str, list[Paragraph]] = {}
     for p in paragraphs:
         grouped.setdefault(p.firm_id, []).append(p)
-    return {firm: FirmCorpus(firm_id=firm, paragraphs=plist)
-            for firm, plist in sorted(grouped.items())}
+    return dict(sorted(grouped.items()))
 
 
 def write_paragraphs(paragraphs: Iterable[Paragraph], path: str | Path) -> int:

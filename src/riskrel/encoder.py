@@ -42,7 +42,7 @@ import math
 import struct
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -69,14 +69,19 @@ _MODEL_MAGIC = b"RRENC001"
 class Vocabulary:
     """Token-to-index mapping with PAD (0) and UNK (1) specials.
 
-    A vocabulary read by :func:`load_model` holds interned tokens, like the
-    paragraphs and pairs the corpus readers return, so a token looked up in
-    ``token_to_index`` is usually the very key object: its hash is cached
-    and the match is by identity.
+    The derived ``token_to_index`` maps every token but PAD: a PAD id in a
+    row is padding, a text token ``<pad>`` is UNK. Tokens read by
+    :func:`load_model` are interned, like the corpus readers' tokens, so a
+    looked-up token is usually the very key object: its hash is cached and
+    the match is by identity.
     """
 
     index_to_token: tuple[str, ...]
-    token_to_index: dict[str, int]
+    token_to_index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "token_to_index", {
+            token: i for i, token in enumerate(self.index_to_token) if i != PAD_INDEX})
 
     def __len__(self) -> int:
         return len(self.index_to_token)
@@ -120,9 +125,9 @@ def build_vocab(train_paragraphs: Iterable[Sequence[str]],
                 min_freq: int = DEFAULT_MIN_FREQ) -> Vocabulary:
     """Build a vocabulary from training-split token sequences.
 
-    Tokens below ``min_freq`` corpus frequency map to UNK; a ``<pad>`` or ``<unk>``
-    in the text is that special token, never a second entry. Ordering is
-    deterministic: frequency descending, then token ascending.
+    Tokens below ``min_freq`` corpus frequency map to UNK, and so do a
+    ``<pad>`` and an ``<unk>`` in the text, never entries of their own.
+    Ordering is deterministic: frequency descending, then token ascending.
     """
     counts: Counter[str] = Counter()
     n_sequences = 0
@@ -134,9 +139,7 @@ def build_vocab(train_paragraphs: Iterable[Sequence[str]],
     kept = sorted((t for t, c in counts.items()
                    if c >= min_freq and t not in (PAD_TOKEN, UNK_TOKEN)),
                   key=lambda t: (-counts[t], t))
-    index_to_token = (PAD_TOKEN, UNK_TOKEN) + tuple(kept)
-    token_to_index = {t: i for i, t in enumerate(index_to_token)}
-    return Vocabulary(index_to_token=index_to_token, token_to_index=token_to_index)
+    return Vocabulary(index_to_token=(PAD_TOKEN, UNK_TOKEN) + tuple(kept))
 
 
 def init_params(vocab_size: int, d: int = DEFAULT_EMBED_DIM,
@@ -347,16 +350,14 @@ def load_model(path: str | Path) -> tuple[Vocabulary, EncoderParams, int]:
         raise r.malformed(f"token {len(tokens)}: {exc}") from None
     if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
         raise r.malformed(f"first tokens {tokens[:2]} are not {[PAD_TOKEN, UNK_TOKEN]}")
-    token_to_index = {t: i for i, t in enumerate(tokens)}  # keeps a repeat's last index
-    if len(token_to_index) < len(tokens):
-        repeated = next(t for i, t in enumerate(tokens) if token_to_index[t] != i)
-        raise r.malformed(f"token {repeated!r} repeated")
+    repeated = [t for t, n in Counter(tokens).items() if n > 1]
+    if repeated:
+        raise r.malformed(f"token {repeated[0]!r} repeated")
     blocks = [r.floats(vocab_size, d), r.floats(d, d), r.floats(d)]
     r.end("parameter")
     if not all(np.isfinite(block).all() for block in blocks):
         raise r.malformed("parameters must be finite")
-    vocab = Vocabulary(index_to_token=tuple(tokens), token_to_index=token_to_index)
-    return vocab, EncoderParams(*blocks), max_len
+    return Vocabulary(index_to_token=tuple(tokens)), EncoderParams(*blocks), max_len
 
 
 def model_fingerprint(path: str | Path) -> str:

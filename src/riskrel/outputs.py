@@ -1,4 +1,4 @@
-"""Staged outputs: a command publishes all of its files or none of them.
+"""Staged outputs: a failed command publishes none of its files.
 
 Inside ``with Outputs(inputs) as outputs:``, ``outputs(path)`` makes
 missing parent directories and returns a hidden sibling ``.<name>.tmp`` to
@@ -13,7 +13,10 @@ directory, or a staged directory whose target is a file, at the top or one
 entry into a merged directory, is an ``IsADirectoryError`` or
 ``NotADirectoryError`` that publishes nothing. On an exception the siblings
 and the directories made are removed, so earlier outputs stay as they were.
-A killed run leaves only siblings, which the next ``outputs(path)`` clears.
+Each output, and each entry moved into an existing directory, is published
+by its own rename, so a run killed between two renames leaves some outputs
+new and some old (ROADMAP item 8); the next ``outputs(path)`` clears the
+siblings a killed run leaves.
 """
 
 from __future__ import annotations

@@ -309,6 +309,11 @@ def split_train_val(pairs: Sequence[PositivePair], train_count: int,
     return train, val
 
 
+def pair_file(directory: str | Path, view: str, split: str) -> Path:
+    """The file of one view's ``train`` or ``val`` pairs: ``<view>.<split>.jsonl``."""
+    return Path(directory) / f"{view}.{split}.jsonl"
+
+
 def write_pairs(pairs: Iterable[PositivePair], path: str | Path) -> int:
     """Write pairs as line-delimited JSON records. Returns the count."""
     def record(pair: PositivePair) -> dict:

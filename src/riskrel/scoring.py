@@ -36,7 +36,7 @@ with no Python loop over entries, and written at once;
 :func:`mrp_result_to_dict` stays the dict view and the writer's test oracle.
 The writer makes each document whole before it opens the file, and stages
 nothing itself: ``score`` stages the evidence directory
-(:mod:`riskrel.outputs`), so it publishes every document or none. This
+(:mod:`riskrel.outputs`), so a failed ``score`` publishes no document. This
 module alone names (:func:`evidence_path`), reads (:func:`read_evidence`)
 and renders (:func:`render_evidence`) evidence documents.
 """
@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -54,7 +55,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FirmCorpus, _csv_cell, check_firm_id, read_lines, write_csv
+from .corpus import Paragraph, _csv_cell, check_firm_id, group_by_firm, read_lines, write_csv
 from .encoder import (
     DEFAULT_MAX_LEN,
     EncoderParams,
@@ -78,7 +79,9 @@ class EmbeddingIndex:
     """Per-firm paragraph ids and embedding matrices from one model, checked
     once, when made: a firm's vectors have one row per id, else a ``ValueError``,
     and every firm with rows has one width :attr:`d` (0 if none has rows), else
-    a :class:`DimensionMismatch`; each names the first such firm in sorted order."""
+    a :class:`DimensionMismatch`; each names the first such firm in sorted order.
+    No paragraph id appears twice, in one firm or across two, else a ``ValueError``
+    (``paragraph id 'A:1' repeated``). :attr:`units` is made on first use."""
 
     firms: dict[str, tuple[list[str], np.ndarray]]
     model_fingerprint: str = ""
@@ -87,6 +90,7 @@ class EmbeddingIndex:
 
     def __post_init__(self) -> None:
         d = None  # until a firm with rows is seen
+        seen: set[str] = set()
         for firm in self.firm_ids():
             ids, vectors = self.firms[firm]
             if vectors.ndim != 2 or vectors.shape[0] != len(ids):
@@ -97,10 +101,19 @@ class EmbeddingIndex:
             elif ids and vectors.shape[1] != d:
                 raise DimensionMismatch(f"firm {firm!r} has vectors of width "
                                         f"{vectors.shape[1]}, not {d}")
+            for pid in ids:
+                if pid in seen:
+                    raise ValueError(f"paragraph id {pid!r} repeated")
+                seen.add(pid)
         object.__setattr__(self, "d", d or 0)
 
     def firm_ids(self) -> list[str]:
         return sorted(self.firms)
+
+    @cached_property
+    def units(self) -> dict[str, np.ndarray]:
+        """Each firm's vectors over their row norms (:func:`unit_rows`)."""
+        return {firm: unit_rows(vectors) for firm, (_, vectors) in self.firms.items()}
 
 
 @dataclass
@@ -134,44 +147,42 @@ def rrs(mrp_count: int | np.ndarray, n_a: int | np.ndarray,
 
 
 def embed_corpus(vocab: Vocabulary, params: EncoderParams,
-                 firm_corpora: Iterable[FirmCorpus],
+                 groups: Iterable[Iterable[Paragraph]],
                  max_len: int = DEFAULT_MAX_LEN) -> EmbeddingIndex:
-    """Encode every paragraph of every firm, order preserved, a firm per batch."""
+    """Encode the paragraphs of ``groups``, each under its own firm however they
+    are grouped (:func:`~riskrel.corpus.group_by_firm`), a firm per batch."""
     firms: dict[str, tuple[list[str], np.ndarray]] = {}
-    for corpus in firm_corpora:
-        ids = [paragraph.id for paragraph in corpus.paragraphs]
-        batch = [vocab.indices(paragraph.tokens, max_len) for paragraph in corpus.paragraphs]
+    for firm, paragraphs in group_by_firm(chain.from_iterable(groups)).items():
+        ids = [paragraph.id for paragraph in paragraphs]
+        batch = [vocab.indices(paragraph.tokens, max_len) for paragraph in paragraphs]
         try:
             _, rows = forward(params, TokenCounts.of(batch))
         except EmptyParagraph as exc:
             raise EmptyParagraph(f"paragraph {ids[exc.row]}: {exc}") from exc
-        firms[corpus.firm_id] = (ids, rows)
+        firms[firm] = (ids, rows)
     return EmbeddingIndex(firms=firms, max_len=max_len)
 
 
-def _similarities(index: EmbeddingIndex, firm_a: str, firm_b: str,
-                  units: dict[str, np.ndarray]
+def _similarities(index: EmbeddingIndex, firm_a: str, firm_b: str
                   ) -> tuple[list[str], list[str], np.ndarray]:
     """Both firms' ids and their cosine block, rows for ``firm_a``.
 
-    The product is always taken with the firms in sorted order, so the
-    block of (B, A) is the exact transpose of the block of (A, B). Each
-    firm's vectors are normalized once per ``units`` cache. A firm paired
-    with itself is a ``ValueError``; one that the index lacks or holds
-    without paragraphs is :class:`EmptyFirm`.
+    The product of the index's :attr:`~EmbeddingIndex.units` is always taken
+    with the firms in sorted order, so the block of (B, A) is the exact
+    transpose of the block of (A, B). A firm paired with itself is a
+    ``ValueError``; one that the index lacks or holds without paragraphs is
+    :class:`EmptyFirm`.
     """
     if firm_a == firm_b:
         raise ValueError(f"firm {firm_a!r} cannot be scored against itself")
     for firm in (firm_a, firm_b):
         if firm not in index.firms or not index.firms[firm][0]:
             raise EmptyFirm(f"firm {firm!r} has no paragraphs in the embedding index")
-        if firm not in units:
-            units[firm] = unit_rows(index.firms[firm][1])
     ids_a, ids_b = index.firms[firm_a][0], index.firms[firm_b][0]
     if firm_a < firm_b:
-        sims = units[firm_a] @ units[firm_b].T
+        sims = index.units[firm_a] @ index.units[firm_b].T
     else:
-        sims = (units[firm_b] @ units[firm_a].T).T
+        sims = (index.units[firm_b] @ index.units[firm_a].T).T
     return ids_a, ids_b, sims
 
 
@@ -182,11 +193,11 @@ def find_mrps(index: EmbeddingIndex, firm_a: str, firm_b: str,
     The similarity matrix is always computed with the firms in sorted
     order internally, so rrs(A, B) == rrs(B, A) bit-exactly regardless of
     argument order. Evidence lists every qualifying cross pair, sorted by
-    similarity descending with (id_a, id_b) breaking ties, and then by
-    block position: one ``np.lexsort`` over the similarity and each id's
-    rank among its firm's distinct ids.
+    similarity descending with (id_a, id_b) breaking ties: one
+    ``np.lexsort`` over the similarity and each id's rank among its firm's
+    ids.
     """
-    ids_a, ids_b, sims = _similarities(index, firm_a, firm_b, {})
+    ids_a, ids_b, sims = _similarities(index, firm_a, firm_b)
     hits = sims >= threshold
     mrps_a = tuple(sorted(ids_a[i] for i in np.flatnonzero(hits.any(axis=1))))
     mrps_b = tuple(sorted(ids_b[j] for j in np.flatnonzero(hits.any(axis=0))))
@@ -202,8 +213,8 @@ def find_mrps(index: EmbeddingIndex, firm_a: str, firm_b: str,
 
 
 def _id_ranks(ids: Sequence[str]) -> np.ndarray:
-    """Each id's rank among the distinct ids in str order; equal ids share one."""
-    rank = {pid: r for r, pid in enumerate(sorted(set(ids)))}
+    """Each id's rank among ``ids`` in str order."""
+    rank = {pid: r for r, pid in enumerate(sorted(ids))}
     return np.array([rank[pid] for pid in ids], dtype=np.intp)
 
 
@@ -263,10 +274,9 @@ def max_similarity_table(index: EmbeddingIndex) -> MaxSimTable:
     pairs = firm_pairs(index.firm_ids())
     if not pairs:
         raise ValueError("scoring needs at least two firms")
-    units: dict[str, np.ndarray] = {}
     sizes, maxima = [], []
     for a, b in pairs:
-        ids_a, ids_b, sims = _similarities(index, a, b, units)
+        ids_a, ids_b, sims = _similarities(index, a, b)
         sizes.append((len(ids_a), len(ids_b)))
         maxima += [np.fmax.reduce(sims, axis=1), np.fmax.reduce(sims, axis=0)]
     return MaxSimTable(pairs=pairs, sizes=np.array(sizes, dtype=np.int64),
@@ -381,7 +391,7 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
     text is joined once per file, in its ``texts`` object. An unknown
     paragraph id or a text that cannot be encoded raises before the pair's
     file is opened, so it leaves no file; the files of earlier pairs stay.
-    Files are not staged one by one: to publish all of them or none, stage
+    Files are not staged one by one: to publish none of them on failure, stage
     ``out_dir`` with :class:`riskrel.outputs.Outputs`, as ``score`` does.
     """
     Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -561,7 +571,6 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
     if max_len < 1:
         raise r.malformed(f"max_len {max_len} < 1")
     firms: dict[str, tuple[list[str], np.ndarray]] = {}
-    seen_ids: set[str] = set()
     try:
         fingerprint = r.text("ascii")
         for _ in range(n_firms):
@@ -575,11 +584,7 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
             (count,) = r.u32s(1)
             ids, rows = [], []
             for _ in range(count):
-                pid = r.text()
-                if pid in seen_ids:
-                    raise r.malformed(f"paragraph id {pid!r} repeated")
-                seen_ids.add(pid)
-                ids.append(pid)
+                ids.append(r.text())
                 rows.append(r.take(8 * d))
             vectors = np.frombuffer(b"".join(rows), dtype="<f8").reshape(count, d)
             if ids and d < 2:
@@ -590,5 +595,7 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
     except UnicodeDecodeError as exc:
         raise r.malformed(exc) from None
     r.end("vector")
-    return EmbeddingIndex(firms=firms, model_fingerprint=fingerprint,
-                          max_len=max_len)
+    try:
+        return EmbeddingIndex(firms=firms, model_fingerprint=fingerprint, max_len=max_len)
+    except ValueError as exc:  # a repeated paragraph id
+        raise r.malformed(exc) from None

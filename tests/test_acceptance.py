@@ -212,8 +212,7 @@ def test_criterion_5_training_efficacy(pipeline):
     positive = np.sum(units[:len(pairs)] * units[len(pairs):], axis=1)
 
     # Paragraph vectors as embed writes them.
-    index = scoring.embed_corpus(vocab, params,
-                                 corpus.group_by_firm(pipeline.paragraphs).values())
+    index = scoring.embed_corpus(vocab, params, [pipeline.paragraphs])
     unit_of = {pid: u for ids, vectors in index.firms.values()
                for pid, u in zip(ids, unit_rows(vectors))}
     theme_of = pipeline.manifest.theme_by_paragraph
@@ -233,8 +232,7 @@ def test_criterion_6_planted_risk_recovery(pipeline):
     """Planted pair ranks strictly highest at xi = 0.75 with planted evidence."""
     start = time.perf_counter()
     vocab, params = pipeline.outcome.vocab, pipeline.outcome.params
-    corpora = corpus.group_by_firm(pipeline.paragraphs).values()
-    index = scoring.embed_corpus(vocab, params, corpora)
+    index = scoring.embed_corpus(vocab, params, [pipeline.paragraphs])
     firms, matrix = rrs_matrix(index, threshold=0.75)
     elapsed = pipeline.train_seconds + (time.perf_counter() - start)
     assert elapsed < 120.0, f"{elapsed:.1f}s"

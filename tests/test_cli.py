@@ -18,7 +18,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from riskrel import cli, scoring
+from riskrel import cli, pairs as pairgen, scoring, training
 
 
 _FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', ':', '\"', "
@@ -195,7 +195,7 @@ def test_an_output_that_names_an_input_keeps_the_input(pipeline_dir, tmp_path, c
 
 def test_single_view_pairs_leave_no_other_view_for_train(pipeline_dir, tmp_path, capsys):
     """pairs --view lexical over a --view both directory empties the
-    chronological files, so train's *.train.jsonl glob reads one view."""
+    chronological files, so train, which reads all four files, reads one view."""
     out = tmp_path / "pairs"
     shutil.copytree(pipeline_dir / "pairs", out)
     code, _, _ = run(["pairs", "--in", str(pipeline_dir / "paragraphs.jsonl"),
@@ -317,6 +317,18 @@ def test_insufficient_pairs_is_clean_error(pipeline_dir, tmp_path, capsys):
     assert not list((tmp_path / "pairs").glob("*.jsonl"))
 
 
+def _pairs_dir(tmp_path, texts=()):
+    """A pairs directory holding the four files ``pairs`` writes: ``texts``
+    maps a file name to its text, and every other file is empty."""
+    pairs_dir = tmp_path / "pairs"
+    pairs_dir.mkdir()
+    for view in pairgen.VIEWS:
+        for split in ("train", "val"):
+            path = pairgen.pair_file(pairs_dir, view, split)
+            path.write_text(dict(texts).get(path.name, ""))
+    return pairs_dir
+
+
 def test_train_without_train_files_is_file_not_found(tmp_path, capsys):
     pairs_dir = tmp_path / "pairs"
     pairs_dir.mkdir()
@@ -324,32 +336,54 @@ def test_train_without_train_files_is_file_not_found(tmp_path, capsys):
     code, _, err = run(["train", "--pairs", str(pairs_dir), "--seed", "0",
                         "--out", str(tmp_path / "model.bin")], capsys)
     assert code == 1
-    assert err == f"error: FileNotFoundError: no *.train.jsonl files under {pairs_dir}\n"
+    assert err == ("error: FileNotFoundError: pair file not found: "
+                   f"{pairs_dir / 'chronological.train.jsonl'}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs"]
 
 
-def test_train_files_without_pairs_are_insufficient_pairs(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["chronological.train.jsonl", "lexical.train.jsonl",
+                                  "chronological.val.jsonl", "lexical.val.jsonl"])
+def test_train_names_a_missing_pair_file(pipeline_dir, tmp_path, capsys, name):
     pairs_dir = tmp_path / "pairs"
-    pairs_dir.mkdir()
-    (pairs_dir / "lexical.train.jsonl").write_text("\n")
+    shutil.copytree(pipeline_dir / "pairs", pairs_dir)
+    (pairs_dir / name).unlink()
+    code, stdout, err = run(["train", "--pairs", str(pairs_dir), "--seed", "0",
+                             "--out", str(tmp_path / "model.bin")], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: FileNotFoundError: pair file not found: {pairs_dir / name}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs"]
+
+
+def test_train_reads_only_the_pair_files_pairs_writes(pipeline_dir, tmp_path, capsys):
+    """A stray ``*.train.jsonl`` beside the four files is not read: the model
+    is the pipeline's, byte for byte."""
+    pairs_dir = tmp_path / "pairs"
+    shutil.copytree(pipeline_dir / "pairs", pairs_dir)
+    shutil.copy(pairs_dir / "lexical.train.jsonl", pairs_dir / "lexical-backup.train.jsonl")
+    shutil.copy(pairs_dir / "lexical.val.jsonl", pairs_dir / "lexical-backup.val.jsonl")
+    code, _, _ = run(["train", "--pairs", str(pairs_dir), "--seed", "0",
+                      "--max-epochs", "3", "--out", str(tmp_path / "model.bin")], capsys)
+    assert code == 0
+    assert (tmp_path / "model.bin").read_bytes() == (pipeline_dir / "model.bin").read_bytes()
+
+
+def test_train_files_without_pairs_are_insufficient_pairs(tmp_path, capsys):
+    pairs_dir = _pairs_dir(tmp_path, {"lexical.train.jsonl": "\n"})
     code, _, err = run(["train", "--pairs", str(pairs_dir), "--seed", "0",
                         "--out", str(tmp_path / "model.bin")], capsys)
     assert code == 1
-    assert err == ("error: InsufficientPairs: no training pairs in the *.train.jsonl "
-                   f"files under {pairs_dir}\n")
+    assert err == ("error: InsufficientPairs: 0 training pairs < batch size "
+                   f"{training.TrainConfig().batch_size}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs"]
 
 
 @pytest.mark.parametrize("n_val", [0, 1])
 def test_train_without_a_validation_batch_is_insufficient_pairs(pipeline_dir, tmp_path,
                                                                capsys, n_val):
-    pairs_dir = tmp_path / "pairs"
-    pairs_dir.mkdir()
+    val_lines = (pipeline_dir / "pairs" / "lexical.val.jsonl").read_text().splitlines()
+    pairs_dir = _pairs_dir(tmp_path, {"lexical.val.jsonl": val_lines[0] + "\n"} if n_val else {})
     for path in (pipeline_dir / "pairs").glob("*.train.jsonl"):
         shutil.copy(path, pairs_dir / path.name)
-    if n_val:
-        val_lines = (pipeline_dir / "pairs" / "lexical.val.jsonl").read_text().splitlines()
-        (pairs_dir / "lexical.val.jsonl").write_text(val_lines[0] + "\n")
     code, stdout, err = run(["train", "--pairs", str(pairs_dir), "--seed", "0",
                              "--out", str(tmp_path / "model.bin"),
                              "--report", str(tmp_path / "report.jsonl")], capsys)
@@ -1041,10 +1075,8 @@ _PAIR = {"view": "lexical", "left_tokens": ["a"], "right_tokens": ["b"], "proven
     ('"pair"', "string indices must be integers, not 'str'"),
 ], ids=["left-null", "right-int-after-str", "no-right", "string"])
 def test_malformed_pair_record_names_file_and_line(tmp_path, capsys, line, detail):
-    pairs_dir = tmp_path / "pairs"
-    pairs_dir.mkdir()
+    pairs_dir = _pairs_dir(tmp_path, {"lexical.train.jsonl": line + "\n"})
     bad = pairs_dir / "lexical.train.jsonl"
-    bad.write_text(line + "\n")
     code, _, err = run(["train", "--pairs", str(pairs_dir), "--seed", "0",
                         "--out", str(tmp_path / "model.bin")], capsys)
     assert code == 1

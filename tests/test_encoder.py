@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskrel import encoder
-from riskrel.corpus import FirmCorpus, Paragraph
+from riskrel.corpus import Paragraph
 from riskrel.encoder import (
     PAD_INDEX,
     UNK_INDEX,
@@ -54,7 +54,27 @@ def test_vocab_ordering_freq_desc_then_token_asc():
 def test_vocab_keeps_no_special_token_as_a_training_token():
     vocab = build_vocab([["<pad>", "<unk>", "a"], ["<unk>", "<pad>", "a"]], min_freq=1)
     assert vocab.index_to_token == ("<pad>", "<unk>", "a")
-    assert vocab.token_to_index == {"<pad>": PAD_INDEX, "<unk>": UNK_INDEX, "a": 2}
+    assert vocab.token_to_index == {"<unk>": UNK_INDEX, "a": 2}
+
+
+def test_vocab_derives_its_lookup_and_reads_a_pad_token_as_unknown():
+    vocab = encoder.Vocabulary(("<pad>", "<unk>", "risk"))
+    assert vocab.token_to_index == {"<unk>": UNK_INDEX, "risk": 2}
+    assert vocab.indices(["<pad>"]).tolist() == [UNK_INDEX]
+    assert vocab.indices(["<pad>", "risk", "<unk>"]).tolist() == [UNK_INDEX, 2, UNK_INDEX]
+    with pytest.raises(TypeError):
+        encoder.Vocabulary(("<pad>", "<unk>"), token_to_index={"<pad>": PAD_INDEX})
+
+
+def test_all_pad_paragraph_embeds_as_an_all_unk_one():
+    vocab = build_vocab([["risk", "risk"]], min_freq=1)
+    params = init_params(len(vocab), d=8, rng=2)
+    firm = [Paragraph(f"A:2023:1A:000{k}", "A", 2023, "1A", "", tokens)
+            for k, tokens in enumerate([("<pad>",) * 3, ("<unk>",) * 3,
+                                        ("<pad>", "risk"), ("risk", "<unk>")])]
+    all_pad, all_unk, pad_risk, risk_unk = embed_corpus(vocab, params, [firm]).firms["A"][1]
+    assert all_pad.tobytes() == all_unk.tobytes()
+    assert pad_risk.tobytes() == risk_unk.tobytes()
 
 
 def test_vocab_indices_truncate():
@@ -107,8 +127,8 @@ def test_encode_truncation_contract():
     encodes a paragraph as its first 5 tokens, to the bit."""
     tokens = tuple("abcdefghijkl")
     vocab = build_vocab([tokens], min_freq=1)
-    firm = FirmCorpus("A", [Paragraph(f"A:2023:1A:000{k}", "A", 2023, "1A", "", side)
-                            for k, side in enumerate((tokens, tokens[:5]))])
+    firm = [Paragraph(f"A:2023:1A:000{k}", "A", 2023, "1A", "", side)
+            for k, side in enumerate((tokens, tokens[:5]))]
     index = embed_corpus(vocab, init_params(len(vocab), d=8, rng=2), [firm], max_len=5)
     full, first_five = index.firms["A"][1]
     assert full.tobytes() == first_five.tobytes()

@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,38 @@ def test_every_function_the_benchmark_hooks_exists():
         layer, name = key.split(".")
         assert inspect.isfunction(getattr(importlib.import_module(f"riskrel.{layer}"),
                                           name, None)), key
+
+
+# The trace keys of bench/run.py's LAYER_SOURCES that name no function of
+# their layer: training_probe returns the training pair itself, and the
+# encoder pair is stale since the one-row encode was folded into forward.
+_UNBOUND_LAYER_SOURCES = {"training.objective_s", "training.gradients_s",
+                          "encoder.encode_s", "encoder.encode_calls"}
+
+
+def _layer_source_keys():
+    """The trace keys of ``LAYER_SOURCES`` in bench/run.py, read without
+    importing it (it pins BLAS threads on import)."""
+    tree = dict(_bench_trees())["bench/run.py"]
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["LAYER_SOURCES"])
+    return [ast.literal_eval(value)[1] for key, value in zip(table.keys, table.values)
+            if key is not None]
+
+
+def test_every_layer_source_names_a_function_of_its_layer():
+    """Each ``<layer>.<name>_s`` or ``<layer>.<name>_calls`` key that a
+    per-layer metric reads is a function of ``riskrel.<layer>``, which the
+    span recorder wraps, so a renamed function cannot leave its metric at 0."""
+    keys = [key for key in _layer_source_keys() if key]
+    assert "scoring.embed_corpus_s" in keys
+    unbound = set()
+    for key in keys:
+        match = re.fullmatch(r"(\w+)\.(\w+)_(?:s|calls)", key)
+        if match and match[2] != "self" and not inspect.isfunction(
+                getattr(importlib.import_module(f"riskrel.{match[1]}"), match[2], None)):
+            unbound.add(key)
+    assert unbound == _UNBOUND_LAYER_SOURCES
 
 
 def _bench_calls():

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskrel import cli, corpus
+from riskrel.pairs import pair_file
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -210,8 +211,9 @@ def _argv(kind: str, inputs: Path, fuzzed: Path, work: Path) -> list[str]:
                 "--out", str(work / "pairs")]
     pairs_dir = fuzzed.parent / "pairs"
     pairs_dir.mkdir()
-    shutil.copy(fuzzed, pairs_dir / "lexical.train.jsonl")
-    shutil.copy(fuzzed, pairs_dir / "lexical.val.jsonl")
+    for split in ("train", "val"):
+        shutil.copy(fuzzed, pair_file(pairs_dir, "lexical", split))
+        pair_file(pairs_dir, "chronological", split).write_text("")
     return ["train", "--pairs", str(pairs_dir), "--seed", "0", "--max-epochs", "1",
             "--batch-size", "2", "--embed-dim", "4", "--out", str(work / "model.bin")]
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskrel import scoring
-from riskrel.corpus import FirmCorpus, Paragraph, check_firm_id, group_by_firm, tokenize
+from riskrel.corpus import Paragraph, check_firm_id, group_by_firm, tokenize
 from riskrel.encoder import build_vocab, init_params
 from riskrel.errors import (
     DimensionMismatch,
@@ -151,23 +151,24 @@ def test_evidence_sorted_by_similarity_then_ids():
 
 def sorted_evidence_oracle(index, firm_a, firm_b, threshold):
     """Evidence built in block order, then sorted by (-similarity, id_a, id_b)."""
-    ids_a, ids_b, sims = scoring._similarities(index, firm_a, firm_b, {})
+    ids_a, ids_b, sims = scoring._similarities(index, firm_a, firm_b)
     evidence = [(ids_a[i], ids_b[j], float(sims[i, j]))
                 for i, j in zip(*np.nonzero(sims >= threshold))]
     evidence.sort(key=lambda e: (-e[2], e[0], e[1]))
     return evidence
 
 
-# Few distinct ids, so a firm repeats some; "x\0" sorts after "x", but a
+# Distinct ids, each firm's under its own prefix; "x\0" sorts after "x", but a
 # numpy U array would read it as "x".
 TIED_IDS = ["a", "x", "x\0", "z"]
 
 
 @st.composite
-def tied_firm(draw, d):
-    n = draw(st.integers(1, 5))
+def tied_firm(draw, d, prefix):
+    ids = draw(st.lists(st.sampled_from([prefix + pid for pid in TIED_IDS]),
+                        min_size=1, max_size=len(TIED_IDS), unique=True))
+    n = len(ids)
     vectors = draw(st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d))
-    ids = draw(st.lists(st.sampled_from(TIED_IDS), min_size=n, max_size=n))
     return ids, np.array(vectors, dtype=np.float64).reshape(n, d)
 
 
@@ -175,21 +176,15 @@ def tied_firm(draw, d):
 @given(data=st.data())
 def test_evidence_order_matches_a_sort_by_similarity_then_ids(data):
     d = data.draw(st.integers(1, 3))
-    index = EmbeddingIndex(firms={"A": data.draw(tied_firm(d)), "B": data.draw(tied_firm(d))})
+    index = EmbeddingIndex(firms={"A": data.draw(tied_firm(d, "")),
+                                  "B": data.draw(tied_firm(d, "b"))})
     firm_a, firm_b = data.draw(st.permutations(["A", "B"]))
-    sims = scoring._similarities(index, firm_a, firm_b, {})[2]
+    sims = scoring._similarities(index, firm_a, firm_b)[2]
     threshold = data.draw(st.sampled_from([0.0, 1.0]) | st.sampled_from(sims.ravel().tolist()))
     expected = sorted_evidence_oracle(index, firm_a, firm_b, threshold)
     evidence = find_mrps(index, firm_a, firm_b, threshold).evidence
     assert [(a, b, s.hex()) for a, b, s in evidence] == \
         [(a, b, s.hex()) for a, b, s in expected]
-
-
-def test_evidence_order_ranks_equal_ids_alike():
-    index = EmbeddingIndex(firms={"A": (["x", "x"], np.ones((2, 1))),
-                                  "B": (["z", "a"], np.ones((2, 1)))})
-    assert [(a, b) for a, b, _ in find_mrps(index, "A", "B", 0.5).evidence] == [
-        ("x", "a"), ("x", "a"), ("x", "z"), ("x", "z")]
 
 
 def test_every_mrp_member_appears_in_evidence():
@@ -294,12 +289,11 @@ def test_matrix_needs_two_firms():
 
 # --- embed_corpus ---
 
-def _corpus_of(firm, texts):
-    paragraphs = [
-        Paragraph(id=Paragraph.make_id(firm, 2023, "1A", k), firm_id=firm,
-                  year=2023, section="1A", text=t, tokens=tuple(tokenize(t)))
-        for k, t in enumerate(texts)]
-    return FirmCorpus(firm_id=firm, paragraphs=paragraphs)
+def _corpus_of(firm, texts, start=0):
+    """One firm's paragraphs of ``texts``, ordinals from ``start``."""
+    return [Paragraph(id=Paragraph.make_id(firm, 2023, "1A", k), firm_id=firm,
+                      year=2023, section="1A", text=t, tokens=tuple(tokenize(t)))
+            for k, t in enumerate(texts, start)]
 
 
 def test_embed_corpus_shapes_and_determinism():
@@ -343,12 +337,11 @@ def test_embed_corpus_matches_per_paragraph_reference(fixture_paragraphs):
     """
     vocab = build_vocab((p.tokens for p in fixture_paragraphs), min_freq=2)
     params = init_params(len(vocab), d=64, rng=5)
-    corpora = group_by_firm(fixture_paragraphs).values()
-    index = embed_corpus(vocab, params, corpora, max_len=256)
-    for corpus in corpora:
-        ids, vectors = index.firms[corpus.firm_id]
-        assert ids == [p.id for p in corpus.paragraphs]
-        for paragraph, vector in zip(corpus.paragraphs, vectors):
+    index = embed_corpus(vocab, params, [fixture_paragraphs], max_len=256)
+    for firm, paragraphs in group_by_firm(fixture_paragraphs).items():
+        ids, vectors = index.firms[firm]
+        assert ids == [p.id for p in paragraphs]
+        for paragraph, vector in zip(paragraphs, vectors):
             token_ids = vocab.indices(paragraph.tokens, 256)
             h = params.embed[token_ids].sum(axis=0) / len(token_ids)
             reference = np.tanh(params.proj_w @ h + params.proj_b)
@@ -487,15 +480,53 @@ def test_load_embeddings_returns_an_index_or_raises_value_error(raw):
         assert np.isfinite(vectors).all()
 
 
-def test_embed_corpus_keeps_empty_firm():
-    vocab = build_vocab([["a", "a"]], min_freq=1)
-    params = init_params(len(vocab), d=4, rng=0)
-    index = embed_corpus(vocab, params, [FirmCorpus("EMPTY", []),
-                                         _corpus_of("B", ["a a a a a"])])
-    assert "EMPTY" in index.firms
-    assert index.firms["EMPTY"][1].shape[0] == 0
-    with pytest.raises(EmptyFirm):
-        find_mrps(index, "EMPTY", "B", 0.5)
+_TEXTS = ["supply chain risk persists here", "cyber incident response plan ready",
+          "interest rate exposure remains high", "extra words appear"]
+
+
+def _embed(groups):
+    vocab = build_vocab([tokenize(t) for t in _TEXTS], min_freq=1)
+    return embed_corpus(vocab, init_params(len(vocab), d=8, rng=3), groups)
+
+
+def test_embed_corpus_files_each_paragraph_under_its_own_firm():
+    a, b = _corpus_of("A", _TEXTS[:2]), _corpus_of("B", _TEXTS[2:])
+    by_firm = _embed([a, b])
+    for groups in ([b, a], [a + b], [[b[0], a[0]], [a[1], b[1]]], [[p] for p in b + a]):
+        index = _embed(groups)
+        assert {firm: ids for firm, (ids, _) in index.firms.items()} == {
+            "A": [p.id for p in a], "B": [p.id for p in b]}
+        for firm, (_, vectors) in index.firms.items():
+            assert vectors.tobytes() == by_firm.firms[firm][1].tobytes()
+
+
+def test_embed_corpus_makes_one_firm_of_two_groups_in_input_order():
+    first, second = _corpus_of("A", _TEXTS[:2]), _corpus_of("A", _TEXTS[2:], start=2)
+    index = _embed([first, _corpus_of("B", _TEXTS[:1]), second])
+    assert index.firm_ids() == ["A", "B"]
+    ids, vectors = index.firms["A"]
+    assert ids == [p.id for p in first + second]
+    assert vectors.tobytes() == _embed([first + second]).firms["A"][1].tobytes()
+
+
+@pytest.mark.parametrize("firms", [
+    {"A": (["A:0", "A:0"], np.ones((2, 2)))},
+    {"A": (["X:0"], np.ones((1, 2))), "B": (["B:0", "X:0"], np.ones((2, 2)))},
+], ids=["in_one_firm", "across_two_firms"])
+def test_index_with_a_repeated_paragraph_id_raises_when_made(firms):
+    repeated = "A:0" if len(firms) == 1 else "X:0"
+    with pytest.raises(ValueError, match=f"^paragraph id '{repeated}' repeated$"):
+        EmbeddingIndex(firms=firms)
+
+
+def test_index_computes_each_firms_unit_rows_once():
+    index = make_index({"A": [[3.0, 4.0], [0.0, 2.0]], "B": [[1.0, 0.0]]})
+    units = index.units
+    assert units is index.units
+    assert units["A"].tolist() == [[0.6, 0.8], [0.0, 1.0]]
+    find_mrps(index, "A", "B", 0.5)
+    rrs_matrix(index, 0.5)
+    assert index.units is units
 
 
 # --- evidence ---
