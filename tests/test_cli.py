@@ -998,6 +998,20 @@ def test_ingest_sections_choose_the_corpus(tmp_path, capsys):
     assert [(r["id"], r["section"]) for r in records] == [("ACME:2020:1B:0000", "1B")]
 
 
+def test_ingest_sections_in_lower_case_select_their_items(tmp_path, capsys):
+    """"ITEM 1a" is heading code 1A, and "--sections 1a" asks for it."""
+    filing = tmp_path / "filings" / "ACME" / "2020.txt"
+    filing.parent.mkdir(parents=True)
+    filing.write_text("<p>ITEM 1a. Risk Factors</p><p>" + "risk " * 25 + "</p>"
+                      "<p>Item 2. Properties</p>")
+    out = tmp_path / "p.jsonl"
+    assert run(["ingest", "--root", str(filing.parents[1]), "--out", str(out),
+                "--sections", "1a"], capsys) == (
+        0, f"ingest: wrote 1 paragraphs from 1 firms to {out}\n", "")
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["id"], r["section"]) for r in records] == [("ACME:2020:1A:0000", "1A")]
+
+
 @pytest.mark.parametrize("command, flag", [
     ("embed", "--sections"), ("score", "--sections"), ("sweep", "--sections"),
     ("embed", "--config")])

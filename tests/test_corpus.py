@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -262,6 +263,29 @@ def test_segment_min_tokens_configurable():
     assert len(segment_paragraphs(section, "X", 2020, "1A", min_tokens=11)) == 0
 
 
+_TEXT_CHARS = st.one_of(st.sampled_from(_TOKEN_CHARS), st.characters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_chunk_table_over_many_sections_gives_each_paragraph_tokenize(data):
+    """Sections drawn from a few shared pieces (upper-cased too) repeat their
+    whitespace chunks, so later sections hit entries earlier ones made. Each
+    paragraph still has tokenize(text) as its tokens, each token interned."""
+    pool = data.draw(st.lists(st.text(_TEXT_CHARS, max_size=8), min_size=1, max_size=6))
+    piece = st.one_of(st.sampled_from(pool), st.sampled_from(pool).map(str.upper))
+    sections = data.draw(st.lists(st.lists(piece, max_size=12).map("".join), max_size=6))
+    table = corpus._chunk_tokens()
+    for section in sections:
+        paragraphs = segment_paragraphs(section, "X", 2020, "1A", min_tokens=1,
+                                        chunk_tokens=table)
+        blocks = [block.strip() for block in re.split(r"\n\s*\n", section)]
+        assert [p.text for p in paragraphs] == [block for block in blocks if tokenize(block)]
+        for p in paragraphs:
+            assert p.tokens == tuple(tokenize(p.text))
+            assert all(token is sys.intern(token) for token in p.tokens)
+
+
 # --- fixture-level invariants ---
 
 def test_fixture_paragraph_tokens_invariant(fixture_paragraphs):
@@ -310,11 +334,43 @@ def test_ingest_filing_repeated_section_yields_each_paragraph_once():
     assert [p.id for p in paragraphs] == ["X:2020:1A:0000"]
 
 
+def test_ingest_filing_reads_section_labels_in_any_case():
+    """Heading codes match in any case, and so do the requested labels."""
+    paragraphs = corpus.ingest_filing("X", 2020, _FILING, ["1a", "1A"])
+    assert [(p.id, p.section) for p in paragraphs] == [("X:2020:1A:0000", "1A")]
+
+
 def test_paragraph_roundtrip_jsonl(tmp_path, fixture_paragraphs):
     path = tmp_path / "paragraphs.jsonl"
     n = corpus.write_paragraphs(fixture_paragraphs, path)
     assert n == len(fixture_paragraphs)
     assert corpus.read_paragraphs(path) == list(fixture_paragraphs)
+
+
+# Strings json.dumps escapes (quotes, backslashes, control characters), one
+# it leaves raw (U+2028), non-ASCII and astral characters. A lone surrogate
+# has no UTF-8 form, so no paragraph file can hold one.
+_JSON_TEXT = st.text(st.one_of(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\r",
+                                                "\t", "\u2028", "é", "\U0001f600"]),
+                               st.characters(exclude_categories=("Cs",))), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_write_paragraphs_writes_the_json_dumps_lines(data):
+    pool = [""] + data.draw(st.lists(_JSON_TEXT, min_size=1, max_size=5))
+    paragraphs = data.draw(st.lists(st.builds(
+        corpus.Paragraph, id=_JSON_TEXT, firm_id=_JSON_TEXT, year=st.integers(),
+        section=_JSON_TEXT, text=_JSON_TEXT,
+        tokens=st.lists(st.sampled_from(pool), max_size=8).map(tuple)), max_size=5))
+    expected = "".join(json.dumps({"id": p.id, "firm": p.firm_id, "year": p.year,
+                                   "section": p.section, "text": p.text,
+                                   "tokens": list(p.tokens)}, ensure_ascii=False) + "\n"
+                       for p in paragraphs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "paragraphs.jsonl"
+        assert corpus.write_paragraphs(paragraphs, path) == len(paragraphs)
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_equal_tokens_are_one_object(tmp_path, fixture_paragraphs):
@@ -412,6 +468,20 @@ def test_ingest_rejects_non_year_filenames(tmp_path):
     (tmp_path / "ACME" / "notes.txt").write_text("not a filing")
     with pytest.raises(ValueError, match="notes.txt"):
         corpus.ingest_directory(tmp_path)
+
+
+@pytest.mark.parametrize("hidden, content", [
+    (".ipynb_checkpoints/2020.txt", _FILING.encode()),
+    ("ACME/._2021.txt", b"\x00\x05\x16\x07\x00\x02\x00\x00Mac OS X\xff"),
+], ids=["firm", "filing"])
+def test_ingest_skips_hidden_entries(tmp_path, hidden, content):
+    """A notebook's checkpoint copy is no firm, and macOS metadata no filing."""
+    (tmp_path / "ACME").mkdir()
+    (tmp_path / "ACME" / "2020.txt").write_text(_FILING)
+    path = tmp_path / hidden
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(content)
+    assert [p.id for p in corpus.ingest_directory(tmp_path)] == ["ACME:2020:1A:0000"]
 
 
 # --- CSV: one writer, one cell rule ---
