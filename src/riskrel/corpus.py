@@ -12,12 +12,6 @@ tokens hundreds of thousands of times, so equal tokens sharing one ``str``
 keeps paragraph memory growing with the vocabulary and the text rather than
 the token count, and the dictionary lookups of vocabulary indexing, date
 scanning and lexical overlap reuse the cached hash and match by identity.
-
-The same repetition makes ingest's work per distinct string, not per
-occurrence: one table per :func:`ingest_directory` call holds each
-whitespace chunk's interned tokens, made by :func:`tokenize` on the chunk's
-first occurrence, and :func:`write_paragraphs` escapes each distinct
-token's JSON literal once per call. Neither table outlives its call.
 """
 
 from __future__ import annotations
@@ -74,23 +68,6 @@ _scan_json = json.JSONDecoder().scan_once
 _LINE_ENDS = frozenset(("", "\n", "\r\n", "\r"))
 
 
-class _Memo(dict):
-    """``make(key)`` for each key, made on the key's first lookup and kept."""
-
-    def __init__(self, make: Callable[[str], object]) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: str) -> object:
-        value = self[key] = self.make(key)
-        return value
-
-
-def _chunk_tokens() -> _Memo:
-    """A fresh table of each lowercase whitespace chunk's interned tokens."""
-    return _Memo(lambda chunk: tuple(map(sys.intern, tokenize(chunk))))
-
-
 @dataclass(frozen=True)
 class Paragraph:
     """One risk-section paragraph with provenance.
@@ -141,12 +118,17 @@ def tokenize(text: str) -> list[str]:
 
     This is ``_TOKEN_RE.findall(text.lower())`` run per whitespace chunk:
     ``re``'s ``\\s`` is ``str.isspace``, as is ``str.split``'s, so no token
-    spans whitespace, and an alphabetic chunk is exactly one letter run.
+    spans whitespace, and an alphabetic chunk is exactly one letter run. A
+    chunk that is a letter run and one last character no letter run holds
+    (a ``\\d``, ``_`` or a non-word character, as in "loss,") is those two
+    tokens, without the regex.
     """
     tokens: list[str] = []
     for chunk in text.lower().split():
         if chunk.isalpha():
             tokens.append(chunk)
+        elif chunk[:-1].isalpha() and (chunk[-1].isdecimal() or not chunk[-1].isalnum()):
+            tokens += chunk[:-1], chunk[-1]
         else:
             tokens += _TOKEN_RE.findall(chunk)
     return tokens
@@ -210,27 +192,20 @@ def extract_sections(cleaned: str,
 
 
 def segment_paragraphs(section: str, firm_id: str, year: int, label: str,
-                       min_tokens: int = DEFAULT_MIN_TOKENS, *,
-                       chunk_tokens: _Memo | None = None) -> list[Paragraph]:
+                       min_tokens: int = DEFAULT_MIN_TOKENS) -> list[Paragraph]:
     """Split section text on blank lines into tokenized paragraphs.
 
     Fragments with fewer than ``min_tokens`` tokens (headings, page numbers)
     are discarded; ordinals are assigned in document order over the kept
-    paragraphs. The tokens, interned, come from ``chunk_tokens``, a table of
-    each whitespace chunk's tokens that one caller may share over many
-    sections (by default a fresh one).
+    paragraphs. The kept paragraphs' tokens are interned.
     """
-    if chunk_tokens is None:
-        chunk_tokens = _chunk_tokens()
     paragraphs = []
     ordinal = 0
     for block in re.split(r"\n\s*\n", section):
         text = block.strip()
         if not text:
             continue
-        # tokenize(text), as tokenize runs per whitespace chunk.
-        tokens = tuple(chain.from_iterable(map(chunk_tokens.__getitem__,
-                                               text.lower().split())))
+        tokens = tokenize(text)
         if len(tokens) < min_tokens:
             continue
         paragraphs.append(Paragraph(
@@ -239,7 +214,7 @@ def segment_paragraphs(section: str, firm_id: str, year: int, label: str,
             year=year,
             section=label,
             text=text,
-            tokens=tokens,
+            tokens=tuple(map(sys.intern, tokens)),
         ))
         ordinal += 1
     return paragraphs
@@ -247,13 +222,11 @@ def segment_paragraphs(section: str, firm_id: str, year: int, label: str,
 
 def ingest_filing(firm_id: str, year: int, raw_text: str,
                   sections: Iterable[str] = DEFAULT_SECTIONS,
-                  min_tokens: int = DEFAULT_MIN_TOKENS, *,
-                  chunk_tokens: _Memo | None = None) -> list[Paragraph]:
+                  min_tokens: int = DEFAULT_MIN_TOKENS) -> list[Paragraph]:
     """Clean one raw filing and segment its requested sections, in that order.
 
     Section labels are upper-cased, as heading codes are, so ``1a`` asks
-    for Item 1A and the ids say ``1A``. ``chunk_tokens`` is passed to
-    :func:`segment_paragraphs`.
+    for Item 1A and the ids say ``1A``.
     """
     check_firm_id(firm_id)
     _check_year(year)
@@ -261,7 +234,7 @@ def ingest_filing(firm_id: str, year: int, raw_text: str,
     extracted = extract_sections(strip_markup(raw_text), sections)
     return [p for label in sections if label in extracted
             for p in segment_paragraphs(extracted[label], firm_id, year, label,
-                                        min_tokens=min_tokens, chunk_tokens=chunk_tokens)]
+                                        min_tokens=min_tokens)]
 
 
 def ingest_directory(root: str | Path, sections: Iterable[str] = DEFAULT_SECTIONS,
@@ -273,13 +246,11 @@ def ingest_directory(root: str | Path, sections: Iterable[str] = DEFAULT_SECTION
     ``._2021.txt``), are neither firms nor filings and are skipped.
     A filing whose name is not four ASCII digits and ``.txt``, that is not
     UTF-8, or that :func:`ingest_filing` rejects, is a ``ValueError`` naming
-    it; so no two filings of a firm name one year. One chunk table serves
-    every filing of the call.
+    it; so no two filings of a firm name one year.
     """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"filing root is not a directory: {root}")
-    chunk_tokens = _chunk_tokens()
     paragraphs: list[Paragraph] = []
     for firm_dir in sorted(p for p in root.iterdir() if p.is_dir() and not _hidden(p)):
         for filing_path in sorted(filterfalse(_hidden, firm_dir.glob("*.txt"))):
@@ -289,8 +260,7 @@ def ingest_directory(root: str | Path, sections: Iterable[str] = DEFAULT_SECTION
             try:
                 raw = filing_path.read_text(encoding="utf-8")
                 paragraphs.extend(ingest_filing(firm_dir.name, int(filing_path.stem), raw,
-                                                sections=sections, min_tokens=min_tokens,
-                                                chunk_tokens=chunk_tokens))
+                                                sections=sections, min_tokens=min_tokens))
             except ValueError as exc:  # UnicodeDecodeError is one
                 raise ValueError(f"bad filing {filing_path}: {exc}") from None
     return paragraphs
@@ -312,10 +282,10 @@ def write_paragraphs(paragraphs: Iterable[Paragraph], path: str | Path) -> int:
     """Write paragraphs as line-delimited JSON records. Returns the count.
 
     Each line is the one :func:`write_jsonl` writes for the record ``{"id",
-    "firm", "year", "section", "text", "tokens"}``, built from the string
-    escaper ``json.dumps`` uses, each distinct token escaped once per call.
+    "firm", "year", "section", "text", "tokens"}``, put together from the
+    string escaper ``json.dumps`` uses, which is faster than encoding the
+    record as a dict.
     """
-    literals = _Memo(encode_basestring)
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for p in paragraphs:
@@ -323,7 +293,7 @@ def write_paragraphs(paragraphs: Iterable[Paragraph], path: str | Path) -> int:
                      f'"firm": {encode_basestring(p.firm_id)}, "year": {int.__repr__(p.year)}, '
                      f'"section": {encode_basestring(p.section)}, '
                      f'"text": {encode_basestring(p.text)}, '
-                     f'"tokens": [{", ".join(map(literals.__getitem__, p.tokens))}]}}\n')
+                     f'"tokens": [{", ".join(map(encode_basestring, p.tokens))}]}}\n')
             n += 1
     return n
 

@@ -81,6 +81,16 @@ def test_tokenize_is_the_regex_findall_on_any_text(text):
     assert tokenize(text) == _TOKEN_ORACLE.findall(text.lower())
 
 
+@pytest.mark.parametrize("text", [
+    "loss, loss. (loss) loss;", "q3 a5 a٣ a_", "a² a½ x², ½.",
+    "ab́ İ. straße! İstanbul,", "a. .a 7. _a, ,",
+])
+def test_tokenize_splits_a_letter_run_and_its_last_character_as_the_regex_does(text):
+    """A letter run and one last character outside every letter run ("loss,",
+    "a5", "a_") are two tokens; "x²" is one, as "²" is a letter-run character."""
+    assert tokenize(text) == _TOKEN_ORACLE.findall(text.lower())
+
+
 # --- strip_markup ---
 
 def test_strip_markup_removes_simple_tag():
@@ -268,17 +278,15 @@ _TEXT_CHARS = st.one_of(st.sampled_from(_TOKEN_CHARS), st.characters())
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_one_chunk_table_over_many_sections_gives_each_paragraph_tokenize(data):
+def test_segment_gives_each_paragraph_its_interned_tokenize(data):
     """Sections drawn from a few shared pieces (upper-cased too) repeat their
-    whitespace chunks, so later sections hit entries earlier ones made. Each
-    paragraph still has tokenize(text) as its tokens, each token interned."""
+    whitespace chunks. Each paragraph has tokenize(text) as its tokens, each
+    token interned, and the kept blocks are the blocks with tokens."""
     pool = data.draw(st.lists(st.text(_TEXT_CHARS, max_size=8), min_size=1, max_size=6))
     piece = st.one_of(st.sampled_from(pool), st.sampled_from(pool).map(str.upper))
     sections = data.draw(st.lists(st.lists(piece, max_size=12).map("".join), max_size=6))
-    table = corpus._chunk_tokens()
     for section in sections:
-        paragraphs = segment_paragraphs(section, "X", 2020, "1A", min_tokens=1,
-                                        chunk_tokens=table)
+        paragraphs = segment_paragraphs(section, "X", 2020, "1A", min_tokens=1)
         blocks = [block.strip() for block in re.split(r"\n\s*\n", section)]
         assert [p.text for p in paragraphs] == [block for block in blocks if tokenize(block)]
         for p in paragraphs:
@@ -335,9 +343,11 @@ def test_ingest_filing_repeated_section_yields_each_paragraph_once():
 
 
 def test_ingest_filing_reads_section_labels_in_any_case():
-    """Heading codes match in any case, and so do the requested labels."""
-    paragraphs = corpus.ingest_filing("X", 2020, _FILING, ["1a", "1A"])
-    assert [(p.id, p.section) for p in paragraphs] == [("X:2020:1A:0000", "1A")]
+    """Heading codes match in any case, and so do the requested labels: "1a"
+    asks for Item 1A, and "1a" with "1A" asks for it once."""
+    for sections in (["1a"], ["1a", "1A"]):
+        paragraphs = corpus.ingest_filing("X", 2020, _FILING, sections)
+        assert [(p.id, p.section) for p in paragraphs] == [("X:2020:1A:0000", "1A")]
 
 
 def test_paragraph_roundtrip_jsonl(tmp_path, fixture_paragraphs):
