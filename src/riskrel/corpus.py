@@ -244,9 +244,9 @@ def ingest_directory(root: str | Path, sections: Iterable[str] = DEFAULT_SECTION
     Firms and years are processed in sorted order so the output is stable.
     Hidden entries, whose names start with ``.`` (``.ipynb_checkpoints/``,
     ``._2021.txt``), are neither firms nor filings and are skipped.
-    A filing whose name is not four ASCII digits and ``.txt``, that is not
-    UTF-8, or that :func:`ingest_filing` rejects, is a ``ValueError`` naming
-    it; so no two filings of a firm name one year.
+    A filing whose name is not four ASCII digits and ``.txt``, that is a
+    directory or not UTF-8, or that :func:`ingest_filing` rejects, is a
+    ``ValueError`` naming it; so no two filings of a firm name one year.
     """
     root = Path(root)
     if not root.is_dir():
@@ -258,6 +258,8 @@ def ingest_directory(root: str | Path, sections: Iterable[str] = DEFAULT_SECTION
                 raise ValueError(
                     f"filing name must be <year>.txt, got: {filing_path}")
             try:
+                if filing_path.is_dir():
+                    raise ValueError("is a directory, not a file")
                 raw = filing_path.read_text(encoding="utf-8")
                 paragraphs.extend(ingest_filing(firm_dir.name, int(filing_path.stem), raw,
                                                 sections=sections, min_tokens=min_tokens))

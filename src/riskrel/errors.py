@@ -56,24 +56,12 @@ class UnknownParagraphId(RiskRelError):
 
 # --- evaluation ---
 
-class NonPositivePrice(RiskRelError):
-    """A close price of zero or below cannot produce a return."""
-
-
-class TooShort(RiskRelError):
-    """A price series has fewer than two observations."""
-
-
 class InsufficientOverlap(RiskRelError):
     """Two return series share fewer common dates than the required floor."""
 
 
-class ZeroVariance(RiskRelError):
-    """A correlation input is constant."""
-
-
 class DegenerateInput(RiskRelError):
-    """Correlation across firm pairs is undefined (too few pairs or no variance)."""
+    """A correlation is undefined: a constant input, or fewer than two firm pairs."""
 
 
 class UnknownFirm(RiskRelError):

@@ -8,10 +8,14 @@ two exposed firms in opposite directions). The headline metric is
     rho = corr(RRS, CAVDSR)
 
 across firm pairs, taken by :func:`alignment_rho` from two arrays of one
-value per pair. Two firms on the same trading calendar need no date
-join: across many pairs each firm's absolute returns are centred once and
-a pair costs one dot product, with exactly the arithmetic of the join
-(see :func:`pairwise_cavdsr`). A sector/industry taxonomy provides the
+value per pair. A pair has a CAVDSR when its firms share at least
+:data:`MIN_OVERLAP` trading dates and neither absolute-return series is
+constant; every other pair is left out and counted. An undefined
+correlation, of one pair or across pairs, is :class:`DegenerateInput`.
+Two firms on the same trading calendar need no date join: across many
+pairs each firm's absolute returns are centred once and a pair costs one
+dot product, with exactly the arithmetic of the join (see
+:func:`pairwise_cavdsr`). A sector/industry taxonomy provides the
 human-defined binary baseline. Standalone retrieval quality is measured with NDCG,
 precision and recall at top-k cutoffs, and a threshold sweep reports how
 MRP counts and scores respond to the similarity cutoff.
@@ -22,21 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import read_csv_body
-from .errors import (
-    DegenerateInput,
-    EmptyRelevanceSet,
-    InsufficientOverlap,
-    NonPositivePrice,
-    TooShort,
-    UnknownFirm,
-    ZeroVariance,
-)
+from .corpus import _hidden, read_csv_body
+from .errors import DegenerateInput, EmptyRelevanceSet, InsufficientOverlap, UnknownFirm
 from .scoring import MaxSimTable
 
 MIN_OVERLAP = 30
@@ -96,26 +93,28 @@ class SweepRow:
 def daily_returns(prices: Sequence[tuple[str, float]], firm_id: str = "") -> ReturnSeries:
     """Simple returns p_t/p_{t-1} - 1 over consecutive trading days.
 
-    The price dates must be strictly increasing: ReturnSeries checks the
-    dates it keeps, those of ``prices[1:]``, and the first is checked here.
+    Fewer than two prices give no returns: such a firm shares too few dates
+    with any other, and :func:`pairwise_cavdsr` leaves its pairs out. The
+    price dates must be strictly increasing: ReturnSeries checks the dates
+    it keeps, those of ``prices[1:]``, and the first is checked here. A
+    close of zero or below is a ``ValueError`` too.
     """
-    if len(prices) < 2:
-        raise TooShort(f"need >= 2 price points for {firm_id or 'series'}")
-    (first, _), (second, _) = prices[:2]
-    if first >= second:
-        raise ValueError(f"dates must be strictly increasing: {second} after {first}")
+    if len(prices) >= 2 and prices[0][0] >= prices[1][0]:
+        raise ValueError("dates must be strictly increasing: "
+                         f"{prices[1][0]} after {prices[0][0]}")
     closes = np.array([close for _, close in prices], dtype=float)
     nonpositive = np.flatnonzero(closes <= 0)
     if nonpositive.size:
         date, close = prices[nonpositive[0]]
-        raise NonPositivePrice(f"{firm_id or 'series'} close {close} on {date}")
+        raise ValueError(f"close {close} on {date} is not positive")
     with np.errstate(over="ignore"):  # an overflow is ReturnSeries' non-finite error
         returns = closes[1:] / closes[:-1] - 1.0
     return ReturnSeries(firm_id, tuple(date for date, _ in prices[1:]), returns)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation; exact 1.0 for identical inputs.
+    """Pearson correlation; exact 1.0 for identical inputs. A constant
+    input has none: that is :class:`DegenerateInput`.
 
     Computed as cov / sqrt(var_x * var_y); when x and y are bit-identical
     the numerator equals both variances, and sqrt(s*s) == s in IEEE-754
@@ -144,7 +143,7 @@ def _correlate(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> floa
     """The Pearson correlation of two :func:`_centred` vectors, clamped to [-1, 1]."""
     (dx, sx), (dy, sy) = x, y
     if sx == 0.0 or sy == 0.0:
-        raise ZeroVariance("correlation input is constant")
+        raise DegenerateInput("correlation input is constant")
     dot = float(np.dot(dx, dy))
     denom = math.sqrt(sx * sy)
     if not 0.0 < denom < math.inf:
@@ -177,43 +176,43 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
                    _ranks(np.asarray(y, dtype=np.float64)))
 
 
-def cavdsr(a: ReturnSeries, b: ReturnSeries,
-           min_overlap: int = MIN_OVERLAP) -> float:
+def cavdsr(a: ReturnSeries, b: ReturnSeries) -> float:
     """Correlation of the absolute values of two firms' daily returns.
 
     Series are inner-joined on common trading dates; fewer than
-    ``min_overlap`` shared observations is an error, as is a constant
-    absolute-return series.
+    :data:`MIN_OVERLAP` shared observations is :class:`InsufficientOverlap`,
+    and a constant absolute-return series is :class:`DegenerateInput`.
     """
     common, pos_a, pos_b = np.intersect1d(a.date_index, b.date_index,
                                           assume_unique=True, return_indices=True)
-    if len(common) < min_overlap:
+    if len(common) < MIN_OVERLAP:
         raise InsufficientOverlap(
-            f"{a.firm_id}/{b.firm_id}: {len(common)} common dates < {min_overlap}")
+            f"{a.firm_id}/{b.firm_id}: {len(common)} common dates < {MIN_OVERLAP}")
     return pearson(np.abs(a.returns[pos_a]), np.abs(b.returns[pos_b]))
 
 
 def pairwise_cavdsr(returns: Mapping[str, ReturnSeries],
-                    pairs: Iterable[tuple[str, str]],
-                    min_overlap: int = MIN_OVERLAP) -> dict[tuple[str, str], float]:
+                    pairs: Iterable[tuple[str, str]]) -> dict[tuple[str, str], float]:
     """CAVDSR of every pair whose firms both have return series.
 
-    A pair is left out when a firm has no series, the two share fewer than
-    ``min_overlap`` dates, or an absolute-return series is constant.
+    One rule says which pairs cannot be scored: a pair is left out when a
+    firm has no series, the two share fewer than :data:`MIN_OVERLAP` dates
+    (a firm with fewer than two prices shares none), or an absolute-return
+    series is constant.
 
     Firms are grouped by identical ``dates`` first. When both firms of a
-    pair share one calendar of at least ``max(min_overlap, 2)`` dates, the
+    pair share one calendar of at least :data:`MIN_OVERLAP` dates, the
     date join would keep every date in order, so each firm's absolute
     returns are centred once, on first use, and the pair costs one dot
     product: the arithmetic :func:`cavdsr` does after that join, so the
     value is bit-identical to it (corr(x, x) stays exactly 1.0). Every
-    other pair goes through :func:`cavdsr`, which also raises what it
-    raises for it.
+    other pair goes through :func:`cavdsr`. Either way, the rule's
+    exclusions are its two error kinds, :class:`InsufficientOverlap` and
+    :class:`DegenerateInput`.
     """
     calendars: dict[tuple[str, ...], int] = {}
     calendar = {firm: calendars.setdefault(series.dates, len(calendars))
                 for firm, series in returns.items()}
-    shortest = max(min_overlap, 2)
     centred: dict[str, tuple[np.ndarray, float]] = {}
 
     def abs_centred(firm: str) -> tuple[np.ndarray, float]:
@@ -225,11 +224,11 @@ def pairwise_cavdsr(returns: Mapping[str, ReturnSeries],
     for a, b in pairs:
         if a in returns and b in returns:
             try:
-                if calendar[a] == calendar[b] and len(returns[a].dates) >= shortest:
+                if calendar[a] == calendar[b] and len(returns[a].dates) >= MIN_OVERLAP:
                     out[(a, b)] = _correlate(abs_centred(a), abs_centred(b))
                 else:
-                    out[(a, b)] = cavdsr(returns[a], returns[b], min_overlap)
-            except (InsufficientOverlap, ZeroVariance):
+                    out[(a, b)] = cavdsr(returns[a], returns[b])
+            except (InsufficientOverlap, DegenerateInput):
                 continue
     return out
 
@@ -246,11 +245,7 @@ def alignment_rho(rrs: Sequence[float], cavdsr: Sequence[float],
                          f"got {x.shape} and {y.shape}")
     if len(x) < 2:
         raise DegenerateInput(f"need >= 2 firm pairs, got {len(x)}")
-    corr = {"pearson": pearson, "spearman": spearman}[method]
-    try:
-        return corr(x, y)
-    except ZeroVariance as exc:
-        raise DegenerateInput(str(exc)) from exc
+    return {"pearson": pearson, "spearman": spearman}[method](x, y)
 
 
 def gics_binary_rrs(mapping: Mapping[str, tuple[str, str]], firm_a: str,
@@ -342,8 +337,7 @@ def make_grid(start: float = DEFAULT_GRID_START, stop: float = DEFAULT_GRID_STOP
 
 
 def threshold_sweep(table: MaxSimTable, grid: Sequence[float],
-                    returns: Mapping[str, ReturnSeries] | None = None,
-                    min_overlap: int = MIN_OVERLAP) -> list[SweepRow]:
+                    returns: Mapping[str, ReturnSeries] | None = None) -> list[SweepRow]:
     """Score every pair of the table at each threshold in the ascending grid.
 
     Each pair's similarities were reduced once, to the table's maxima (see
@@ -358,7 +352,7 @@ def threshold_sweep(table: MaxSimTable, grid: Sequence[float],
         raise ValueError("grid must be ascending")
     pairs = table.pairs
     if returns is not None:
-        pair_cavdsr = pairwise_cavdsr(returns, pairs, min_overlap)
+        pair_cavdsr = pairwise_cavdsr(returns, pairs)
         kept = np.array([pair in pair_cavdsr for pair in pairs], dtype=bool)
         cavdsr_vec = np.array([pair_cavdsr[pair] for pair in pairs if pair in pair_cavdsr])
     rows: list[SweepRow] = []
@@ -376,17 +370,19 @@ def threshold_sweep(table: MaxSimTable, grid: Sequence[float],
 def read_prices_dir(prices_dir: str | Path) -> dict[str, ReturnSeries]:
     """Load per-firm ``<ticker>.csv`` files of (date, close) rows.
 
-    A header line is required; rows must be in ascending date order.
+    A header line is required; rows must be in ascending date order, and
+    every close above zero. Hidden files (``._ACME.csv``) are skipped, as
+    :func:`~riskrel.corpus.ingest_directory` skips them.
     """
     prices_dir = Path(prices_dir)
     if not prices_dir.is_dir():
         raise FileNotFoundError(f"prices directory not found: {prices_dir}")
     series = {}
-    for path in sorted(prices_dir.glob("*.csv")):
+    for path in sorted(filterfalse(_hidden, prices_dir.glob("*.csv"))):
         prices = read_csv_body(path, 2, _price_row)
         try:
             series[path.stem] = daily_returns(prices, firm_id=path.stem)
-        except ValueError as exc:  # ReturnSeries' checks, which know no file
+        except ValueError as exc:  # the series' checks, which know no file
             raise ValueError(f"bad price series in {path}: {exc}") from None
     return series
 

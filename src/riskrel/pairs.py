@@ -82,7 +82,7 @@ def _valid_date(year: int, month: int, day: int) -> str | None:
 
 
 def _is_year(tok: str) -> bool:
-    return len(tok) == 4 and tok.isdigit()
+    return len(tok) == 4 and tok.isdecimal()
 
 
 def scan_tokens(tokens: Sequence[str]) -> list[DateMention]:
@@ -114,7 +114,7 @@ def scan_tokens(tokens: Sequence[str]) -> list[DateMention]:
         if tok in _MONTHS:
             month = _MONTHS[tok]
             # MonthName D , YYYY
-            if (i + 3 < n and tokens[i + 1].isdigit() and len(tokens[i + 1]) <= 2
+            if (i + 3 < n and tokens[i + 1].isdecimal() and len(tokens[i + 1]) <= 2
                     and tokens[i + 2] == "," and _is_year(tokens[i + 3])):
                 iso = _valid_date(int(tokens[i + 3]), month, int(tokens[i + 1]))
                 if iso:
@@ -124,8 +124,8 @@ def scan_tokens(tokens: Sequence[str]) -> list[DateMention]:
                 iso = _valid_date(int(tokens[i + 1]), month, 1)
                 if iso:
                     hit = (i + 2, iso)
-        elif (tok.isdigit() and len(tok) <= 2 and i + 4 < n
-                and tokens[i + 1] == "/" and tokens[i + 2].isdigit()
+        elif (tok.isdecimal() and len(tok) <= 2 and i + 4 < n
+                and tokens[i + 1] == "/" and tokens[i + 2].isdecimal()
                 and len(tokens[i + 2]) <= 2 and tokens[i + 3] == "/"
                 and _is_year(tokens[i + 4])):
             # MM/DD/YYYY
@@ -133,9 +133,9 @@ def scan_tokens(tokens: Sequence[str]) -> list[DateMention]:
             if iso:
                 hit = (i + 5, iso)
         elif (_is_year(tok) and i + 4 < n
-                and tokens[i + 1] == "-" and tokens[i + 2].isdigit()
+                and tokens[i + 1] == "-" and tokens[i + 2].isdecimal()
                 and len(tokens[i + 2]) <= 2 and tokens[i + 3] == "-"
-                and tokens[i + 4].isdigit() and len(tokens[i + 4]) <= 2):
+                and tokens[i + 4].isdecimal() and len(tokens[i + 4]) <= 2):
             # YYYY-MM-DD
             iso = _valid_date(int(tok), int(tokens[i + 2]), int(tokens[i + 4]))
             if iso:

@@ -1,7 +1,8 @@
 """CAVDSR once per firm: ``pairwise_cavdsr`` and the sweep's rho must agree
-bit for bit with per-pair ``cavdsr`` and with ``pearson`` over the kept pairs."""
+bit for bit with per-pair ``cavdsr`` and with ``pearson`` over the kept pairs.
+Calendars are drawn on both sides of the ``MIN_OVERLAP`` floor, so the
+shared-calendar path, the date join and the exclusion all run."""
 
-import re
 from itertools import combinations
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrel.errors import InsufficientOverlap, ZeroVariance
+from riskrel.errors import DegenerateInput, InsufficientOverlap
 from riskrel.evaluation import (
+    MIN_OVERLAP,
     ReturnSeries,
     cavdsr,
     pairwise_cavdsr,
@@ -19,7 +21,8 @@ from riskrel.evaluation import (
 )
 from riskrel.scoring import EmbeddingIndex, max_similarity_table, rrs
 
-DATES = tuple(f"2023-01-{d:02d}" for d in range(1, 15))
+DATES = tuple(f"2023-{m:02d}-{d:02d}" for m in (1, 2) for d in range(1, 21))
+assert MIN_OVERLAP < len(DATES)
 FIRMS = [f"F{k}" for k in range(5)]
 # A few repeated magnitudes give constant absolute-return series and ties.
 RETURN = st.one_of(st.sampled_from([0.0, 0.01, -0.01, 0.02]),
@@ -28,11 +31,14 @@ RETURN = st.one_of(st.sampled_from([0.0, 0.01, -0.01, 0.02]),
 
 @st.composite
 def calendars(draw, length):
-    """The shared calendar of ``length`` dates, a shifted copy of it, or any
-    subset of the dates."""
+    """The shared calendar of ``length`` dates, a shifted copy of it, or a
+    subset of the dates of any size; a near-full subset is drawn often
+    enough that two of them share at least ``MIN_OVERLAP`` dates."""
     kind = draw(st.sampled_from(["shared", "shifted", "subset"]))
     if kind == "subset":
-        return tuple(d for d in DATES if draw(st.booleans()))
+        order = draw(st.permutations(range(len(DATES))))
+        size = draw(st.integers(0, len(DATES)) | st.integers(len(DATES) - 4, len(DATES)))
+        return tuple(DATES[k] for k in sorted(order[:size]))
     start = draw(st.integers(1, len(DATES) - length)) \
         if kind == "shifted" and length < len(DATES) else 0
     # A fresh tuple each time: firms share a calendar by value, not by identity.
@@ -41,25 +47,28 @@ def calendars(draw, length):
 
 @st.composite
 def return_maps(draw, firms=FIRMS):
-    """Series for some of the firms; the others are missing from the map."""
+    """Series for some of the firms; the others are missing from the map.
+    Some series are constant, which leaves their pairs out."""
     length = draw(st.integers(0, len(DATES)))
     out = {}
     for firm in firms:
         if draw(st.booleans()) or draw(st.booleans()):
             dates = draw(calendars(length))
-            values = draw(st.lists(RETURN, min_size=len(dates), max_size=len(dates)))
+            n = len(dates)
+            values = ([draw(RETURN)] * n if draw(st.integers(0, 3)) == 0
+                      else draw(st.lists(RETURN, min_size=n, max_size=n)))
             out[firm] = ReturnSeries(firm, dates, np.array(values, dtype=np.float64))
     return out
 
 
-def per_pair(returns, pairs, min_overlap):
+def per_pair(returns, pairs):
     """The reference: ``cavdsr`` on every pair, unusable pairs left out."""
     out = {}
     for a, b in pairs:
         if a in returns and b in returns:
             try:
-                out[(a, b)] = cavdsr(returns[a], returns[b], min_overlap)
-            except (InsufficientOverlap, ZeroVariance):
+                out[(a, b)] = cavdsr(returns[a], returns[b])
+            except (InsufficientOverlap, DegenerateInput):
                 continue
     return out
 
@@ -75,14 +84,7 @@ def test_pairwise_cavdsr_equals_per_pair_cavdsr(data):
     returns = data.draw(return_maps())
     names = st.sampled_from(FIRMS)
     pairs = data.draw(st.lists(st.tuples(names, names), max_size=12))
-    min_overlap = data.draw(st.integers(0, len(DATES) + 1))
-    try:
-        expected = per_pair(returns, pairs, min_overlap)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            pairwise_cavdsr(returns, pairs, min_overlap)
-        return
-    assert exact(pairwise_cavdsr(returns, pairs, min_overlap)) == exact(expected)
+    assert exact(pairwise_cavdsr(returns, pairs)) == exact(per_pair(returns, pairs))
 
 
 def test_shared_calendar_keeps_self_correlation_and_skips_the_date_join(monkeypatch):
@@ -92,9 +94,9 @@ def test_shared_calendar_keeps_self_correlation_and_skips_the_date_join(monkeypa
                for firm in ("A", "B")}
     returns["C"] = ReturnSeries("C", DATES, np.full(len(DATES), -0.25))
     pairs = [("A", "A"), ("A", "B"), ("A", "C"), ("B", "C")]
-    expected = per_pair(returns, pairs, 5)
+    expected = per_pair(returns, pairs)
     monkeypatch.setattr(np, "intersect1d", None)  # any date join would now fail
-    got = pairwise_cavdsr(returns, pairs, 5)
+    got = pairwise_cavdsr(returns, pairs)
     assert exact(got) == exact(expected)
     assert got[("A", "A")] == 1.0
     assert ("A", "C") not in got          # a constant series has no correlation
@@ -108,9 +110,9 @@ def test_constant_series_with_an_inexact_value_is_left_out():
                for firm in ("A", "B")}
     returns["C"] = ReturnSeries("C", DATES, np.full(len(DATES), 0.01))
     for other in ("A", "B"):
-        with pytest.raises(ZeroVariance):
-            cavdsr(returns[other], returns["C"], 5)
-    got = pairwise_cavdsr(returns, [("A", "B"), ("A", "C"), ("B", "C")], 5)
+        with pytest.raises(DegenerateInput):
+            cavdsr(returns[other], returns["C"])
+    got = pairwise_cavdsr(returns, [("A", "B"), ("A", "C"), ("B", "C")])
     assert list(got) == [("A", "B")]
 
 
@@ -127,11 +129,11 @@ def indices(draw):
     return EmbeddingIndex(firms=firms)
 
 
-def reference_sweep(index, firms, grid, returns, min_overlap):
+def reference_sweep(index, firms, grid, returns):
     """Per threshold: (mean RRS, rho) pair by pair, from ``rrs`` and ``pearson``
     over the pairs that have a CAVDSR (None when that is undefined)."""
     pairs = list(combinations(firms, 2))
-    pair_cavdsr = per_pair(returns, pairs, min_overlap)
+    pair_cavdsr = per_pair(returns, pairs)
     table = max_similarity_table(index)
     assert table.pairs == pairs
     out = []
@@ -141,7 +143,7 @@ def reference_sweep(index, firms, grid, returns, min_overlap):
                 if pair in pair_cavdsr]
         try:
             rho = pearson(*zip(*kept)) if len(kept) >= 2 else None
-        except ZeroVariance:
+        except DegenerateInput:
             rho = None
         out.append((float(np.mean(scores)), rho))
     return out
@@ -153,10 +155,8 @@ def test_sweep_rho_equals_pearson_over_kept_pairs(data):
     index = data.draw(indices())
     firms = index.firm_ids()
     returns = data.draw(return_maps(firms))
-    min_overlap = data.draw(st.integers(2, 6))
     grid = sorted(data.draw(st.lists(st.floats(-1.1, 1.1), max_size=3))) + [2.0]
-    expected = reference_sweep(index, firms, grid, returns, min_overlap)
-    rows = threshold_sweep(max_similarity_table(index), grid,
-                           returns=returns, min_overlap=min_overlap)
+    expected = reference_sweep(index, firms, grid, returns)
+    rows = threshold_sweep(max_similarity_table(index), grid, returns=returns)
     assert [(row.mean_rrs, row.rho) for row in rows] == expected
     assert rows[-1].rho is None           # nothing clears 2.0: all-zero RRS

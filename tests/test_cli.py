@@ -475,14 +475,14 @@ def test_evaluate_reads_a_permuted_matrix_as_the_sorted_one(pipeline_dir, fixtur
                 == (tmp_path / "sorted" / name).read_bytes()), name
 
 
-def _prices_with_file(tmp_path, fixture_manifest, content=""):
+def _prices_with_file(tmp_path, fixture_manifest, content="", name="ZZZZ.csv"):
     prices = tmp_path / "prices"
     prices.mkdir()
     for path in fixture_manifest.prices_dir.glob("*.csv"):
         (prices / path.name).write_bytes(path.read_bytes())
-    empty = prices / "ZZZZ.csv"
-    empty.write_text(content)
-    return prices, empty
+    added = prices / name
+    added.write_text(content)
+    return prices, added
 
 
 def test_evaluate_on_empty_price_file_is_clean_error(pipeline_dir, fixture_manifest,
@@ -500,7 +500,8 @@ def test_evaluate_on_empty_price_file_is_clean_error(pipeline_dir, fixture_manif
     ("date,close\nd001,10\nd003,11\nd002,12\nd004,13\n",
      "dates must be strictly increasing: d002 after d003"),
     ("date,close\nd001,1e-308\nd002,1e308\n", "returns must be finite: inf on d002"),
-], ids=["out_of_order", "overflow"])
+    ("date,close\nd001,10\nd002,0\nd003,11\n", "close 0.0 on d002 is not positive"),
+], ids=["out_of_order", "overflow", "zero_close"])
 def test_evaluate_on_bad_price_series_names_file_and_date(pipeline_dir, fixture_manifest,
                                                           tmp_path, capsys, content, detail):
     prices, bad = _prices_with_file(tmp_path, fixture_manifest, content)
@@ -535,6 +536,43 @@ def test_sweep_on_empty_price_file_is_clean_error(pipeline_dir, fixture_manifest
     assert code == 1
     assert err == f"error: ValueError: empty CSV file: {empty}\n"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("name, content", [
+    ("ZZZZ.csv", "date,close\n2023-01-03,10.0\n"),
+    ("._ACME.csv", "\x00\x05\x16\x07\x00\x02\x00\x00Mac OS X"),
+    (".ACME.csv", ""),
+], ids=["one_row_unscored_firm", "appledouble", "hidden"])
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_a_price_file_of_no_scored_firm_changes_no_output(pipeline_dir, fixture_manifest,
+                                                          tmp_path, capsys, command, name,
+                                                          content):
+    """A one-row series of a firm outside rrs.csv leaves no pair to exclude,
+    and a hidden file is no firm: either way the outputs are those without it."""
+    prices, _ = _prices_with_file(tmp_path, fixture_manifest, content, name)
+    argv = (["evaluate", "--rrs", str(pipeline_dir / "rrs.csv"),
+             "--gics", str(fixture_manifest.gics_path)]
+            if command == "evaluate" else
+            ["sweep", "--model", str(pipeline_dir / "model.bin"),
+             "--paragraphs", str(pipeline_dir / "paragraphs.jsonl")])
+    outputs = []
+    for prices_dir, out in ((fixture_manifest.prices_dir, tmp_path / "bare"),
+                            (prices, tmp_path / "extra")):
+        assert run(argv + ["--prices", str(prices_dir), "--out", str(out)], capsys)[0] == 0
+        outputs.append(_tree(out) if out.is_dir() else out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_a_one_row_series_leaves_its_firms_pairs_out(pipeline_dir, fixture_manifest,
+                                                      tmp_path, capsys):
+    prices, _ = _prices_with_file(tmp_path, fixture_manifest,
+                                  "date,close\n2023-01-03,10.0\n", "HALE.csv")
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--rrs", str(pipeline_dir / "rrs.csv"), "--prices", str(prices),
+                "--out", str(out)], capsys)[0] == 0
+    metrics = dict(line.split(",") for line in (out / "metrics.csv").read_text().splitlines())
+    assert (metrics["n_pairs"], metrics["n_excluded"]) == ("21", "7")
+    assert "HALE" not in (out / "pairs.csv").read_text()
 
 
 SHORT_PRICE_ROW = "date,close\n2020-01-02,10.0\n\n2020-01-02\n"
@@ -1223,11 +1261,15 @@ def test_report_on_one_firm_matrix_says_there_is_no_pair(tmp_path, capsys):
     ("ACME", "1800.txt", b"Item 1A. risk", "fiscal_year 1800 out of range [1990, 2100]"),
     ("AC,ME", "2020.txt", b"Item 1A. risk", f"firm_id 'AC,ME' {_FIRM_RULE}"),
     ("A__B", "2020.txt", b"Item 1A. risk", f"firm_id 'A__B' {_FIRM_RULE}"),
-], ids=["not_utf8", "year_out_of_range", "firm_comma", "firm_pair_separator"])
+    ("ACME", "2020.txt", None, "is a directory, not a file"),
+], ids=["not_utf8", "year_out_of_range", "firm_comma", "firm_pair_separator", "directory"])
 def test_ingest_error_names_the_filing(tmp_path, capsys, firm, name, raw, detail):
     filing = tmp_path / "filings" / firm / name
     filing.parent.mkdir(parents=True)
-    filing.write_bytes(raw)
+    if raw is None:
+        filing.mkdir()
+    else:
+        filing.write_bytes(raw)
     code, out, err = run(["ingest", "--root", str(tmp_path / "filings"),
                           "--out", str(tmp_path / "p.jsonl")], capsys)
     assert (code, out) == (1, "")

@@ -6,15 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from riskrel.errors import (
-    DegenerateInput,
-    EmptyRelevanceSet,
-    InsufficientOverlap,
-    NonPositivePrice,
-    TooShort,
-    UnknownFirm,
-    ZeroVariance,
-)
+from riskrel.errors import DegenerateInput, EmptyRelevanceSet, InsufficientOverlap, UnknownFirm
 from riskrel.evaluation import (
     RankedList,
     ReturnSeries,
@@ -54,8 +46,10 @@ def test_daily_returns_flat():
 
 
 def test_daily_returns_rejects_nonpositive():
-    with pytest.raises(NonPositivePrice):
+    with pytest.raises(ValueError, match="^close 0.0 on d2 is not positive$"):
         daily_returns([("d1", 100.0), ("d2", 0.0)])
+    with pytest.raises(ValueError, match="^close -1.0 on d1 is not positive$"):
+        daily_returns([("d1", -1.0)])
 
 
 def test_daily_returns_overflow_is_an_error_not_a_warning():
@@ -73,8 +67,9 @@ def test_return_series_errors_name_the_first_bad_date():
 
 
 def test_daily_returns_too_short():
-    with pytest.raises(TooShort):
-        daily_returns([("d1", 100.0)])
+    for prices in ([], [("d1", 100.0)]):
+        rs = daily_returns(prices, "X")
+        assert (rs.firm_id, rs.dates, rs.returns.shape) == ("X", (), (0,))
 
 
 @pytest.mark.parametrize("prices, detail", [
@@ -104,7 +99,7 @@ def test_pearson_bounds_random():
 
 
 def test_pearson_zero_variance():
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(DegenerateInput, match="^correlation input is constant$"):
         pearson(np.ones(10), np.arange(10.0))
 
 
@@ -170,7 +165,7 @@ def test_cavdsr_sign_flip_invariance():
 
 
 def test_cavdsr_constant_series():
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(DegenerateInput):
         cavdsr(_long([0.01, 0.01]), _long([0.01, -0.02]))
 
 
@@ -207,14 +202,19 @@ def test_pairwise_cavdsr_leaves_out_unusable_pairs():
     rng = np.random.default_rng(9)
     returns = {"A": _long(list(rng.normal(0, 0.02, size=40))),
                "B": _long(list(rng.normal(0, 0.02, size=40))),
-               "C": series(list(rng.normal(0, 0.02, size=10)), "C", start=30),
-               "D": _long([0.01, 0.01])}
-    pairs = [("A", "B"), ("A", "C"), ("A", "D"), ("A", "E"), ("B", "D")]
+               "C": series(list(rng.normal(0, 0.02, size=30)), "C", start=10),
+               "C29": series(list(rng.normal(0, 0.02, size=30)), "C29", start=11),
+               "D": _long([0.01, 0.01]),
+               "F": daily_returns([("2023-01-02", 10.0)], "F")}
+    pairs = [("A", "B"), ("A", "C"), ("A", "C29"), ("A", "D"), ("A", "E"), ("B", "D"),
+             ("A", "F"), ("F", "F")]
     assert pairwise_cavdsr(returns, pairs) == {
-        ("A", "B"): cavdsr(returns["A"], returns["B"])}
-    assert pairwise_cavdsr(returns, pairs, min_overlap=5) == {
         ("A", "B"): cavdsr(returns["A"], returns["B"]),
-        ("A", "C"): cavdsr(returns["A"], returns["C"], min_overlap=5)}
+        ("A", "C"): cavdsr(returns["A"], returns["C"])}
+    for other, kind in (("C29", InsufficientOverlap), ("D", DegenerateInput),
+                        ("F", InsufficientOverlap)):
+        with pytest.raises(kind):
+            cavdsr(returns["A"], returns[other])
 
 
 # --- alignment rho ---

@@ -2,7 +2,7 @@
 package namespace re-exports nothing, so importing one module loads only
 what that module imports. Every name the benchmark under ``bench/`` imports
 from riskrel, or traces by name, exists, and each call it makes to one
-binds to its signature."""
+binds to its signature. No error kind is dead: each is raised somewhere."""
 
 import ast
 import dataclasses
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import riskrel
-from riskrel import scoring
+from riskrel import errors, scoring
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -156,3 +156,21 @@ def test_every_call_the_benchmark_makes_binds_to_its_signature():
             "TrainingBatch", "write_fixture", "main"} <= called, sorted(called)
     # The find_mrps hook in bench/spans.py reads the index's width as args[0].d.
     assert "d" in {f.name for f in dataclasses.fields(scoring.EmbeddingIndex)}
+
+
+def _raised_names(tree):
+    """The names that ``raise`` statements of a parsed module name, as
+    ``raise Kind(...)``, ``raise Kind`` or ``raise module.Kind(...)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+
+
+def test_every_error_kind_is_raised_by_the_package():
+    kinds = {name for name, value in inspect.getmembers(errors, inspect.isclass)
+             if value.__module__ == errors.__name__ and value is not errors.RiskRelError}
+    raised = {name for path in (ROOT / "src" / "riskrel").glob("*.py")
+              for name in _raised_names(ast.parse(path.read_text(encoding="utf-8")))}
+    assert "DegenerateInput" in kinds
+    assert not kinds - raised, sorted(kinds - raised)

@@ -51,6 +51,7 @@ def test_accounting_quarter_end_flagged():
     ("filed on 06/30/2021 with the agency", "2021-06-30", True),
     ("effective 2024-07-08 per the order", "2024-07-08", False),
     ("as of September 30, 2022 the balance", "2022-09-30", True),
+    ("On July \u0668, \u0662\u0660\u0662\u0664 it closed", "2024-07-08", False),
 ])
 def test_date_formats(text, expected, accounting):
     (m,) = scan_tokens(make_paragraph(text).tokens)
@@ -67,6 +68,10 @@ def test_invalid_calendar_date_ignored():
     "filed 06/31/2021 with the agency",   # June has 30 days
     "effective 2024-02-30 per the order",
     "maybe 00/10/2024 happened",
+    # str.isdigit holds for a superscript digit, which int() rejects.
+    "On July \u00b2, 2024 the plant closed",
+    "effective 2024-\u00b2-01 per the order",
+    "filed \u00b2/3/2024 with the agency",
 ])
 def test_invalid_calendar_components_ignored(text):
     assert scan_tokens(make_paragraph(text).tokens) == []
@@ -104,7 +109,7 @@ def _oracle_scan(tokens):
         hit = None
         if tok in pairgen._MONTHS:
             month = pairgen._MONTHS[tok]
-            if (i + 3 < n and tokens[i + 1].isdigit() and len(tokens[i + 1]) <= 2
+            if (i + 3 < n and tokens[i + 1].isdecimal() and len(tokens[i + 1]) <= 2
                     and tokens[i + 2] == "," and pairgen._is_year(tokens[i + 3])):
                 iso = pairgen._valid_date(int(tokens[i + 3]), month, int(tokens[i + 1]))
                 if iso:
@@ -113,17 +118,17 @@ def _oracle_scan(tokens):
                 iso = pairgen._valid_date(int(tokens[i + 1]), month, 1)
                 if iso:
                     hit = (i + 2, iso)
-        elif (tok.isdigit() and len(tok) <= 2 and i + 4 < n
-                and tokens[i + 1] == "/" and tokens[i + 2].isdigit()
+        elif (tok.isdecimal() and len(tok) <= 2 and i + 4 < n
+                and tokens[i + 1] == "/" and tokens[i + 2].isdecimal()
                 and len(tokens[i + 2]) <= 2 and tokens[i + 3] == "/"
                 and pairgen._is_year(tokens[i + 4])):
             iso = pairgen._valid_date(int(tokens[i + 4]), int(tok), int(tokens[i + 2]))
             if iso:
                 hit = (i + 5, iso)
         elif (pairgen._is_year(tok) and i + 4 < n
-                and tokens[i + 1] == "-" and tokens[i + 2].isdigit()
+                and tokens[i + 1] == "-" and tokens[i + 2].isdecimal()
                 and len(tokens[i + 2]) <= 2 and tokens[i + 3] == "-"
-                and tokens[i + 4].isdigit() and len(tokens[i + 4]) <= 2):
+                and tokens[i + 4].isdecimal() and len(tokens[i + 4]) <= 2):
             iso = pairgen._valid_date(int(tok), int(tokens[i + 2]), int(tokens[i + 4]))
             if iso:
                 hit = (i + 5, iso)
@@ -154,7 +159,8 @@ def _oracle_strip(tokens):
 _MONTH = st.sampled_from(["january", "february", "may", "june", "september", "december"])
 _DAY = st.one_of(st.integers(0, 99).map(str), st.integers(0, 99).map("{:02d}".format))
 _YEAR = st.integers(0, 9999).map("{:04d}".format)
-_TOKEN = st.one_of(_MONTH, _DAY, _YEAR, st.sampled_from(["/", "-", ",", "the", "risk"]))
+_TOKEN = st.one_of(_MONTH, _DAY, _YEAR,
+                   st.sampled_from(["/", "-", ",", "the", "risk", "\u00b2", "\u00b2\u00b3"]))
 # Whole date shapes, valid or not, so that hits and near misses are common.
 _CHUNK = st.one_of(
     _TOKEN.map(lambda t: (t,)),
