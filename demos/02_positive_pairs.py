@@ -50,6 +50,7 @@ print(f"right = w_{i}..w_{n} ({len(pair.right_tokens)} tokens)")
 print(f"overlap = w_{i}..w_{j}\n")
 
 print("=== seeded train/validation split ===")
-train, val = pairs.split_train_val(chrono + lexical, 140, 25, rng_seed=7)
+train, val = pairs.split_train_val({pairs.CHRONOLOGICAL: chrono, pairs.LEXICAL: lexical},
+                                   140, 25, rng_seed=7)
 print(f"train {len(train)} pairs, val {len(val)} pairs "
       f"(140 + 25 for each of the two views, paragraph-disjoint per view)")

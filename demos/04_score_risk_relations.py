@@ -17,9 +17,9 @@ with tempfile.TemporaryDirectory(prefix="riskrel_demo_") as tmp:
     manifest = synthetic.write_fixture(Path(tmp))
     paragraphs = corpus.ingest_directory(manifest.filings_dir)
 
-all_pairs = (pairs.build_chronological_pairs(paragraphs)
-             + pairs.build_lexical_pairs(paragraphs, rng_seed=7))
-train_pairs, val_pairs = pairs.split_train_val(all_pairs, 140, 25, rng_seed=7)
+by_view = {pairs.CHRONOLOGICAL: pairs.build_chronological_pairs(paragraphs),
+           pairs.LEXICAL: pairs.build_lexical_pairs(paragraphs, rng_seed=7)}
+train_pairs, val_pairs = pairs.split_train_val(by_view, 140, 25, rng_seed=7)
 outcome = training.train(train_pairs, val_pairs, training.TrainConfig(seed=0))
 print(f"encoder trained ({outcome.report.stop_reason}, "
       f"best epoch {outcome.report.best_epoch})\n")

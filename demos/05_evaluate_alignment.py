@@ -24,9 +24,9 @@ print("=== CAVDSR on the fixture price series ===")
 print(f"planted pair ACME/BOLT: {evaluation.cavdsr(returns['ACME'], returns['BOLT']):.4f}")
 print(f"unrelated   CRUX/HALE: {evaluation.cavdsr(returns['CRUX'], returns['HALE']):.4f}\n")
 
-all_pairs = (pairs.build_chronological_pairs(paragraphs)
-             + pairs.build_lexical_pairs(paragraphs, rng_seed=7))
-train_pairs, val_pairs = pairs.split_train_val(all_pairs, 140, 25, rng_seed=7)
+by_view = {pairs.CHRONOLOGICAL: pairs.build_chronological_pairs(paragraphs),
+           pairs.LEXICAL: pairs.build_lexical_pairs(paragraphs, rng_seed=7)}
+train_pairs, val_pairs = pairs.split_train_val(by_view, 140, 25, rng_seed=7)
 outcome = training.train(train_pairs, val_pairs, training.TrainConfig(seed=0))
 index = scoring.embed_corpus(outcome.vocab, outcome.params, [paragraphs])
 firms, matrix = scoring.rrs_matrix(index, threshold=0.75)

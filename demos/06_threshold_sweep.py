@@ -16,9 +16,9 @@ with tempfile.TemporaryDirectory(prefix="riskrel_demo_") as tmp:
     paragraphs = corpus.ingest_directory(manifest.filings_dir)
     returns = evaluation.read_prices_dir(manifest.prices_dir)
 
-all_pairs = (pairs.build_chronological_pairs(paragraphs)
-             + pairs.build_lexical_pairs(paragraphs, rng_seed=7))
-train_pairs, val_pairs = pairs.split_train_val(all_pairs, 140, 25, rng_seed=7)
+by_view = {pairs.CHRONOLOGICAL: pairs.build_chronological_pairs(paragraphs),
+           pairs.LEXICAL: pairs.build_lexical_pairs(paragraphs, rng_seed=7)}
+train_pairs, val_pairs = pairs.split_train_val(by_view, 140, 25, rng_seed=7)
 outcome = training.train(train_pairs, val_pairs, training.TrainConfig(seed=0))
 index = scoring.embed_corpus(outcome.vocab, outcome.params, [paragraphs])
 

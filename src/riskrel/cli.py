@@ -33,7 +33,7 @@ from typing import Iterator
 
 from . import corpus, evaluation, pairs as pairgen, scoring, training
 from .encoder import load_model, model_fingerprint, save_model
-from .errors import EmptyCorpus, InsufficientPairs, RiskRelError
+from .errors import EmptyCorpus, RiskRelError
 from .outputs import Outputs
 
 def _labels(text: str) -> tuple[str, ...]:
@@ -130,22 +130,18 @@ def cmd_pairs(args: argparse.Namespace, outputs: Outputs) -> None:
     views = list(pairgen.VIEWS) if args.view == "both" else [args.view]
 
     stats: dict[str, int] = {}
-    all_pairs: list[pairgen.PositivePair] = []
+    by_view: dict[str, list[pairgen.PositivePair]] = {}
     if pairgen.CHRONOLOGICAL in views:
-        all_pairs.extend(pairgen.build_chronological_pairs(paragraphs, args.min_tokens))
+        by_view[pairgen.CHRONOLOGICAL] = pairgen.build_chronological_pairs(
+            paragraphs, args.min_tokens)
     if pairgen.LEXICAL in views:
-        all_pairs.extend(pairgen.build_lexical_pairs(
+        by_view[pairgen.LEXICAL] = pairgen.build_lexical_pairs(
             paragraphs, rng_seed=args.seed, min_span=args.min_span,
             max_pairs_per_paragraph=args.max_pairs_per_paragraph,
-            overlap_cap=args.overlap_cap, stats=stats))
+            overlap_cap=args.overlap_cap, stats=stats)
 
-    train, val = pairgen.split_train_val(all_pairs, args.train_count, args.val_count,
+    train, val = pairgen.split_train_val(by_view, args.train_count, args.val_count,
                                          rng_seed=args.seed)
-    for view in views:  # split_train_val checks only the views that built pairs
-        available = sum(p.view == view for p in all_pairs)
-        if available < args.train_count + args.val_count:
-            raise InsufficientPairs(f"view {view}: {available} pairs available, "
-                                    f"{args.train_count}+{args.val_count} requested")
     out_dir = outputs(args.out)
     out_dir.mkdir()
     # Every view's files, empty for a view not built, so that train, which
@@ -220,13 +216,16 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Outputs) -> None:
     returns = evaluation.read_prices_dir(args.prices)
     gics = evaluation.read_gics_file(_require_file(args.gics, "GICS file")) \
         if args.gics else None
-    out_dir = outputs(args.out)
-    out_dir.mkdir()
 
     cells = scoring.pair_cells(firms, matrix)
     co_movement = evaluation.pairwise_cavdsr(returns, cells)
     excluded = len(cells) - len(co_movement)
     kept = list(co_movement)  # the evaluated pairs, in matrix order
+    unmapped = {firm for pair in kept for firm in pair} - gics.keys() if gics is not None else ()
+    if unmapped:
+        raise ValueError(f"GICS file {args.gics} has no row for firm {min(unmapped)!r}")
+    out_dir = outputs(args.out)
+    out_dir.mkdir()
     rrs_values = [cells[pair] for pair in kept]
     cavdsr_values = list(co_movement.values())
     gics_flags = {level: [evaluation.gics_binary_rrs(gics, a, b, level) for a, b in kept]
@@ -261,10 +260,11 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Outputs) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace, outputs: Outputs) -> None:
-    parts = [float(x) for x in args.grid.split(":")]
-    if len(parts) != 3:
-        raise ValueError(f"grid must be start:stop:step, got {args.grid!r}")
-    grid = evaluation.make_grid(*parts)
+    try:
+        start, stop, step = map(float, args.grid.split(":"))
+    except ValueError:  # a part that is not a number, or not three parts
+        raise ValueError(f"grid must be start:stop:step, got {args.grid!r}") from None
+    grid = evaluation.make_grid(start, stop, step)
     index, _ = _load_index(args.model, args.paragraphs)
     returns = evaluation.read_prices_dir(args.prices) if args.prices else None
 

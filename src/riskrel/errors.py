@@ -1,7 +1,9 @@
-"""Exception hierarchy for the riskrel pipeline.
+"""Exception kinds for the riskrel pipeline.
 
-Every stage raises a subclass of RiskRelError so callers (and the CLI)
-can catch one base type and still report a precise failure kind.
+A :class:`RiskRelError` subclass names a condition of the data that the
+pipeline can meet. A malformed argument raises the built-in ``ValueError`` or
+``KeyError`` that its sibling checks raise, and a fault in an input file is a
+``ValueError`` that names the file. The CLI reports each as one ``error:`` line.
 """
 
 
@@ -46,14 +48,6 @@ class EmptyFirm(RiskRelError):
     """A firm has no paragraphs in the embedding index."""
 
 
-class DimensionMismatch(RiskRelError):
-    """Embedding vectors of different widths were mixed."""
-
-
-class UnknownParagraphId(RiskRelError):
-    """An evidence entry references a paragraph id not present in the corpus."""
-
-
 # --- evaluation ---
 
 class InsufficientOverlap(RiskRelError):
@@ -62,11 +56,3 @@ class InsufficientOverlap(RiskRelError):
 
 class DegenerateInput(RiskRelError):
     """A correlation is undefined: a constant input, or fewer than two firm pairs."""
-
-
-class UnknownFirm(RiskRelError):
-    """A firm is missing from the sector/industry mapping."""
-
-
-class EmptyRelevanceSet(RiskRelError):
-    """A ranked list was supplied without any relevant documents."""

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import _hidden, read_csv_body
-from .errors import DegenerateInput, EmptyRelevanceSet, InsufficientOverlap, UnknownFirm
+from .errors import DegenerateInput, InsufficientOverlap
 from .scoring import MaxSimTable
 
 MIN_OVERLAP = 30
@@ -79,7 +79,7 @@ class RankedList:
         if len(set(self.ranked)) != len(self.ranked):
             raise ValueError(f"ranked list for {self.query_id} has duplicates")
         if not self.relevant:
-            raise EmptyRelevanceSet(f"query {self.query_id} has no relevant docs")
+            raise ValueError(f"query {self.query_id} has no relevant docs")
 
 
 @dataclass(frozen=True)
@@ -250,12 +250,10 @@ def alignment_rho(rrs: Sequence[float], cavdsr: Sequence[float],
 
 def gics_binary_rrs(mapping: Mapping[str, tuple[str, str]], firm_a: str,
                     firm_b: str, level: str = "sector") -> int:
-    """Human-taxonomy baseline: 1 iff both firms share the group."""
+    """Human-taxonomy baseline: 1 iff both firms share the group. A firm
+    missing from ``mapping`` is a ``KeyError``."""
     if level not in ("sector", "industry"):
         raise ValueError(f"level must be 'sector' or 'industry', got {level!r}")
-    for firm in (firm_a, firm_b):
-        if firm not in mapping:
-            raise UnknownFirm(f"firm {firm!r} missing from GICS mapping")
     idx = 0 if level == "sector" else 1
     return int(mapping[firm_a][idx] == mapping[firm_b][idx])
 
@@ -371,14 +369,17 @@ def read_prices_dir(prices_dir: str | Path) -> dict[str, ReturnSeries]:
     """Load per-firm ``<ticker>.csv`` files of (date, close) rows.
 
     A header line is required; rows must be in ascending date order, and
-    every close above zero. Hidden files (``._ACME.csv``) are skipped, as
-    :func:`~riskrel.corpus.ingest_directory` skips them.
+    every close above zero. Hidden files (``._ACME.csv``) are skipped, and a
+    directory named like a price file is a ``ValueError`` naming it, as
+    :func:`~riskrel.corpus.ingest_directory` treats filings.
     """
     prices_dir = Path(prices_dir)
     if not prices_dir.is_dir():
         raise FileNotFoundError(f"prices directory not found: {prices_dir}")
     series = {}
     for path in sorted(filterfalse(_hidden, prices_dir.glob("*.csv"))):
+        if path.is_dir():
+            raise ValueError(f"bad price series in {path}: is a directory, not a file")
         prices = read_csv_body(path, 2, _price_row)
         try:
             series[path.stem] = daily_returns(prices, firm_id=path.stem)

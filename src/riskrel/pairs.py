@@ -20,7 +20,7 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -264,23 +264,21 @@ def build_lexical_pairs(paragraphs: Iterable[Paragraph], rng_seed: int,
     return pairs
 
 
-def split_train_val(pairs: Sequence[PositivePair], train_count: int,
+def split_train_val(by_view: Mapping[str, Sequence[PositivePair]], train_count: int,
                     val_count: int, rng_seed: int) -> tuple[list[PositivePair], list[PositivePair]]:
-    """Seeded disjoint train/validation split, per view.
+    """Seeded disjoint train/validation split of each view's pairs:
+    ``by_view`` maps a view to the pairs its builder made.
 
     ``train_count``/``val_count`` (each >= 0, else a ``ValueError``) apply to
-    each view present. No source paragraph id appears in both splits of the
-    same view; validation candidates touching a training paragraph are
-    passed over.
+    each view of ``by_view``; too few pairs in one is :class:`InsufficientPairs`.
+    Views split in sorted order from one ``default_rng(rng_seed)``. No source
+    paragraph id appears in both splits of the same view; validation
+    candidates touching a training paragraph are passed over.
     """
     for name, count in (("train_count", train_count), ("val_count", val_count)):
         if count < 0:
             raise ValueError(f"{name} must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    by_view: dict[str, list[PositivePair]] = {}
-    for pair in pairs:
-        by_view.setdefault(pair.view, []).append(pair)
-
     train: list[PositivePair] = []
     val: list[PositivePair] = []
     for view in sorted(by_view):

@@ -67,7 +67,7 @@ from .encoder import (
     forward,
     unit_rows,
 )
-from .errors import DimensionMismatch, EmptyFirm, EmptyParagraph, UnknownParagraphId
+from .errors import EmptyFirm, EmptyParagraph
 
 DEFAULT_THRESHOLD = 0.75
 
@@ -77,9 +77,9 @@ _EMB_MAGIC = b"RREMB001"
 @dataclass(frozen=True)
 class EmbeddingIndex:
     """Per-firm paragraph ids and embedding matrices from one model, checked
-    once, when made: a firm's vectors have one row per id, else a ``ValueError``,
-    and every firm with rows has one width :attr:`d` (0 if none has rows), else
-    a :class:`DimensionMismatch`; each names the first such firm in sorted order.
+    once, when made: a firm's vectors have one row per id, and every firm with
+    rows has one width :attr:`d` (0 if none has rows), else a ``ValueError``
+    naming the first such firm in sorted order.
     No paragraph id appears twice, in one firm or across two, else a ``ValueError``
     (``paragraph id 'A:1' repeated``). :attr:`units` is made on first use."""
 
@@ -99,8 +99,8 @@ class EmbeddingIndex:
             if ids and d is None:
                 d = vectors.shape[1]
             elif ids and vectors.shape[1] != d:
-                raise DimensionMismatch(f"firm {firm!r} has vectors of width "
-                                        f"{vectors.shape[1]}, not {d}")
+                raise ValueError(f"firm {firm!r} has vectors of width "
+                                 f"{vectors.shape[1]}, not {d}")
             for pid in ids:
                 if pid in seen:
                     raise ValueError(f"paragraph id {pid!r} repeated")
@@ -298,19 +298,12 @@ def rrs_matrix(index: EmbeddingIndex,
     return firms, matrix
 
 
-def _text(texts: Mapping[str, str], pid: str) -> str:
-    if pid not in texts:
-        raise UnknownParagraphId(f"evidence references unknown paragraph {pid}")
-    return texts[pid]
-
-
 def mrp_result_to_dict(result: MrpResult, texts: Mapping[str, str]) -> dict:
     """JSON-ready view of an MRP result.
 
     Each evidence entry holds ``id_a``, ``id_b`` and ``similarity``. A last
     key ``texts`` maps each id the evidence names to its text in ``texts``,
-    ids sorted; an id missing from ``texts`` raises
-    :class:`~riskrel.errors.UnknownParagraphId`.
+    ids sorted; an id missing from ``texts`` raises ``KeyError``.
     """
     return {
         "firm_a": result.firm_a,
@@ -325,7 +318,7 @@ def mrp_result_to_dict(result: MrpResult, texts: Mapping[str, str]) -> dict:
             {"id_a": id_a, "id_b": id_b, "similarity": sim}
             for id_a, id_b, sim in result.evidence
         ],
-        "texts": {pid: _text(texts, pid) for pid in _evidence_ids(result)},
+        "texts": {pid: texts[pid] for pid in _evidence_ids(result)},
     }
 
 
@@ -388,15 +381,15 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
     ``bytes`` object (:func:`_evidence_document`) and then written at once
     into ``out_dir``; each paragraph's id and text are escaped and UTF-8
     encoded once per call, however many entries and files repeat them, and a
-    text is joined once per file, in its ``texts`` object. An unknown
-    paragraph id or a text that cannot be encoded raises before the pair's
-    file is opened, so it leaves no file; the files of earlier pairs stay.
+    text is joined once per file, in its ``texts`` object. An id missing from
+    ``texts`` (``KeyError``) or a text that cannot be encoded raises before the
+    pair's file is opened, so it leaves no file; the files of earlier pairs stay.
     Files are not staged one by one: to publish none of them on failure, stage
     ``out_dir`` with :class:`riskrel.outputs.Outputs`, as ``score`` does.
     """
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     ids = _EscapeCache(str)
-    literals = _EscapeCache(lambda pid: _text(texts, pid))
+    literals = _EscapeCache(texts.__getitem__)
     written = []
     for result in results:
         document = _evidence_document(result, ids, literals)

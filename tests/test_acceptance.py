@@ -61,10 +61,9 @@ class Pipeline:
 @pytest.fixture(scope="module")
 def pipeline(fixture_manifest, fixture_paragraphs):
     """Desk-default pairs + training on the bundled corpus, timed."""
-    all_pairs = (pairgen.build_chronological_pairs(fixture_paragraphs)
-                 + pairgen.build_lexical_pairs(fixture_paragraphs, rng_seed=SEED))
-    train_pairs, val_pairs = pairgen.split_train_val(all_pairs, 140, 25,
-                                                     rng_seed=SEED)
+    by_view = {pairgen.CHRONOLOGICAL: pairgen.build_chronological_pairs(fixture_paragraphs),
+               pairgen.LEXICAL: pairgen.build_lexical_pairs(fixture_paragraphs, rng_seed=SEED)}
+    train_pairs, val_pairs = pairgen.split_train_val(by_view, 140, 25, rng_seed=SEED)
     start = time.perf_counter()
     outcome = training.train(train_pairs, val_pairs, TrainConfig(seed=0))
     elapsed = time.perf_counter() - start

@@ -575,6 +575,21 @@ def test_a_one_row_series_leaves_its_firms_pairs_out(pipeline_dir, fixture_manif
     assert "HALE" not in (out / "pairs.csv").read_text()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_a_directory_named_like_a_price_file_names_it(pipeline_dir, fixture_manifest,
+                                                      tmp_path, capsys, command):
+    prices, _ = _prices_with_file(tmp_path, fixture_manifest)
+    (prices / "ZZZZ.csv").unlink()
+    (prices / "XX.csv").mkdir()
+    argv = (["evaluate", "--rrs", str(pipeline_dir / "rrs.csv"), "--out", str(tmp_path / "eval")]
+            if command == "evaluate" else _stage_argv(pipeline_dir, tmp_path, "sweep"))
+    code, out, err = run(argv + ["--prices", str(prices)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: ValueError: bad price series in {prices / 'XX.csv'}: "
+                   "is a directory, not a file\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["prices"]
+
+
 SHORT_PRICE_ROW = "date,close\n2020-01-02,10.0\n\n2020-01-02\n"
 
 
@@ -609,6 +624,7 @@ def test_sweep_on_short_price_row_is_clean_error(pipeline_dir, fixture_manifest,
      "malformed CSV row in {path} line 2: expected 3 fields, got 2"),
     ("ticker,sector,industry\nACME,Tech,Software\nBOLT,Tech,Hardware\nACME,Energy,Oil\n",
      "malformed CSV row in {path} line 4: ticker 'ACME' repeated"),
+    ("ticker,sector,industry\n", "GICS file {path} has no row for firm 'ACME'"),
 ])
 def test_evaluate_on_malformed_gics_file_is_clean_error(pipeline_dir, fixture_manifest,
                                                         tmp_path, capsys, content, detail):
@@ -804,6 +820,21 @@ def test_sweep_rejects_a_grid_value_with_more_than_two_decimals(pipeline_dir, tm
     assert err == ("error: ValueError: grid value 0.125 prints as 0.12 in sweep.csv: "
                    "grid values must have at most two decimals\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid", ["0.6:0.9:abc", "0.6:0.9", "0.6:0.7:0.8:0.9"],
+                         ids=["not_a_number", "two_parts", "four_parts"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sweep_rejects_a_grid_that_is_not_three_numbers(pipeline_dir, tmp_path, capsys,
+                                                        source, grid):
+    config = tmp_path / "sweep.conf"
+    config.write_text(f"grid = {grid}\n")
+    argv = _stage_argv(pipeline_dir, tmp_path, "sweep")
+    argv += ["--grid", grid] if source == "flag" else ["--config", str(config)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: ValueError: grid must be start:stop:step, got {grid!r}\n"
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -1220,7 +1251,7 @@ def test_failed_evaluate_rerun_keeps_previous_outputs(pipeline_dir, fixture_mani
     gics.write_text("".join(fixture_manifest.gics_path.read_text().splitlines(True)[:-1]))
     code, _, err = run(argv + ["--gics", str(gics)], capsys)
     assert code == 1
-    assert err.startswith("error: UnknownFirm:")
+    assert err == f"error: ValueError: GICS file {gics} has no row for firm 'HALE'\n"
     gics.unlink()
     assert _tree(tmp_path) == before
     assert not list(tmp_path.rglob(".*"))

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from riskrel.errors import DegenerateInput, EmptyRelevanceSet, InsufficientOverlap, UnknownFirm
+from riskrel.errors import DegenerateInput, InsufficientOverlap
 from riskrel.evaluation import (
     RankedList,
     ReturnSeries,
@@ -278,7 +278,7 @@ def test_gics_industry_level():
 
 
 def test_gics_unknown_firm():
-    with pytest.raises(UnknownFirm):
+    with pytest.raises(KeyError, match="ZZZ"):
         gics_binary_rrs(GICS, "AAA", "ZZZ", "sector")
 
 
@@ -361,7 +361,7 @@ def test_metrics_average_over_queries():
 
 
 def test_empty_relevance_set_rejected():
-    with pytest.raises(EmptyRelevanceSet):
+    with pytest.raises(ValueError, match="^query q has no relevant docs$"):
         RankedList("q", ("d1",), frozenset())
 
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrel.errors import UnknownParagraphId
 from riskrel.scoring import MrpResult, mrp_result_to_dict, write_evidence_files
 
 # Characters json escapes, or that a careless writer might: quotes,
@@ -102,7 +101,7 @@ def test_failed_pair_leaves_earlier_files_and_no_partial_file(tmp_path, bad_text
     if bad_text is None:
         # The unknown id comes after a good entry, so the document was begun.
         results[2].evidence.append(("A:0", "D:missing", 0.25))
-        error = UnknownParagraphId
+        error = KeyError
     else:
         paragraph_texts["D:0"] = bad_text
         error = UnicodeEncodeError

@@ -2,7 +2,9 @@
 package namespace re-exports nothing, so importing one module loads only
 what that module imports. Every name the benchmark under ``bench/`` imports
 from riskrel, or traces by name, exists, and each call it makes to one
-binds to its signature. No error kind is dead: each is raised somewhere."""
+binds to its signature. No error kind is dead: each is raised somewhere, and
+no public function or class is dead: each is named in the package, or is
+on an allow-list that says who else uses it."""
 
 import ast
 import dataclasses
@@ -174,3 +176,48 @@ def test_every_error_kind_is_raised_by_the_package():
               for name in _raised_names(ast.parse(path.read_text(encoding="utf-8")))}
     assert "DegenerateInput" in kinds
     assert not kinds - raised, sorted(kinds - raised)
+
+
+# The public functions and classes that nothing in src/riskrel names, and why
+# each stays.
+_UNREFERENCED_PUBLIC = {
+    "encoder.pad_batch": "the benchmark's training probe imports it",
+    "training.batch_objective": "the benchmark's training probe imports it",
+    "training.compute_gradients": "the benchmark's training probe imports it",
+    "scoring.load_embeddings": "reads the embeddings file that embed writes, for library use",
+    "scoring.mrp_result_to_dict": "the README's evidence-format oracle for the writer",
+    "evaluation.retrieval_metrics": "standalone retrieval quality (acceptance criterion 8)",
+    "synthetic.write_fixture": "the README's and the benchmark's fixture entry point",
+}
+
+
+def _named(node):
+    """Each identifier a parsed node names: a name, an attribute or an import."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield child.name.rsplit(".", 1)[-1]
+
+
+def test_every_public_name_is_named_in_the_package():
+    """A public top-level function or class is named outside its own
+    definition somewhere in src/riskrel, or is on the allow-list with a reason."""
+    defined = set()  # (module.name, name) of each public definition
+    holders: dict[str, set] = {}  # name -> the definitions naming it (None: elsewhere)
+    for path in (ROOT / "src" / "riskrel").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = f"{path.stem}.{node.name}"
+                if not node.name.startswith("_"):
+                    defined.add((own, node.name))
+            for name in _named(node):
+                holders.setdefault(name, set()).add(own)
+    unreferenced = {key for key, name in defined if not holders.get(name, set()) - {key}}
+    assert "cli.main" not in unreferenced
+    assert all(_UNREFERENCED_PUBLIC.values())
+    assert unreferenced == set(_UNREFERENCED_PUBLIC), \
+        sorted(unreferenced.symmetric_difference(_UNREFERENCED_PUBLIC))

@@ -325,8 +325,13 @@ def _distinct_pairs(n, view=pairgen.LEXICAL):
     return out
 
 
+def _lexical(n):
+    """``n`` distinct lexical pairs, grouped by view as split_train_val takes them."""
+    return {pairgen.LEXICAL: _distinct_pairs(n)}
+
+
 def test_split_disjoint_counts():
-    train, val = split_train_val(_distinct_pairs(100), 80, 20, rng_seed=0)
+    train, val = split_train_val(_lexical(100), 80, 20, rng_seed=0)
     assert len(train) == 80 and len(val) == 20
     assert set(map(id, train)).isdisjoint(map(id, val))
     train_ids = {pid for p in train for pid in p.provenance}
@@ -336,7 +341,7 @@ def test_split_disjoint_counts():
 
 def test_split_insufficient():
     with pytest.raises(InsufficientPairs):
-        split_train_val(_distinct_pairs(50), 80, 20, rng_seed=0)
+        split_train_val(_lexical(50), 80, 20, rng_seed=0)
 
 
 @pytest.mark.parametrize("counts, name", [((-5, 20), "train_count"), ((80, -3), "val_count")],
@@ -344,16 +349,16 @@ def test_split_insufficient():
 def test_split_rejects_a_negative_count(counts, name):
     """A negative val count never equals the validation pairs taken, so it took them all."""
     with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
-        split_train_val(_distinct_pairs(100), *counts, rng_seed=0)
+        split_train_val(_lexical(100), *counts, rng_seed=0)
 
 
 def test_split_accepts_production_scale_counts():
-    train, val = split_train_val(_distinct_pairs(9600), 8500, 1000, rng_seed=1)
+    train, val = split_train_val(_lexical(9600), 8500, 1000, rng_seed=1)
     assert len(train) == 8500 and len(val) == 1000
 
 
 def test_split_is_per_view():
-    both = _distinct_pairs(30, pairgen.LEXICAL) + _distinct_pairs(30, pairgen.CHRONOLOGICAL)
+    both = {view: _distinct_pairs(30, view) for view in pairgen.VIEWS}
     train, val = split_train_val(both, 20, 5, rng_seed=2)
     for view in pairgen.VIEWS:
         assert sum(p.view == view for p in train) == 20
@@ -365,17 +370,33 @@ def test_split_respects_provenance_overlap():
     shared = [pairgen.PositivePair(pairgen.CHRONOLOGICAL, ("a", "b"), ("c", "d"),
                                    ("P0", f"Q{k}")) for k in range(3)]
     fillers = _distinct_pairs(20, pairgen.CHRONOLOGICAL)
-    train, val = split_train_val(shared + fillers, 10, 5, rng_seed=3)
+    train, val = split_train_val({pairgen.CHRONOLOGICAL: shared + fillers}, 10, 5, rng_seed=3)
     train_ids = {pid for p in train for pid in p.provenance}
     val_ids = {pid for p in val for pid in p.provenance}
     assert train_ids.isdisjoint(val_ids)
 
 
 def test_split_deterministic():
-    pairs_list = _distinct_pairs(60)
-    a = split_train_val(pairs_list, 40, 10, rng_seed=9)
-    b = split_train_val(pairs_list, 40, 10, rng_seed=9)
+    by_view = _lexical(60)
+    a = split_train_val(by_view, 40, 10, rng_seed=9)
+    b = split_train_val(by_view, 40, 10, rng_seed=9)
     assert a == b
+
+
+def test_split_checks_every_view_it_is_given_in_any_order():
+    """A requested view whose builder made no pair is too few pairs, and the
+    views split in one order however the mapping lists them."""
+    lexical = _distinct_pairs(30)
+    with pytest.raises(InsufficientPairs,
+                       match="^view chronological: 0 pairs available, 20\\+5 requested$"):
+        split_train_val({pairgen.LEXICAL: lexical, pairgen.CHRONOLOGICAL: []}, 20, 5,
+                        rng_seed=4)
+    chronological = _distinct_pairs(30, pairgen.CHRONOLOGICAL)
+    forward = split_train_val({pairgen.CHRONOLOGICAL: chronological, pairgen.LEXICAL: lexical},
+                              20, 5, rng_seed=4)
+    backward = split_train_val({pairgen.LEXICAL: lexical, pairgen.CHRONOLOGICAL: chronological},
+                               20, 5, rng_seed=4)
+    assert forward == backward
 
 
 # --- round trip ---

@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 from riskrel import scoring
 from riskrel.corpus import Paragraph, check_firm_id, group_by_firm, tokenize
 from riskrel.encoder import build_vocab, init_params
-from riskrel.errors import (
-    DimensionMismatch,
-    EmptyFirm,
-    EmptyParagraph,
-    UnknownParagraphId,
-)
+from riskrel.errors import EmptyFirm, EmptyParagraph
 from riskrel.evaluation import read_back_label
 from riskrel.scoring import (
     DEFAULT_THRESHOLD,
@@ -217,7 +212,7 @@ def test_empty_firm_errors():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch, match="^firm 'B' has vectors of width 3, not 2$"):
+    with pytest.raises(ValueError, match="^firm 'B' has vectors of width 3, not 2$"):
         make_index({"A": [[1.0, 0.0]], "B": [[1.0, 0.0, 0.0]], "EMPTY": np.empty((0, 4))})
 
 
@@ -402,7 +397,7 @@ def test_embeddings_rejects_truncated_file(tmp_path, cut):
 
 def test_save_embeddings_rejects_mixed_widths_before_writing(tmp_path):
     path = tmp_path / "emb.bin"
-    with pytest.raises(DimensionMismatch, match="^firm 'B' has vectors of width 3, not 2$"):
+    with pytest.raises(ValueError, match="^firm 'B' has vectors of width 3, not 2$"):
         save_embeddings(make_index({"A": np.ones((1, 2)), "B": np.ones((1, 3))}), path)
     assert not path.exists()
 
@@ -574,7 +569,7 @@ def test_mrp_result_to_dict_includes_texts():
                          "mrps_a", "mrps_b", "evidence", "texts"]
     assert doc["evidence"] == [{"id_a": "A:1", "id_b": "B:1", "similarity": 0.9},
                                {"id_a": "A:0", "id_b": "B:1", "similarity": 0.8}]
-    with pytest.raises(UnknownParagraphId):
+    with pytest.raises(KeyError, match="A:0"):
         mrp_result_to_dict(result, {"A:1": "text a"})
 
 
