@@ -14,3 +14,10 @@ scoring`` then ``scoring.rrs_matrix``. The modules are ``corpus``,
 """
 
 __version__ = "0.1.0"
+
+import os
+
+# One BLAS thread before numpy loads: threads reorder sums, so model.bin would vary.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS"), "1"))
+del os

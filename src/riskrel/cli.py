@@ -249,13 +249,6 @@ def cmd_evaluate(args: argparse.Namespace, outputs: Outputs) -> None:
         metrics.append((f"rho_gics_{level}", value))
     corpus.write_csv(out_dir / "metrics.csv", ["metric", "value"], metrics)
 
-    lines = ["# Evaluation summary", "",
-             f"Firm pairs evaluated: {len(kept)} "
-             f"(excluded for missing/short return data: {excluded})", "",
-             "| metric | value |", "| --- | --- |"]
-    lines.extend(f"| {key} | {'' if value is None else f'{value:.6f}'} |"
-                 for key, value in metrics[2:])
-    (out_dir / "summary.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"evaluate: rho = {rho:.6f} over {len(kept)} pairs -> {args.out}")
 
 

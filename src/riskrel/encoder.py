@@ -256,6 +256,7 @@ def pad_batch(id_lists: Sequence[np.ndarray]) -> np.ndarray:
 #               paragraph its id and d values (riskrel.scoring)
 
 _VERSION = 1
+U32_MAX = 2 ** 32 - 1  # the largest value of a u32 field, such as max_len
 
 
 def _pack_header(magic: bytes, *fields: int) -> bytes:

@@ -39,13 +39,7 @@ class NonFiniteSimilarity(RiskRelError):
 
 
 class NonFiniteGradient(RiskRelError):
-    """A computed gradient contains NaN or infinity."""
-
-
-# --- scoring ---
-
-class EmptyFirm(RiskRelError):
-    """A firm has no paragraphs in the embedding index."""
+    """A training step's gradient or optimizer state overflows or holds NaN or inf."""
 
 
 # --- evaluation ---

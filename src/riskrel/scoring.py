@@ -67,7 +67,7 @@ from .encoder import (
     forward,
     unit_rows,
 )
-from .errors import EmptyFirm, EmptyParagraph
+from .errors import EmptyParagraph
 
 DEFAULT_THRESHOLD = 0.75
 
@@ -142,7 +142,7 @@ def rrs(mrp_count: int | np.ndarray, n_a: int | np.ndarray,
     the array of those floats, bit for bit (every operand is exact as float64).
     """
     if np.any(np.less(n_a, 1)) or np.any(np.less(n_b, 1)):
-        raise EmptyFirm(f"both firms need paragraphs (N_A={n_a}, N_B={n_b})")
+        raise ValueError(f"both firms need paragraphs (N_A={n_a}, N_B={n_b})")
     return mrp_count / (n_a + n_b)
 
 
@@ -169,15 +169,14 @@ def _similarities(index: EmbeddingIndex, firm_a: str, firm_b: str
 
     The product of the index's :attr:`~EmbeddingIndex.units` is always taken
     with the firms in sorted order, so the block of (B, A) is the exact
-    transpose of the block of (A, B). A firm paired with itself is a
-    ``ValueError``; one that the index lacks or holds without paragraphs is
-    :class:`EmptyFirm`.
+    transpose of the block of (A, B). A firm paired with itself, or one that the
+    index lacks or holds without paragraphs, is a ``ValueError``.
     """
     if firm_a == firm_b:
         raise ValueError(f"firm {firm_a!r} cannot be scored against itself")
     for firm in (firm_a, firm_b):
         if firm not in index.firms or not index.firms[firm][0]:
-            raise EmptyFirm(f"firm {firm!r} has no paragraphs in the embedding index")
+            raise ValueError(f"firm {firm!r} has no paragraphs in the embedding index")
     ids_a, ids_b = index.firms[firm_a][0], index.firms[firm_b][0]
     if firm_a < firm_b:
         sims = index.units[firm_a] @ index.units[firm_b].T
@@ -268,8 +267,7 @@ def max_similarity_table(index: EmbeddingIndex) -> MaxSimTable:
     """One similarity block per pair of the index's firms, in :func:`firm_pairs`
     order, reduced to its row and column maxima.
 
-    Fewer than two firms is a ``ValueError``; the first pair, in order, with a
-    firm without paragraphs is :class:`EmptyFirm`.
+    Fewer than two firms, or a firm without paragraphs, is a ``ValueError``.
     """
     pairs = firm_pairs(index.firm_ids())
     if not pairs:

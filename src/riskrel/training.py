@@ -40,6 +40,7 @@ from .encoder import (
     DEFAULT_MAX_LEN,
     DEFAULT_MIN_FREQ,
     PAD_INDEX,
+    U32_MAX,
     EncoderParams,
     TokenCounts,
     Vocabulary,
@@ -83,6 +84,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
+        if self.max_len > U32_MAX:
+            raise ValueError(f"max_len must be <= {U32_MAX}, the model file's u32 bound")
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and >= 0")
         if not self.l2_coeff >= 0:
@@ -429,8 +432,12 @@ def train(pairs_train: Sequence[PositivePair], pairs_val: Sequence[PositivePair]
         n_batches = 0
         for batch in _batches(train_anchors, train_positives,
                               rng.permutation(len(pairs_train)), b, b):
-            grads, loss = _loss_and_gradients(params, batch, config)
-            adam_step(params, grads, state, step, config)
+            try:  # an overflow or NaN anywhere in the step, Adam's moments included
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    grads, loss = _loss_and_gradients(params, batch, config)
+                    adam_step(params, grads, state, step, config)
+            except FloatingPointError as exc:
+                raise NonFiniteGradient(f"step {step}: {exc}") from None
             epoch_loss += loss
             n_batches += 1
             step += 1

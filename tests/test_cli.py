@@ -1,10 +1,12 @@
 """Command-line contracts: error reporting, cleanup, config precedence, pipeline."""
 
 import calendar
+import hashlib
 import importlib
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import struct
@@ -12,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -80,17 +83,6 @@ def test_seed_required_for_pairs(tmp_path, capsys):
         cli.main(["pairs", "--in", str(tmp_path / "p.jsonl"),
                   "--out", str(tmp_path / "pairs")])
     assert exc.value.code == 2
-
-
-def test_pipeline_artifacts_exist(pipeline_dir):
-    for name in ("paragraphs.jsonl", "model.bin", "embeddings.bin", "rrs.csv",
-                 "sweep.csv", "report.md", "train_report.jsonl"):
-        assert (pipeline_dir / name).is_file(), name
-    assert (pipeline_dir / "pairs" / "chronological.train.jsonl").is_file()
-    assert (pipeline_dir / "pairs" / "lexical.val.jsonl").is_file()
-    assert (pipeline_dir / "eval" / "metrics.csv").is_file()
-    evidence = sorted((pipeline_dir / "evidence").glob("*.json"))
-    assert len(evidence) == 28  # C(8, 2) firm pairs
 
 
 def test_rrs_csv_shape_and_format(pipeline_dir):
@@ -470,7 +462,7 @@ def test_evaluate_reads_a_permuted_matrix_as_the_sorted_one(pipeline_dir, fixtur
                             "--gics", str(fixture_manifest.gics_path),
                             "--out", str(tmp_path / name)], capsys)
         assert (code, err) == (0, "")
-    for name in ("metrics.csv", "pairs.csv", "summary.md"):
+    for name in ("metrics.csv", "pairs.csv"):
         assert ((tmp_path / "permuted" / name).read_bytes()
                 == (tmp_path / "sorted" / name).read_bytes()), name
 
@@ -718,6 +710,31 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("usage: riskrel ")
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(pipeline_dir, tmp_path):
+    """riskrel pins one BLAS thread before numpy loads, so a caller's thread
+    count changes no byte of what train and score write."""
+    src = Path(cli.__file__).resolve().parents[1]
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(src), **dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
+        for argv in (["train", "--pairs", str(pipeline_dir / "pairs"), "--seed", "0",
+                      "--max-epochs", "3", "--out", str(out / "model.bin"),
+                      "--report", str(out / "train_report.jsonl")],
+                     ["score", "--model", str(out / "model.bin"),
+                      "--paragraphs", str(pipeline_dir / "paragraphs.jsonl"),
+                      "--out-matrix", str(out / "rrs.csv"), "--out-evidence", str(out / "evidence")]):
+            proc = subprocess.run([sys.executable, "-m", "riskrel", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        digests.append({name: hashlib.sha256(data).hexdigest()
+                        for name, data in _tree(out).items()})
+    assert len(digests[0]) == 31  # model, report, rrs.csv and 28 evidence documents
+    assert digests[0] == digests[1]
+
+
 @pytest.mark.parametrize("close, detail", [
     ("abc", "could not convert string to float: 'abc'"),
     ("nan", "close price is not finite: 'nan'"),
@@ -898,6 +915,26 @@ _FLAGS = {
     "sweep": "--model --paragraphs --prices --out --grid --config",
     "report": "--workdir",
 }
+
+# The files one pipeline run leaves, so a new or dropped artifact shows as a
+# one-line diff: pair files as <view>.<split>, evidence as a count of <A>__<B>.json.
+_ARTIFACTS = {
+    "files": "embeddings.bin eval/metrics.csv eval/pairs.csv model.bin paragraphs.jsonl "
+             "report.md rrs.csv sweep.csv train_report.jsonl",
+    "pairs": "chronological.train chronological.val lexical.train lexical.val",
+    "evidence": 28,  # C(8, 2) firm pairs
+}
+
+
+def test_pipeline_writes_exactly_its_pinned_artifacts(pipeline_dir):
+    files = [path.relative_to(pipeline_dir).as_posix()
+             for path in sorted(pipeline_dir.rglob("*")) if path.is_file()]
+    pairs = [name.removeprefix("pairs/").removesuffix(".jsonl")
+             for name in files if name.startswith("pairs/")]
+    evidence = [name for name in files if re.fullmatch(r"evidence/[A-Z]+__[A-Z]+\.json", name)]
+    rest = [name for name in files if not name.startswith("pairs/") and name not in evidence]
+    assert {"files": " ".join(rest), "pairs": " ".join(pairs),
+            "evidence": len(evidence)} == _ARTIFACTS
 
 
 def test_every_subcommand_takes_exactly_its_pinned_flags():
@@ -1245,7 +1282,7 @@ def test_failed_evaluate_rerun_keeps_previous_outputs(pipeline_dir, fixture_mani
             "--prices", str(fixture_manifest.prices_dir), "--out", str(tmp_path / "eval")]
     assert run(argv + ["--gics", str(fixture_manifest.gics_path)], capsys)[0] == 0
     before = _tree(tmp_path)
-    assert sorted(before) == ["eval/metrics.csv", "eval/pairs.csv", "eval/summary.md"]
+    assert sorted(before) == ["eval/metrics.csv", "eval/pairs.csv"]
 
     gics = tmp_path / "gics.csv"
     gics.write_text("".join(fixture_manifest.gics_path.read_text().splitlines(True)[:-1]))
@@ -1341,19 +1378,28 @@ def test_ingest_filing_name_must_be_four_ascii_digits(tmp_path, capsys, names):
     assert not (tmp_path / "p.jsonl").exists()
 
 
-@pytest.mark.parametrize("flag, value, detail", [
-    ("--max-epochs", "0", "max_epochs must be >= 1"),
-    ("--l2-coeff", "-1", "l2_coeff must be >= 0"),
-    ("--learning-rate", "nan", "learning_rate must be finite and >= 0"),
-    ("--max-len", "0", "max_len must be >= 1"),
-], ids=["max_epochs", "l2_coeff", "learning_rate", "max_len"])
+@pytest.mark.parametrize("flag, value, error", [
+    ("--max-epochs", "0", "ValueError: max_epochs must be >= 1"),
+    ("--l2-coeff", "-1", "ValueError: l2_coeff must be >= 0"),
+    ("--learning-rate", "nan", "ValueError: learning_rate must be finite and >= 0"),
+    ("--max-len", "0", "ValueError: max_len must be >= 1"),
+    ("--max-len", "4294967296",
+     "ValueError: max_len must be <= 4294967295, the model file's u32 bound"),
+    ("--l2-coeff", "1e308", "NonFiniteGradient: step 0: invalid value encountered in multiply"),
+    ("--temperature", "1e-300", "NonFiniteGradient: step 0: overflow encountered in square"),
+], ids=["max_epochs", "l2_coeff", "learning_rate", "max_len", "max_len_u32",
+        "l2_coeff_nan_gradient", "temperature_adam_overflow"])
 def test_train_rejects_settings_no_training_can_use(pipeline_dir, tmp_path, capsys, flag,
-                                                     value, detail):
-    code, out, err = run(["train", "--pairs", str(pipeline_dir / "pairs"), "--seed", "0",
-                          flag, value, "--out", str(tmp_path / "model.bin"),
-                          "--report", str(tmp_path / "report.jsonl")], capsys)
-    assert (code, out) == (1, "")
-    assert err == f"error: ValueError: {detail}\n"
+                                                     value, error):
+    """Each ends in one error line and writes nothing: a bound is checked before
+    the first step, and an overflow or NaN in a step, in its gradient or in
+    Adam's moments, stops training without a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # else pytest would capture a warning
+        code, out, err = run(["train", "--pairs", str(pipeline_dir / "pairs"), "--seed", "0",
+                              flag, value, "--out", str(tmp_path / "model.bin"),
+                              "--report", str(tmp_path / "report.jsonl")], capsys)
+    assert (code, out, err) == (1, "", f"error: {error}\n")
     assert not list(tmp_path.iterdir())
 
 

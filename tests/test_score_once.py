@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrel.errors import EmptyFirm
 from riskrel.evaluation import threshold_sweep
 from riskrel.scoring import (
     EmbeddingIndex,
@@ -101,7 +100,7 @@ def test_nan_vectors_agree_with_find_mrps():
 ], ids=["rrs_matrix", "threshold_sweep"])
 def test_one_pass_keeps_error_kinds(score):
     a, b = (["A:0"], np.array([[1.0, 0.0]])), (["B:0"], np.array([[0.0, 1.0]]))
-    with pytest.raises(EmptyFirm):
+    with pytest.raises(ValueError, match="^firm 'EMPTY' has no paragraphs"):
         score(EmbeddingIndex(firms={"A": a, "B": b, "EMPTY": ([], np.empty((0, 2)))}))
     with pytest.raises(ValueError, match="at least two firms"):
         score(EmbeddingIndex(firms={"A": a}))

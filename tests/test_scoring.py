@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from riskrel import scoring
 from riskrel.corpus import Paragraph, check_firm_id, group_by_firm, tokenize
 from riskrel.encoder import build_vocab, init_params
-from riskrel.errors import EmptyFirm, EmptyParagraph
+from riskrel.errors import EmptyParagraph
 from riskrel.evaluation import read_back_label
 from riskrel.scoring import (
     DEFAULT_THRESHOLD,
@@ -75,9 +75,9 @@ def test_rrs_bounds():
 
 
 def test_rrs_empty_firm():
-    with pytest.raises(EmptyFirm):
+    with pytest.raises(ValueError, match=r"^both firms need paragraphs \(N_A=0, N_B=0\)$"):
         rrs(0, 0, 0)
-    with pytest.raises(EmptyFirm):
+    with pytest.raises(ValueError, match=r"^both firms need paragraphs \(N_A=0, N_B=3\)$"):
         rrs(0, 0, 3)
 
 
@@ -205,9 +205,9 @@ def test_monotone_in_threshold():
 
 def test_empty_firm_errors():
     index = make_index({"A": [[1.0, 0.0]], "B": np.empty((0, 2))})
-    with pytest.raises(EmptyFirm):
+    with pytest.raises(ValueError, match="^firm 'B' has no paragraphs in the embedding index$"):
         find_mrps(index, "A", "B", 0.5)
-    with pytest.raises(EmptyFirm):
+    with pytest.raises(ValueError, match="^firm 'MISSING' has no paragraphs"):
         find_mrps(index, "A", "MISSING", 0.5)
 
 
