@@ -18,9 +18,9 @@ the command does not take is an error.
 reads the paragraphs file whole. ``report`` reads one work directory, the
 files the README's commands write there, and writes ``report.md`` beside
 them; :mod:`riskrel.scoring` reads and renders its evidence document. A
-threshold ``score`` takes, like each ``sweep`` grid value, must lie in [0, 1]
-and print back as itself at the two decimals of ``sweep.csv``:
-:func:`riskrel.evaluation.read_back_label` decides for both.
+threshold ``score`` takes, like ``sweep``'s grid start, stop and step, is a
+whole number of hundredths in [0, 1]: :func:`riskrel.scoring.hundredths`
+decides for both.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ SETTINGS: dict[str, tuple] = {
     "train_count": (int, 140),
     "val_count": (int, 25),
     "threshold": (float, scoring.DEFAULT_THRESHOLD),
-    "grid": (str, f"{evaluation.DEFAULT_GRID_START}:{evaluation.DEFAULT_GRID_STOP}:"
-                  f"{evaluation.DEFAULT_GRID_STEP}"),
+    "grid": (str, evaluation.DEFAULT_GRID),
     **{key: (type(value), value) for key, value in _TRAIN_DEFAULTS.items()},
 }
 _FLAG_NAMES = {"train_count": "train", "val_count": "val"}
@@ -193,9 +192,8 @@ def cmd_embed(args: argparse.Namespace, outputs: Outputs) -> None:
 
 
 def cmd_score(args: argparse.Namespace, outputs: Outputs) -> None:
-    threshold = args.threshold + 0.0  # -0.0 + 0.0 is 0.0: zero has one label, "0.00"
-    label = evaluation.read_back_label(threshold, "threshold",
-                                       "score's summary line and report.md")
+    threshold = scoring.hundredths(args.threshold, "threshold",
+                                   "score's summary line and report.md") / 100
     index, texts = _load_index(args.model, args.paragraphs)
 
     firms, matrix = scoring.rrs_matrix(index, threshold)
@@ -207,7 +205,7 @@ def cmd_score(args: argparse.Namespace, outputs: Outputs) -> None:
                    for a, b in scoring.firm_pairs(firms))
         written = scoring.write_evidence_files(results, outputs(args.out_evidence), texts)
         print(f"score: wrote {len(written)} evidence files to {args.out_evidence}")
-    print(f"score: threshold {label}, matrix for {len(firms)} firms "
+    print(f"score: threshold {scoring.threshold_label(threshold)}, matrix for {len(firms)} firms "
           f"-> {args.out_matrix}")
 
 
@@ -264,7 +262,7 @@ def cmd_sweep(args: argparse.Namespace, outputs: Outputs) -> None:
     table = scoring.max_similarity_table(index)
     rows = evaluation.threshold_sweep(table, grid, returns=returns)
     corpus.write_csv(outputs(args.out), ["threshold", "mean_rrs", "total_mrps", "rho"],
-                     ((evaluation.threshold_label(row.threshold), row.mean_rrs,
+                     ((scoring.threshold_label(row.threshold), row.mean_rrs,
                        row.total_mrps, row.rho) for row in rows))
     print(f"sweep: {len(rows)} thresholds -> {args.out}")
 

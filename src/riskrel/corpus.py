@@ -383,16 +383,15 @@ def read_csv_body(path: str | Path, fields: int | None = None,
     """The rows after a CSV file's header, ``fields`` each (by default the
     header's width), mapped by ``parse``.
 
-    Blank rows are skipped. An empty file is a ``ValueError`` naming the file;
-    a row the CSV reader cannot split, a row of another width, or a row
+    Whitespace-only lines are skipped, as :func:`read_lines` skips them. An
+    empty file is a ``ValueError`` naming the file; a row the CSV reader
+    cannot split, a row of another width (``""`` is one field), or a row
     ``parse`` rejects is a ``malformed CSV row`` error of :func:`read_lines`.
     """
     width: list[int] = []  # the header's, once it is read
 
     def rows(lines: Iterator[str]) -> Iterator:
         for row in csv.reader(lines):  # one reader for the file: rows may span lines
-            if len(row) < 2 and not (row and row[0].strip()):
-                continue  # a blank row
             if not width:
                 width.append(fields or len(row))
             elif len(row) != width[0]:

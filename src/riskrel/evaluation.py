@@ -18,7 +18,8 @@ dot product, with exactly the arithmetic of the join (see
 :func:`pairwise_cavdsr`). A sector/industry taxonomy provides the
 human-defined binary baseline. Standalone retrieval quality is measured with NDCG,
 precision and recall at top-k cutoffs, and a threshold sweep reports how
-MRP counts and scores respond to the similarity cutoff.
+MRP counts and scores respond to the similarity cutoff, over a grid of whole
+hundredths (:func:`make_grid`).
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ import numpy as np
 
 from .corpus import _hidden, read_csv_body
 from .errors import DegenerateInput, InsufficientOverlap
-from .scoring import MaxSimTable
+from .scoring import MaxSimTable, hundredths
 
 MIN_OVERLAP = 30
-DEFAULT_GRID_START = 0.60
-DEFAULT_GRID_STOP = 0.90
-DEFAULT_GRID_STEP = 0.05
+DEFAULT_GRID = "0.6:0.9:0.05"
 
 
 @dataclass(frozen=True)
@@ -294,44 +293,15 @@ def retrieval_metrics(lists: Sequence[RankedList],
     return table
 
 
-def threshold_label(threshold: float) -> str:
-    """The two-decimal label ``sweep.csv`` prints for a threshold."""
-    return f"{threshold:.2f}"
-
-
-def read_back_label(value: float, what: str, where: str) -> str:
-    """The :func:`threshold_label` of a valid threshold: a value in [0, 1]
-    (NaN is not) that reads back as itself from its label, since another
-    value would be printed as a threshold it is not. ``what`` names the
-    value and ``where`` the output that prints it."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{what} {value} must lie in [0, 1]")
-    label = threshold_label(value)
-    if float(label) != value:
-        raise ValueError(f"{what} {value} prints as {label} in {where}: "
-                         f"{what}s must have at most two decimals")
-    return label
-
-
-def make_grid(start: float = DEFAULT_GRID_START, stop: float = DEFAULT_GRID_STOP,
-              step: float = DEFAULT_GRID_STEP) -> list[float]:
-    """Inclusive ascending threshold grid whose values differ at the two
-    decimals of :func:`threshold_label` and are each a valid threshold for
-    :func:`read_back_label`. Two decimals tell at most 101 values in [0, 1]
-    apart: a finer grid fails from its count."""
-    if not (step > 0 and stop >= start):
+def make_grid(start: float, stop: float, step: float) -> list[float]:
+    """The thresholds k / 100 for k in the ``range`` of hundredths from
+    ``start`` up to ``stop`` by ``step``, each of the three a whole number of
+    hundredths (:func:`~riskrel.scoring.hundredths`): each value has its own
+    two-decimal label, and the grid never passes ``stop``."""
+    lo, hi, by = (hundredths(value, "grid value", "sweep.csv") for value in (start, stop, step))
+    if by == 0 or hi < lo:
         raise ValueError(f"bad grid range {start}:{stop}:{step}")
-    alike = ValueError(f"grid {start}:{stop}:{step} has thresholds that print alike "
-                       "at the two decimals of sweep.csv")
-    span = (stop - start) / step
-    if not span < 101:
-        raise alike
-    grid = [round(start + i * step, 10) for i in range(round(span) + 1)]
-    if len({threshold_label(g) for g in grid}) < len(grid):
-        raise alike
-    for g in grid:
-        read_back_label(g, "grid value", "sweep.csv")
-    return grid
+    return [k / 100 for k in range(lo, hi + 1, by)]
 
 
 def threshold_sweep(table: MaxSimTable, grid: Sequence[float],

@@ -233,6 +233,10 @@ def build_lexical_pairs(paragraphs: Iterable[Paragraph], rng_seed: int,
     """
     if min_span < 2:
         raise ValueError("min_span must be >= 2")
+    if overlap_cap < 1:
+        raise ValueError("overlap_cap must be >= 1")
+    if max_pairs_per_paragraph < 1:
+        raise ValueError("max_pairs_per_paragraph must be >= 1")
     rng = np.random.default_rng(rng_seed)
     pairs: list[PositivePair] = []
     skipped = 0
@@ -243,12 +247,10 @@ def build_lexical_pairs(paragraphs: Iterable[Paragraph], rng_seed: int,
             continue
         drawn: set[tuple[int, int]] = set()
         for _ in range(max_pairs_per_paragraph):
-            # 1-indexed draw: i in [min_span, n-min_span], j in (i, min(i+cap, n-1)]
+            # 1-indexed draw: i in [min_span, n-min_span], j in (i, min(i+cap, n-1)],
+            # never empty: cap >= 1 and i <= n - 2
             i = int(rng.integers(min_span, n - min_span + 1))
-            j_hi = min(i + overlap_cap, n - 1)
-            if j_hi < i + 1:
-                continue
-            j = int(rng.integers(i + 1, j_hi + 1))
+            j = int(rng.integers(i + 1, min(i + overlap_cap, n - 1) + 1))
             if (i, j) in drawn:
                 continue
             drawn.add((i, j))

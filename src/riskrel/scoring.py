@@ -9,7 +9,9 @@ fraction of both firms' paragraphs that are MRPs:
     rrs(A, B) = (|MRPs_A| + |MRPs_B|) / (N_A + N_B)
 
 The score is symmetric, lives in [0, 1], and every contributing paragraph
-pair is retained as inspectable evidence.
+pair is retained as inspectable evidence. A threshold is a whole number of
+hundredths in [0, 1] (:func:`hundredths`), so its two-decimal label
+(:func:`threshold_label`) names it exactly wherever it is printed.
 
 Search is exact all-pairs, one similarity block per pair of an index's
 sorted firms, in one order (:func:`firm_pairs`). Whether a paragraph is an
@@ -144,6 +146,24 @@ def rrs(mrp_count: int | np.ndarray, n_a: int | np.ndarray,
     if np.any(np.less(n_a, 1)) or np.any(np.less(n_b, 1)):
         raise ValueError(f"both firms need paragraphs (N_A={n_a}, N_B={n_b})")
     return mrp_count / (n_a + n_b)
+
+
+def threshold_label(threshold: float) -> str:
+    """The two-decimal label a threshold prints as."""
+    return f"{threshold:.2f}"
+
+
+def hundredths(value: float, what: str, where: str) -> int:
+    """The whole number k in [0, 100] with ``k / 100 == value``: the one rule
+    for a threshold, whose label ``where`` prints. NaN is not in [0, 1], and
+    another value would print as a threshold it is not. ``what`` names the
+    value."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} {value} must lie in [0, 1]")
+    if (k := round(value * 100)) / 100 != value:
+        raise ValueError(f"{what} {value} prints as {threshold_label(value)} in {where}: "
+                         f"{what}s must have at most two decimals")
+    return k
 
 
 def embed_corpus(vocab: Vocabulary, params: EncoderParams,
@@ -339,8 +359,8 @@ def render_evidence(doc: Mapping) -> str:
     characters. A document without the fields, ``texts`` included, or whose
     ``texts`` lacks an id of a top pair, raises ``KeyError``, ``TypeError`` or
     ``ValueError``."""
-    score, threshold, evidence = f"{doc['rrs']:.6f}", f"{doc['threshold']:.2f}", doc["evidence"]
-    texts = doc["texts"]
+    score, threshold = f"{doc['rrs']:.6f}", threshold_label(doc["threshold"])
+    evidence, texts = doc["evidence"], doc["texts"]
     lines = [f"Strongest pair {doc['firm_a']} - {doc['firm_b']}: RRS {score} at threshold "
              f"{threshold}, {len(evidence)} evidence pairs.", ""]
     for entry in evidence[:3]:

@@ -300,6 +300,19 @@ def test_pairs_on_a_view_that_builds_no_pair_is_insufficient_pairs(pipeline_dir,
     assert [path.name for path in tmp_path.iterdir()] == ["paragraphs.jsonl"]
 
 
+@pytest.mark.parametrize("flag, value", [("--overlap-cap", "0"), ("--overlap-cap", "-5"),
+                                         ("--max-pairs-per-paragraph", "0"),
+                                         ("--max-pairs-per-paragraph", "-1")])
+def test_pairs_setting_that_can_make_no_lexical_pair_is_a_setting_error(
+        pipeline_dir, tmp_path, capsys, flag, value):
+    """Such a setting is named, not blamed on the data as 0 pairs available."""
+    code, out, err = run(["pairs", "--in", str(pipeline_dir / "paragraphs.jsonl"),
+                          "--seed", "7", "--out", str(tmp_path / "pairs"), flag, value], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: ValueError: {flag[2:].replace('-', '_')} must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_insufficient_pairs_is_clean_error(pipeline_dir, tmp_path, capsys):
     code, _, err = run(["pairs", "--in", str(pipeline_dir / "paragraphs.jsonl"),
                         "--seed", "3", "--train", "100000", "--val", "10",
@@ -819,14 +832,33 @@ def test_report_on_missing_work_directory_creates_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("grid", ["0.6:0.62:0.005", "0:1:1e-6"], ids=["half_steps", "million"])
-def test_sweep_rejects_a_grid_that_prints_alike(pipeline_dir, tmp_path, capsys, grid):
-    start, stop, step = grid.split(":")
+@pytest.mark.parametrize("grid, step, label", [("0.6:0.62:0.005", "0.005", "0.01"),
+                                               ("0:1:1e-6", "1e-06", "0.00")],
+                         ids=["half_steps", "million"])
+def test_sweep_rejects_a_grid_that_prints_alike(pipeline_dir, tmp_path, capsys, grid, step,
+                                                label):
+    """A step finer than a hundredth is not a whole number of hundredths."""
     code, out, err = run(_stage_argv(pipeline_dir, tmp_path, "sweep") + ["--grid", grid], capsys)
     assert (code, out) == (1, "")
-    assert err == (f"error: ValueError: grid {float(start)}:{float(stop)}:{float(step)} has "
-                   "thresholds that print alike at the two decimals of sweep.csv\n")
+    assert err == (f"error: ValueError: grid value {step} prints as {label} in sweep.csv: "
+                   "grid values must have at most two decimals\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_sweep_rejects_a_step_that_is_no_hundredth(pipeline_dir, tmp_path, capsys, step):
+    argv = _stage_argv(pipeline_dir, tmp_path, "sweep") + ["--grid", f"0.6:0.9:{step}"]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (1, "", f"error: ValueError: grid value {step} must lie in [0, 1]\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_grid_stops_at_its_last_hundredth_below_stop(pipeline_dir, tmp_path, capsys):
+    code, _, _ = run(_stage_argv(pipeline_dir, tmp_path, "sweep") + ["--grid", "0.5:1:0.3"],
+                     capsys)
+    assert code == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.50", "0.80"]
 
 
 def test_sweep_rejects_a_grid_value_with_more_than_two_decimals(pipeline_dir, tmp_path,
@@ -1321,6 +1353,19 @@ def test_report_on_one_firm_matrix_says_there_is_no_pair(tmp_path, capsys):
     assert run(["report", "--workdir", str(tmp_path)], capsys)[0] == 0
     report = (tmp_path / "report.md").read_text()
     assert "## Evidence highlights\n\n_No top pair: rrs.csv holds one firm._\n" in report
+
+
+@pytest.mark.parametrize("evidence, note", [
+    (False, "_No evidence directory._"),
+    (True, "_No evidence document for the top pair._"),
+], ids=["no_directory", "no_top_document"])
+def test_report_says_what_evidence_is_missing(pipeline_dir, tmp_path, capsys, evidence, note):
+    shutil.copy(pipeline_dir / "rrs.csv", tmp_path / "rrs.csv")
+    if evidence:
+        (tmp_path / "evidence").mkdir()
+    assert run(["report", "--workdir", str(tmp_path)], capsys)[0] == 0
+    report = (tmp_path / "report.md").read_text()
+    assert f"## Evidence highlights\n\n{note}\n\n## Alignment" in report
 
 
 @pytest.mark.parametrize("firm, name, raw, detail", [

@@ -388,15 +388,19 @@ def test_grid_rejects_bad_range():
         make_grid(0.6, 1.4, 0.2)
 
 
-@pytest.mark.parametrize("start, stop, step", [
-    (0.6, 0.62, 0.005),   # 0.605 prints as 0.60
-    (0.465, 0.53, 0.01),  # 0.465 and 0.475 both print as 0.47
-    (0.0, 1.0, 1e-6),     # rejected from its count, before a list is built
-    (0.0, 1.0, 5e-324),
-])
-def test_grid_rejects_thresholds_that_print_alike(start, stop, step):
-    with pytest.raises(ValueError, match="print alike at the two decimals of sweep.csv"):
+@pytest.mark.parametrize("start, stop, step, value, label", [
+    (0.6, 0.62, 0.005, "0.005", "0.01"),   # 0.605 would print as 0.60
+    (0.465, 0.53, 0.01, "0.465", "0.47"),  # 0.465 and 0.475 would both print as 0.47
+    (0.0, 1.0, 1e-6, "1e-06", "0.00"),     # no list of a million values is built
+    (0.0, 1.0, 5e-324, "5e-324", "0.00"),
+], ids=["0.6-0.62-0.005", "0.465-0.53-0.01", "0.0-1.0-1e-06", "0.0-1.0-5e-324"])
+def test_grid_rejects_thresholds_that_print_alike(start, stop, step, value, label):
+    """Values that would share a two-decimal label need a start, stop or step
+    that is not a whole number of hundredths: the first such is the error."""
+    with pytest.raises(ValueError) as exc:
         make_grid(start, stop, step)
+    assert str(exc.value) == (f"grid value {value} prints as {label} in sweep.csv: "
+                              "grid values must have at most two decimals")
 
 
 def test_grid_rejects_a_value_its_label_does_not_read_back_as():
@@ -410,6 +414,35 @@ def test_grid_rejects_a_value_its_label_does_not_read_back_as():
 def test_grid_of_every_two_decimal_threshold():
     grid = make_grid(0.0, 1.0, 0.01)
     assert len({f"{g:.2f}" for g in grid}) == len(grid) == 101
+
+
+def test_grid_never_passes_its_stop():
+    assert make_grid(0.6, 0.93, 0.05) == [0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9]
+    assert make_grid(0.5, 1.0, 0.3) == [0.5, 0.8]
+    assert make_grid(0.6, 0.6, 0.05) == [0.6]
+
+
+@pytest.mark.parametrize("step, message", [
+    (0.0, "bad grid range 0.6:0.9:0.0"),
+    (-0.0, "bad grid range 0.6:0.9:-0.0"),
+    (math.inf, "grid value inf must lie in [0, 1]"),
+    (-0.05, "grid value -0.05 must lie in [0, 1]"),
+    (math.nan, "grid value nan must lie in [0, 1]"),
+], ids=["zero", "minus_zero", "inf", "negative", "nan"])
+def test_grid_rejects_a_step_that_is_not_a_positive_hundredth(step, message):
+    with pytest.raises(ValueError) as exc:
+        make_grid(0.6, 0.9, step)
+    assert str(exc.value) == message
+
+
+def test_grid_values_are_the_sums_the_grid_printed_before():
+    """k / 100 is bit for bit the rounded ``start + i * step`` that the grid
+    held when it was built from a float span, so sweep.csv keeps its bytes."""
+    for lo in range(101):
+        for by in range(1, 101):
+            start, step = lo / 100, by / 100
+            expected = [round(start + i * step, 10) for i in range((100 - lo) // by + 1)]
+            assert make_grid(start, 1.0, step) == expected, (lo, by)
 
 
 def _two_firm_index(cosine):
@@ -490,6 +523,21 @@ def test_csv_readers_skip_blank_rows(tmp_path):
     d.mkdir()
     (d / "AAA.csv").write_text("date,close\n\n2023-01-02,100\n\n2023-01-03,110\n")
     assert read_prices_dir(d)["AAA"].returns == pytest.approx([0.10], abs=1e-15)
+
+
+def test_a_quoted_empty_row_is_a_row_of_one_field(tmp_path):
+    """Only a whitespace-only line is blank: ``""`` is a row of one empty field."""
+    d = tmp_path / "prices"
+    d.mkdir()
+    (d / "AAA.csv").write_text('date,close\n2023-01-02,100\n""\n2023-01-03,110\n')
+    with pytest.raises(ValueError) as exc:
+        read_prices_dir(d)
+    assert str(exc.value) == (f"malformed CSV row in {d / 'AAA.csv'} line 3: "
+                              "expected 2 fields, got 1")
+    path = tmp_path / "gics.csv"
+    path.write_text('ticker,sector,industry\n""\nAAA,Tech,Software\n')
+    with pytest.raises(ValueError, match=r"gics\.csv line 2: expected 3 fields, got 1$"):
+        read_gics_file(path)
 
 
 @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])

@@ -4,7 +4,8 @@ what that module imports. Every name the benchmark under ``bench/`` imports
 from riskrel, or traces by name, exists, and each call it makes to one
 binds to its signature. No error kind is dead: each is raised somewhere, and
 no public function or class is dead: each is named in the package, or is
-on an allow-list that says who else uses it."""
+on an allow-list that says who else uses it. A threshold's two-decimal
+label has one owner."""
 
 import ast
 import dataclasses
@@ -221,3 +222,22 @@ def test_every_public_name_is_named_in_the_package():
     assert all(_UNREFERENCED_PUBLIC.values())
     assert unreferenced == set(_UNREFERENCED_PUBLIC), \
         sorted(unreferenced.symmetric_difference(_UNREFERENCED_PUBLIC))
+
+
+def _format_specs(path):
+    """(the top-level definition holding it, spec) for each constant format
+    spec of an f-string in a module, as ``.2f`` in ``f"{x:.2f}"``."""
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = f"{path.stem}.{getattr(top, 'name', None)}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+                parts = node.format_spec.values
+                if all(isinstance(part, ast.Constant) for part in parts):
+                    yield owner, "".join(part.value for part in parts)
+
+
+def test_the_threshold_label_format_has_one_owner():
+    """``.2f`` prints a threshold; scoring.threshold_label alone writes it."""
+    owners = [owner for path in sorted((ROOT / "src" / "riskrel").glob("*.py"))
+              for owner, spec in _format_specs(path) if spec == ".2f"]
+    assert owners == ["scoring.threshold_label"]

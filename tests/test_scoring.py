@@ -16,13 +16,13 @@ from riskrel import scoring
 from riskrel.corpus import Paragraph, check_firm_id, group_by_firm, tokenize
 from riskrel.encoder import build_vocab, init_params
 from riskrel.errors import EmptyParagraph
-from riskrel.evaluation import read_back_label
 from riskrel.scoring import (
     DEFAULT_THRESHOLD,
     EmbeddingIndex,
     embed_corpus,
     evidence_path,
     find_mrps,
+    hundredths,
     load_embeddings,
     mrp_result_to_dict,
     read_rrs_csv,
@@ -83,8 +83,9 @@ def test_rrs_empty_firm():
 
 def test_score_config_validates():
     """score's threshold goes through the one check that sweep's grid values
-    do: in [0, 1], NaN not, and reading back from its two-decimal label."""
-    assert read_back_label(DEFAULT_THRESHOLD, "threshold", "score") == "0.75"
+    do: a whole number of hundredths in [0, 1], NaN not."""
+    assert hundredths(DEFAULT_THRESHOLD, "threshold", "score") == 75
+    assert [hundredths(v, "threshold", "score") for v in (0.0, -0.0, 0.07, 1.0)] == [0, 0, 7, 100]
     for threshold, message in [
         (1.5, "threshold 1.5 must lie in [0, 1]"),
         (-0.25, "threshold -0.25 must lie in [0, 1]"),
@@ -93,7 +94,7 @@ def test_score_config_validates():
                 "thresholds must have at most two decimals"),
     ]:
         with pytest.raises(ValueError) as exc:
-            read_back_label(threshold, "threshold", "score")
+            hundredths(threshold, "threshold", "score")
         assert str(exc.value) == message
 
 

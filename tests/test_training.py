@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from riskrel import training
 from riskrel.encoder import PAD_INDEX, EncoderParams, init_params, pad_batch
-from riskrel.errors import EmptyParagraph, InsufficientPairs, NonFiniteSimilarity
+from riskrel.errors import (EmptyParagraph, InsufficientPairs, NonFiniteGradient,
+                            NonFiniteSimilarity)
 from riskrel.pairs import CHRONOLOGICAL, LEXICAL, PositivePair
 from riskrel.training import (
     AdamState,
@@ -113,6 +114,16 @@ def test_all_pad_row_raises_empty_paragraph():
     for objective in (training.batch_objective, training.compute_gradients):
         with pytest.raises(EmptyParagraph, match="row 2"):
             objective(params, batch, _config())
+
+
+def test_gradients_that_overflow_are_non_finite_gradient():
+    """An L2 term of 1e308 overflows the gradient blocks to inf: the check
+    after the backward pass names it, whatever a step's errstate would do."""
+    params = init_params(vocab_size=20, d=6, rng=11)
+    batch = _random_batch(np.random.default_rng(11), 20)
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(NonFiniteGradient, match="^gradient contains NaN or inf$"):
+        compute_gradients(params, batch, _config(l2_coeff=1e308))
 
 
 @pytest.mark.parametrize("side, row", [("anchors", 0), ("anchors", 3), ("positives", 1)])
