@@ -174,13 +174,14 @@ def cmd_train(args: argparse.Namespace, outputs: Outputs) -> None:
           f"model -> {args.out}")
 
 
-def _load_index(model_path: str, paragraphs_path: str
-                ) -> tuple[scoring.EmbeddingIndex, dict[str, str]]:
-    """The paragraphs' embedding index, and each paragraph's text by id."""
+def _load_index(model_path: str, paragraphs_path: str, texts: bool = False
+                ) -> tuple[scoring.EmbeddingIndex, dict[str, str] | None]:
+    """The paragraphs' embedding index, and each paragraph's text by id if
+    ``texts`` (else None)."""
     vocab, params, max_len = load_model(_require_file(model_path, "model file"))
     paragraphs = corpus.read_paragraphs(_require_file(paragraphs_path, "paragraph file"))
     index = scoring.embed_corpus(vocab, params, [paragraphs], max_len=max_len)
-    return index, {p.id: p.text for p in paragraphs}
+    return index, {p.id: p.text for p in paragraphs} if texts else None
 
 
 def cmd_embed(args: argparse.Namespace, outputs: Outputs) -> None:
@@ -194,7 +195,7 @@ def cmd_embed(args: argparse.Namespace, outputs: Outputs) -> None:
 def cmd_score(args: argparse.Namespace, outputs: Outputs) -> None:
     threshold = scoring.hundredths(args.threshold, "threshold",
                                    "score's summary line and report.md") / 100
-    index, texts = _load_index(args.model, args.paragraphs)
+    index, texts = _load_index(args.model, args.paragraphs, texts=bool(args.out_evidence))
 
     firms, matrix = scoring.rrs_matrix(index, threshold)
     scoring.write_rrs_csv(firms, matrix, outputs(args.out_matrix))

@@ -24,6 +24,12 @@ block is the same ``unit(A) @ unit(B).T`` product, firms in sorted order,
 that :func:`find_mrps` uses, so the table's counts and RRS values equal
 find_mrps's bit for bit, ties at the threshold included.
 
+A pair's evidence stays as positions from the similarity block to the file:
+:func:`find_mrps` returns each qualifying cross pair as its row in the first
+firm, its column in the second and its similarity, three aligned arrays of an
+:class:`MrpResult`, whose MRP sets, RRS and ``(id_a, id_b, similarity)``
+tuples are views of them.
+
 Evidence files are JSON in ``json.dumps(..., indent=2, ensure_ascii=False)``
 layout, but not written by ``json``: CPython serves ``indent`` only from its
 pure-Python encoder, which was most of ``score``'s time. Entries hold ids and
@@ -31,10 +37,12 @@ the similarity only; a paragraph's text is written once per document, in a
 ``texts`` object after the evidence, however many entries name it. The
 writer (:func:`write_evidence_files`) gives the same bytes with ``json``'s
 own string escaping and float ``repr``: each id's and text's JSON literal is
-escaped and UTF-8 encoded once per run into a byte cache, the similarities of
-a document take one ``float.__repr__`` map, and each file is one
-``b"".join`` of those literals and the fixed keys, interleaved by ``zip``
-with no Python loop over entries, and written at once;
+escaped and UTF-8 encoded once per run into a byte cache, each firm's ids
+become entry literals with the entry's fixed keys joined on once per run, the
+similarities of a document take one ``float.__repr__`` map, and a document's
+entries are those literals indexed by its rows and columns and interleaved
+with the similarities by ``zip``, with no Python loop over entries, in one
+``b"".join`` written at once;
 :func:`mrp_result_to_dict` stays the dict view and the writer's test oracle.
 The writer makes each document whole before it opens the file, and stages
 nothing itself: ``score`` stages the evidence directory
@@ -51,7 +59,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -83,7 +90,8 @@ class EmbeddingIndex:
     rows has one width :attr:`d` (0 if none has rows), else a ``ValueError``
     naming the first such firm in sorted order.
     No paragraph id appears twice, in one firm or across two, else a ``ValueError``
-    (``paragraph id 'A:1' repeated``). :attr:`units` is made on first use."""
+    (``paragraph id 'A:1' repeated``). :attr:`units` and :attr:`ranks` are made
+    on first use."""
 
     firms: dict[str, tuple[list[str], np.ndarray]]
     model_fingerprint: str = ""
@@ -117,23 +125,65 @@ class EmbeddingIndex:
         """Each firm's vectors over their row norms (:func:`unit_rows`)."""
         return {firm: unit_rows(vectors) for firm, (_, vectors) in self.firms.items()}
 
+    @cached_property
+    def ranks(self) -> dict[str, np.ndarray]:
+        """Each firm's ids' ranks among its ids in str order, one per row."""
+        return {firm: _id_ranks(ids) for firm, (ids, _) in self.firms.items()}
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class MrpResult:
-    """Mutual risk paragraph sets and the RRS for one firm pair."""
+    """One firm pair's evidence as hit positions, and the views derived from them.
+
+    Entry k of the evidence is the paragraph pair ``(ids_a[rows[k]],
+    ids_b[cols[k]])`` with cosine ``sims[k]``; ``rows`` and ``cols`` are made
+    ``intp`` arrays and ``sims`` a float64 array. The counts, the MRP sets, the
+    RRS and the :attr:`evidence` tuples are read from these alone, so they
+    cannot disagree. (``eq=False``: ``==`` of two arrays has no one truth value.)
+    """
 
     firm_a: str
     firm_b: str
     threshold: float
-    n_a: int
-    n_b: int
-    mrps_a: tuple[str, ...]
-    mrps_b: tuple[str, ...]
-    evidence: list[tuple[str, str, float]] = field(default_factory=list)
+    ids_a: Sequence[str]
+    ids_b: Sequence[str]
+    rows: np.ndarray
+    cols: np.ndarray
+    sims: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("rows", np.intp), ("cols", np.intp), ("sims", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
+    @property
+    def n_a(self) -> int:
+        return len(self.ids_a)
+
+    @property
+    def n_b(self) -> int:
+        return len(self.ids_b)
+
+    @cached_property
+    def mrps_a(self) -> tuple[str, ...]:
+        """The ids of ``firm_a`` that the evidence names, sorted."""
+        hit = np.flatnonzero(np.bincount(self.rows, minlength=self.n_a))
+        return tuple(sorted(map(self.ids_a.__getitem__, hit.tolist())))
+
+    @cached_property
+    def mrps_b(self) -> tuple[str, ...]:
+        """The ids of ``firm_b`` that the evidence names, sorted."""
+        hit = np.flatnonzero(np.bincount(self.cols, minlength=self.n_b))
+        return tuple(sorted(map(self.ids_b.__getitem__, hit.tolist())))
 
     @property
     def rrs(self) -> float:
         return rrs(len(self.mrps_a) + len(self.mrps_b), self.n_a, self.n_b)
+
+    @property
+    def evidence(self) -> list[tuple[str, str, float]]:
+        """A new list of ``(id_a, id_b, similarity)``, one per entry, in order."""
+        return list(zip(map(self.ids_a.__getitem__, self.rows.tolist()),
+                        map(self.ids_b.__getitem__, self.cols.tolist()), self.sims.tolist()))
 
 
 def rrs(mrp_count: int | np.ndarray, n_a: int | np.ndarray,
@@ -211,24 +261,17 @@ def find_mrps(index: EmbeddingIndex, firm_a: str, firm_b: str,
 
     The similarity matrix is always computed with the firms in sorted
     order internally, so rrs(A, B) == rrs(B, A) bit-exactly regardless of
-    argument order. Evidence lists every qualifying cross pair, sorted by
-    similarity descending with (id_a, id_b) breaking ties: one
-    ``np.lexsort`` over the similarity and each id's rank among its firm's
-    ids.
+    argument order. The result holds every qualifying cross pair as row and
+    column positions and its similarity, sorted by similarity descending
+    with (id_a, id_b) breaking ties: one ``np.lexsort`` over the similarity
+    and the index's :attr:`~EmbeddingIndex.ranks` of both firms.
     """
     ids_a, ids_b, sims = _similarities(index, firm_a, firm_b)
-    hits = sims >= threshold
-    mrps_a = tuple(sorted(ids_a[i] for i in np.flatnonzero(hits.any(axis=1))))
-    mrps_b = tuple(sorted(ids_b[j] for j in np.flatnonzero(hits.any(axis=0))))
-    rows, cols = np.nonzero(hits)
+    rows, cols = np.nonzero(sims >= threshold)
     values = sims[rows, cols]
-    order = np.lexsort((_id_ranks(ids_b)[cols], _id_ranks(ids_a)[rows], -values))
-    evidence = list(zip(np.array(ids_a, dtype=object)[rows[order]].tolist(),
-                        np.array(ids_b, dtype=object)[cols[order]].tolist(),
-                        values[order].tolist()))
-    return MrpResult(firm_a=firm_a, firm_b=firm_b, threshold=threshold,
-                     n_a=len(ids_a), n_b=len(ids_b),
-                     mrps_a=mrps_a, mrps_b=mrps_b, evidence=evidence)
+    order = np.lexsort((index.ranks[firm_b][cols], index.ranks[firm_a][rows], -values))
+    return MrpResult(firm_a, firm_b, threshold, ids_a, ids_b,
+                     rows[order], cols[order], values[order])
 
 
 def _id_ranks(ids: Sequence[str]) -> np.ndarray:
@@ -342,8 +385,7 @@ def mrp_result_to_dict(result: MrpResult, texts: Mapping[str, str]) -> dict:
 
 def _evidence_ids(result: MrpResult) -> list[str]:
     """The distinct paragraph ids the evidence names, sorted."""
-    evidence = result.evidence
-    return sorted(set(map(itemgetter(0), evidence)).union(map(itemgetter(1), evidence)))
+    return sorted(set(result.mrps_a).union(result.mrps_b))
 
 
 def evidence_path(evidence_dir: str | Path, firm_a: str, firm_b: str) -> Path:
@@ -397,9 +439,11 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
     Each file holds exactly the bytes of ``json.dumps(mrp_result_to_dict(
     result, texts), indent=2, ensure_ascii=False) + "\\n"``, built as one
     ``bytes`` object (:func:`_evidence_document`) and then written at once
-    into ``out_dir``; each paragraph's id and text are escaped and UTF-8
-    encoded once per call, however many entries and files repeat them, and a
-    text is joined once per file, in its ``texts`` object. An id missing from
+    into ``out_dir``. Each paragraph's id and text are escaped and UTF-8
+    encoded once per call, however many entries and files repeat them; each
+    firm's ids become entry literals once per call (:class:`_EntryLiterals`),
+    which a document indexes by its result's positions; and a text is joined
+    once per file, in its ``texts`` object. An id missing from
     ``texts`` (``KeyError``) or a text that cannot be encoded raises before the
     pair's file is opened, so it leaves no file; the files of earlier pairs stay.
     Files are not staged one by one: to publish none of them on failure, stage
@@ -408,9 +452,11 @@ def write_evidence_files(results: Iterable[MrpResult], out_dir: str | Path,
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     ids = _EscapeCache(str)
     literals = _EscapeCache(texts.__getitem__)
+    entries = (_EntryLiterals(ids, _ID_A_KEY, _ID_B_KEY),
+               _EntryLiterals(ids, b"", _SIMILARITY_KEY))
     written = []
     for result in results:
-        document = _evidence_document(result, ids, literals)
+        document = _evidence_document(result, ids, literals, entries)
         path = evidence_path(out_dir, result.firm_a, result.firm_b)
         path.write_bytes(document)
         written.append(path)
@@ -437,21 +483,44 @@ def _json_number(value) -> str:
     return json.dumps(value)
 
 
-def _json_numbers(values: Sequence) -> list[bytes]:
-    """:func:`_json_number` of each of ``values`` (at least one), ASCII-encoded.
+def _json_numbers(values: np.ndarray) -> list[bytes]:
+    """:func:`_json_number` of each of the float64 ``values`` (at least one),
+    ASCII-encoded.
 
-    One ``float.__repr__`` map serves values that are all finite floats
-    (``np.float64`` included); a value of another type makes that map raise,
-    and ``nan`` or ``inf`` put an ``n`` in its text, which a finite float's
-    repr never holds. Either sends every value through :func:`_json_number`.
+    One ``float.__repr__`` map serves values that are all finite; ``nan`` or
+    ``inf`` put an ``n`` in its text, which a finite float's repr never holds,
+    and send every value through :func:`_json_number`.
     """
-    try:
-        text = ",".join(map(float.__repr__, values))
-    except TypeError:
-        text = "n"
+    floats = values.tolist()
+    text = ",".join(map(float.__repr__, floats))
     if "n" in text:
-        text = ",".join(map(_json_number, values))
+        text = ",".join(map(_json_number, floats))
     return text.encode("ascii").split(b",")
+
+
+# An evidence entry is three literals: its id_a's, which closes the entry
+# before it and opens its own, its id_b's and its similarity's.
+_ENTRY_CLOSE = b"\n    },"
+_ID_A_KEY = _ENTRY_CLOSE + b'\n    {\n      "id_a": '
+_ID_B_KEY = b',\n      "id_b": '
+_SIMILARITY_KEY = b',\n      "similarity": '
+
+
+class _EntryLiterals(dict):
+    """Firm -> its ids and, as an object array in their order, each id's
+    literal between ``before`` and ``after``. Made on first use, and again
+    when the firm comes with another id list."""
+
+    def __init__(self, ids: _EscapeCache, before: bytes, after: bytes) -> None:
+        super().__init__()
+        self._ids, self._before, self._after = ids, before, after
+
+    def of(self, firm: str, pids: Sequence[str]) -> np.ndarray:
+        held = self.get(firm)
+        if held is None or held[0] != list(pids):
+            held = self[firm] = (list(pids), np.array(
+                [self._before + self._ids[pid] + self._after for pid in pids], dtype=object))
+        return held[1]
 
 
 def _json_id_list(pids: Sequence[str], ids: _EscapeCache) -> bytes:
@@ -467,10 +536,11 @@ def _joined(parts: list[bytes], columns: Iterable[Iterable[bytes]], end: bytes) 
     parts[-1] = end
 
 
-def _evidence_document(result: MrpResult, ids: _EscapeCache,
-                       texts: _EscapeCache) -> bytes:
+def _evidence_document(result: MrpResult, ids: _EscapeCache, texts: _EscapeCache,
+                       entries: tuple[_EntryLiterals, _EntryLiterals]) -> bytes:
     """:func:`mrp_result_to_dict`'s document in json.dumps's indent=2 layout,
-    UTF-8 encoded, without a Python loop over its entries."""
+    UTF-8 encoded, without a Python loop over its entries; ``entries`` gives
+    the literals of an entry's ``id_a`` and of its ``id_b``."""
     head = (f'{{\n  "firm_a": {encode_basestring(result.firm_a)},\n'
             f'  "firm_b": {encode_basestring(result.firm_b)},\n'
             f'  "threshold": {_json_number(result.threshold)},\n'
@@ -481,18 +551,16 @@ def _evidence_document(result: MrpResult, ids: _EscapeCache,
              b'  "mrps_a": ', _json_id_list(result.mrps_a, ids),
              b',\n  "mrps_b": ', _json_id_list(result.mrps_b, ids),
              b',\n  "evidence": ']
-    evidence = result.evidence
-    if not evidence:
+    if not len(result.sims):
         parts.append(b"[]")
     else:
-        parts.append(b'[\n    {\n      "id_a": ')
-        _joined(parts, (map(ids.__getitem__, map(itemgetter(0), evidence)),
-                        repeat(b',\n      "id_b": '),
-                        map(ids.__getitem__, map(itemgetter(1), evidence)),
-                        repeat(b',\n      "similarity": '),
-                        _json_numbers(list(map(itemgetter(2), evidence))),
-                        repeat(b'\n    },\n    {\n      "id_a": ')),
-                b"\n    }\n  ]")
+        a_literals, b_literals = entries
+        id_a = a_literals.of(result.firm_a, result.ids_a)[result.rows].tolist()
+        id_b = b_literals.of(result.firm_b, result.ids_b)[result.cols].tolist()
+        first = len(parts)
+        parts += chain.from_iterable(zip(id_a, id_b, _json_numbers(result.sims)))
+        parts[first] = b"[" + parts[first][len(_ENTRY_CLOSE):]  # closes no entry
+        parts.append(b"\n    }\n  ]")
     pids = _evidence_ids(result)
     if not pids:
         parts.append(b',\n  "texts": {}')

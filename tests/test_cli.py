@@ -3,6 +3,7 @@
 import calendar
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -21,7 +22,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from riskrel import cli, pairs as pairgen, scoring, training
+from riskrel import cli, corpus, pairs as pairgen, scoring, training
+from riskrel.encoder import load_model
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 _FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', ':', '\"', "
@@ -102,6 +106,54 @@ def test_evidence_files_sorted_pair_names(pipeline_dir):
         doc = json.loads(path.read_text())
         assert doc["threshold"] == 0.75
         assert all(e["similarity"] >= 0.75 for e in doc["evidence"])
+
+
+def _pipeline_index(work):
+    """The index and texts of a pipeline directory, read by the library."""
+    vocab, params, max_len = load_model(work / "model.bin")
+    paragraphs = corpus.read_paragraphs(work / "paragraphs.jsonl")
+    index = scoring.embed_corpus(vocab, params, [paragraphs], max_len=max_len)
+    return index, {p.id: p.text for p in paragraphs}
+
+
+def test_evidence_files_equal_the_dict_view_byte_for_byte(pipeline_dir):
+    index, texts = _pipeline_index(pipeline_dir)
+    pairs = scoring.firm_pairs(index.firm_ids())
+    evidence_dir = pipeline_dir / "evidence"
+    assert sorted(evidence_dir.glob("*.json")) == \
+        sorted(scoring.evidence_path(evidence_dir, a, b) for a, b in pairs)
+    for a, b in pairs:
+        doc = scoring.mrp_result_to_dict(scoring.find_mrps(index, a, b, 0.75), texts)
+        expected = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert scoring.evidence_path(evidence_dir, a, b).read_bytes() == expected.encode("utf-8")
+
+
+def test_benchmark_hooks_count_what_score_writes(pipeline_dir, tmp_path):
+    """bench/spans.py's find_mrps hook reads a result's n_a, n_b and evidence."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    recorder = spans.SpanRecorder()
+    recorder.install()
+    try:
+        assert cli.main(["score", "--model", str(pipeline_dir / "model.bin"),
+                         "--paragraphs", str(pipeline_dir / "paragraphs.jsonl"),
+                         "--threshold", "0.75", "--out-matrix", str(tmp_path / "rrs.csv"),
+                         "--out-evidence", str(tmp_path / "evidence")]) == 0
+    finally:
+        recorder.uninstall()
+    docs = [json.loads(path.read_text()) for path in (tmp_path / "evidence").glob("*.json")]
+    metrics = recorder.run_metrics(0)
+    assert len(docs) == 28
+    assert metrics["scoring.find_mrps_calls"] == len(docs)
+    assert metrics["scoring.evidence_pairs"] == sum(len(doc["evidence"]) for doc in docs) > 0
+    assert metrics["scoring.sim_entries"] == sum(doc["n_a"] * doc["n_b"] for doc in docs)
+
+
+def test_only_score_with_evidence_loads_the_texts(pipeline_dir):
+    paths = (str(pipeline_dir / "model.bin"), str(pipeline_dir / "paragraphs.jsonl"))
+    assert cli._load_index(*paths)[1] is None
+    assert cli._load_index(*paths, texts=True)[1] == _pipeline_index(pipeline_dir)[1]
 
 
 def test_report_contains_rho_from_evaluate(pipeline_dir):
@@ -206,8 +258,7 @@ def test_benchmark_training_probe_runs_on_the_pipeline(pipeline_dir, monkeypatch
     """bench/run.py's --trace 1 probe, the one caller of pad_batch, padded
     TrainingBatches, batch_objective and compute_gradients outside the tests,
     runs unchanged on a pipeline's work directory."""
-    monkeypatch.setattr(sys, "path", [str(Path(__file__).resolve().parents[1] / "bench"),
-                                      *sys.path])
+    monkeypatch.setattr(sys, "path", [str(ROOT / "bench"), *sys.path])
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         # run.py pins these on import; restore them after the test
         monkeypatch.setenv(var, os.environ.get(var, "1"))
@@ -1237,7 +1288,7 @@ def test_malformed_pair_record_names_file_and_line(tmp_path, capsys, line, detai
 
 
 def test_readme_commands_parse():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     in_block, commands = False, []
     for line in readme.replace("\\\n", " ").splitlines():
         if line.startswith("```"):

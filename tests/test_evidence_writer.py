@@ -22,9 +22,9 @@ texts = st.lists(st.one_of(st.sampled_from(SPECIAL),
 firm_names = texts.map(lambda s: s.replace("/", "|").replace("\x00", "0"))
 special_floats = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 5e-324, 2.2e-308,
                                   float("nan"), float("inf"), -float("inf")])
-# Every number type the dict view passes through to json.dumps: a document
-# may mix them, or hold finite floats only.
-similarities = st.one_of(st.floats(-1, 1), special_floats, st.integers(-2, 2),
+# A result holds its similarities as float64, whatever float type they came
+# as: a document may mix them, or hold finite floats only.
+similarities = st.one_of(st.floats(-1, 1), special_floats,
                          st.one_of(st.floats(-1, 1), special_floats).map(np.float64))
 thresholds = st.one_of(st.sampled_from([0, 1]), st.floats(0, 1),
                        st.floats(0, 1).map(np.float64))
@@ -38,20 +38,13 @@ def oracle(result, paragraph_texts):
 @st.composite
 def results(draw):
     firm_a, firm_b = draw(firm_names), draw(firm_names)
-    ids_a = draw(st.lists(texts, unique=True, max_size=5))
-    ids_b = draw(st.lists(texts, unique=True, max_size=5))
-    evidence = []
-    if ids_a and ids_b:
-        evidence = draw(st.lists(st.tuples(st.sampled_from(ids_a),
-                                           st.sampled_from(ids_b), similarities),
-                                 max_size=8))
-    result = MrpResult(
-        firm_a=firm_a, firm_b=firm_b, threshold=draw(thresholds),
-        n_a=len(ids_a) + draw(st.integers(1, 3)),
-        n_b=len(ids_b) + draw(st.integers(1, 3)),
-        mrps_a=tuple(sorted(draw(st.sets(st.sampled_from(ids_a)))) if ids_a else ()),
-        mrps_b=tuple(sorted(draw(st.sets(st.sampled_from(ids_b)))) if ids_b else ()),
-        evidence=evidence)
+    ids_a = draw(st.lists(texts, unique=True, min_size=1, max_size=6))
+    ids_b = draw(st.lists(texts, unique=True, min_size=1, max_size=6))
+    entries = draw(st.lists(st.tuples(st.integers(0, len(ids_a) - 1),
+                                      st.integers(0, len(ids_b) - 1), similarities),
+                            max_size=8))
+    rows, cols, sims = zip(*entries) if entries else ((), (), ())
+    result = MrpResult(firm_a, firm_b, draw(thresholds), ids_a, ids_b, rows, cols, sims)
     return result, {pid: draw(texts) for pid in ids_a + ids_b}
 
 
@@ -66,7 +59,8 @@ def test_writer_matches_json_dumps_byte_for_byte(case):
 
 
 def test_empty_mrps_and_evidence(tmp_path):
-    result = MrpResult("B", "A", 0.75, 3, 4, (), (), [])
+    result = MrpResult("B", "A", 0.75, ["B:0", "B:1", "B:2"], ["A:0", "A:1", "A:2", "A:3"],
+                       [], [], [])
     [path] = write_evidence_files([result], tmp_path, {})
     assert path.name == "A__B.json"
     assert path.read_bytes() == oracle(result, {})
@@ -79,8 +73,7 @@ def _shared_paragraph_results():
     for firm in ("B", "C", "D"):
         other = f"{firm}:0"
         paragraph_texts[other] = f"{firm} text"
-        results.append(MrpResult("A", firm, 0.5, 1, 1, ("A:0",), (other,),
-                                 [("A:0", other, 0.75), ("A:0", other, 0.5)]))
+        results.append(MrpResult("A", firm, 0.5, ["A:0"], [other], [0, 0], [0, 0], [0.75, 0.5]))
     return results, paragraph_texts
 
 
@@ -99,8 +92,9 @@ def test_paragraph_shared_across_files_is_escaped_alike(tmp_path):
 def test_failed_pair_leaves_earlier_files_and_no_partial_file(tmp_path, bad_text):
     results, paragraph_texts = _shared_paragraph_results()
     if bad_text is None:
-        # The unknown id comes after a good entry, so the document was begun.
-        results[2].evidence.append(("A:0", "D:missing", 0.25))
+        # The id without a text comes after a good entry, so the document was begun.
+        results[2] = MrpResult("A", "D", 0.5, ["A:0"], ["D:0", "D:missing"],
+                               [0, 0, 0], [0, 0, 1], [0.75, 0.5, 0.25])
         error = KeyError
     else:
         paragraph_texts["D:0"] = bad_text
@@ -119,3 +113,30 @@ def test_rewrite_replaces_existing_file(tmp_path):
     write_evidence_files(results[:1], tmp_path, paragraph_texts)
     assert (tmp_path / "A__B.json").read_bytes() == oracle(results[0], paragraph_texts)
     assert [p.name for p in tmp_path.iterdir()] == ["A__B.json"]
+
+
+def test_firm_that_comes_again_with_other_ids_is_written_with_them(tmp_path):
+    paragraph_texts = {pid: f"text of {pid}"
+                       for pid in ["A:0", "A:1", "A:2", "B:0", "B:1", "C:0"]}
+
+    def results():
+        # Firm A on side a with one id list, then with that list changed in
+        # place, then with another; firm B on side b with two lists.
+        ids = ["A:0", "A:1"]
+        yield MrpResult("A", "B", 0.5, ids, ["B:0"], [1, 0], [0, 0], [0.9, 0.8])
+        ids[1] = "A:2"
+        yield MrpResult("A", "D", 0.5, ids, ["B:1"], [1], [0], [0.55])
+        yield MrpResult("A", "C", 0.5, ["A:2", "A:1"], ["C:0"], [0, 1], [0, 0], [0.9, 0.8])
+        yield MrpResult("C", "B", 0.5, ["C:0"], ["B:1", "B:0"], [0, 0], [0, 1], [0.7, 0.6])
+
+    expected = []
+
+    def taken(results):
+        """Each result, its document's oracle kept as the writer takes it."""
+        for result in results:
+            expected.append(oracle(result, paragraph_texts))
+            yield result
+
+    paths = write_evidence_files(taken(results()), tmp_path, paragraph_texts)
+    assert [path.read_bytes() for path in paths] == expected
+    assert b'"id_a": "A:2"' in expected[1]

@@ -6,6 +6,7 @@ import math
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,6 +182,47 @@ def test_evidence_order_matches_a_sort_by_similarity_then_ids(data):
     evidence = find_mrps(index, firm_a, firm_b, threshold).evidence
     assert [(a, b, s.hex()) for a, b, s in evidence] == \
         [(a, b, s.hex()) for a, b, s in expected]
+
+
+# Vectors whose cosines all lie 0.03 or more from RANKED_THRESHOLDS, so the
+# brute force's own cosine and the GEMM agree on every hit; a row may repeat
+# one, which ties its similarities.
+RANKED_POOL = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [3.0, 4.0], [-1.0, 2.0]]
+RANKED_THRESHOLDS = [0.5, 0.65, 0.75, 0.85, 0.95]
+
+
+@st.composite
+def ranked_firm(draw, firm):
+    """Ids in an order of their own: sections drawn from 7A and 1A, ordinals
+    counting down, so a firm's str order is not its row order."""
+    sections = draw(st.lists(st.sampled_from(["7A", "1A"]), min_size=1, max_size=6))
+    n = len(sections)
+    ids = [f"{firm}:2023:{section}:{n - k:04d}" for k, section in enumerate(sections)]
+    rows = draw(st.lists(st.sampled_from(RANKED_POOL), min_size=n, max_size=n))
+    return ids, np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ranked_ids_and_tied_similarities_against_brute_force(data):
+    index = EmbeddingIndex(firms={firm: data.draw(ranked_firm(firm)) for firm in "ABC"})
+    with mock.patch.object(scoring, "_id_ranks", wraps=scoring._id_ranks) as id_ranks:
+        ranks = index.ranks
+        pairs = st.permutations("ABC").map(lambda firms: firms[:2])
+        for firm_a, firm_b in data.draw(st.lists(pairs, min_size=1, max_size=4)):
+            threshold = data.draw(st.sampled_from(RANKED_THRESHOLDS))
+            result = find_mrps(index, firm_a, firm_b, threshold)
+            evidence = result.evidence
+            assert evidence == sorted(evidence, key=lambda e: (-e[2], e[0], e[1]))
+            oracle_a, oracle_b, oracle_ev = brute_force_mrps(index, firm_a, firm_b, threshold)
+            assert (set(result.mrps_a), set(result.mrps_b)) == (oracle_a, oracle_b)
+            assert {(a, b) for a, b, _ in evidence} == oracle_ev
+            n_a, n_b = (len(index.firms[firm][0]) for firm in (firm_a, firm_b))
+            assert (result.n_a, result.n_b) == (n_a, n_b)
+            assert result.rrs == (len(oracle_a) + len(oracle_b)) / (n_a + n_b)
+        assert index.ranks is ranks and id_ranks.call_count == len(index.firms)
+    for firm, (ids, _) in index.firms.items():
+        assert [sorted(ids)[r] for r in ranks[firm]] == ids
 
 
 def test_every_mrp_member_appears_in_evidence():
@@ -530,9 +572,9 @@ def test_index_computes_each_firms_unit_rows_once():
 def test_render_evidence_shows_top_three_pairs_with_texts_cut():
     texts = {f"{firm}:{k}": f"{firm} risk {k} " + "x" * 300
              for firm in "AB" for k in range(4)}
-    evidence = [(f"A:{k}", f"B:{k}", 0.99 - k / 100) for k in range(4)]
-    result = scoring.MrpResult("A", "B", 0.75, 4, 4, ("A:0", "A:1", "A:2", "A:3"),
-                               ("B:0", "B:1", "B:2", "B:3"), evidence)
+    result = scoring.MrpResult("A", "B", 0.75, ["A:0", "A:1", "A:2", "A:3"],
+                               ["B:0", "B:1", "B:2", "B:3"], range(4), range(4),
+                               [0.99 - k / 100 for k in range(4)])
     lines = render_evidence(mrp_result_to_dict(result, texts)).split("\n")
     assert lines[:3] == ["Strongest pair A - B: RRS 1.000000 at threshold 0.75, "
                          "4 evidence pairs.", "", "- similarity 0.9900: `A:0` / `B:0`"]
@@ -542,7 +584,8 @@ def test_render_evidence_shows_top_three_pairs_with_texts_cut():
 
 
 def test_render_evidence_without_evidence_pairs():
-    result = scoring.MrpResult("A", "B", 0.75, 2, 3, (), (), [])
+    result = scoring.MrpResult("A", "B", 0.75, ["A:0", "A:1"], ["B:0", "B:1", "B:2"],
+                               [], [], [])
     assert render_evidence(mrp_result_to_dict(result, {})) == (
         "Strongest pair A - B: RRS 0.000000 at threshold 0.75, 0 evidence pairs.\n\n")
 
@@ -560,8 +603,8 @@ def test_evidence_files_named_lexicographically(tmp_path):
 
 
 def test_mrp_result_to_dict_includes_texts():
-    result = scoring.MrpResult("A", "B", 0.75, 2, 1, ("A:0", "A:1"), ("B:1",),
-                               [("A:1", "B:1", 0.9), ("A:0", "B:1", 0.8)])
+    result = scoring.MrpResult("A", "B", 0.75, ["A:0", "A:1"], ["B:1"],
+                               [1, 0], [0, 0], [0.9, 0.8])
     doc = mrp_result_to_dict(result, {"A:1": "text a", "B:1": "text b", "A:0": "text a0"})
     # Each text once, keyed by id, ids sorted rather than in evidence order.
     assert list(doc["texts"].items()) == [("A:0", "text a0"), ("A:1", "text a"),
