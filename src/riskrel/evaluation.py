@@ -157,20 +157,14 @@ def _correlate(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> floa
 
 def _ranks(x: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with ties sharing their mean rank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # one past each tie group's last 0-based position
+    return ((2 * ends - counts + 1) / 2)[inverse]
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation (Pearson on average ranks)."""
+    """Spearman rank correlation (Pearson on average ranks). The input must
+    be finite: a NaN has no rank."""
     return pearson(_ranks(np.asarray(x, dtype=np.float64)),
                    _ranks(np.asarray(y, dtype=np.float64)))
 

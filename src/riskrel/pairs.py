@@ -5,10 +5,11 @@ Two complementary views over risk-section paragraphs:
 * chronological — two same-firm paragraphs that mention an identical
   calendar date (quarter-end accounting dates excluded) form a pair, with
   every date mention deleted from both sides so the encoder cannot match
-  on the dates themselves. One scanner, :func:`scan_tokens`, reads a
-  paragraph's tokens: it tries only the positions where a date can start
-  (a month name, or the token before a "/" or "-"), and each paragraph's
-  mentions are found once and then deleted;
+  on the dates themselves. The four date forms are the rows of one table,
+  ``_DATE_FORMS``; one scanner, :func:`scan_tokens`, tries them only at the
+  positions where a date can start (a month name, or the token before a
+  "/" or "-"), and each paragraph's mentions are found once and then
+  deleted. A side left with no token makes no pair;
 * lexical — two overlapping spans of a single paragraph form a pair,
   exploiting the boilerplate phrasing of annual reports.
 
@@ -19,13 +20,15 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
+from itertools import combinations
+from operator import call
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import (DEFAULT_MIN_TOKENS, Paragraph, interned_strings, read_jsonl,
-                     typed_field, write_jsonl)
+                     write_jsonl)
 from .errors import InsufficientPairs
 
 CHRONOLOGICAL = "chronological"
@@ -85,10 +88,39 @@ def _is_year(tok: str) -> bool:
     return len(tok) == 4 and tok.isdecimal()
 
 
+def _is_day(tok: str) -> bool:
+    return len(tok) <= 2 and tok.isdecimal()
+
+
+# The date forms, first match first: a test for each token, then the
+# positions of year, month (a name or a number) and day among them
+# (None: day 1).
+_DATE_FORMS = (
+    ((_MONTHS.__contains__, _is_day, ",".__eq__, _is_year), 3, 0, 1),  # july 8 , 2024
+    ((_MONTHS.__contains__, _is_year), 1, 0, None),                     # july 2024
+    ((_is_day, "/".__eq__, _is_day, "/".__eq__, _is_year), 4, 0, 2),   # 07/08/2024
+    ((_is_year, "-".__eq__, _is_day, "-".__eq__, _is_day), 0, 2, 4),   # 2024-07-08
+)
+
+
+def _match_date(tokens: Sequence[str], i: int) -> tuple[int, str] | None:
+    """The span end and ISO date of the first form at ``tokens[i]`` that
+    names a real date, or None."""
+    for tests, year, month, day in _DATE_FORMS:
+        window = tokens[i:i + len(tests)]
+        if len(window) == len(tests) and all(map(call, tests, window)):
+            iso = _valid_date(int(window[year]),
+                              _MONTHS.get(window[month]) or int(window[month]),
+                              1 if day is None else int(window[day]))
+            if iso:
+                return i + len(tests), iso
+    return None
+
+
 def scan_tokens(tokens: Sequence[str]) -> list[DateMention]:
     """Scan a token sequence for date expressions, left to right.
 
-    Recognized forms (over tokens, longest match first):
+    Recognized forms are the rows of ``_DATE_FORMS``, tried in turn:
     "july 8 , 2024", "july 2024", "07/08/2024" and "2024-07-08".
     Bare years are deliberately not dates. Unparseable near-dates
     (e.g. february 30) are ignored.
@@ -100,56 +132,15 @@ def scan_tokens(tokens: Sequence[str]) -> list[DateMention]:
     if _DATE_STARTS.isdisjoint(tokens):
         return []
     mentions: list[DateMention] = []
-    n = len(tokens)
     # Non-decreasing; a separator at token 0 gives -1, which end skips.
     starts = [k - (tok in _SEPARATORS)
               for k, tok in enumerate(tokens) if tok in _DATE_STARTS]
     end = 0  # the scan resumes here after a hit
     for i in starts:
-        if i < end:
-            continue
-        tok = tokens[i]
-        hit: tuple[int, str] | None = None  # (span end, iso)
-
-        if tok in _MONTHS:
-            month = _MONTHS[tok]
-            # MonthName D , YYYY
-            if (i + 3 < n and tokens[i + 1].isdecimal() and len(tokens[i + 1]) <= 2
-                    and tokens[i + 2] == "," and _is_year(tokens[i + 3])):
-                iso = _valid_date(int(tokens[i + 3]), month, int(tokens[i + 1]))
-                if iso:
-                    hit = (i + 4, iso)
-            # MonthName YYYY
-            if hit is None and i + 1 < n and _is_year(tokens[i + 1]):
-                iso = _valid_date(int(tokens[i + 1]), month, 1)
-                if iso:
-                    hit = (i + 2, iso)
-        elif (tok.isdecimal() and len(tok) <= 2 and i + 4 < n
-                and tokens[i + 1] == "/" and tokens[i + 2].isdecimal()
-                and len(tokens[i + 2]) <= 2 and tokens[i + 3] == "/"
-                and _is_year(tokens[i + 4])):
-            # MM/DD/YYYY
-            iso = _valid_date(int(tokens[i + 4]), int(tok), int(tokens[i + 2]))
-            if iso:
-                hit = (i + 5, iso)
-        elif (_is_year(tok) and i + 4 < n
-                and tokens[i + 1] == "-" and tokens[i + 2].isdecimal()
-                and len(tokens[i + 2]) <= 2 and tokens[i + 3] == "-"
-                and tokens[i + 4].isdecimal() and len(tokens[i + 4]) <= 2):
-            # YYYY-MM-DD
-            iso = _valid_date(int(tok), int(tokens[i + 2]), int(tokens[i + 4]))
-            if iso:
-                hit = (i + 5, iso)
-
-        if hit is None:
-            continue
-        end, iso = hit
-        month_day = (int(iso[5:7]), int(iso[8:10]))
-        mentions.append(DateMention(
-            token_span=(i, end),
-            normalized=iso,
-            is_accounting=month_day in ACCOUNTING_DATES,
-        ))
+        if i >= end and (hit := _match_date(tokens, i)):
+            end, iso = hit
+            mentions.append(DateMention((i, end), iso,
+                                        (int(iso[5:7]), int(iso[8:10])) in ACCOUNTING_DATES))
     return mentions
 
 
@@ -180,9 +171,10 @@ def build_chronological_pairs(paragraphs: Sequence[Paragraph],
     """Pair paragraphs of one firm that share a non-accounting date.
 
     All date mentions are removed from both sides before the pair is
-    emitted; pairs whose either side drops below ``min_tokens`` are
-    discarded. One pair per unordered paragraph-id pair. Pairs come firm by
-    firm in sorted order, then date by date, then in paragraph order.
+    emitted; pairs whose either side drops below ``max(min_tokens, 1)``
+    tokens are discarded, so no side is empty. One pair per unordered
+    paragraph-id pair. Pairs come firm by firm in sorted order, then date
+    by date, then in paragraph order.
     """
     mentions_by_para = {p.id: scan_tokens(p.tokens) for p in paragraphs}
 
@@ -191,30 +183,22 @@ def build_chronological_pairs(paragraphs: Sequence[Paragraph],
         for d in {m.normalized for m in mentions_by_para[p.id] if not m.is_accounting}:
             by_date.setdefault((p.firm_id, d), []).append(p)
 
+    min_side = max(min_tokens, 1)
     stripped: dict[str, tuple[str, ...]] = {}
     pairs: list[PositivePair] = []
     seen: set[tuple[str, str]] = set()
     for _, group in sorted(by_date.items()):
-        for a_idx in range(len(group)):
-            for b_idx in range(a_idx + 1, len(group)):
-                left, right = sorted((group[a_idx], group[b_idx]), key=lambda p: p.id)
-                key = (left.id, right.id)
-                if left.id == right.id or key in seen:
-                    continue
-                seen.add(key)
-                for p in (left, right):
-                    if p.id not in stripped:
-                        stripped[p.id] = _strip_date_tokens(
-                            p.tokens, mentions_by_para[p.id])
-                if (len(stripped[left.id]) < min_tokens
-                        or len(stripped[right.id]) < min_tokens):
-                    continue
-                pairs.append(PositivePair(
-                    view=CHRONOLOGICAL,
-                    left_tokens=stripped[left.id],
-                    right_tokens=stripped[right.id],
-                    provenance=key,
-                ))
+        for two in combinations(group, 2):
+            key = tuple(sorted(p.id for p in two))
+            if key[0] == key[1] or key in seen:
+                continue
+            seen.add(key)
+            for p in two:
+                if p.id not in stripped:
+                    stripped[p.id] = _strip_date_tokens(p.tokens, mentions_by_para[p.id])
+            sides = [stripped[pid] for pid in key]
+            if min(map(len, sides)) >= min_side:
+                pairs.append(PositivePair(CHRONOLOGICAL, *sides, provenance=key))
     return pairs
 
 
@@ -328,10 +312,23 @@ def write_pairs(pairs: Iterable[PositivePair], path: str | Path) -> int:
 
 
 def read_pairs(path: str | Path) -> list[PositivePair]:
-    """Read pairs written by :func:`write_pairs`, tokens interned."""
-    return read_jsonl(path, lambda rec: PositivePair(
-        view=typed_field(rec, "view", str),
-        left_tokens=interned_strings(rec, "left_tokens"),
-        right_tokens=interned_strings(rec, "right_tokens"),
-        provenance=interned_strings(rec, "provenance"),
-        seed_info=None if rec.get("seed_info") is None else tuple(rec["seed_info"])))
+    """Read pairs written by :func:`write_pairs`, tokens interned.
+
+    A record whose ``view`` is not one of :data:`VIEWS`, whose token list is
+    empty, or whose ``seed_info`` is neither absent, null nor a list of two
+    ints is a ``malformed record`` error naming the file and the line.
+    """
+    def pair(rec: dict) -> PositivePair:
+        if rec["view"] not in VIEWS:
+            raise ValueError(f"view must be one of {', '.join(VIEWS)}")
+        left, right = (interned_strings(rec, key) for key in ("left_tokens", "right_tokens"))
+        if not (left and right):
+            raise ValueError("left_tokens and right_tokens must not be empty")
+        seed_info = rec.get("seed_info")  # type(), as a JSON true is an int instance
+        if seed_info is not None and not (isinstance(seed_info, list)
+                                          and list(map(type, seed_info)) == [int, int]):
+            raise TypeError("seed_info must be null or a list of two ints")
+        return PositivePair(rec["view"], left, right, interned_strings(rec, "provenance"),
+                            None if seed_info is None else tuple(seed_info))
+
+    return read_jsonl(path, pair)

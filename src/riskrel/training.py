@@ -86,6 +86,8 @@ class TrainConfig:
             raise ValueError("max_len must be >= 1")
         if self.max_len > U32_MAX:
             raise ValueError(f"max_len must be <= {U32_MAX}, the model file's u32 bound")
+        if self.warmup_steps < 0:
+            raise ValueError("warmup_steps must be >= 0")
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and >= 0")
         if not self.l2_coeff >= 0:

@@ -373,6 +373,34 @@ def test_insufficient_pairs_is_clean_error(pipeline_dir, tmp_path, capsys):
     assert not list((tmp_path / "pairs").glob("*.jsonl"))
 
 
+
+def test_no_chronological_side_is_empty_at_min_tokens_zero(tmp_path, capsys):
+    """A paragraph that is only its date keeps nothing once the date is
+    deleted: it pairs with no paragraph, even where --min-tokens is 0."""
+    for year in (2023, 2024):
+        filing = tmp_path / "filings" / "ACME" / f"{year}.txt"
+        filing.parent.mkdir(parents=True, exist_ok=True)
+        filing.write_text("Item 1A. Risk Factors\n\nJuly 8, 2024\n\n"
+                          "On July 8, 2024 the plant closed.\n\nItem 2. Properties\n")
+    paragraphs = tmp_path / "paragraphs.jsonl"
+    code, _, err = run(["ingest", "--root", str(tmp_path / "filings"), "--out", str(paragraphs),
+                        "--min-tokens", "0"], capsys)
+    assert (code, err) == (0, "")
+
+    def pairs(train):
+        return run(["pairs", "--in", str(paragraphs), "--view", "chronological",
+                    "--min-tokens", "0", "--seed", "0", "--train", str(train), "--val", "0",
+                    "--out", str(tmp_path / f"pairs{train}")], capsys)
+
+    assert pairs(1)[0] == 0
+    (pair,) = pairgen.read_pairs(pairgen.pair_file(tmp_path / "pairs1", "chronological",
+                                                   "train"))
+    assert pair.provenance == ("ACME:2023:1A:0002", "ACME:2024:1A:0002")
+    assert pair.left_tokens == pair.right_tokens == ("on", "the", "plant", "closed", ".")
+    assert pairs(2) == (1, "", "error: InsufficientPairs: view chronological: 1 pairs "
+                               "available, 2+0 requested\n")
+
+
 def _pairs_dir(tmp_path, texts=()):
     """A pairs directory holding the four files ``pairs`` writes: ``texts``
     maps a file name to its text, and every other file is empty."""
@@ -1483,8 +1511,9 @@ def test_ingest_filing_name_must_be_four_ascii_digits(tmp_path, capsys, names):
      "ValueError: max_len must be <= 4294967295, the model file's u32 bound"),
     ("--l2-coeff", "1e308", "NonFiniteGradient: step 0: invalid value encountered in multiply"),
     ("--temperature", "1e-300", "NonFiniteGradient: step 0: overflow encountered in square"),
+    ("--warmup-steps", "-1", "ValueError: warmup_steps must be >= 0"),
 ], ids=["max_epochs", "l2_coeff", "learning_rate", "max_len", "max_len_u32",
-        "l2_coeff_nan_gradient", "temperature_adam_overflow"])
+        "l2_coeff_nan_gradient", "temperature_adam_overflow", "warmup_steps"])
 def test_train_rejects_settings_no_training_can_use(pipeline_dir, tmp_path, capsys, flag,
                                                      value, error):
     """Each ends in one error line and writes nothing: a bound is checked before

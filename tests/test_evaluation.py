@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from riskrel import evaluation
 from riskrel.errors import DegenerateInput, InsufficientOverlap
 from riskrel.evaluation import (
     RankedList,
@@ -127,6 +130,29 @@ def test_spearman_monotone_nonlinear():
 def test_spearman_handles_ties():
     assert abs(spearman(np.array([1.0, 1.0, 2.0, 3.0]),
                         np.array([1.0, 1.0, 2.0, 3.0])) - 1.0) <= 1e-12
+
+
+def _loop_ranks(x):
+    """Average ranks as a walk over each run of ties in stable sort order."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x))
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e-300, 5e-324, 1e308, -1e308])
+                       | st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_ranks_are_the_tie_walk_bit_for_bit(values):
+    """Finite ties, signed zeros included, rank as the loop ranks them."""
+    x = np.array(values, dtype=np.float64)
+    assert evaluation._ranks(x).tobytes() == _loop_ranks(x).tobytes()
 
 
 # --- cavdsr ---

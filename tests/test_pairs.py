@@ -1,5 +1,7 @@
 """Pair generation: date detection, chronological and lexical views, splits."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -414,3 +416,27 @@ def test_read_pairs_undecodable_line_names_file_and_line(tmp_path):
     with pytest.raises(ValueError, match=f"malformed record in {path} line 1: "
                                          "'utf-8' codec can't decode byte 0xff"):
         pairgen.read_pairs(path)
+
+
+_PAIR = {"view": "lexical", "left_tokens": ["a", "b"], "right_tokens": ["b", "c"],
+         "provenance": ["ACME:2023:1A:0000"]}
+
+
+@pytest.mark.parametrize("field, value, detail", [
+    ("view", "nonsense", "view must be one of chronological, lexical"),
+    ("view", ["lexical"], "view must be one of chronological, lexical"),
+    ("left_tokens", [], "left_tokens and right_tokens must not be empty"),
+    ("right_tokens", [], "left_tokens and right_tokens must not be empty"),
+    ("seed_info", "ab", "seed_info must be null or a list of two ints"),
+    ("seed_info", [1.5, None], "seed_info must be null or a list of two ints"),
+    ("seed_info", [1, 2, 3], "seed_info must be null or a list of two ints"),
+    ("seed_info", [True, 2], "seed_info must be null or a list of two ints"),
+], ids=["view", "view_list", "empty_left", "empty_right", "seed_info_str",
+        "seed_info_floats", "seed_info_three", "seed_info_bool"])
+def test_read_pairs_rejects_a_field_write_pairs_never_writes(tmp_path, field, value, detail):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps(_PAIR) + "\n" + json.dumps({**_PAIR, field: value}) + "\n")
+    with pytest.raises(ValueError) as info:
+        pairgen.read_pairs(path)
+    assert str(info.value) == f"malformed record in {path} line 2: {detail}"
+

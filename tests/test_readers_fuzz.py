@@ -29,6 +29,7 @@ _JSON = st.recursive(
                                                                   inner, max_size=3),
     max_leaves=6)
 _TOKENS = st.lists(st.text(max_size=6), min_size=1, max_size=6)
+_SIDE = st.lists(st.text(max_size=6), max_size=6)  # now and then empty
 
 
 def _records(**typical):
@@ -116,8 +117,10 @@ _TEXT = {
         year=st.integers(1990, 2030), section=st.sampled_from(["1A", "7A"]),
         text=st.text(max_size=20), tokens=_TOKENS),
     "pairs": st.text(max_size=60) | _records(
-        view=st.sampled_from(["chronological", "lexical"]), left_tokens=_TOKENS,
-        right_tokens=_TOKENS, provenance=st.lists(st.text(max_size=4), max_size=2)),
+        view=st.sampled_from(["chronological", "lexical"]),
+        left_tokens=_SIDE, right_tokens=_SIDE,
+        provenance=st.lists(st.text(max_size=4), max_size=2),
+        seed_info=st.none() | st.lists(st.integers(1, 99), min_size=2, max_size=2)),
     "prices": st.text(max_size=60) | _price_files(),
     "rrs": st.text(max_size=60) | _rrs_matrices(),
 }
@@ -241,3 +244,5 @@ def test_reader_succeeds_or_reports_one_error_line(inputs, kind, data):
         assert err.getvalue().count("\n") == 1
         if kind == "config" and err.getvalue().startswith("error: ValueError: "):
             assert str(fuzzed) in err.getvalue()
+        if kind == "pairs":  # read_pairs rejects a side that trains on nothing
+            assert not err.getvalue().startswith("error: EmptyParagraph: ")
