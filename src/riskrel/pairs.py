@@ -21,14 +21,13 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass
 from itertools import combinations
-from operator import call
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import (DEFAULT_MIN_TOKENS, Paragraph, interned_strings, read_jsonl,
-                     write_jsonl)
+                     typed_field, write_jsonl)
 from .errors import InsufficientPairs
 
 CHRONOLOGICAL = "chronological"
@@ -106,9 +105,14 @@ _DATE_FORMS = (
 def _match_date(tokens: Sequence[str], i: int) -> tuple[int, str] | None:
     """The span end and ISO date of the first form at ``tokens[i]`` that
     names a real date, or None."""
+    window = tokens[i:i + 5]  # the longest form
     for tests, year, month, day in _DATE_FORMS:
-        window = tokens[i:i + len(tests)]
-        if len(window) == len(tests) and all(map(call, tests, window)):
+        if len(window) < len(tests):
+            continue
+        for test, tok in zip(tests, window):
+            if not test(tok):
+                break
+        else:  # every token passed its test
             iso = _valid_date(int(window[year]),
                               _MONTHS.get(window[month]) or int(window[month]),
                               1 if day is None else int(window[day]))
@@ -139,8 +143,12 @@ def scan_tokens(tokens: Sequence[str]) -> list[DateMention]:
     for i in starts:
         if i >= end and (hit := _match_date(tokens, i)):
             end, iso = hit
-            mentions.append(DateMention((i, end), iso,
-                                        (int(iso[5:7]), int(iso[8:10])) in ACCOUNTING_DATES))
+            month_day = (int(iso[5:7]), int(iso[8:10]))
+            mentions.append(DateMention(
+                token_span=(i, end),
+                normalized=iso,
+                is_accounting=month_day in ACCOUNTING_DATES,
+            ))
     return mentions
 
 
@@ -196,9 +204,15 @@ def build_chronological_pairs(paragraphs: Sequence[Paragraph],
             for p in two:
                 if p.id not in stripped:
                     stripped[p.id] = _strip_date_tokens(p.tokens, mentions_by_para[p.id])
-            sides = [stripped[pid] for pid in key]
-            if min(map(len, sides)) >= min_side:
-                pairs.append(PositivePair(CHRONOLOGICAL, *sides, provenance=key))
+            left, right = stripped[key[0]], stripped[key[1]]
+            if len(left) < min_side or len(right) < min_side:
+                continue
+            pairs.append(PositivePair(
+                view=CHRONOLOGICAL,
+                left_tokens=left,
+                right_tokens=right,
+                provenance=key,
+            ))
     return pairs
 
 
@@ -319,7 +333,8 @@ def read_pairs(path: str | Path) -> list[PositivePair]:
     ints is a ``malformed record`` error naming the file and the line.
     """
     def pair(rec: dict) -> PositivePair:
-        if rec["view"] not in VIEWS:
+        view = typed_field(rec, "view", str)
+        if view not in VIEWS:
             raise ValueError(f"view must be one of {', '.join(VIEWS)}")
         left, right = (interned_strings(rec, key) for key in ("left_tokens", "right_tokens"))
         if not (left and right):
@@ -328,7 +343,11 @@ def read_pairs(path: str | Path) -> list[PositivePair]:
         if seed_info is not None and not (isinstance(seed_info, list)
                                           and list(map(type, seed_info)) == [int, int]):
             raise TypeError("seed_info must be null or a list of two ints")
-        return PositivePair(rec["view"], left, right, interned_strings(rec, "provenance"),
-                            None if seed_info is None else tuple(seed_info))
+        return PositivePair(
+            view=view,
+            left_tokens=left,
+            right_tokens=right,
+            provenance=interned_strings(rec, "provenance"),
+            seed_info=None if seed_info is None else tuple(seed_info))
 
     return read_jsonl(path, pair)

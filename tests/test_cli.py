@@ -373,7 +373,6 @@ def test_insufficient_pairs_is_clean_error(pipeline_dir, tmp_path, capsys):
     assert not list((tmp_path / "pairs").glob("*.jsonl"))
 
 
-
 def test_no_chronological_side_is_empty_at_min_tokens_zero(tmp_path, capsys):
     """A paragraph that is only its date keeps nothing once the date is
     deleted: it pairs with no paragraph, even where --min-tokens is 0."""

@@ -424,14 +424,13 @@ _PAIR = {"view": "lexical", "left_tokens": ["a", "b"], "right_tokens": ["b", "c"
 
 @pytest.mark.parametrize("field, value, detail", [
     ("view", "nonsense", "view must be one of chronological, lexical"),
-    ("view", ["lexical"], "view must be one of chronological, lexical"),
     ("left_tokens", [], "left_tokens and right_tokens must not be empty"),
     ("right_tokens", [], "left_tokens and right_tokens must not be empty"),
     ("seed_info", "ab", "seed_info must be null or a list of two ints"),
     ("seed_info", [1.5, None], "seed_info must be null or a list of two ints"),
     ("seed_info", [1, 2, 3], "seed_info must be null or a list of two ints"),
     ("seed_info", [True, 2], "seed_info must be null or a list of two ints"),
-], ids=["view", "view_list", "empty_left", "empty_right", "seed_info_str",
+], ids=["view", "empty_left", "empty_right", "seed_info_str",
         "seed_info_floats", "seed_info_three", "seed_info_bool"])
 def test_read_pairs_rejects_a_field_write_pairs_never_writes(tmp_path, field, value, detail):
     path = tmp_path / "pairs.jsonl"
@@ -439,4 +438,3 @@ def test_read_pairs_rejects_a_field_write_pairs_never_writes(tmp_path, field, va
     with pytest.raises(ValueError) as info:
         pairgen.read_pairs(path)
     assert str(info.value) == f"malformed record in {path} line 2: {detail}"
-
