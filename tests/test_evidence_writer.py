@@ -1,4 +1,5 @@
-"""Evidence files: the writer against json.dumps, and what an error leaves."""
+"""Evidence files: the writer and its number formatter against json.dumps,
+and what an error leaves."""
 
 import json
 import tempfile
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrel.scoring import MrpResult, mrp_result_to_dict, write_evidence_files
+from riskrel.scoring import (
+    _VECTOR_MIN,
+    MrpResult,
+    _json_number,
+    _json_numbers,
+    _shortest_reprs,
+    mrp_result_to_dict,
+    write_evidence_files,
+)
 
 # Characters json escapes, or that a careless writer might: quotes,
 # backslashes, control characters, the JS line separators, non-BMP.
@@ -56,6 +65,85 @@ def test_writer_matches_json_dumps_byte_for_byte(case):
         [path] = write_evidence_files([result], tmp, paragraph_texts)
         assert path.read_bytes() == oracle(result, paragraph_texts)
         assert [p.name for p in Path(tmp).iterdir()] == [path.name]
+
+
+@st.composite
+def long_results(draw):
+    """A result whose evidence holds more than ``_VECTOR_MIN`` entries: seeded
+    rows, columns and similarities in [0.1, 1), with drawn ones put in."""
+    result, paragraph_texts = draw(results())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(_VECTOR_MIN + 1, 2 * _VECTOR_MIN))
+    sims = rng.uniform(0.1, 1.0, count)
+    for position, value in draw(st.lists(st.tuples(st.integers(0, count - 1), similarities),
+                                         max_size=12)):
+        sims[position] = value
+    long = MrpResult(result.firm_a, result.firm_b, result.threshold, result.ids_a,
+                     result.ids_b, rng.integers(0, result.n_a, count),
+                     rng.integers(0, result.n_b, count), sims)
+    return long, paragraph_texts
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=long_results())
+def test_long_document_matches_json_dumps_byte_for_byte(case):
+    result, paragraph_texts = case
+    with tempfile.TemporaryDirectory() as tmp:
+        [path] = write_evidence_files([result], tmp, paragraph_texts)
+        assert path.read_bytes() == oracle(result, paragraph_texts)
+
+
+def reprs(values):
+    return [_json_number(value).encode("ascii") for value in values.tolist()]
+
+
+def test_formatter_equals_repr_on_a_million_values_and_their_neighbours():
+    drawn = np.random.default_rng(36).uniform(0.1, 1.0, 10 ** 6)
+    by_kernel = 0
+    for values in (drawn, np.nextafter(drawn, 0.0), np.nextafter(drawn, 1.0)):
+        for document in np.split(values, 200):
+            # Every value here is finite, so float.__repr__ is _json_number.
+            expected = ",".join(map(float.__repr__, document.tolist())).encode().split(b",")
+            assert _json_numbers(document) == expected
+            by_kernel += int(_shortest_reprs(document)[1].sum())
+    assert by_kernel >= 10 ** 6
+
+
+# Values at the edges of the kernel's domain and of its arithmetic.
+DIGITS_14_TO_17 = [0.12345678901234, 0.987654321098765, 0.7071067811865476,
+                   0.30000000000000004, 0.12345678901234566]
+# Halfway between two 17- or 16-digit decimals, where repr's tie rule decides.
+TIES = [(2 ** 15 + 1) / 2 ** 18, (2 ** 15 + 3) / 2 ** 18, 26215 / 2 ** 18,
+        (2 ** 16 + 1) / 2 ** 17, (2 ** 17 - 1) / 2 ** 17]
+BOUNDARY = [0.1, np.nextafter(0.1, 0.0), np.nextafter(0.1, 1.0), 0.125, 0.25, 0.5, 0.75,
+            0.8, 1.0, np.nextafter(1.0, 0.0), *DIGITS_14_TO_17, *TIES,
+            float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+            1e-310, -0.5, -0.30000000000000004, 1.5, 12345.678, 1e300, 0.099999, 0.0625]
+
+
+def test_boundary_values_have_the_lengths_they_stand_for():
+    assert sorted(len(repr(value)) - 2 for value in DIGITS_14_TO_17) == [14, 15, 16, 17, 17]
+    assert all(len(repr(value)) in (18, 19) for value in TIES[:4])
+
+
+@pytest.mark.parametrize("size", [len(BOUNDARY), _VECTOR_MIN - 1, _VECTOR_MIN,
+                                  3 * _VECTOR_MIN + 7])
+def test_formatter_equals_repr_at_the_boundaries(size):
+    rng = np.random.default_rng(size)
+    values = np.resize(np.array(BOUNDARY), size)
+    rng.shuffle(values)
+    assert _json_numbers(values) == reprs(values)
+    mixed = np.concatenate([BOUNDARY, rng.uniform(0.1, 1.0, size)])
+    assert _json_numbers(mixed) == reprs(mixed)
+
+
+def test_kernel_leaves_out_what_it_cannot_write():
+    values = np.array(BOUNDARY)
+    written = dict(zip(values.tolist(), _shortest_reprs(values)[1].tolist()))
+    assert not any(written[value] for value in [0.1, 0.125, 0.25, 0.5, 0.75, 0.8, 1.0,
+                                                 0.12345678901234, *TIES, -0.5, 1.5])
+    assert all(written[value] for value in [np.nextafter(0.1, 1.0), np.nextafter(1.0, 0.0),
+                                             *DIGITS_14_TO_17[1:]])
 
 
 def test_empty_mrps_and_evidence(tmp_path):

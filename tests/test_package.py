@@ -18,6 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import riskrel
 from riskrel import errors, scoring
 
@@ -241,3 +243,32 @@ def test_the_threshold_label_format_has_one_owner():
     owners = [owner for path in sorted((ROOT / "src" / "riskrel").glob("*.py"))
               for owner, spec in _format_specs(path) if spec == ".2f"]
     assert owners == ["scoring.threshold_label"]
+
+
+# Standard-library names new in Python 3.11 or later, as (module, name);
+# pyproject.toml declares Python >= 3.10.
+_NEWER_THAN_FLOOR = {("operator", "call"), ("tomllib", None), ("typing", "Self"),
+                     ("enum", "StrEnum"), ("datetime", "UTC")}
+
+
+def _stdlib_uses(tree):
+    """(module, name) of each ``import module``, ``from module import name``
+    and ``module.name`` in a parsed module; name is None for a bare import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield node.value.id, node.attr
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "riskrel").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_module_keeps_the_python_310_floor(path):
+    """Each module parses as Python 3.10 and names none of the 3.11+
+    standard-library names above; tier-1 itself runs on a later Python."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
+    newer = {(module, name) for module, name in _stdlib_uses(tree)
+             if (module, name) in _NEWER_THAN_FLOOR or (module, None) in _NEWER_THAN_FLOOR}
+    assert not newer, sorted(newer, key=str)
