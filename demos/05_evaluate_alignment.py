@@ -31,9 +31,13 @@ outcome = training.train(train_pairs, val_pairs, training.TrainConfig(seed=0))
 index = scoring.embed_corpus(outcome.vocab, outcome.params, [paragraphs])
 firms, matrix = scoring.rrs_matrix(index, threshold=0.75)
 
+# evaluate's one exclusion rule: a pair without enough shared price dates,
+# or with a constant absolute-return series, has no CAVDSR and is left out.
 cells = scoring.pair_cells(firms, matrix)
-rrs_values = list(cells.values())
-cavdsr_values = [evaluation.cavdsr(returns[a], returns[b]) for a, b in cells]
+co_movement = evaluation.pairwise_cavdsr(returns, cells)
+kept = list(co_movement)  # the evaluated pairs, in matrix order
+rrs_values = [cells[pair] for pair in kept]
+cavdsr_values = list(co_movement.values())
 
 print("=== alignment of RRS with return co-movement ===")
 print(f"rho (pearson)  = {evaluation.alignment_rho(rrs_values, cavdsr_values):.4f}")
@@ -41,7 +45,7 @@ print(f"rho (spearman) = "
       f"{evaluation.alignment_rho(rrs_values, cavdsr_values, 'spearman'):.4f}")
 
 for level in ("sector", "industry"):
-    flags = [evaluation.gics_binary_rrs(gics, a, b, level) for a, b in cells]
+    flags = [evaluation.gics_binary_rrs(gics, a, b, level) for a, b in kept]
     try:
         rho = f"{evaluation.alignment_rho(flags, cavdsr_values):.4f}"
     except evaluation.DegenerateInput:

@@ -252,8 +252,8 @@ def pad_batch(id_lists: Sequence[np.ndarray]) -> np.ndarray:
 #   model       d, |V|, max_len; |V| UTF-8 tokens; embed (|V| x d), proj_w
 #               (d x d), proj_b (d,)
 #   embeddings  d, max_len, firm count; the model fingerprint (ASCII); per
-#               firm, sorted, its id, a u32 LE paragraph count and per
-#               paragraph its id and d values (riskrel.scoring)
+#               firm, sorted, its id, a u32 LE paragraph count (at least 1)
+#               and per paragraph, in id order, its id and d values (riskrel.scoring)
 
 _VERSION = 1
 U32_MAX = 2 ** 32 - 1  # the largest value of a u32 field, such as max_len

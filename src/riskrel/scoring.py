@@ -89,12 +89,12 @@ _EMB_MAGIC = b"RREMB001"
 @dataclass(frozen=True)
 class EmbeddingIndex:
     """Per-firm paragraph ids and embedding matrices from one model, checked
-    once, when made: a firm's vectors have one row per id, and every firm with
-    rows has one width :attr:`d` (0 if none has rows), else a ``ValueError``
-    naming the first such firm in sorted order.
-    No paragraph id appears twice, in one firm or across two, else a ``ValueError``
-    (``paragraph id 'A:1' repeated``). :attr:`units` and :attr:`ranks` are made
-    on first use."""
+    once, when made: a firm holds at least one id, its ids in str order, and
+    one vector row per id, and every firm has one width :attr:`d` (0 if there
+    is no firm), else a ``ValueError`` naming the first such firm in sorted
+    order. No paragraph id appears twice, in one firm or across two, else a
+    ``ValueError`` (``paragraph id 'A:1' repeated``). :attr:`units` is made on
+    first use."""
 
     firms: dict[str, tuple[list[str], np.ndarray]]
     model_fingerprint: str = ""
@@ -102,23 +102,23 @@ class EmbeddingIndex:
     d: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        d = None  # until a firm with rows is seen
         seen: set[str] = set()
         for firm in self.firm_ids():
             ids, vectors = self.firms[firm]
+            if not ids or list(ids) != sorted(ids):
+                raise ValueError(f"firm {firm!r} needs one or more paragraph ids, in str order")
             if vectors.ndim != 2 or vectors.shape[0] != len(ids):
                 raise ValueError(f"firm {firm!r} needs one vector row per id: "
                                  f"{len(ids)} ids, vectors of shape {vectors.shape}")
-            if ids and d is None:
-                d = vectors.shape[1]
-            elif ids and vectors.shape[1] != d:
+            if not seen:  # the first firm, as every firm has ids
+                object.__setattr__(self, "d", vectors.shape[1])
+            elif vectors.shape[1] != self.d:
                 raise ValueError(f"firm {firm!r} has vectors of width "
-                                 f"{vectors.shape[1]}, not {d}")
+                                 f"{vectors.shape[1]}, not {self.d}")
             for pid in ids:
                 if pid in seen:
                     raise ValueError(f"paragraph id {pid!r} repeated")
                 seen.add(pid)
-        object.__setattr__(self, "d", d or 0)
 
     def firm_ids(self) -> list[str]:
         return sorted(self.firms)
@@ -127,11 +127,6 @@ class EmbeddingIndex:
     def units(self) -> dict[str, np.ndarray]:
         """Each firm's vectors over their row norms (:func:`unit_rows`)."""
         return {firm: unit_rows(vectors) for firm, (_, vectors) in self.firms.items()}
-
-    @cached_property
-    def ranks(self) -> dict[str, np.ndarray]:
-        """Each firm's ids' ranks among its ids in str order, one per row."""
-        return {firm: _id_ranks(ids) for firm, (ids, _) in self.firms.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,9 +218,10 @@ def embed_corpus(vocab: Vocabulary, params: EncoderParams,
                  groups: Iterable[Iterable[Paragraph]],
                  max_len: int = DEFAULT_MAX_LEN) -> EmbeddingIndex:
     """Encode the paragraphs of ``groups``, each under its own firm however they
-    are grouped (:func:`~riskrel.corpus.group_by_firm`), a firm per batch."""
+    are grouped (:func:`~riskrel.corpus.group_by_firm`), a firm per batch in id order."""
     firms: dict[str, tuple[list[str], np.ndarray]] = {}
-    for firm, paragraphs in group_by_firm(chain.from_iterable(groups)).items():
+    by_id = sorted(chain.from_iterable(groups), key=lambda paragraph: paragraph.id)
+    for firm, paragraphs in group_by_firm(by_id).items():
         ids = [paragraph.id for paragraph in paragraphs]
         batch = [vocab.indices(paragraph.tokens, max_len) for paragraph in paragraphs]
         try:
@@ -243,12 +239,12 @@ def _similarities(index: EmbeddingIndex, firm_a: str, firm_b: str
     The product of the index's :attr:`~EmbeddingIndex.units` is always taken
     with the firms in sorted order, so the block of (B, A) is the exact
     transpose of the block of (A, B). A firm paired with itself, or one that the
-    index lacks or holds without paragraphs, is a ``ValueError``.
+    index lacks, is a ``ValueError``.
     """
     if firm_a == firm_b:
         raise ValueError(f"firm {firm_a!r} cannot be scored against itself")
     for firm in (firm_a, firm_b):
-        if firm not in index.firms or not index.firms[firm][0]:
+        if firm not in index.firms:
             raise ValueError(f"firm {firm!r} has no paragraphs in the embedding index")
     ids_a, ids_b = index.firms[firm_a][0], index.firms[firm_b][0]
     if firm_a < firm_b:
@@ -266,21 +262,15 @@ def find_mrps(index: EmbeddingIndex, firm_a: str, firm_b: str,
     order internally, so rrs(A, B) == rrs(B, A) bit-exactly regardless of
     argument order. The result holds every qualifying cross pair as row and
     column positions and its similarity, sorted by similarity descending
-    with (id_a, id_b) breaking ties: one ``np.lexsort`` over the similarity
-    and the index's :attr:`~EmbeddingIndex.ranks` of both firms.
+    with (id_a, id_b) breaking ties: one stable ``np.argsort`` of the hits,
+    which ``np.nonzero`` gives in (id_a, id_b) order, as an index's ids are.
     """
     ids_a, ids_b, sims = _similarities(index, firm_a, firm_b)
     rows, cols = np.nonzero(sims >= threshold)
     values = sims[rows, cols]
-    order = np.lexsort((index.ranks[firm_b][cols], index.ranks[firm_a][rows], -values))
+    order = np.argsort(-values, kind="stable")
     return MrpResult(firm_a, firm_b, threshold, ids_a, ids_b,
                      rows[order], cols[order], values[order])
-
-
-def _id_ranks(ids: Sequence[str]) -> np.ndarray:
-    """Each id's rank among ``ids`` in str order."""
-    rank = {pid: r for r, pid in enumerate(sorted(ids))}
-    return np.array([rank[pid] for pid in ids], dtype=np.intp)
 
 
 def firm_pairs(firms: Sequence[str]) -> list[tuple[str, str]]:
@@ -333,7 +323,7 @@ def max_similarity_table(index: EmbeddingIndex) -> MaxSimTable:
     """One similarity block per pair of the index's firms, in :func:`firm_pairs`
     order, reduced to its row and column maxima.
 
-    Fewer than two firms, or a firm without paragraphs, is a ``ValueError``.
+    Fewer than two firms is a ``ValueError``.
     """
     pairs = firm_pairs(index.firm_ids())
     if not pairs:
@@ -736,8 +726,9 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
     ``malformed embeddings file <path>: …``, what ``embed`` never writes: a
     max_len below 1, an undecodable fingerprint, firm or paragraph id, a
     firm id that :func:`~riskrel.corpus.check_firm_id` rejects, a repeated
-    firm or paragraph id, vectors narrower than 2 or holding a value that is
-    not finite, or bytes after the last vector.
+    firm, a firm without paragraph ids or with ids out of str order, a repeated
+    paragraph id, vectors narrower than 2 or holding a value that is not
+    finite, or bytes after the last vector.
     """
     r = _Reader(path, "embeddings", _EMB_MAGIC)
     d, max_len, n_firms = r.u32s(3)
@@ -760,7 +751,7 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
                 ids.append(r.text())
                 rows.append(r.take(8 * d))
             vectors = np.frombuffer(b"".join(rows), dtype="<f8").reshape(count, d)
-            if ids and d < 2:
+            if d < 2:
                 raise r.malformed(f"firm {firm!r} has vectors of width {d}, below 2")
             if not np.isfinite(vectors).all():
                 raise r.malformed(f"firm {firm!r} has a value that is not finite")
@@ -770,5 +761,5 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
     r.end("vector")
     try:
         return EmbeddingIndex(firms=firms, model_fingerprint=fingerprint, max_len=max_len)
-    except ValueError as exc:  # a repeated paragraph id
+    except ValueError as exc:  # an empty firm, or ids out of order or repeated
         raise r.malformed(exc) from None

@@ -263,9 +263,8 @@ def _date_phrase(month: int, day: int, year: int) -> str:
     return f"{_MONTH_NAMES[month - 1]} {day}, {year}"
 
 
-def _paragraph_text(rng: np.random.Generator, theme: str, pool: list[str],
-                    date_sentence: str | None, boilerplate: str | None,
-                    min_tokens: int = 68) -> str:
+def _paragraph_text(rng: np.random.Generator, pool: list[str], date_sentence: str | None,
+                    boilerplate: str | None, min_tokens: int = 68) -> str:
     """Sample theme sentences until the paragraph is comfortably long."""
     k = min(len(pool), 4)
     picks = [pool[i] for i in sorted(rng.choice(len(pool), size=k, replace=False))]
@@ -318,7 +317,7 @@ def _section_paragraphs(rng: np.random.Generator, firm: str, year: int,
             boilerplate = (f"These factors are discussed in the context of our "
                            f"fiscal year ended {_date_phrase(12, 31, year)}.")
         paragraphs.append(
-            (_paragraph_text(rng, theme, list(pool), date_sentence, boilerplate), theme))
+            (_paragraph_text(rng, list(pool), date_sentence, boilerplate), theme))
     return paragraphs
 
 

@@ -1126,7 +1126,7 @@ def _score_argv(pipeline_dir, out, *extra):
 @given(data=st.data())
 def test_shuffled_paragraph_file_scores_byte_for_byte_alike(pipeline_dir, data):
     """Reordering paragraphs.jsonl, within a firm and across firms, changes no
-    byte of rrs.csv or of any evidence file, for a fixed model.bin."""
+    byte of embeddings.bin, rrs.csv or of any evidence file, for a fixed model.bin."""
     lines = (pipeline_dir / "paragraphs.jsonl").read_text().splitlines(True)
     shuffled = data.draw(st.permutations(lines))
     with tempfile.TemporaryDirectory() as tmp:
@@ -1136,9 +1136,12 @@ def test_shuffled_paragraph_file_scores_byte_for_byte_alike(pipeline_dir, data):
         argv = _score_argv(pipeline_dir, out, "--threshold", "0.75")
         argv[argv.index("--paragraphs") + 1] = str(paragraphs)
         assert cli.main(argv) == 0
+        assert cli.main(["embed", "--model", str(pipeline_dir / "model.bin"),
+                         "--in", str(paragraphs), "--out", str(out / "embeddings.bin")]) == 0
         paragraphs.unlink()
         assert _tree(out) == {name: body for name, body in _tree(pipeline_dir).items()
-                              if name == "rrs.csv" or name.startswith("evidence/")}
+                              if name in ("embeddings.bin", "rrs.csv")
+                              or name.startswith("evidence/")}
 
 
 def test_config_threshold_reaches_score(pipeline_dir, tmp_path, capsys):

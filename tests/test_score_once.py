@@ -99,9 +99,10 @@ def test_nan_vectors_agree_with_find_mrps():
     lambda index: threshold_sweep(max_similarity_table(index), [0.5]),
 ], ids=["rrs_matrix", "threshold_sweep"])
 def test_one_pass_keeps_error_kinds(score):
-    a, b = (["A:0"], np.array([[1.0, 0.0]])), (["B:0"], np.array([[0.0, 1.0]]))
-    with pytest.raises(ValueError, match="^firm 'EMPTY' has no paragraphs"):
-        score(EmbeddingIndex(firms={"A": a, "B": b, "EMPTY": ([], np.empty((0, 2)))}))
-    with pytest.raises(ValueError, match="at least two firms"):
-        score(EmbeddingIndex(firms={"A": a}))
+    """Fewer than two firms is the one index that scoring refuses; an empty
+    firm never reaches it, as no index holds one."""
+    a = (["A:0"], np.array([[1.0, 0.0]]))
+    for firms in ({}, {"A": a}):
+        with pytest.raises(ValueError, match="^scoring needs at least two firms$"):
+            score(EmbeddingIndex(firms=firms))
 

@@ -6,7 +6,6 @@ import math
 import struct
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ def make_index(vectors_by_firm, fingerprint="test"):
     for firm, vectors in vectors_by_firm.items():
         arr = np.asarray(vectors, dtype=np.float64)
         if arr.ndim == 1:
-            arr = arr.reshape(0, 2) if arr.size == 0 else arr.reshape(1, -1)
+            arr = arr.reshape(1, -1)
         ids = [f"{firm}:2023:1A:{k:04d}" for k in range(arr.shape[0])]
         firms[firm] = (ids, arr)
     return EmbeddingIndex(firms=firms, model_fingerprint=fingerprint)
@@ -162,8 +161,8 @@ TIED_IDS = ["a", "x", "x\0", "z"]
 
 @st.composite
 def tied_firm(draw, d, prefix):
-    ids = draw(st.lists(st.sampled_from([prefix + pid for pid in TIED_IDS]),
-                        min_size=1, max_size=len(TIED_IDS), unique=True))
+    ids = sorted(draw(st.lists(st.sampled_from([prefix + pid for pid in TIED_IDS]),
+                               min_size=1, max_size=len(TIED_IDS), unique=True)))
     n = len(ids)
     vectors = draw(st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d))
     return ids, np.array(vectors, dtype=np.float64).reshape(n, d)
@@ -193,11 +192,12 @@ RANKED_THRESHOLDS = [0.5, 0.65, 0.75, 0.85, 0.95]
 
 @st.composite
 def ranked_firm(draw, firm):
-    """Ids in an order of their own: sections drawn from 7A and 1A, ordinals
-    counting down, so a firm's str order is not its row order."""
+    """Ids in str order from sections drawn from 7A and 1A, ordinals counting
+    down, so a firm's str order is neither its section order nor its ordinal
+    order."""
     sections = draw(st.lists(st.sampled_from(["7A", "1A"]), min_size=1, max_size=6))
     n = len(sections)
-    ids = [f"{firm}:2023:{section}:{n - k:04d}" for k, section in enumerate(sections)]
+    ids = sorted(f"{firm}:2023:{section}:{n - k:04d}" for k, section in enumerate(sections))
     rows = draw(st.lists(st.sampled_from(RANKED_POOL), min_size=n, max_size=n))
     return ids, np.array(rows)
 
@@ -206,23 +206,18 @@ def ranked_firm(draw, firm):
 @given(data=st.data())
 def test_ranked_ids_and_tied_similarities_against_brute_force(data):
     index = EmbeddingIndex(firms={firm: data.draw(ranked_firm(firm)) for firm in "ABC"})
-    with mock.patch.object(scoring, "_id_ranks", wraps=scoring._id_ranks) as id_ranks:
-        ranks = index.ranks
-        pairs = st.permutations("ABC").map(lambda firms: firms[:2])
-        for firm_a, firm_b in data.draw(st.lists(pairs, min_size=1, max_size=4)):
-            threshold = data.draw(st.sampled_from(RANKED_THRESHOLDS))
-            result = find_mrps(index, firm_a, firm_b, threshold)
-            evidence = result.evidence
-            assert evidence == sorted(evidence, key=lambda e: (-e[2], e[0], e[1]))
-            oracle_a, oracle_b, oracle_ev = brute_force_mrps(index, firm_a, firm_b, threshold)
-            assert (set(result.mrps_a), set(result.mrps_b)) == (oracle_a, oracle_b)
-            assert {(a, b) for a, b, _ in evidence} == oracle_ev
-            n_a, n_b = (len(index.firms[firm][0]) for firm in (firm_a, firm_b))
-            assert (result.n_a, result.n_b) == (n_a, n_b)
-            assert result.rrs == (len(oracle_a) + len(oracle_b)) / (n_a + n_b)
-        assert index.ranks is ranks and id_ranks.call_count == len(index.firms)
-    for firm, (ids, _) in index.firms.items():
-        assert [sorted(ids)[r] for r in ranks[firm]] == ids
+    pairs = st.permutations("ABC").map(lambda firms: firms[:2])
+    for firm_a, firm_b in data.draw(st.lists(pairs, min_size=1, max_size=4)):
+        threshold = data.draw(st.sampled_from(RANKED_THRESHOLDS))
+        result = find_mrps(index, firm_a, firm_b, threshold)
+        evidence = result.evidence
+        assert evidence == sorted(evidence, key=lambda e: (-e[2], e[0], e[1]))
+        oracle_a, oracle_b, oracle_ev = brute_force_mrps(index, firm_a, firm_b, threshold)
+        assert (set(result.mrps_a), set(result.mrps_b)) == (oracle_a, oracle_b)
+        assert {(a, b) for a, b, _ in evidence} == oracle_ev
+        n_a, n_b = (len(index.firms[firm][0]) for firm in (firm_a, firm_b))
+        assert (result.n_a, result.n_b) == (n_a, n_b)
+        assert result.rrs == (len(oracle_a) + len(oracle_b)) / (n_a + n_b)
 
 
 def test_every_mrp_member_appears_in_evidence():
@@ -247,16 +242,30 @@ def test_monotone_in_threshold():
 
 
 def test_empty_firm_errors():
-    index = make_index({"A": [[1.0, 0.0]], "B": np.empty((0, 2))})
-    with pytest.raises(ValueError, match="^firm 'B' has no paragraphs in the embedding index$"):
-        find_mrps(index, "A", "B", 0.5)
-    with pytest.raises(ValueError, match="^firm 'MISSING' has no paragraphs"):
+    """A firm the index lacks has no paragraphs in it; an index cannot hold a
+    firm without paragraphs (test_index_needs_each_firms_ids_in_str_order)."""
+    index = make_index({"A": [[1.0, 0.0]], "B": [[0.0, 1.0]]})
+    with pytest.raises(ValueError, match="^firm 'MISSING' has no paragraphs in the embedding "
+                                         "index$"):
         find_mrps(index, "A", "MISSING", 0.5)
+
+
+@pytest.mark.parametrize("ids", [
+    [],
+    ["B:1", "B:0"],
+    ["B:9", "B:10"],
+    ["B:x\0", "B:x"],
+], ids=["empty", "descending", "numeric_order", "nul_after_prefix"])
+def test_index_needs_each_firms_ids_in_str_order(ids):
+    with pytest.raises(ValueError) as exc:
+        EmbeddingIndex(firms={"A": (["A:0"], np.ones((1, 2))),
+                              "B": (ids, np.ones((len(ids), 2)))})
+    assert str(exc.value) == "firm 'B' needs one or more paragraph ids, in str order"
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError, match="^firm 'B' has vectors of width 3, not 2$"):
-        make_index({"A": [[1.0, 0.0]], "B": [[1.0, 0.0, 0.0]], "EMPTY": np.empty((0, 4))})
+        make_index({"A": [[1.0, 0.0]], "B": [[1.0, 0.0, 0.0]], "C": np.ones((1, 4))})
 
 
 @pytest.mark.parametrize("ids, vectors", [
@@ -270,8 +279,8 @@ def test_index_needs_one_vector_row_per_id(ids, vectors):
 
 
 def test_index_is_checked_and_sized_once_when_made():
-    index = make_index({"A": np.ones((2, 3)), "B": np.ones((1, 3)), "EMPTY": np.empty((0, 5))})
-    assert index.d == 3
+    index = make_index({"A": np.ones((2, 3)), "B": np.ones((1, 3))})
+    assert index.d == 3 and EmbeddingIndex(firms={}).d == 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         index.d = 4
     refit = dataclasses.replace(index, model_fingerprint="other")
@@ -418,12 +427,12 @@ def embeddings_bytes(firms, d=2, n_firms=None, fingerprint=b"fp", max_len=256):
 
 
 _EMB_FILE = embeddings_bytes([(b"A", [b"A:2023:1A:0000", b"A:2023:1A:0001"], 2),
-                              (b"EMPTY", [], 0)], d=3, fingerprint=b"test")
+                              (b"B", [b"B:2023:1A:0000"], 1)], d=3, fingerprint=b"test")
 
 
 def test_embeddings_bytes_helper_writes_what_save_embeddings_writes(tmp_path):
     path = tmp_path / "emb.bin"
-    save_embeddings(make_index({"A": np.zeros((2, 3)), "EMPTY": np.empty((0, 3))}), path)
+    save_embeddings(make_index({"A": np.zeros((2, 3)), "B": np.zeros((1, 3))}), path)
     assert path.read_bytes() == _EMB_FILE
 
 
@@ -461,24 +470,18 @@ _FIRM_RULE = ("must be non-empty, not '.' or '..', and hold no '/', '\\', ',', '
     (embeddings_bytes([(b"A", [b"A:0"], 1)])[:-8] + struct.pack("<d", math.nan),
      "firm 'A' has a value that is not finite"),
     (embeddings_bytes([(b"A", [b"A:0"], 1)], max_len=0), "max_len 0 < 1"),
+    (embeddings_bytes([(b"A", [b"A:0"], 1), (b"B", [], 0)]),
+     "firm 'B' needs one or more paragraph ids, in str order"),
+    (embeddings_bytes([(b"A", [b"A:1", b"A:0"], 2)]),
+     "firm 'A' needs one or more paragraph ids, in str order"),
 ], ids=["repeated_firm", "firm_with_slash", "firm_with_quote", "trailing_byte", "repeated_id",
-        "id_in_two_firms", "width_1", "nan", "max_len_0"])
+        "id_in_two_firms", "width_1", "nan", "max_len_0", "empty_firm", "ids_out_of_order"])
 def test_embeddings_that_embed_never_writes_are_malformed(tmp_path, raw, detail):
     path = tmp_path / "emb.bin"
     path.write_bytes(raw)
     with pytest.raises(ValueError) as exc:
         load_embeddings(path)
     assert str(exc.value) == f"malformed embeddings file {path}: {detail}"
-
-
-def test_embeddings_roundtrip_with_every_firm_empty(tmp_path):
-    index = make_index({"A": [], "EMPTY": []}, fingerprint="fp")
-    assert index.d == 0
-    path = tmp_path / "emb.bin"
-    save_embeddings(index, path)
-    loaded = load_embeddings(path)
-    assert {firm: (ids, vectors.shape) for firm, (ids, vectors) in loaded.firms.items()} == {
-        "A": ([], (0, 0)), "EMPTY": ([], (0, 0))}
 
 
 _HUGE = 2 ** 32 - 1
@@ -633,13 +636,13 @@ def test_rrs_csv_roundtrip(tmp_path):
 
 def test_embeddings_roundtrip(tmp_path):
     rng = np.random.default_rng(14)
-    index = make_index({"A": rng.normal(size=(3, 4)), "B": rng.normal(size=(2, 4)),
-                        "EMPTY": np.empty((0, 4))}, fingerprint="f" * 64)
+    index = make_index({"A": rng.normal(size=(3, 4)), "B": rng.normal(size=(2, 4))},
+                       fingerprint="f" * 64)
     path = tmp_path / "emb.bin"
     save_embeddings(index, path)
     loaded = load_embeddings(path)
     assert loaded.model_fingerprint == "f" * 64
-    assert set(loaded.firms) == {"A", "B", "EMPTY"}
+    assert set(loaded.firms) == {"A", "B"}
     for firm in index.firms:
         assert loaded.firms[firm][0] == index.firms[firm][0]
         assert np.array_equal(loaded.firms[firm][1], index.firms[firm][1])
